@@ -63,7 +63,7 @@ int main() {
     for (std::size_t I = 0; I != Evaluation.size(); ++I) {
       TunedSpmv<double> Op = Tuner.tune(Evaluation[I]->Matrix);
       Correct += Op.format() == Truth[I] ? 1 : 0;
-      Measured += Op.report().MeasuredGflops.empty() ? 0 : 1;
+      Measured += Op.report().MeasureSeconds > 0.0 ? 1 : 0;
       Overheads.push_back(Op.report().overheadRatio());
     }
     Table.addRow(

@@ -86,12 +86,14 @@ int main() {
             ? std::string(formatName(Report.ModelPrediction))
             : std::string("confidence < TH");
     std::string Execution = "-";
-    if (!Report.MeasuredGflops.empty()) {
+    if (Report.MeasureSeconds > 0.0) {
       Execution.clear();
-      for (const auto &[Kind, G] : Report.MeasuredGflops) {
+      for (const MeasuredCandidate &C : Report.MeasuredCandidates) {
+        if (C.IsBaseline)
+          continue;
         if (!Execution.empty())
           Execution += "+";
-        Execution += formatName(Kind);
+        Execution += formatName(C.Format);
       }
     }
     bool Correct = Op.format() == Truth.BestFormat;

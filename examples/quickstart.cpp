@@ -68,11 +68,12 @@ int main(int argc, char **argv) {
               std::string(formatName(Report.ModelPrediction)).c_str(),
               Report.ModelConfidence,
               Report.ModelConfident ? "confident" : "below threshold");
-  if (!Report.MeasuredGflops.empty()) {
+  if (Report.MeasureSeconds > 0.0) {
     std::printf("  execute-and-measure ran:");
-    for (const auto &[Kind, Gflops] : Report.MeasuredGflops)
-      std::printf(" %s=%.2fGF", std::string(formatName(Kind)).c_str(),
-                  Gflops);
+    for (const MeasuredCandidate &C : Report.MeasuredCandidates)
+      if (!C.IsBaseline)
+        std::printf(" %s=%.2fGF", std::string(formatName(C.Format)).c_str(),
+                    C.Gflops);
     std::printf("\n");
   }
   std::printf("  chosen          %s with kernel '%s'\n",

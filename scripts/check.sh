@@ -3,7 +3,8 @@
 #
 # Part of the SMAT reproduction project.
 #
-# Runs the tier-1 test suite across five build configurations:
+# Runs the tier-1 test suite across five build configurations, then builds
+# and self-tests the repository benchmark:
 #
 #   build        default flags, full tier-1 suite
 #   build-asan   SMAT_SANITIZE=ON (ASan + UBSan), full tier-1 suite — the
@@ -21,6 +22,12 @@
 #                worker thread and atomic plan swaps race-checked WHILE the
 #                fault sites are armed, so the failure paths (worker death,
 #                snapshot corruption) run under TSan too
+#   build-perfbench
+#                perfbench/ configured as its own package with
+#                SMAT_NATIVE_ARCH=OFF: builds perfbench and perfbench_selftest
+#                and runs the self-test, so a library API change the
+#                benchmark compiles against fails here, not in a benchmark
+#                run
 #
 # Usage: scripts/check.sh [--fuzz-only]
 #   --fuzz-only   restrict the default and ASan passes to the fuzz-labelled
@@ -58,4 +65,11 @@ run_pass build-fault fault -DSMAT_FAULT_INJECTION=ON
 OMP_NUM_THREADS=1 run_pass build-tsan-fault service \
   -DSMAT_SANITIZE=thread -DSMAT_FAULT_INJECTION=ON
 
-echo "=== check.sh: all five passes green ==="
+echo "=== configure: build-perfbench (perfbench/ -DSMAT_NATIVE_ARCH=OFF) ==="
+cmake -B build-perfbench -S perfbench -DSMAT_NATIVE_ARCH=OFF
+echo "=== build: build-perfbench ==="
+cmake --build build-perfbench -j "$(nproc)" --target perfbench perfbench_selftest
+echo "=== self-test: build-perfbench ==="
+./build-perfbench/perfbench_selftest
+
+echo "=== check.sh: all six passes green ==="

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The operator layer of the tuning runtime: one `FormatOperator<T>`
-/// implementation per storage format, each owning its converted storage and
-/// the scoreboard-selected kernel it dispatches to. `TunedSpmv::apply` goes
-/// through this interface instead of a format switch, so adding a format
-/// (paper contribution 3) means adding one class here plus its converter —
-/// the runtime pipeline itself is format-agnostic.
+/// The operator layer of the tuning runtime. `FormatOperator<T>` is the
+/// interface `TunedSpmv::apply` dispatches through; `BoundOperator` is its
+/// one implementation: a matrix in one storage format bound to the
+/// scoreboard-selected SpMV kernel and, for every format with an SpMM family,
+/// the per-width SpMM kernel. `bindFormatOperator` is the one place that
+/// turns a `FormatKind` into a conversion plus kernel picks; the
+/// execute-and-measure race times the operators it builds, so the race
+/// measures exactly what a win binds. Adding a format (paper contribution 3)
+/// means adding its matrix type, converter and one case there.
 ///
 /// CSR is special: because it is the unified input format, the operator can
 /// either borrow the caller's matrix (zero-copy, the tune-once/apply-in-loop
@@ -25,7 +28,6 @@
 #include "kernels/KernelRegistry.h"
 #include "kernels/Scoreboard.h"
 #include "matrix/FormatConvert.h"
-#include "ref/RefSpmv.h"
 
 #include <memory>
 #include <utility>
@@ -43,10 +45,9 @@ enum class CsrStorage {
   Owned,
 };
 
-/// A tuned SpMV operator bound to one (format, kernel) pair. Implementations
-/// own their converted storage; `apply` computes y := A*x and `multiply`
-/// computes the batched Y := A*X over a row-major block of K right-hand
-/// sides.
+/// A tuned SpMV operator bound to one (format, kernel) pair: `apply`
+/// computes y := A*x and `multiply` computes the batched Y := A*X over a
+/// row-major block of K right-hand sides.
 template <typename T> class FormatOperator {
 public:
   virtual ~FormatOperator() = default;
@@ -55,16 +56,62 @@ public:
   virtual void apply(const T *X, T *Y) const = 0;
 
   /// Computes Y := A*X for a row-major block of K right-hand sides
-  /// (X: numCols() x K, Y: numRows() x K). The base implementation runs
-  /// apply() column by column through staging buffers, so every operator —
-  /// including BSR and the reference rung, which have no SpMM kernel family
-  /// — supports batching; operators with a bound SpMM kernel override it.
-  virtual void multiply(const T *X, T *Y, index_t K) const {
+  /// (X: numCols() x K, Y: numRows() x K). Every operator supports it; one
+  /// without an SpMM kernel (BSR, the reference rung) runs apply() column by
+  /// column through staging buffers.
+  virtual void multiply(const T *X, T *Y, index_t K) const = 0;
+
+  /// \returns the storage format this operator executes in.
+  virtual FormatKind kind() const = 0;
+
+  /// \returns the bound kernel's registry name.
+  virtual const char *kernelName() const = 0;
+
+  /// \returns the bound SpMM kernel's registry name, or the SpMV kernel
+  /// name when multiply() runs through the column-at-a-time fallback.
+  virtual const char *spmmKernelName() const = 0;
+
+  /// Dimensions of the bound matrix.
+  virtual index_t numRows() const = 0;
+  virtual index_t numCols() const = 0;
+
+  /// \returns false when the operator borrows the caller's CSR matrix.
+  virtual bool ownsStorage() const = 0;
+};
+
+/// The one FormatOperator implementation: a `MatrixT<T>` (CsrMatrix,
+/// CooMatrix, ...) bound to an SpMV kernel and an optional SpMM kernel. The
+/// operator owns its matrix, or borrows the caller's (CSR only); it is
+/// always heap-allocated and never copied, since it may point at itself.
+template <template <typename> class MatrixT, typename T>
+class BoundOperator final : public FormatOperator<T> {
+public:
+  using Matrix = MatrixT<T>;
+  using SpmvFn = void (*)(const Matrix &, const T *, T *);
+  using SpmmFn = void (*)(const Matrix &, const T *, T *, index_t);
+
+  /// Binds the kernels to \p Borrowed, which must outlive the operator, or,
+  /// when it is null, to an owned empty matrix that adoptMatrix fills.
+  /// A null \p Spmm makes multiply() run \p Spmv column by column.
+  BoundOperator(const Matrix *Borrowed, SpmvFn Spmv, const char *SpmvName,
+                SpmmFn Spmm = nullptr, const char *SpmmName = nullptr)
+      : A(Borrowed ? Borrowed : &Owned), Spmv(Spmv), Spmm(Spmm),
+        SpmvName(SpmvName), SpmmName(Spmm ? SpmmName : SpmvName) {}
+  BoundOperator(const BoundOperator &) = delete;
+  BoundOperator &operator=(const BoundOperator &) = delete;
+
+  void apply(const T *X, T *Y) const override { Spmv(*A, X, Y); }
+
+  void multiply(const T *X, T *Y, index_t K) const override {
+    if (Spmm) {
+      Spmm(*A, X, Y, K);
+      return;
+    }
     if (K == 1) {
       apply(X, Y);
       return;
     }
-    const index_t Rows = numRows(), Cols = numCols();
+    const index_t Rows = A->NumRows, Cols = A->NumCols;
     AlignedVector<T> Xc(static_cast<std::size_t>(Cols));
     AlignedVector<T> Yc(static_cast<std::size_t>(Rows));
     for (index_t J = 0; J < K; ++J) {
@@ -78,247 +125,91 @@ public:
     }
   }
 
-  /// \returns the storage format this operator executes in.
-  virtual FormatKind kind() const = 0;
-
-  /// \returns the bound kernel's registry name.
-  virtual const char *kernelName() const = 0;
-
-  /// \returns the bound SpMM kernel's registry name, or the SpMV kernel
-  /// name when multiply() runs through the column-at-a-time fallback.
-  virtual const char *spmmKernelName() const { return kernelName(); }
-
-  /// Dimensions of the bound matrix (needed by the batched fallback).
-  virtual index_t numRows() const = 0;
-  virtual index_t numCols() const = 0;
-
-  /// \returns false only for the borrowed-CSR operator, whose storage is the
-  /// caller's matrix.
-  virtual bool ownsStorage() const { return true; }
-};
-
-/// CSR operator referencing the caller's matrix (no copy; the matrix must
-/// outlive the operator).
-template <typename T> class CsrBorrowedOperator final : public FormatOperator<T> {
-public:
-  CsrBorrowedOperator(const CsrMatrix<T> &A, CsrKernelFn<T> Fn,
-                      const char *Name, CsrSpmmFn<T> SpmmFn = nullptr,
-                      const char *SpmmName = nullptr)
-      : A(&A), Fn(Fn), SpmmFn(SpmmFn), Name(Name), SpmmName(SpmmName) {}
-
-  void apply(const T *X, T *Y) const override { Fn(*A, X, Y); }
-  void multiply(const T *X, T *Y, index_t K) const override {
-    if (SpmmFn)
-      SpmmFn(*A, X, Y, K);
-    else
-      FormatOperator<T>::multiply(X, Y, K);
-  }
-  FormatKind kind() const override { return FormatKind::CSR; }
-  const char *kernelName() const override { return Name; }
-  const char *spmmKernelName() const override {
-    return SpmmName ? SpmmName : Name;
-  }
+  FormatKind kind() const override { return Matrix::Format; }
+  const char *kernelName() const override { return SpmvName; }
+  const char *spmmKernelName() const override { return SpmmName; }
   index_t numRows() const override { return A->NumRows; }
   index_t numCols() const override { return A->NumCols; }
-  bool ownsStorage() const override { return false; }
+  bool ownsStorage() const override { return A == &Owned; }
 
-private:
-  const CsrMatrix<T> *A;
-  CsrKernelFn<T> Fn;
-  CsrSpmmFn<T> SpmmFn;
-  const char *Name;
-  const char *SpmmName;
-};
-
-/// CSR operator owning its matrix (copied or moved in).
-template <typename T> class CsrOwningOperator final : public FormatOperator<T> {
-public:
-  CsrOwningOperator(CsrMatrix<T> A, CsrKernelFn<T> Fn, const char *Name,
-                    CsrSpmmFn<T> SpmmFn = nullptr,
-                    const char *SpmmName = nullptr)
-      : A(std::move(A)), Fn(Fn), SpmmFn(SpmmFn), Name(Name),
-        SpmmName(SpmmName) {}
-
-  void apply(const T *X, T *Y) const override { Fn(A, X, Y); }
-  void multiply(const T *X, T *Y, index_t K) const override {
-    if (SpmmFn)
-      SpmmFn(A, X, Y, K);
-    else
-      FormatOperator<T>::multiply(X, Y, K);
-  }
-  FormatKind kind() const override { return FormatKind::CSR; }
-  const char *kernelName() const override { return Name; }
-  const char *spmmKernelName() const override {
-    return SpmmName ? SpmmName : Name;
-  }
-  index_t numRows() const override { return A.NumRows; }
-  index_t numCols() const override { return A.NumCols; }
-
-  /// Replaces the owned matrix. noexcept, so the degradation ladder can run
-  /// the one throwing step (allocating this node, with an empty matrix)
+  /// Moves \p M in and binds to it. noexcept, so the degradation ladder can
+  /// run the one throwing step (allocating this node over an empty matrix)
   /// first and only then move a precious move-source matrix in — if the
   /// allocation throws, the source is still intact for the next rung.
-  void adoptMatrix(CsrMatrix<T> &&M) noexcept { A = std::move(M); }
-
-private:
-  CsrMatrix<T> A;
-  CsrKernelFn<T> Fn;
-  CsrSpmmFn<T> SpmmFn;
-  const char *Name;
-  const char *SpmmName;
-};
-
-/// The degradation ladder's last rung: CSR bound to the fixed-interface
-/// reference kernel (ref/RefSpmv.h). No conversion, no kernel table, no
-/// scoreboard selection — nothing left that can fail after the node exists.
-/// Borrows the caller's matrix by default; adoptMatrix makes it
-/// self-contained for the rvalue tune path.
-template <typename T>
-class CsrReferenceOperator final : public FormatOperator<T> {
-public:
-  /// Borrowing: \p A must outlive the operator.
-  explicit CsrReferenceOperator(const CsrMatrix<T> &A) : Bound(&A) {}
-
-  void apply(const T *X, T *Y) const override { refCsrSpmv(*Bound, X, Y); }
-  FormatKind kind() const override { return FormatKind::CSR; }
-  const char *kernelName() const override { return "csr_reference"; }
-  index_t numRows() const override { return Bound->NumRows; }
-  index_t numCols() const override { return Bound->NumCols; }
-  bool ownsStorage() const override { return Bound == &Owned; }
-
-  /// Moves \p M in, making the operator self-contained. noexcept for the
-  /// same allocate-then-adopt reason as CsrOwningOperator::adoptMatrix.
-  void adoptMatrix(CsrMatrix<T> &&M) noexcept {
+  void adoptMatrix(Matrix &&M) noexcept {
     Owned = std::move(M);
-    Bound = &Owned;
+    A = &Owned;
   }
 
 private:
-  CsrMatrix<T> Owned;
-  const CsrMatrix<T> *Bound;
-};
-
-template <typename T> class CooOperator final : public FormatOperator<T> {
-public:
-  CooOperator(CooMatrix<T> A, CooKernelFn<T> Fn, const char *Name,
-              CooSpmmFn<T> SpmmFn = nullptr, const char *SpmmName = nullptr)
-      : A(std::move(A)), Fn(Fn), SpmmFn(SpmmFn), Name(Name),
-        SpmmName(SpmmName) {}
-
-  void apply(const T *X, T *Y) const override { Fn(A, X, Y); }
-  void multiply(const T *X, T *Y, index_t K) const override {
-    if (SpmmFn)
-      SpmmFn(A, X, Y, K);
-    else
-      FormatOperator<T>::multiply(X, Y, K);
-  }
-  FormatKind kind() const override { return FormatKind::COO; }
-  const char *kernelName() const override { return Name; }
-  const char *spmmKernelName() const override {
-    return SpmmName ? SpmmName : Name;
-  }
-  index_t numRows() const override { return A.NumRows; }
-  index_t numCols() const override { return A.NumCols; }
-
-private:
-  CooMatrix<T> A;
-  CooKernelFn<T> Fn;
-  CooSpmmFn<T> SpmmFn;
-  const char *Name;
+  Matrix Owned;
+  const Matrix *A;
+  SpmvFn Spmv;
+  SpmmFn Spmm;
+  const char *SpmvName;
   const char *SpmmName;
 };
 
-template <typename T> class DiaOperator final : public FormatOperator<T> {
-public:
-  DiaOperator(DiaMatrix<T> A, DiaKernelFn<T> Fn, const char *Name,
-              DiaSpmmFn<T> SpmmFn = nullptr, const char *SpmmName = nullptr)
-      : A(std::move(A)), Fn(Fn), SpmmFn(SpmmFn), Name(Name),
-        SpmmName(SpmmName) {}
+namespace detail {
 
-  void apply(const T *X, T *Y) const override { Fn(A, X, Y); }
-  void multiply(const T *X, T *Y, index_t K) const override {
-    if (SpmmFn)
-      SpmmFn(A, X, Y, K);
-    else
-      FormatOperator<T>::multiply(X, Y, K);
-  }
-  FormatKind kind() const override { return FormatKind::DIA; }
-  const char *kernelName() const override { return Name; }
-  const char *spmmKernelName() const override {
-    return SpmmName ? SpmmName : Name;
-  }
-  index_t numRows() const override { return A.NumRows; }
-  index_t numCols() const override { return A.NumCols; }
+/// Allocates an owning operator over an empty matrix — the only throwing
+/// step — and then adopts \p M noexcept, so a failed allocation leaves a
+/// move-source matrix intact for the caller's degradation ladder.
+template <template <typename> class MatrixT, typename T>
+std::unique_ptr<FormatOperator<T>>
+ownOperator(MatrixT<T> &&M, typename BoundOperator<MatrixT, T>::SpmvFn Spmv,
+            const char *SpmvName,
+            typename BoundOperator<MatrixT, T>::SpmmFn Spmm = nullptr,
+            const char *SpmmName = nullptr) {
+  auto Op = std::make_unique<BoundOperator<MatrixT, T>>(
+      nullptr, Spmv, SpmvName, Spmm, SpmmName);
+  Op->adoptMatrix(std::move(M));
+  return Op;
+}
 
-private:
-  DiaMatrix<T> A;
-  DiaKernelFn<T> Fn;
-  DiaSpmmFn<T> SpmmFn;
-  const char *Name;
-  const char *SpmmName;
-};
+/// Binds the CSR kernels \p K and \p M to \p A, borrowed or owned per
+/// \p Storage; an owned bind moves \p MoveSource in when given, else copies.
+template <typename T>
+std::unique_ptr<FormatOperator<T>>
+csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
+            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage,
+            CsrMatrix<T> *MoveSource) {
+  if (Storage == CsrStorage::Borrowed)
+    return std::make_unique<BoundOperator<CsrMatrix, T>>(&A, K.Fn, K.Name,
+                                                         M.Fn, M.Name);
+  if (MoveSource)
+    return ownOperator(std::move(*MoveSource), K.Fn, K.Name, M.Fn, M.Name);
+  return ownOperator(CsrMatrix<T>(A), K.Fn, K.Name, M.Fn, M.Name);
+}
 
-template <typename T> class EllOperator final : public FormatOperator<T> {
-public:
-  EllOperator(EllMatrix<T> A, EllKernelFn<T> Fn, const char *Name,
-              EllSpmmFn<T> SpmmFn = nullptr, const char *SpmmName = nullptr)
-      : A(std::move(A)), Fn(Fn), SpmmFn(SpmmFn), Name(Name),
-        SpmmName(SpmmName) {}
+} // namespace detail
 
-  void apply(const T *X, T *Y) const override { Fn(A, X, Y); }
-  void multiply(const T *X, T *Y, index_t K) const override {
-    if (SpmmFn)
-      SpmmFn(A, X, Y, K);
-    else
-      FormatOperator<T>::multiply(X, Y, K);
-  }
-  FormatKind kind() const override { return FormatKind::ELL; }
-  const char *kernelName() const override { return Name; }
-  const char *spmmKernelName() const override {
-    return SpmmName ? SpmmName : Name;
-  }
-  index_t numRows() const override { return A.NumRows; }
-  index_t numCols() const override { return A.NumCols; }
+/// The untuned plan: \p A bound to the basic (strategy-free) CSR SpMV and
+/// SpMM kernels, with no conversion and no model lookup. Serves the async
+/// service's bootstrap, the never-slower guardrail's forced bind and the
+/// degradation ladder's BasicKernel rung.
+template <typename T>
+std::unique_ptr<FormatOperator<T>>
+basicCsrOperator(const CsrMatrix<T> &A,
+                 CsrStorage Storage = CsrStorage::Borrowed,
+                 CsrMatrix<T> *MoveSource = nullptr) {
+  return detail::csrOperator(A, basicCsrKernel<T>(), basicCsrSpmmKernel<T>(),
+                             Storage, MoveSource);
+}
 
-private:
-  EllMatrix<T> A;
-  EllKernelFn<T> Fn;
-  EllSpmmFn<T> SpmmFn;
-  const char *Name;
-  const char *SpmmName;
-};
-
-/// BSR has no SpMM kernel family; multiply() uses the base class's
-/// column-at-a-time fallback.
-template <typename T> class BsrOperator final : public FormatOperator<T> {
-public:
-  BsrOperator(BsrMatrix<T> A, BsrKernelFn<T> Fn, const char *Name)
-      : A(std::move(A)), Fn(Fn), Name(Name) {}
-
-  void apply(const T *X, T *Y) const override { Fn(A, X, Y); }
-  FormatKind kind() const override { return FormatKind::BSR; }
-  const char *kernelName() const override { return Name; }
-  index_t numRows() const override { return A.NumRows; }
-  index_t numCols() const override { return A.NumCols; }
-
-private:
-  BsrMatrix<T> A;
-  BsrKernelFn<T> Fn;
-  const char *Name;
-};
-
-/// Converts \p A to \p Requested and binds the scoreboard-selected kernel
-/// from \p Sel. A DIA/ELL/BSR conversion can be rejected by its fill guards
-/// even when the model predicted the format confidently; the fallback is
-/// always CSR (honoring \p Storage). \p MoveSource, when non-null, is the
-/// same matrix as \p A but mutable: an Owned CSR bind moves its storage
-/// instead of copying (the rvalue tune path). \p CsrKernelOverride, when in
-/// range, replaces the scoreboard's general CSR pick — the skew-aware bind
-/// path passes Sel.csrKernelFor(rowCv) here so heavily skewed matrices get
-/// the load-balanced kernel. \p BatchWidth selects which per-width SpMM
-/// pick (KernelSelection::BestSpmmKernel) the operator binds for
-/// multiply(); an unsearched width binds the format's basic SpMM kernel, so
-/// multiply() is batched for CSR/COO/DIA/ELL regardless of tuning width.
+/// Converts \p A to \p Requested and binds the scoreboard-selected kernels
+/// from \p Sel, each passed through pickKernel. A DIA/ELL/BSR conversion can
+/// be rejected by its fill guards even when the model predicted the format
+/// confidently; the fallback is always CSR (honoring \p Storage).
+/// \p MoveSource, when non-null, is the same matrix as \p A but mutable: an
+/// Owned CSR bind moves its storage instead of copying (the rvalue tune
+/// path). \p CsrKernelOverride, when non-negative, replaces the
+/// scoreboard's general CSR pick — the skew-aware bind path passes
+/// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the
+/// load-balanced kernel. \p BatchWidth selects which per-width SpMM pick
+/// (KernelSelection::BestSpmmKernel) the operator binds for multiply(); an
+/// unsearched width binds the format's basic SpMM kernel, so multiply() is
+/// batched for CSR/COO/DIA/ELL regardless of tuning width.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
@@ -327,101 +218,56 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
                    CsrMatrix<T> *MoveSource = nullptr,
                    int CsrKernelOverride = -1, index_t BatchWidth = 1) {
   const KernelTable<T> &Kernels = kernelTable<T>();
-  auto Best = [&Sel](FormatKind Kind) {
-    return static_cast<std::size_t>(Sel.BestKernel[static_cast<int>(Kind)]);
+  auto Spmv = [&Sel](FormatKind Kind) {
+    return Sel.BestKernel[static_cast<int>(Kind)];
   };
-  // The scoreboard's SpMM pick for this width bucket, index-0 (basic) when
-  // the width was never searched, demoted to basic when the converted
-  // matrix violates the pick's structural precondition.
-  auto BestSpmm = [&Sel, BatchWidth](FormatKind Kind, const auto &List,
-                                     const auto &Converted) -> std::size_t {
-    int Idx = Sel.spmmKernelFor(Kind, BatchWidth);
-    if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
-      return 0;
-    if (!kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds,
-                            Converted))
-      return 0;
-    return static_cast<std::size_t>(Idx);
+  auto Spmm = [&Sel, BatchWidth](FormatKind Kind) {
+    return Sel.spmmKernelFor(Kind, BatchWidth);
   };
 
   switch (Requested) {
   case FormatKind::COO: {
     CooMatrix<T> Coo = csrToCoo(A);
-    // Honor the kernel's declared structural precondition: if the selected
-    // implementation demands monotone rows the converted matrix lacks (it
-    // never does for csrToCoo output, but the registration is the contract),
-    // bind the precondition-free basic kernel instead.
-    std::size_t Idx = Best(FormatKind::COO);
-    if (!kernelPrecondsHold(Kernels.Coo[Idx].Preconds, Coo))
-      Idx = 0;
-    const auto &K = Kernels.Coo[Idx];
-    const auto &M =
-        Kernels.CooSpmm[BestSpmm(FormatKind::COO, Kernels.CooSpmm, Coo)];
-    return std::make_unique<CooOperator<T>>(std::move(Coo), K.Fn, K.Name,
-                                            M.Fn, M.Name);
+    const auto &K = pickKernel(Kernels.Coo, Spmv(FormatKind::COO), Coo);
+    const auto &M = pickKernel(Kernels.CooSpmm, Spmm(FormatKind::COO), Coo);
+    return detail::ownOperator(std::move(Coo), K.Fn, K.Name, M.Fn, M.Name);
   }
   case FormatKind::DIA: {
     DiaMatrix<T> Dia;
-    if (csrToDia(A, Dia)) {
-      const auto &K = Kernels.Dia[Best(FormatKind::DIA)];
-      const auto &M =
-          Kernels.DiaSpmm[BestSpmm(FormatKind::DIA, Kernels.DiaSpmm, Dia)];
-      return std::make_unique<DiaOperator<T>>(std::move(Dia), K.Fn, K.Name,
-                                              M.Fn, M.Name);
-    }
-    break;
+    if (!csrToDia(A, Dia))
+      break;
+    const auto &K = pickKernel(Kernels.Dia, Spmv(FormatKind::DIA), Dia);
+    const auto &M = pickKernel(Kernels.DiaSpmm, Spmm(FormatKind::DIA), Dia);
+    return detail::ownOperator(std::move(Dia), K.Fn, K.Name, M.Fn, M.Name);
   }
   case FormatKind::ELL: {
     EllMatrix<T> Ell;
-    if (csrToEll(A, Ell)) {
-      // Same precondition contract as COO: a selected kernel that needs the
-      // RowLen sidecar (the sliced variants) falls back to the basic kernel
-      // when the converted matrix lacks it.
-      std::size_t Idx = Best(FormatKind::ELL);
-      if (!kernelPrecondsHold(Kernels.Ell[Idx].Preconds, Ell))
-        Idx = 0;
-      const auto &K = Kernels.Ell[Idx];
-      const auto &M =
-          Kernels.EllSpmm[BestSpmm(FormatKind::ELL, Kernels.EllSpmm, Ell)];
-      return std::make_unique<EllOperator<T>>(std::move(Ell), K.Fn, K.Name,
-                                              M.Fn, M.Name);
-    }
-    break;
+    if (!csrToEll(A, Ell))
+      break;
+    const auto &K = pickKernel(Kernels.Ell, Spmv(FormatKind::ELL), Ell);
+    const auto &M = pickKernel(Kernels.EllSpmm, Spmm(FormatKind::ELL), Ell);
+    return detail::ownOperator(std::move(Ell), K.Fn, K.Name, M.Fn, M.Name);
   }
   case FormatKind::BSR: {
+    // BSR has no SpMM kernel family: multiply() runs the SpMV kernel column
+    // by column.
     index_t BlockSize = chooseBsrBlockSize(A);
     BsrMatrix<T> Bsr;
-    if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize)) {
-      const auto &K = Kernels.Bsr[Best(FormatKind::BSR)];
-      return std::make_unique<BsrOperator<T>>(std::move(Bsr), K.Fn, K.Name);
-    }
-    break;
+    if (BlockSize <= 0 || !csrToBsr(A, Bsr, BlockSize))
+      break;
+    const auto &K = pickKernel(Kernels.Bsr, Spmv(FormatKind::BSR), Bsr);
+    return detail::ownOperator(std::move(Bsr), K.Fn, K.Name);
   }
   case FormatKind::CSR:
     break;
   }
 
-  std::size_t CsrIdx = Best(FormatKind::CSR);
-  if (CsrKernelOverride >= 0 &&
-      static_cast<std::size_t>(CsrKernelOverride) < Kernels.Csr.size())
-    CsrIdx = static_cast<std::size_t>(CsrKernelOverride);
-  const auto &K = Kernels.Csr[CsrIdx];
-  const auto &M =
-      Kernels.CsrSpmm[BestSpmm(FormatKind::CSR, Kernels.CsrSpmm, A)];
-  if (Storage == CsrStorage::Owned) {
-    // Allocate the node (the only throwing step) with an empty matrix, then
-    // adopt the real storage noexcept: if the allocation throws, a
-    // MoveSource matrix is still intact for the caller's degradation ladder.
-    auto Op = std::make_unique<CsrOwningOperator<T>>(CsrMatrix<T>(), K.Fn,
-                                                     K.Name, M.Fn, M.Name);
-    if (MoveSource)
-      Op->adoptMatrix(std::move(*MoveSource));
-    else
-      Op->adoptMatrix(CsrMatrix<T>(A));
-    return Op;
-  }
-  return std::make_unique<CsrBorrowedOperator<T>>(A, K.Fn, K.Name, M.Fn,
-                                                  M.Name);
+  int CsrIdx =
+      CsrKernelOverride >= 0 ? CsrKernelOverride : Spmv(FormatKind::CSR);
+  return detail::csrOperator(
+      A, pickKernel(Kernels.Csr, CsrIdx, A),
+      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A), Storage,
+      MoveSource);
 }
 
 } // namespace smat

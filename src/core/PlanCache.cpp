@@ -36,13 +36,6 @@ std::int16_t eighthBucket(double Ratio) {
   return static_cast<std::int16_t>(std::floor(Clamped * 8.0));
 }
 
-/// Shard count policy: tiny caches keep one shard so eviction order is the
-/// exact global LRU order (observable, and relied on by the unit tests);
-/// service-sized caches spread contention across a fixed small power of two.
-std::size_t shardCountFor(std::size_t Capacity) {
-  return Capacity >= 64 ? 8 : 1;
-}
-
 } // namespace
 
 std::size_t
@@ -85,7 +78,9 @@ PlanFingerprint smat::fingerprintFeatures(const FeatureVector &F) {
 
 PlanCache::PlanCache(std::size_t Capacity)
     : Capacity(std::max<std::size_t>(1, Capacity)) {
-  std::size_t NumShards = shardCountFor(this->Capacity);
+  // One rule for every capacity: up to eight shards, never more shards
+  // than entries.
+  std::size_t NumShards = std::min<std::size_t>(8, this->Capacity);
   Shards.reserve(NumShards);
   for (std::size_t I = 0; I < NumShards; ++I) {
     auto S = std::make_unique<Shard>();
@@ -97,10 +92,6 @@ PlanCache::PlanCache(std::size_t Capacity)
 }
 
 PlanCache::Shard &PlanCache::shardFor(const PlanFingerprint &Fp) {
-  return *Shards[PlanFingerprintHash{}(Fp) % Shards.size()];
-}
-
-const PlanCache::Shard &PlanCache::shardFor(const PlanFingerprint &Fp) const {
   return *Shards[PlanFingerprintHash{}(Fp) % Shards.size()];
 }
 

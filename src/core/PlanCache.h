@@ -22,11 +22,10 @@
 /// would have answered — only what it costs.
 ///
 /// Concurrency: the cache is sharded (DESIGN.md section 16). A fingerprint
-/// hashes to one shard, each with its own mutex, LRU list, and singleflight
-/// lease set, so a service whose worker threads tune unrelated structures
-/// do not serialize on one global lock. Tiny caches (capacity < 64) stay
-/// single-sharded so their LRU eviction order is exact and globally
-/// observable, which the unit tests rely on.
+/// hashes to one of min(8, capacity) shards, each with its own mutex, LRU
+/// list, slice of the capacity and singleflight lease set, so a service
+/// whose worker threads tune unrelated structures do not serialize on one
+/// global lock. LRU order and eviction are per shard.
 ///
 /// Persistence: `saveSnapshot` writes a versioned, checksummed snapshot
 /// atomically (temp file + rename) and `loadSnapshot` restores it, so a
@@ -222,9 +221,10 @@ public:
 
   PlanCacheStats stats() const;
   std::size_t size() const;
+  /// The requested capacity. Each shard holds ceil(capacity / shards())
+  /// entries, so the cache holds at most shards() - 1 more.
   std::size_t capacity() const { return Capacity; }
-  /// Number of lock shards (1 for tiny caches, where exact global LRU
-  /// order matters more than lock spread).
+  /// Number of lock shards: min(8, capacity).
   std::size_t shards() const { return Shards.size(); }
 
 private:
@@ -250,7 +250,6 @@ private:
   };
 
   Shard &shardFor(const PlanFingerprint &Fp);
-  const Shard &shardFor(const PlanFingerprint &Fp) const;
 
   /// insert() with the shard mutex already held.
   static void insertLocked(Shard &S, const PlanFingerprint &Fp,

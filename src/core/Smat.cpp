@@ -22,6 +22,45 @@ DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
   return static_cast<int>(A) >= static_cast<int>(B) ? A : B;
 }
 
+/// Quick timing of \p Op at width \p K (apply at K = 1, multiply above)
+/// for the guardrail's baseline and post-bind verification; ORs the
+/// spread check into \p Noisy and \returns effective GFLOPS. Min-of-k
+/// quick sampling, not a single shot: the result feeds a selection
+/// comparison, and a one-shot timing inflated by a scheduling spike would
+/// let the guardrail spuriously override a good plan. The minimum is robust
+/// — interference only adds time. \p SecondsPerCall, when non-null,
+/// receives the per-call time (the overhead unit of Table 3).
+template <typename T>
+double quickGflops(const FormatOperator<T> &Op, std::int64_t Nnz, index_t K,
+                   const char *Site, bool &Noisy,
+                   double *SecondsPerCall = nullptr) {
+  AlignedVector<T> X(static_cast<std::size_t>(Op.numCols()) *
+                         static_cast<std::size_t>(K),
+                     T(1));
+  AlignedVector<T> Y(static_cast<std::size_t>(Op.numRows()) *
+                         static_cast<std::size_t>(K),
+                     T(0));
+  RobustMeasureOptions Opts;
+  Opts.MinSeconds = 1e-4;
+  Opts.MinReps = 2;
+  Opts.MaxRetries = 1;
+  RobustMeasureResult M = robustMeasureSecondsPerCall(
+      [&] {
+        fault::injectKernelFault(Site);
+        if (K > 1)
+          Op.multiply(X.data(), Y.data(), K);
+        else
+          Op.apply(X.data(), Y.data());
+      },
+      Opts);
+  Noisy = Noisy || M.Noisy;
+  if (SecondsPerCall)
+    *SecondsPerCall = M.SecondsPerCall;
+  return spmvGflops(static_cast<std::uint64_t>(Nnz) *
+                        static_cast<std::uint64_t>(K),
+                    M.SecondsPerCall);
+}
+
 } // namespace
 
 template <typename T> Smat<T> Smat<T>::fromFile(const std::string &Path) {
@@ -176,7 +215,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   if (HaveFeatures) {
     CostDecision = classifyBottleneck(Features.Features, Model.Cost);
     Report.Bottleneck = CostDecision.Class;
-    HaveCost = Opts.CostModelPrune && !Opts.ForceMeasure;
+    HaveCost = !Opts.ForceMeasure;
     Report.CostModelApplied = HaveCost;
   }
 
@@ -260,8 +299,8 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   // The guardrail is a measurement: with AllowMeasure false (and no
   // ForceMeasure) the caller asked for the model's deterministic answer,
   // and a timing-dependent override would break that contract.
-  const bool GuardrailActive =
-      Opts.Guardrail && (Opts.AllowMeasure || Opts.ForceMeasure);
+  const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
+  const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
 
   if (!Decided) {
     // Overhead unit and guardrail baseline: one basic CSR SpMV on this
@@ -276,48 +315,15 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
     if (TuneRemaining() > 0.0) {
       try {
         WallTimer BaselineTimer;
-        const KernelTable<T> &Kernels = kernelTable<T>();
-        const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
-        AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                               static_cast<std::size_t>(Width),
-                           T(1));
-        AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                               static_cast<std::size_t>(Width),
-                           T(0));
-        // Min-of-k quick sampling, not a single shot: the baseline feeds a
-        // selection comparison, and a one-shot timing inflated by a
-        // scheduling spike would let the guardrail spuriously override a
-        // good plan. The minimum is robust — interference only adds time.
-        RobustMeasureOptions BOpts;
-        BOpts.MinSeconds = 1e-4;
-        BOpts.MinReps = 2;
-        BOpts.MaxRetries = 1;
-        RobustMeasureResult BM = robustMeasureSecondsPerCall(
-            [&] {
-              fault::injectKernelFault("measure.baseline");
-              Kernels.Csr[0].Fn(A, X.data(), Y.data());
-            },
-            BOpts);
-        Report.CsrSpmvSeconds = BM.SecondsPerCall;
-        Report.NoisyTimings = Report.NoisyTimings || BM.Noisy;
-        if (GuardrailActive) {
-          if (Width > 1) {
-            RobustMeasureResult MM = robustMeasureSecondsPerCall(
-                [&] {
-                  fault::injectKernelFault("measure.baseline");
-                  Kernels.CsrSpmm[0].Fn(A, X.data(), Y.data(), Width);
-                },
-                BOpts);
-            Report.BaselineGflops =
-                spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
-                               static_cast<std::uint64_t>(Width),
-                           MM.SecondsPerCall);
-            Report.NoisyTimings = Report.NoisyTimings || MM.Noisy;
-          } else {
-            Report.BaselineGflops = spmvGflops(
-                static_cast<std::uint64_t>(A.nnz()), Report.CsrSpmvSeconds);
-          }
-        }
+        std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
+        double SpmvGflops =
+            quickGflops(*Basic, A.nnz(), 1, "measure.baseline",
+                        Report.NoisyTimings, &Report.CsrSpmvSeconds);
+        if (GuardrailActive)
+          Report.BaselineGflops =
+              Width > 1 ? quickGflops(*Basic, A.nnz(), Width,
+                                      "measure.baseline", Report.NoisyTimings)
+                        : SpmvGflops;
         BaselineSeconds = BaselineTimer.seconds();
       } catch (...) {
         Report.CsrSpmvSeconds = 0.0;
@@ -353,16 +359,13 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
       try {
         MeasureStageResult Measured = MeasureStage::run(
             Ctx, Features, Prediction.Prediction,
-            HaveCost ? &CostDecision : nullptr,
-            Opts.Guardrail ? Report.BaselineGflops : 0.0);
-        Report.MeasuredGflops = std::move(Measured.MeasuredGflops);
+            HaveCost ? &CostDecision : nullptr, Report.BaselineGflops);
         Report.MeasuredCandidates = std::move(Measured.Candidates);
         Report.MeasureSeconds = Measured.Seconds;
         Report.NoisyTimings = Report.NoisyTimings || Measured.NoisyTimings;
         Report.BudgetExhausted = Measured.BudgetExhausted;
         Report.DroppedCandidates += Measured.DroppedCandidates;
-        if (!Measured.MeasuredGflops.empty() || Measured.BaselineWon)
-          Chosen = Measured.Best;
+        Chosen = Measured.Best;
         if (Measured.BaselineWon) {
           ForceBasic = true;
           Report.GuardrailEngaged = true;
@@ -410,48 +413,28 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
       HaveCost && CostDecision.allows(Report.ChosenFormat);
   if (GuardrailActive && !Decided && !RanRace && !CostEndorsed &&
       Report.BaselineGflops > 0.0 && Op.Op) {
-    const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
-    const KernelTable<T> &Kernels = kernelTable<T>();
     const bool AlreadyBasic =
         Report.ChosenFormat == FormatKind::CSR &&
-        (Report.KernelName == Kernels.Csr[0].Name ||
-         Report.KernelName == Kernels.CsrSpmm[0].Name);
+        (Report.KernelName == basicCsrKernel<T>().Name ||
+         Report.KernelName == basicCsrSpmmKernel<T>().Name);
     const bool SourceConsumed = MoveSource != nullptr &&
                                 Opts.CsrMode == CsrStorage::Owned &&
                                 Report.ChosenFormat == FormatKind::CSR;
     if (!AlreadyBasic && !SourceConsumed && TuneRemaining() > 0.0) {
       WallTimer GuardTimer;
       try {
-        AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                               static_cast<std::size_t>(Width),
-                           T(1));
-        AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                               static_cast<std::size_t>(Width),
-                           T(0));
-        RobustMeasureOptions VOpts;
-        VOpts.MinSeconds = 1e-4;
-        VOpts.MinReps = 2;
-        VOpts.MaxRetries = 1;
-        RobustMeasureResult VM = robustMeasureSecondsPerCall(
-            [&] {
-              fault::injectKernelFault("guardrail.verify");
-              if (Width > 1)
-                Op.Op->multiply(X.data(), Y.data(), Width);
-              else
-                Op.Op->apply(X.data(), Y.data());
-            },
-            VOpts);
-        double BoundGflops =
-            spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
-                           static_cast<std::uint64_t>(Width),
-                       VM.SecondsPerCall);
-        Report.NoisyTimings = Report.NoisyTimings || VM.Noisy;
+        double BoundGflops = quickGflops(*Op.Op, A.nnz(), Width,
+                                         "guardrail.verify",
+                                         Report.NoisyTimings);
         Report.MeasuredCandidates.push_back(
             {FormatKind::CSR,
-             Width > 1 ? Kernels.CsrSpmm[0].Name : Kernels.Csr[0].Name,
+             Width > 1 ? basicCsrSpmmKernel<T>().Name
+                       : basicCsrKernel<T>().Name,
              Report.BaselineGflops, true});
         Report.MeasuredCandidates.push_back(
-            {Report.ChosenFormat, Report.KernelName, BoundGflops, false});
+            {Report.ChosenFormat,
+             Width > 1 ? Op.Op->spmmKernelName() : Report.KernelName,
+             BoundGflops, false});
         if (Report.BaselineGflops >
             BoundGflops * (1.0 + GuardrailNoiseFloor)) {
           Report.GuardrailEngaged = true;

@@ -71,11 +71,8 @@ struct TuningReport {
   FormatKind ModelPrediction = FormatKind::CSR;
   double ModelConfidence = 0.0;
   bool ModelConfident = false;
-  /// Execute-and-measure outcome (empty when the model was confident or the
-  /// plan came from the cache). Tuned candidates only; see
-  /// MeasuredCandidates for the full race including the baseline.
-  std::vector<std::pair<FormatKind, double>> MeasuredGflops;
-  /// Every plan that entered the selection race, including the untuned
+  /// Every plan that entered the selection race, each with the kernel its
+  /// operator ran: the execute-and-measure candidates, the untuned
   /// basic-CSR baseline (IsBaseline) and, on the confident-prediction path,
   /// the post-bind guardrail verification of the bound plan. Empty on a
   /// plan-cache hit or when measurement was disallowed.

@@ -38,8 +38,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
   std::array<double, NumFormats> Gflops;
   Gflops.fill(-1.0);
   auto Best = [&Selection](FormatKind Kind) {
-    return static_cast<std::size_t>(
-        Selection.BestKernel[static_cast<int>(Kind)]);
+    return Selection.BestKernel[static_cast<int>(Kind)];
   };
 
   // CSR: measured directly on the input. The label must reflect the best
@@ -50,44 +49,43 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
   // loses on matrices where binding a different CSR kernel (or simply not
   // tuning) wins, which is exactly the powerlaw mispick.
   {
-    double CsrBest = measureOne<T>(Kernels.Csr[Best(FormatKind::CSR)].Fn, A,
-                                   X, Y, Opts.MeasureMinSeconds);
-    if (Best(FormatKind::CSR) != 0)
-      CsrBest = std::max(CsrBest, measureOne<T>(Kernels.Csr[0].Fn, A, X, Y,
+    const auto &General = pickKernel(Kernels.Csr, Best(FormatKind::CSR), A);
+    const auto &Basic = basicCsrKernel<T>();
+    double CsrBest = measureOne<T>(General.Fn, A, X, Y, Opts.MeasureMinSeconds);
+    if (&General != &Basic)
+      CsrBest = std::max(CsrBest, measureOne<T>(Basic.Fn, A, X, Y,
                                                 Opts.MeasureMinSeconds));
-    int Skew = Selection.BestSkewCsrKernel;
-    if (Skew >= 0 && static_cast<std::size_t>(Skew) < Kernels.Csr.size() &&
-        static_cast<std::size_t>(Skew) != Best(FormatKind::CSR) && Skew != 0)
-      CsrBest = std::max(
-          CsrBest, measureOne<T>(Kernels.Csr[static_cast<std::size_t>(Skew)].Fn,
-                                 A, X, Y, Opts.MeasureMinSeconds));
+    const auto &Skew = pickKernel(Kernels.Csr, Selection.BestSkewCsrKernel, A);
+    if (&Skew != &General && &Skew != &Basic)
+      CsrBest = std::max(CsrBest, measureOne<T>(Skew.Fn, A, X, Y,
+                                                Opts.MeasureMinSeconds));
     Gflops[static_cast<int>(FormatKind::CSR)] = CsrBest;
   }
 
   // COO: always representable.
   {
     CooMatrix<T> Coo = csrToCoo(A);
-    Gflops[static_cast<int>(FormatKind::COO)] =
-        measureOne<T>(Kernels.Coo[Best(FormatKind::COO)].Fn, Coo, X, Y,
-                      Opts.MeasureMinSeconds);
+    Gflops[static_cast<int>(FormatKind::COO)] = measureOne<T>(
+        pickKernel(Kernels.Coo, Best(FormatKind::COO), Coo).Fn, Coo, X, Y,
+        Opts.MeasureMinSeconds);
   }
 
   // DIA: only when the fill guards admit it.
   {
     DiaMatrix<T> Dia;
     if (csrToDia(A, Dia, Opts.DiaMaxFillRatio, Opts.DiaMaxDiags))
-      Gflops[static_cast<int>(FormatKind::DIA)] =
-          measureOne<T>(Kernels.Dia[Best(FormatKind::DIA)].Fn, Dia, X, Y,
-                        Opts.MeasureMinSeconds);
+      Gflops[static_cast<int>(FormatKind::DIA)] = measureOne<T>(
+          pickKernel(Kernels.Dia, Best(FormatKind::DIA), Dia).Fn, Dia, X, Y,
+          Opts.MeasureMinSeconds);
   }
 
   // ELL: only when the fill guard admits it.
   {
     EllMatrix<T> Ell;
     if (csrToEll(A, Ell, Opts.EllMaxFillRatio))
-      Gflops[static_cast<int>(FormatKind::ELL)] =
-          measureOne<T>(Kernels.Ell[Best(FormatKind::ELL)].Fn, Ell, X, Y,
-                        Opts.MeasureMinSeconds);
+      Gflops[static_cast<int>(FormatKind::ELL)] = measureOne<T>(
+          pickKernel(Kernels.Ell, Best(FormatKind::ELL), Ell).Fn, Ell, X, Y,
+          Opts.MeasureMinSeconds);
   }
 
   // BSR: extension format, only when enabled and a block size passes the
@@ -97,9 +95,9 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
         chooseBsrBlockSize(A, {8, 4, 2}, Opts.BsrMaxFillRatio);
     BsrMatrix<T> Bsr;
     if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize, Opts.BsrMaxFillRatio))
-      Gflops[static_cast<int>(FormatKind::BSR)] =
-          measureOne<T>(Kernels.Bsr[Best(FormatKind::BSR)].Fn, Bsr, X, Y,
-                        Opts.MeasureMinSeconds);
+      Gflops[static_cast<int>(FormatKind::BSR)] = measureOne<T>(
+          pickKernel(Kernels.Bsr, Best(FormatKind::BSR), Bsr).Fn, Bsr, X, Y,
+          Opts.MeasureMinSeconds);
   }
   return Gflops;
 }
@@ -138,8 +136,9 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
     Result.Model.Kernels = KernelSelection();
     const KernelTable<T> &Kernels = kernelTable<T>();
     Result.Model.Kernels.BestKernelName = {
-        Kernels.Csr[0].Name, Kernels.Coo[0].Name, Kernels.Dia[0].Name,
-        Kernels.Ell[0].Name, Kernels.Bsr[0].Name};
+        Kernels.Csr.front().Name, Kernels.Coo.front().Name,
+        Kernels.Dia.front().Name, Kernels.Ell.front().Name,
+        Kernels.Bsr.front().Name};
   } else {
     Result.Model.Kernels =
         searchOptimalKernels<T>(Opts.MeasureMinSeconds);

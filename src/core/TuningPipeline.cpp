@@ -6,6 +6,7 @@
 
 #include "core/TuningPipeline.h"
 
+#include "ref/RefSpmv.h"
 #include "support/FaultInjection.h"
 #include "support/Timer.h"
 
@@ -29,26 +30,24 @@ const char *smat::degradationLevelName(DegradationLevel Level) {
 
 namespace {
 
-/// Cheap structural plausibility of a DIA/ELL conversion, computed from the
-/// already-extracted features so no conversion is attempted for hopeless
-/// candidates during execute-and-measure.
-bool diaPlausible(const FeatureVector &F) {
-  if (F.Ndiags <= 0 || F.Ndiags > DefaultMaxDiags)
-    return false;
-  return F.ErDia * DefaultMaxFillRatio >= 1.0;
-}
-
-bool ellPlausible(const FeatureVector &F) {
-  if (F.MaxRd <= 0)
-    return false;
-  return F.ErEll * DefaultMaxFillRatio >= 1.0;
-}
-
-/// BSR candidacy from the 4x4 block fill-efficiency feature; the runtime
-/// uses the same strict guard as training (padding inflates flops).
-bool bsrPlausible(const FeatureVector &F) {
+/// Cheap structural plausibility of a conversion to \p Kind, computed from
+/// the already-extracted features so no conversion is attempted for
+/// hopeless candidates during execute-and-measure. BSR candidacy uses the
+/// 4x4 block fill efficiency with the same strict guard as training
+/// (padding inflates flops).
+bool conversionPlausible(FormatKind Kind, const FeatureVector &F) {
   constexpr double BsrMaxFillRatio = 1.5;
-  return F.ErBsr * BsrMaxFillRatio >= 1.0;
+  switch (Kind) {
+  case FormatKind::DIA:
+    return F.Ndiags > 0 && F.Ndiags <= DefaultMaxDiags &&
+           F.ErDia * DefaultMaxFillRatio >= 1.0;
+  case FormatKind::ELL:
+    return F.MaxRd > 0 && F.ErEll * DefaultMaxFillRatio >= 1.0;
+  case FormatKind::BSR:
+    return F.ErBsr * BsrMaxFillRatio >= 1.0;
+  default:
+    return true;
+  }
 }
 
 } // namespace
@@ -132,14 +131,14 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
   WallTimer Timer;
   const CsrMatrix<T> &A = Ctx.A;
   const LearningModel &Model = Ctx.Model;
-  const KernelTable<T> &Kernels = kernelTable<T>();
+  const FeatureVector &F = Features.Features;
   MeasureStageResult Result;
   Result.Best = Fallback;
 
   // Execute-and-measure over the plausible candidates (paper Figure 7's
   // below-threshold path; Table 3 shows e.g. "CSR+COO" executions). A
-  // batched tune (BatchWidth > 1) times the SpMM kernels over a Width-wide
-  // dense block instead, so the format choice reflects batched performance.
+  // batched tune (BatchWidth > 1) times multiply() over a Width-wide dense
+  // block instead, so the format choice reflects batched performance.
   const index_t Width = std::max<index_t>(index_t(1), Ctx.Opts.BatchWidth);
   const bool Batched = Width > 1;
   AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
@@ -156,37 +155,59 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
     return Ctx.Opts.TuneBudgetSeconds - Ctx.TuneClock->seconds();
   };
 
-  // Analytic pre-filter: with a cost-model decision in hand, only the
-  // formats that can address the classified bottleneck are raced. CSR is
-  // never pruned (it is the substrate and the guardrail's plan). A pruned
-  // format is not a dropped candidate — it was excluded by design, not
-  // lost to a failure.
-  auto FormatAllowed = [Allowed](FormatKind Kind) {
-    return Kind == FormatKind::CSR || !Allowed || Allowed->allows(Kind);
+  // CSR is always raced (it is the substrate and the guardrail's plan).
+  // With a cost-model decision in hand, only the formats that can address
+  // the classified bottleneck join it; a pruned format is not a dropped
+  // candidate — it was excluded by design, not lost to a failure. The
+  // feature-based plausibility guards skip conversions that cannot pass.
+  auto Admitted = [&](FormatKind Kind) {
+    if (Kind == FormatKind::CSR)
+      return true;
+    if ((Allowed && !Allowed->allows(Kind)) ||
+        (Kind == FormatKind::BSR && !Model.BsrEnabled))
+      return false;
+    return conversionPlausible(Kind, F);
   };
+  static constexpr const char *Sites[NumFormats] = {
+      "measure.kernel.CSR", "measure.kernel.COO", "measure.kernel.DIA",
+      "measure.kernel.ELL", "measure.kernel.BSR"};
 
-  // Measurement watchdog around one candidate: robust (min-of-k, spread
-  // checked, backoff-retried) timing under the tighter of the per-candidate
-  // and remaining whole-tune budgets; a candidate whose kernel throws is
-  // dropped and the sweep continues.
-  auto Consider = [&](FormatKind Kind, const std::string &Kernel,
-                      const char *Site, auto &&RunOnce) {
-    double Remaining = TuneRemaining();
-    if (Remaining <= 0.0) {
-      Result.BudgetExhausted = true;
-      return;
-    }
-    RobustMeasureOptions MOpts;
-    MOpts.MinSeconds = Ctx.Opts.MeasureMinSeconds;
-    MOpts.BudgetSeconds = Ctx.Opts.MeasureBudgetSeconds;
-    if (Remaining != std::numeric_limits<double>::infinity() &&
-        (MOpts.BudgetSeconds <= 0.0 || Remaining < MOpts.BudgetSeconds))
-      MOpts.BudgetSeconds = Remaining;
+  double BestGflops = -1.0;
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
+                          FormatKind::ELL, FormatKind::BSR}) {
+    if (!Admitted(Kind))
+      continue;
+    // Measurement watchdog around one candidate: robust (min-of-k, spread
+    // checked, backoff-retried) timing under the tighter of the
+    // per-candidate and remaining whole-tune budgets. A candidate whose
+    // conversion or kernel throws is dropped and the sweep continues; the
+    // operator (and its converted storage) is freed before the next
+    // candidate converts.
     try {
+      std::unique_ptr<FormatOperator<T>> Op = bindFormatOperator(
+          A, Kind, Model.Kernels, CsrStorage::Borrowed,
+          static_cast<CsrMatrix<T> *>(nullptr),
+          Model.Kernels.csrKernelFor(F.rowCv()), Width);
+      if (Op->kind() != Kind)
+        continue; // A conversion guard rejected the format.
+      double Remaining = TuneRemaining();
+      if (Remaining <= 0.0) {
+        Result.BudgetExhausted = true;
+        continue;
+      }
+      RobustMeasureOptions MOpts;
+      MOpts.MinSeconds = Ctx.Opts.MeasureMinSeconds;
+      MOpts.BudgetSeconds = Ctx.Opts.MeasureBudgetSeconds;
+      if (Remaining != std::numeric_limits<double>::infinity() &&
+          (MOpts.BudgetSeconds <= 0.0 || Remaining < MOpts.BudgetSeconds))
+        MOpts.BudgetSeconds = Remaining;
       RobustMeasureResult M = robustMeasureSecondsPerCall(
           [&] {
-            fault::injectKernelFault(Site);
-            RunOnce();
+            fault::injectKernelFault(Sites[static_cast<int>(Kind)]);
+            if (Batched)
+              Op->multiply(X.data(), Y.data(), Width);
+            else
+              Op->apply(X.data(), Y.data());
           },
           MOpts);
       Result.NoisyTimings = Result.NoisyTimings || M.Noisy;
@@ -194,146 +215,17 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
       double Gflops = spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
                                      static_cast<std::uint64_t>(Width),
                                  M.SecondsPerCall);
-      Result.MeasuredGflops.emplace_back(Kind, Gflops);
-      Result.Candidates.push_back({Kind, Kernel, Gflops, false});
+      Result.Candidates.push_back(
+          {Kind, Batched ? Op->spmmKernelName() : Op->kernelName(), Gflops,
+           false});
+      if (Gflops > BestGflops) {
+        BestGflops = Gflops;
+        Result.Best = Kind;
+      }
     } catch (...) {
       ++Result.DroppedCandidates;
     }
-  };
-
-  auto BestIdx = [&Model](FormatKind Kind) {
-    return static_cast<std::size_t>(
-        Model.Kernels.BestKernel[static_cast<int>(Kind)]);
-  };
-
-  // The scoreboard's per-width SpMM pick, with the same bounds/precondition
-  // fallback to the basic entry the bind uses.
-  auto BestSpmmIdx = [&Model, Width](FormatKind Kind, const auto &List,
-                                     const auto &Mat) -> std::size_t {
-    int Idx = Model.Kernels.spmmKernelFor(Kind, Width);
-    if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
-      return 0;
-    if (!kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds, Mat))
-      return 0;
-    return static_cast<std::size_t>(Idx);
-  };
-
-  // The CSR candidate is measured with the kernel the bind would actually
-  // choose, including the skew-aware load-balanced pick for matrices with a
-  // high row-length CV — otherwise the measurement could crown CSR with a
-  // kernel the plan never binds (or vice versa).
-  if (Batched) {
-    std::size_t I = BestSpmmIdx(FormatKind::CSR, Kernels.CsrSpmm, A);
-    Consider(FormatKind::CSR, Kernels.CsrSpmm[I].Name, "measure.kernel.CSR",
-             [&, I] { Kernels.CsrSpmm[I].Fn(A, X.data(), Y.data(), Width); });
-  } else {
-    std::size_t CsrIdx = static_cast<std::size_t>(
-        Model.Kernels.csrKernelFor(Features.Features.rowCv()));
-    if (CsrIdx >= Kernels.Csr.size())
-      CsrIdx = BestIdx(FormatKind::CSR);
-    Consider(FormatKind::CSR, Kernels.Csr[CsrIdx].Name, "measure.kernel.CSR",
-             [&, CsrIdx] { Kernels.Csr[CsrIdx].Fn(A, X.data(), Y.data()); });
   }
-  try {
-    if (FormatAllowed(FormatKind::COO)) {
-      CooMatrix<T> Coo = csrToCoo(A);
-      // Respect declared kernel preconditions (csrToCoo output always has
-      // monotone rows, but the registration is the contract, not the
-      // builder).
-      if (Batched) {
-        std::size_t I = BestSpmmIdx(FormatKind::COO, Kernels.CooSpmm, Coo);
-        Consider(FormatKind::COO, Kernels.CooSpmm[I].Name,
-                 "measure.kernel.COO", [&, I] {
-                   Kernels.CooSpmm[I].Fn(Coo, X.data(), Y.data(), Width);
-                 });
-      } else {
-        std::size_t CooIdx = BestIdx(FormatKind::COO);
-        if (!kernelPrecondsHold(Kernels.Coo[CooIdx].Preconds, Coo))
-          CooIdx = 0;
-        Consider(FormatKind::COO, Kernels.Coo[CooIdx].Name,
-                 "measure.kernel.COO", [&, CooIdx] {
-                   Kernels.Coo[CooIdx].Fn(Coo, X.data(), Y.data());
-                 });
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates; // COO conversion failed; CSR already ran.
-  }
-  try {
-    if (FormatAllowed(FormatKind::DIA) && diaPlausible(Features.Features)) {
-      DiaMatrix<T> Dia;
-      if (csrToDia(A, Dia)) {
-        if (Batched) {
-          std::size_t I = BestSpmmIdx(FormatKind::DIA, Kernels.DiaSpmm, Dia);
-          Consider(FormatKind::DIA, Kernels.DiaSpmm[I].Name,
-                   "measure.kernel.DIA", [&, I] {
-                     Kernels.DiaSpmm[I].Fn(Dia, X.data(), Y.data(), Width);
-                   });
-        } else {
-          std::size_t DiaIdx = BestIdx(FormatKind::DIA);
-          Consider(FormatKind::DIA, Kernels.Dia[DiaIdx].Name,
-                   "measure.kernel.DIA", [&, DiaIdx] {
-                     Kernels.Dia[DiaIdx].Fn(Dia, X.data(), Y.data());
-                   });
-        }
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
-  }
-  try {
-    if (FormatAllowed(FormatKind::ELL) && ellPlausible(Features.Features)) {
-      EllMatrix<T> Ell;
-      if (csrToEll(A, Ell)) {
-        // Same precondition contract as COO: a selected sliced kernel needs
-        // the RowLen sidecar or falls back to the basic kernel.
-        if (Batched) {
-          std::size_t I = BestSpmmIdx(FormatKind::ELL, Kernels.EllSpmm, Ell);
-          Consider(FormatKind::ELL, Kernels.EllSpmm[I].Name,
-                   "measure.kernel.ELL", [&, I] {
-                     Kernels.EllSpmm[I].Fn(Ell, X.data(), Y.data(), Width);
-                   });
-        } else {
-          std::size_t EllIdx = BestIdx(FormatKind::ELL);
-          if (!kernelPrecondsHold(Kernels.Ell[EllIdx].Preconds, Ell))
-            EllIdx = 0;
-          Consider(FormatKind::ELL, Kernels.Ell[EllIdx].Name,
-                   "measure.kernel.ELL", [&, EllIdx] {
-                     Kernels.Ell[EllIdx].Fn(Ell, X.data(), Y.data());
-                   });
-        }
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
-  }
-  try {
-    if (FormatAllowed(FormatKind::BSR) && Model.BsrEnabled &&
-        bsrPlausible(Features.Features)) {
-      index_t BlockSize = chooseBsrBlockSize(A);
-      BsrMatrix<T> Bsr;
-      if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize)) {
-        // BSR has no batched kernel family; its multiply() degrades to
-        // column-at-a-time applies, so the batched candidate runs the SpMV
-        // kernel Width times to model that honestly.
-        std::size_t BsrIdx = BestIdx(FormatKind::BSR);
-        Consider(FormatKind::BSR, Kernels.Bsr[BsrIdx].Name,
-                 "measure.kernel.BSR", [&, BsrIdx] {
-                   for (index_t J = 0; J < Width; ++J)
-                     Kernels.Bsr[BsrIdx].Fn(Bsr, X.data(), Y.data());
-                 });
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
-  }
-
-  double BestGflops = -1.0;
-  for (const auto &[Kind, Gflops] : Result.MeasuredGflops)
-    if (Gflops > BestGflops) {
-      BestGflops = Gflops;
-      Result.Best = Kind;
-    }
 
   // The never-slower guardrail: the untuned basic-CSR baseline is a
   // first-class candidate. When it beats every tuned measurement (or
@@ -384,44 +276,31 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
     }
   }
 
-  // Rung BasicKernel: the strategy-free CSR kernel, no conversion and no
-  // scoreboard lookup. On the Owned path the operator node (the only
-  // throwing step) is allocated with an empty matrix first and the real
-  // storage adopted afterwards (noexcept), so a failure here leaves a
-  // MoveSource intact for the final rung.
+  // Rung BasicKernel: the strategy-free CSR kernels, no conversion and no
+  // scoreboard lookup. basicCsrOperator allocates the node before adopting
+  // an owned matrix, so a failure here leaves a MoveSource intact for the
+  // final rung.
   if (!Result.Op) {
     if (!ForceBasicCsr)
       Result.Degradation = DegradationLevel::BasicKernel;
     try {
       fault::injectKernelFault("bind.basic_csr");
-      const auto &K = basicCsrKernel<T>();
-      const auto &KM = basicCsrSpmmKernel<T>();
-      if (Ctx.Opts.CsrMode == CsrStorage::Owned) {
-        auto Owning = std::make_unique<CsrOwningOperator<T>>(
-            CsrMatrix<T>(), K.Fn, K.Name, KM.Fn, KM.Name);
-        if (Ctx.MoveSource)
-          Owning->adoptMatrix(std::move(*Ctx.MoveSource));
-        else
-          Owning->adoptMatrix(CsrMatrix<T>(Ctx.A));
-        Result.Op = std::move(Owning);
-      } else {
-        Result.Op = std::make_unique<CsrBorrowedOperator<T>>(Ctx.A, K.Fn,
-                                                             K.Name, KM.Fn,
-                                                             KM.Name);
-      }
+      Result.Op = basicCsrOperator(Ctx.A, Ctx.Opts.CsrMode, Ctx.MoveSource);
     } catch (...) {
       Result.Op = nullptr;
     }
   }
 
-  // Final rung: the CSR reference kernel. Once the node exists nothing can
-  // fail. The rvalue tune path moves its matrix in (the caller's temporary
-  // is about to die); the lvalue path borrows — if Owned was requested but
-  // its copy failed above, borrowing is the honest remainder, and
-  // ownsStorage() reports it.
+  // Final rung: CSR bound to the fixed-interface reference kernel
+  // (ref/RefSpmv.h) — no conversion, no kernel table, no scoreboard
+  // selection. Once the node exists nothing can fail. The rvalue tune path
+  // moves its matrix in (the caller's temporary is about to die); the
+  // lvalue path borrows — if Owned was requested but its copy failed above,
+  // borrowing is the honest remainder, and ownsStorage() reports it.
   if (!Result.Op) {
     Result.Degradation = DegradationLevel::ReferenceCsr;
-    auto Ref = std::make_unique<CsrReferenceOperator<T>>(Ctx.A);
+    auto Ref = std::make_unique<BoundOperator<CsrMatrix, T>>(
+        &Ctx.A, &refCsrSpmv<T>, "csr_reference");
     if (Ctx.Opts.CsrMode == CsrStorage::Owned && Ctx.MoveSource)
       Ref->adoptMatrix(std::move(*Ctx.MoveSource));
     Result.Op = std::move(Ref);

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace smat {
@@ -106,19 +105,6 @@ struct TuneOptions {
   /// supports multiply() at any width regardless of this value; the width
   /// only steers which plan is considered optimal.
   index_t BatchWidth = 1;
-  /// Never-slower guardrail (DESIGN.md section 15): the measured basic-CSR
-  /// baseline enters the execute-and-measure race as a first-class
-  /// candidate, and a confident prediction's bound plan is quick-verified
-  /// against the baseline after the bind — either way, a tune that would
-  /// end up slower than not tuning binds the untuned basic CSR plan
-  /// instead and reports GuardrailEngaged. Needs measurement: with
-  /// AllowMeasure false (and no ForceMeasure) the guardrail cannot run.
-  bool Guardrail = true;
-  /// Analytic candidate pruning (CostModel.h): classify the matrix's
-  /// bottleneck from the extracted features and race only the formats that
-  /// can address it, instead of the full menu. Ignored under ForceMeasure
-  /// (ground-truth sweeps must stay exhaustive).
-  bool CostModelPrune = true;
   /// Generation stamp of the learned model that produced this tune, mixed
   /// into the plan-cache fingerprint. Layers that hot-reload model files at
   /// runtime (TuningService) bump this on every reload so plans cached
@@ -163,6 +149,8 @@ struct PredictStageResult {
 /// so a tuned plan structurally cannot lose to not tuning.
 struct MeasuredCandidate {
   FormatKind Format = FormatKind::CSR;
+  /// The kernel the candidate's operator ran: its SpMM kernel in a batched
+  /// tune, its SpMV kernel otherwise.
   std::string Kernel;
   double Gflops = 0.0;
   /// True for the untuned basic-CSR guardrail entry.
@@ -171,11 +159,9 @@ struct MeasuredCandidate {
 
 /// Result of MeasureStage.
 struct MeasureStageResult {
-  /// (format, GFLOPS) per measured candidate, in measurement order. Tuned
-  /// candidates only; the baseline appears in Candidates.
-  std::vector<std::pair<FormatKind, double>> MeasuredGflops;
-  /// The full race in measurement order, with kernel names (baseline entry
-  /// included when a baseline throughput was supplied).
+  /// The full race in measurement order, with the kernel each candidate
+  /// operator ran (baseline entry last, when a baseline throughput was
+  /// supplied).
   std::vector<MeasuredCandidate> Candidates;
   /// The supplied basic-CSR baseline beat every tuned candidate: Best is
   /// CSR and the caller must bind the untuned basic plan (the guardrail).
@@ -234,13 +220,15 @@ public:
   static bool shouldRun(const TuneOptions &Opts,
                         const PredictStageResult &Prediction);
 
-  /// Measures every candidate that passes its structural plausibility
-  /// guard; \p Fallback is returned as Best when nothing is measured.
-  /// \p Allowed, when non-null, restricts the race to the cost model's
-  /// candidate mask (CSR is always raced). \p BaselineGflops, when
-  /// positive, enters the untuned basic-CSR baseline as a first-class
-  /// candidate: if it beats every tuned measurement, Best is CSR and
-  /// BaselineWon tells the caller to bind the untuned basic plan.
+  /// Builds each candidate that passes its structural plausibility guard
+  /// with bindFormatOperator — the operator a win would bind — and times its
+  /// apply() (multiply() at BatchWidth > 1); \p Fallback is returned as
+  /// Best when nothing is measured. \p Allowed, when non-null, restricts
+  /// the race to the cost model's candidate mask (CSR is always raced).
+  /// \p BaselineGflops, when positive, enters the untuned basic-CSR
+  /// baseline as a first-class candidate: if it beats every tuned
+  /// measurement, Best is CSR and BaselineWon tells the caller to bind the
+  /// untuned basic plan.
   template <typename T>
   static MeasureStageResult run(const TuningContext<T> &Ctx,
                                 const FeatureStageResult &Features,

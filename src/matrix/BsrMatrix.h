@@ -32,6 +32,7 @@ namespace smat {
 
 /// A sparse matrix in BSR format.
 template <typename T> struct BsrMatrix {
+  static constexpr FormatKind Format = FormatKind::BSR;
   index_t NumRows = 0;       ///< Scalar rows.
   index_t NumCols = 0;       ///< Scalar columns.
   index_t BlockSize = 1;     ///< Block edge length (square blocks).

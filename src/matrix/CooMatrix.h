@@ -26,6 +26,7 @@ namespace smat {
 /// ascending, columns ascending within a row) by every builder in this
 /// library; kernels that need that property assert it in tests.
 template <typename T> struct CooMatrix {
+  static constexpr FormatKind Format = FormatKind::COO;
   index_t NumRows = 0;
   index_t NumCols = 0;
   AlignedVector<index_t> Rows;

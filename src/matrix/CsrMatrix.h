@@ -29,6 +29,7 @@ namespace smat {
 /// entries; all column indices lie in [0, NumCols). Column indices within a
 /// row are expected (and produced by all builders here) in ascending order.
 template <typename T> struct CsrMatrix {
+  static constexpr FormatKind Format = FormatKind::CSR;
   index_t NumRows = 0;
   index_t NumCols = 0;
   AlignedVector<index_t> RowPtr; ///< Size NumRows + 1.

@@ -31,6 +31,7 @@ namespace smat {
 /// rows intersecting the matrix for the given offset are meaningful; the rest
 /// is zero padding.
 template <typename T> struct DiaMatrix {
+  static constexpr FormatKind Format = FormatKind::DIA;
   index_t NumRows = 0;
   index_t NumCols = 0;
   std::int64_t TrueNnz = 0;        ///< Nonzeros before zero-fill.

@@ -29,6 +29,7 @@ namespace smat {
 /// \p Row lives at Data[C * NumRows + Row] (column-major). Padding entries
 /// store value 0 with column index 0, so they are numerically harmless.
 template <typename T> struct EllMatrix {
+  static constexpr FormatKind Format = FormatKind::ELL;
   index_t NumRows = 0;
   index_t NumCols = 0;
   index_t Width = 0;              ///< max_RD: packed row length.

@@ -22,6 +22,7 @@
 #include "matrix/Generators.h"
 #include "matrix/MatrixMarket.h"
 #include "matrix/Validate.h"
+#include "ref/RefSpmv.h"
 #include "support/Checksum.h"
 
 #include "TestUtil.h"
@@ -394,6 +395,107 @@ TEST(KernelPrecondTest, TuneBindsRowSplitOnlyWithMonotoneRows) {
   std::vector<double> Y(static_cast<std::size_t>(A.NumRows));
   Result->apply(X.data(), Y.data());
   expectVectorsNear(denseSpmv(A, X), Y, 1e-10);
+}
+
+// --- Foreign model kernel indices -------------------------------------------
+
+// A model trained on a build with a larger kernel library (the AVX2 and
+// AVX-512 CSR variants) names kernel indices a portable build does not have.
+// Such a model must stay loadable, and every tune — confident or raced, at
+// k=1 and k=8 — must bind the format's basic kernels instead of reading
+// past the kernel table.
+TEST(ForeignModelTest, OutOfRangeKernelIndicesBindBasicKernels) {
+  constexpr int PastTable = 99;
+  const std::string Name = "kernel_of_a_wider_build";
+  LearningModel Foreign;
+  KernelSelection &Sel = Foreign.Kernels;
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
+                          FormatKind::ELL}) {
+    const auto F = static_cast<std::size_t>(Kind);
+    Sel.BestKernel[F] = PastTable;
+    Sel.BestKernelName[F] = Name;
+    for (std::size_t W = 0; W < NumSpmmWidths; ++W) {
+      Sel.BestSpmmKernel[F][W] = PastTable;
+      Sel.BestSpmmKernelName[F][W] = Name;
+    }
+  }
+  Sel.BestKernelName[static_cast<std::size_t>(FormatKind::BSR)] = "bsr_basic";
+  Sel.BestSkewCsrKernel = PastTable;
+  Sel.BestSkewCsrKernelName = Name;
+  const std::string Path = testing::TempDir() + "foreign_kernel_model.txt";
+  ASSERT_TRUE(saveModelFile(Path, Foreign));
+  LearningModel Loaded;
+  std::string Error;
+  ASSERT_TRUE(loadModelFile(Path, Loaded, Error)) << Error;
+  std::remove(Path.c_str());
+  ASSERT_EQ(Loaded.Kernels.BestKernel[0], PastTable);
+  ASSERT_EQ(Loaded.Kernels.BestSkewCsrKernel, PastTable);
+
+  const KernelTable<double> &Kernels = kernelTable<double>();
+  const std::string BasicSpmv[] = {Kernels.Csr[0].Name, Kernels.Coo[0].Name,
+                                   Kernels.Dia[0].Name, Kernels.Ell[0].Name,
+                                   Kernels.Bsr[0].Name};
+  const std::string BasicSpmm[] = {
+      Kernels.CsrSpmm[0].Name, Kernels.CooSpmm[0].Name,
+      Kernels.DiaSpmm[0].Name, Kernels.EllSpmm[0].Name, Kernels.Bsr[0].Name};
+
+  auto Check = [&](const LearningModel &Model, const CsrMatrix<double> &A,
+                   TuneOptions Opts, index_t K) {
+    SCOPED_TRACE("k=" + std::to_string(K));
+    Opts.BatchWidth = K;
+    auto Result = Smat<double>(Model).tryTune(A, Opts);
+    ASSERT_TRUE(Result.ok()) << Result.status().message();
+    const auto F = static_cast<std::size_t>(Result->format());
+    EXPECT_EQ(Result->kernelName(), BasicSpmv[F]);
+    EXPECT_EQ(Result->spmmKernelName(), BasicSpmm[F]);
+    for (const MeasuredCandidate &C : Result->report().MeasuredCandidates) {
+      const auto CF = static_cast<std::size_t>(C.Format);
+      EXPECT_EQ(C.Kernel, K > 1 ? BasicSpmm[CF] : BasicSpmv[CF]);
+    }
+
+    const auto Rows = static_cast<std::size_t>(A.NumRows);
+    const auto Cols = static_cast<std::size_t>(A.NumCols);
+    const auto Width = static_cast<std::size_t>(K);
+    auto X = randomVector<double>(Cols * Width, 23);
+    std::vector<double> Y(Rows * Width, -1.0);
+    Result->multiply(X.data(), Y.data(), K);
+    std::vector<double> Xc(Cols), Yc(Rows), Ref(Rows);
+    for (std::size_t J = 0; J < Width; ++J) {
+      for (std::size_t I = 0; I < Cols; ++I)
+        Xc[I] = X[I * Width + J];
+      refCsrSpmv(A, Xc.data(), Ref.data());
+      for (std::size_t I = 0; I < Rows; ++I)
+        Yc[I] = Y[I * Width + J];
+      expectVectorsNear(Ref, Yc, 1e-10);
+    }
+  };
+
+  std::vector<std::pair<std::string, CsrMatrix<double>>> Mats;
+  Mats.emplace_back("band", banded(600, 2));
+  Mats.emplace_back("powerlaw", powerLawGraph(600, 2.0, 1, 60, 9));
+  for (const auto &[Name, A] : Mats) {
+    SCOPED_TRACE(Name);
+    for (index_t K : {index_t(1), index_t(8)}) {
+      // Confident: the ruleset's default names each format outright.
+      for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO,
+                              FormatKind::DIA, FormatKind::ELL}) {
+        SCOPED_TRACE(std::string("confident ") +
+                     std::string(formatName(Kind)));
+        LearningModel Confident = Loaded;
+        Confident.ConfidenceThreshold = 0.5;
+        Confident.Rules.DefaultFormat = Kind;
+        Confident.Rules.DefaultConfidence = 1.0;
+        Check(Confident, A, fastTune(), K);
+      }
+      // Raced: the full execute-and-measure menu.
+      LearningModel Raced = Loaded;
+      Raced.ConfidenceThreshold = 2.0;
+      TuneOptions Force = fastTune();
+      Force.ForceMeasure = true;
+      SCOPED_TRACE("raced");
+      Check(Raced, A, Force, K);
+    }
+  }
 }
 
 // --- AMG boundary (tentpole) ------------------------------------------------

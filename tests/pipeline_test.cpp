@@ -114,15 +114,16 @@ TEST(MeasureStageTest, MeasuresPlausibleCandidatesAndPicksMax) {
   FeatureStageResult F = FeatureStage::run(Ctx);
 
   MeasureStageResult M = MeasureStage::run(Ctx, F, FormatKind::CSR);
-  EXPECT_GE(M.MeasuredGflops.size(), 2u)
+  EXPECT_GE(M.Candidates.size(), 2u)
       << "CSR and COO are always measured; DIA/ELL are plausible on a band";
   double BestGflops = -1.0;
   FormatKind BestKind = FormatKind::CSR;
-  for (const auto &[Kind, Gflops] : M.MeasuredGflops) {
-    EXPECT_GT(Gflops, 0.0);
-    if (Gflops > BestGflops) {
-      BestGflops = Gflops;
-      BestKind = Kind;
+  for (const MeasuredCandidate &C : M.Candidates) {
+    EXPECT_FALSE(C.IsBaseline) << "no baseline was supplied";
+    EXPECT_GT(C.Gflops, 0.0);
+    if (C.Gflops > BestGflops) {
+      BestGflops = C.Gflops;
+      BestKind = C.Format;
     }
   }
   EXPECT_EQ(M.Best, BestKind);
@@ -130,8 +131,9 @@ TEST(MeasureStageTest, MeasuresPlausibleCandidatesAndPicksMax) {
 }
 
 TEST(MeasureStageTest, FallbackReturnedWhenNothingPlausibleWins) {
-  // The fallback only matters when MeasuredGflops would be empty; with CSR
-  // always measured it never is, so Best must come from the measurements.
+  // The fallback only matters when no candidate is measured; with CSR
+  // always measured that never happens, so Best must come from the
+  // measurements.
   // A heavy-tailed graph: one 400-degree row spikes ELL's padding, and the
   // scattered diagonals blow DIA's fill guard.
   CsrMatrix<double> A = powerLawGraph(3000, 2.0, 1, 400, 3);
@@ -140,9 +142,9 @@ TEST(MeasureStageTest, FallbackReturnedWhenNothingPlausibleWins) {
   TuningContext<double> Ctx{A, sharedModel(), Opts, nullptr};
   FeatureStageResult F = FeatureStage::run(Ctx);
   MeasureStageResult M = MeasureStage::run(Ctx, F, FormatKind::DIA);
-  for (const auto &[Kind, G] : M.MeasuredGflops) {
-    EXPECT_NE(Kind, FormatKind::DIA) << "DIA is implausible on a graph";
-    EXPECT_NE(Kind, FormatKind::ELL) << "ELL is implausible on a graph";
+  for (const MeasuredCandidate &C : M.Candidates) {
+    EXPECT_NE(C.Format, FormatKind::DIA) << "DIA is implausible on a graph";
+    EXPECT_NE(C.Format, FormatKind::ELL) << "ELL is implausible on a graph";
   }
   EXPECT_NE(M.Best, FormatKind::DIA);
 }
@@ -209,6 +211,56 @@ TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
   std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -1.0);
   Skewed.Op->apply(X.data(), Y.data());
   expectVectorsNear(Expected, Y, 1e-9);
+}
+
+TEST(MeasureStageTest, RaceMeasuresTheKernelTheBindBinds) {
+  // Every pick points past the basic entry (the bind falls back to basic
+  // when a family has no such member or a precondition fails) and BSR is
+  // enabled, so a race that timed a different kernel than the bind binds —
+  // a different pick, or BSR without the column-at-a-time path — shows here.
+  LearningModel Model;
+  Model.ConfidenceThreshold = 2.0; // Never confident: the race decides.
+  Model.BsrEnabled = true;
+  for (int F = 0; F < NumFormats; ++F) {
+    Model.Kernels.BestKernel[static_cast<std::size_t>(F)] = 1;
+    for (int W = 0; W < NumSpmmWidths; ++W)
+      Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
+                                  [static_cast<std::size_t>(W)] = 1;
+  }
+  Model.Kernels.BestSkewCsrKernel = 2;
+  const Smat<double> Tuner(Model);
+
+  std::vector<std::pair<std::string, CsrMatrix<double>>> Mats;
+  Mats.emplace_back("band", banded(1200, 2));
+  Mats.emplace_back("fem_blocks", blockFem(150, 4, 0.0, 61));
+  Mats.emplace_back("powerlaw", powerLawGraph(1200, 2.0, 1, 120, 62));
+  for (const auto &[Name, A] : Mats) {
+    SCOPED_TRACE(Name);
+    const double RowCv = extractStructureFeatures(A).rowCv();
+    for (index_t K : {index_t(1), index_t(8)}) {
+      SCOPED_TRACE("k=" + std::to_string(K));
+      TuneOptions Opts;
+      Opts.MeasureMinSeconds = 1e-4;
+      Opts.ForceMeasure = true;
+      Opts.BatchWidth = K;
+      TunedSpmv<double> Op = Tuner.tune(A, Opts);
+      int Tuned = 0;
+      for (const MeasuredCandidate &C : Op.report().MeasuredCandidates) {
+        if (C.IsBaseline)
+          continue;
+        ++Tuned;
+        auto Bound = bindFormatOperator(
+            A, C.Format, Model.Kernels, CsrStorage::Borrowed,
+            static_cast<CsrMatrix<double> *>(nullptr),
+            Model.Kernels.csrKernelFor(RowCv), K);
+        ASSERT_EQ(Bound->kind(), C.Format);
+        EXPECT_EQ(C.Kernel,
+                  K > 1 ? Bound->spmmKernelName() : Bound->kernelName())
+            << "raced " << formatName(C.Format);
+      }
+      EXPECT_GE(Tuned, 2) << "CSR and COO always race";
+    }
+  }
 }
 
 TEST(FormatOperatorTest, AllFormatsMatchReferenceSpmv) {
@@ -305,13 +357,22 @@ TEST(SmatRuntimeTest, OwnedModeAndRvalueTuneAreSelfContained) {
 // --- PlanCache --------------------------------------------------------------
 
 TEST(PlanCacheTest, HitMissInsertEvictLru) {
-  PlanCache Cache(2);
-  EXPECT_EQ(Cache.capacity(), 2u);
-
-  PlanFingerprint F1, F2, F3;
-  F1.RowsLog2 = 1;
-  F2.RowsLog2 = 2;
-  F3.RowsLog2 = 3;
+  // LRU order and eviction are per shard: 16 entries over 8 shards is two
+  // per shard, and the three fingerprints below are chosen to share one.
+  PlanCache Cache(16);
+  ASSERT_EQ(Cache.shards(), 8u);
+  auto ShardOf = [&Cache](const PlanFingerprint &Fp) {
+    return PlanFingerprintHash{}(Fp) % Cache.shards();
+  };
+  std::vector<PlanFingerprint> SameShard;
+  for (std::int16_t Rows = 1; SameShard.size() < 3; ++Rows) {
+    PlanFingerprint Fp;
+    Fp.RowsLog2 = Rows;
+    if (SameShard.empty() || ShardOf(Fp) == ShardOf(SameShard.front()))
+      SameShard.push_back(Fp);
+  }
+  const PlanFingerprint F1 = SameShard[0], F2 = SameShard[1],
+                        F3 = SameShard[2];
 
   CachedPlan Plan;
   EXPECT_FALSE(Cache.lookup(F1, Plan));
@@ -320,8 +381,8 @@ TEST(PlanCacheTest, HitMissInsertEvictLru) {
   EXPECT_EQ(Plan.Format, FormatKind::DIA);
   EXPECT_DOUBLE_EQ(Plan.CsrSpmvSeconds, 0.5);
 
-  // F1 was just used; inserting F2 then F3 must evict F1's neighbour... not:
-  // LRU order is [F1], then [F2, F1], then F3 evicts the back (F1).
+  // The shard's LRU order is [F1], then [F2, F1], then F3 evicts the back
+  // (F1).
   Cache.insert(F2, {FormatKind::ELL, 0.1});
   Cache.insert(F3, {FormatKind::COO, 0.2});
   EXPECT_EQ(Cache.size(), 2u);
@@ -370,7 +431,7 @@ TEST(SmatCacheTest, WarmTuneReusesPlanAndSkipsMeasurement) {
 
   TunedSpmv<double> Warm = Tuner.tune(A, Opts);
   EXPECT_TRUE(Warm.report().PlanCacheHit);
-  EXPECT_TRUE(Warm.report().MeasuredGflops.empty());
+  EXPECT_TRUE(Warm.report().MeasuredCandidates.empty());
   EXPECT_EQ(Warm.format(), Cold.format());
   EXPECT_DOUBLE_EQ(Warm.report().CsrSpmvSeconds,
                    Cold.report().CsrSpmvSeconds)
@@ -404,7 +465,7 @@ TEST(SmatCacheTest, ForceMeasureBypassesLookupButStillInserts) {
   TunedSpmv<double> Op = Tuner.tune(A, Force);
   EXPECT_FALSE(Op.report().PlanCacheHit)
       << "forced measurement must not consume a cached plan";
-  EXPECT_FALSE(Op.report().MeasuredGflops.empty());
+  EXPECT_GT(Op.report().MeasureSeconds, 0.0) << "the race must run";
   EXPECT_EQ(Cache.stats().Hits, HitsBefore);
   EXPECT_GE(Cache.stats().Inserts, 2u)
       << "the fresh ground-truth plan refreshes the cache";
@@ -434,7 +495,7 @@ TEST(SmatCacheTest, BatchWidthBucketsMissIndependently) {
   // fingerprint input) and the bind still do.
   TunedSpmv<double> Warm8 = Tuner.tune(A, Batch8);
   EXPECT_TRUE(Warm8.report().PlanCacheHit);
-  EXPECT_TRUE(Warm8.report().MeasuredGflops.empty());
+  EXPECT_TRUE(Warm8.report().MeasuredCandidates.empty());
   EXPECT_EQ(Warm8.report().PredictSeconds, 0.0);
   EXPECT_EQ(Warm8.report().MeasureSeconds, 0.0);
   EXPECT_GT(Warm8.report().FeatureSeconds, 0.0);

@@ -237,16 +237,32 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
 // --- Concurrent PlanCache: singleflight vs eviction vs persistence ----------
 
 TEST(PlanCacheConcurrencyTest, ShardCountAdaptsToCapacity) {
-  EXPECT_EQ(PlanCache(2).shards(), 1u);   // exact global LRU for tiny caches
-  EXPECT_EQ(PlanCache(63).shards(), 1u);
-  EXPECT_EQ(PlanCache(64).shards(), 8u);
+  // One rule for every capacity: min(8, capacity) shards, each holding
+  // ceil(capacity / shards) entries.
+  EXPECT_EQ(PlanCache(1).shards(), 1u);
+  EXPECT_EQ(PlanCache(2).shards(), 2u);
+  EXPECT_EQ(PlanCache(8).shards(), 8u);
+  EXPECT_EQ(PlanCache(63).shards(), 8u);
   EXPECT_EQ(PlanCache(1024).shards(), 8u);
-  EXPECT_GE(PlanCache(1024).capacity(), 1024u);
+  for (std::size_t Capacity : {1u, 2u, 7u, 63u, 1024u}) {
+    SCOPED_TRACE(Capacity);
+    PlanCache Cache(Capacity);
+    EXPECT_EQ(Cache.capacity(), Capacity);
+    for (int I = 0; I < 4 * static_cast<int>(Capacity); ++I) {
+      PlanFingerprint Fp;
+      Fp.RowsLog2 = static_cast<std::int16_t>(I % 1000);
+      Fp.ColsLog2 = static_cast<std::int16_t>(I / 1000);
+      Cache.insert(Fp, CachedPlan{});
+    }
+    EXPECT_LE(Cache.size(), Capacity + Cache.shards() - 1)
+        << "at most one entry per shard over the requested capacity";
+    EXPECT_GT(Cache.stats().Evictions, 0u);
+  }
 }
 
 TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
-  // Tiny cache: every insert is an eviction, and all traffic fights over
-  // one shard — the worst case for the lease/evict interleaving.
+  // Tiny cache: two one-entry shards, so nearly every insert is an
+  // eviction — the worst case for the lease/evict interleaving.
   PlanCache Cache(2);
   constexpr int NumThreads = 4;
   constexpr int NumOps = 400;
