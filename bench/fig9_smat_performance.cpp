@@ -7,7 +7,7 @@
 // Paper Figure 9: "SMAT performance in single- and double-precision" on the
 // 16 representative matrices. The paper reports peaks of 51 GFLOPS (SP) and
 // 37 GFLOPS (DP) on a 12-core Xeon X5680 and ~5x performance variation
-// across matrices; on this single-core container the absolute numbers are
+// across matrices; on a 4-vCPU container the absolute numbers are
 // far smaller, but the per-matrix ordering (DIA/ELL-affine matrices fastest,
 // CSR heavyweights slowest per flop) is the reproducible shape.
 //

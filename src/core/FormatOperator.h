@@ -20,6 +20,10 @@
 /// pattern) or own a copied/moved-in CSR when the caller cannot guarantee
 /// the input outlives the operator. See `CsrStorage`.
 ///
+/// A large converted plan whose kernel pick is serial is bound as row
+/// slices, one per OpenMP thread, that run the same kernel side by side;
+/// see `bindFormatOperator`.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMAT_CORE_FORMATOPERATOR_H
@@ -29,8 +33,14 @@
 #include "kernels/Scoreboard.h"
 #include "matrix/FormatConvert.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace smat {
 
@@ -77,12 +87,20 @@ public:
 
   /// \returns false when the operator borrows the caller's CSR matrix.
   virtual bool ownsStorage() const = 0;
+
+  /// \returns how many row slices apply() and multiply() run side by side;
+  /// 1 for an unsliced plan.
+  virtual index_t numSlices() const = 0;
 };
 
 /// The one FormatOperator implementation: a `MatrixT<T>` (CsrMatrix,
 /// CooMatrix, ...) bound to an SpMV kernel and an optional SpMM kernel. The
 /// operator owns its matrix, or borrows the caller's (CSR only); it is
 /// always heap-allocated and never copied, since it may point at itself.
+/// An owned matrix is held as one or more row slices: with several, apply()
+/// and multiply() run the bound kernel on every slice in one OpenMP parallel
+/// loop, and each slice writes only its own rows of y. The unsliced operator
+/// is the one-slice case.
 template <template <typename> class MatrixT, typename T>
 class BoundOperator final : public FormatOperator<T> {
 public:
@@ -90,28 +108,60 @@ public:
   using SpmvFn = void (*)(const Matrix &, const T *, T *);
   using SpmmFn = void (*)(const Matrix &, const T *, T *, index_t);
 
-  /// Binds the kernels to \p Borrowed, which must outlive the operator, or,
-  /// when it is null, to an owned empty matrix that adoptMatrix fills.
-  /// A null \p Spmm makes multiply() run \p Spmv column by column.
-  BoundOperator(const Matrix *Borrowed, SpmvFn Spmv, const char *SpmvName,
-                SpmmFn Spmm = nullptr, const char *SpmmName = nullptr)
-      : A(Borrowed ? Borrowed : &Owned), Spmv(Spmv), Spmm(Spmm),
-        SpmvName(SpmvName), SpmmName(Spmm ? SpmmName : SpmvName) {}
+  /// Binds \p Spmv and \p Spmm to \p Borrowed, which must outlive the
+  /// operator, or, when it is null, to an owned empty matrix that
+  /// adoptMatrix fills. A null \p Spmm makes multiply() run \p Spmv column
+  /// by column.
+  BoundOperator(const Matrix *Borrowed, const Kernel<SpmvFn> &Spmv,
+                const Kernel<SpmmFn> *Spmm = nullptr)
+      : Slices(Borrowed ? 0 : 1), A(Borrowed ? Borrowed : Slices.data()),
+        Rows(A->NumRows), Cols(A->NumCols) {
+    bindKernels(Spmv, Spmm);
+  }
+
+  /// Binds the kernels to the owned row slices \p Parts: slice S holds the
+  /// matrix rows from \p Begins[S] up to the next slice's first row.
+  BoundOperator(std::vector<Matrix> &&Parts, std::vector<index_t> &&Begins,
+                const Kernel<SpmvFn> &Spmv, const Kernel<SpmmFn> *Spmm)
+      : Slices(std::move(Parts)), RowBegin(std::move(Begins)),
+        A(Slices.data()), Rows(RowBegin.back() + Slices.back().NumRows),
+        Cols(A->NumCols) {
+    assert(!Slices.empty() && Slices.size() == RowBegin.size() &&
+           "one first row per slice");
+    bindKernels(Spmv, Spmm);
+  }
   BoundOperator(const BoundOperator &) = delete;
   BoundOperator &operator=(const BoundOperator &) = delete;
 
-  void apply(const T *X, T *Y) const override { Spmv(*A, X, Y); }
+  void apply(const T *X, T *Y) const override {
+    if (Slices.size() < 2) {
+      Spmv(*A, X, Y);
+      return;
+    }
+    const auto N = static_cast<index_t>(Slices.size());
+#pragma omp parallel for schedule(static)
+    for (index_t S = 0; S < N; ++S)
+      Spmv(Slices[S], X, Y + RowBegin[S]);
+  }
 
   void multiply(const T *X, T *Y, index_t K) const override {
     if (Spmm) {
-      Spmm(*A, X, Y, K);
+      if (Slices.size() < 2) {
+        Spmm(*A, X, Y, K);
+        return;
+      }
+      // A threaded SpMM pick spans the team by itself: its slices run in
+      // turn instead of nesting one team inside another.
+      const auto N = static_cast<index_t>(Slices.size());
+#pragma omp parallel for schedule(static) if (!SpmmThreaded)
+      for (index_t S = 0; S < N; ++S)
+        Spmm(Slices[S], X, Y + static_cast<std::size_t>(RowBegin[S]) * K, K);
       return;
     }
     if (K == 1) {
       apply(X, Y);
       return;
     }
-    const index_t Rows = A->NumRows, Cols = A->NumCols;
     AlignedVector<T> Xc(static_cast<std::size_t>(Cols));
     AlignedVector<T> Yc(static_cast<std::size_t>(Rows));
     for (index_t J = 0; J < K; ++J) {
@@ -128,58 +178,129 @@ public:
   FormatKind kind() const override { return Matrix::Format; }
   const char *kernelName() const override { return SpmvName; }
   const char *spmmKernelName() const override { return SpmmName; }
-  index_t numRows() const override { return A->NumRows; }
-  index_t numCols() const override { return A->NumCols; }
-  bool ownsStorage() const override { return A == &Owned; }
+  index_t numRows() const override { return Rows; }
+  index_t numCols() const override { return Cols; }
+  bool ownsStorage() const override { return !Slices.empty(); }
+  index_t numSlices() const override {
+    return std::max(index_t(1), static_cast<index_t>(Slices.size()));
+  }
 
-  /// Moves \p M in and binds to it. noexcept, so the degradation ladder can
-  /// run the one throwing step (allocating this node over an empty matrix)
-  /// first and only then move a precious move-source matrix in — if the
-  /// allocation throws, the source is still intact for the next rung.
+  /// Moves \p M in and binds to it; the operator must have been built over
+  /// an owned empty matrix. noexcept, so the degradation ladder can run the
+  /// one throwing step (allocating this node over an empty matrix) first and
+  /// only then move a precious move-source matrix in — if the allocation
+  /// throws, the source is still intact for the next rung.
   void adoptMatrix(Matrix &&M) noexcept {
-    Owned = std::move(M);
-    A = &Owned;
+    assert(Slices.size() == 1 && "adoptMatrix needs an owned one-slice node");
+    Slices.front() = std::move(M);
+    Rows = A->NumRows;
+    Cols = A->NumCols;
   }
 
 private:
-  Matrix Owned;
+  void bindKernels(const Kernel<SpmvFn> &SpmvK, const Kernel<SpmmFn> *SpmmK) {
+    Spmv = SpmvK.Fn;
+    SpmvName = SpmvK.Name;
+    Spmm = SpmmK ? SpmmK->Fn : nullptr;
+    SpmmName = SpmmK ? SpmmK->Name : SpmvK.Name;
+    SpmmThreaded = SpmmK && (SpmmK->Flags & OptThreads);
+  }
+
+  /// The owned matrix as row slices in row order; empty when borrowing.
+  std::vector<Matrix> Slices;
+  /// First matrix row of each slice (empty for a borrowing operator).
+  std::vector<index_t> RowBegin;
+  /// The borrowed matrix, or the first slice.
   const Matrix *A;
+  index_t Rows, Cols;
   SpmvFn Spmv;
   SpmmFn Spmm;
   const char *SpmvName;
   const char *SpmmName;
+  bool SpmmThreaded;
 };
 
 namespace detail {
 
-/// Allocates an owning operator over an empty matrix — the only throwing
-/// step — and then adopts \p M noexcept, so a failed allocation leaves a
-/// move-source matrix intact for the caller's degradation ladder.
-template <template <typename> class MatrixT, typename T>
-std::unique_ptr<FormatOperator<T>>
-ownOperator(MatrixT<T> &&M, typename BoundOperator<MatrixT, T>::SpmvFn Spmv,
-            const char *SpmvName,
-            typename BoundOperator<MatrixT, T>::SpmmFn Spmm = nullptr,
-            const char *SpmmName = nullptr) {
-  auto Op = std::make_unique<BoundOperator<MatrixT, T>>(
-      nullptr, Spmv, SpmvName, Spmm, SpmmName);
-  Op->adoptMatrix(std::move(M));
-  return Op;
-}
-
 /// Binds the CSR kernels \p K and \p M to \p A, borrowed or owned per
 /// \p Storage; an owned bind moves \p MoveSource in when given, else copies.
+/// The owning node is allocated over an empty matrix — the only throwing
+/// step — before the matrix is adopted noexcept, so a failed allocation
+/// leaves a move source intact for the caller's degradation ladder.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
             const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage,
             CsrMatrix<T> *MoveSource) {
+  using Op = BoundOperator<CsrMatrix, T>;
   if (Storage == CsrStorage::Borrowed)
-    return std::make_unique<BoundOperator<CsrMatrix, T>>(&A, K.Fn, K.Name,
-                                                         M.Fn, M.Name);
-  if (MoveSource)
-    return ownOperator(std::move(*MoveSource), K.Fn, K.Name, M.Fn, M.Name);
-  return ownOperator(CsrMatrix<T>(A), K.Fn, K.Name, M.Fn, M.Name);
+    return std::make_unique<Op>(&A, K, &M);
+  if (MoveSource) {
+    auto Owned = std::make_unique<Op>(nullptr, K, &M);
+    Owned->adoptMatrix(std::move(*MoveSource));
+    return Owned;
+  }
+  CsrMatrix<T> Copy(A);
+  auto Owned = std::make_unique<Op>(nullptr, K, &M);
+  Owned->adoptMatrix(std::move(Copy));
+  return Owned;
+}
+
+/// \returns the team size of the next OpenMP parallel region; 1 without
+/// OpenMP.
+inline index_t teamSize() {
+#ifdef _OPENMP
+  return static_cast<index_t>(omp_get_max_threads());
+#else
+  return 1;
+#endif
+}
+
+/// Converts \p A with \p Convert and binds the picks \p SpmvIdx of
+/// \p SpmvList and \p SpmmIdx of \p SpmmList (null: no SpMM family), each
+/// through pickKernel. \p Convert(M, Out, Guarded) converts M into Out,
+/// with the format's fill guards only when Guarded; \p Fits(M) runs those
+/// guards alone. \returns null when a guard declines.
+///
+/// A matrix of at least SlicedPlanGrain nonzeros whose SpMV pick is serial
+/// (a threaded pick already spans the team) is converted as teamSize() row
+/// slices of near-equal nonzero counts, each starting on a multiple of
+/// \p Align rows. \p Fits judges the whole matrix first, so slicing never
+/// changes the bound format; the slices are then converted without guards,
+/// one after another on the calling thread, so their storage is never
+/// allocated inside a parallel region.
+template <template <typename> class MatrixT, typename T, typename FitsFn,
+          typename ConvertFn>
+std::unique_ptr<FormatOperator<T>> bindConverted(
+    const CsrMatrix<T> &A,
+    const std::vector<Kernel<typename BoundOperator<MatrixT, T>::SpmvFn>>
+        &SpmvList,
+    int SpmvIdx,
+    const std::vector<Kernel<typename BoundOperator<MatrixT, T>::SpmmFn>>
+        *SpmmList,
+    int SpmmIdx, index_t Align, FitsFn Fits, ConvertFn Convert) {
+  const bool Serial = !(kernelEntry(SpmvList, SpmvIdx).Flags & OptThreads);
+  std::vector<index_t> Bounds = balancedRowBounds(
+      A, Serial && A.nnz() >= SlicedPlanGrain ? teamSize() : index_t(1),
+      Align);
+  std::vector<MatrixT<T>> Slices(Bounds.size() - 1);
+  if (Slices.size() == 1) {
+    if (!Convert(A, Slices.front(), true))
+      return nullptr;
+  } else {
+    if (!Fits(A))
+      return nullptr;
+    for (std::size_t S = 0; S != Slices.size(); ++S)
+      if (!Convert(csrRowSlice(A, Bounds[S], Bounds[S + 1]), Slices[S],
+                   false))
+        return nullptr;
+  }
+  const auto &K = pickKernel(SpmvList, SpmvIdx, Slices.front());
+  const auto *M =
+      SpmmList ? &pickKernel(*SpmmList, SpmmIdx, Slices.front()) : nullptr;
+  Bounds.pop_back();
+  return std::make_unique<BoundOperator<MatrixT, T>>(
+      std::move(Slices), std::move(Bounds), K, M);
 }
 
 } // namespace detail
@@ -210,6 +331,11 @@ basicCsrOperator(const CsrMatrix<T> &A,
 /// (KernelSelection::BestSpmmKernel) the operator binds for multiply(); an
 /// unsearched width binds the format's basic SpMM kernel, so multiply() is
 /// batched for CSR/COO/DIA/ELL regardless of tuning width.
+///
+/// A COO/DIA/ELL/BSR plan is row-sliced when \p A has at least
+/// SlicedPlanGrain nonzeros and the format's SpMV pick is serial (see
+/// detail::bindConverted). CSR binds, threaded picks and basicCsrOperator
+/// are never sliced.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
@@ -225,42 +351,55 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
     return Sel.spmmKernelFor(Kind, BatchWidth);
   };
 
+  std::unique_ptr<FormatOperator<T>> Op;
   switch (Requested) {
-  case FormatKind::COO: {
-    CooMatrix<T> Coo = csrToCoo(A);
-    const auto &K = pickKernel(Kernels.Coo, Spmv(FormatKind::COO), Coo);
-    const auto &M = pickKernel(Kernels.CooSpmm, Spmm(FormatKind::COO), Coo);
-    return detail::ownOperator(std::move(Coo), K.Fn, K.Name, M.Fn, M.Name);
-  }
-  case FormatKind::DIA: {
-    DiaMatrix<T> Dia;
-    if (!csrToDia(A, Dia))
-      break;
-    const auto &K = pickKernel(Kernels.Dia, Spmv(FormatKind::DIA), Dia);
-    const auto &M = pickKernel(Kernels.DiaSpmm, Spmm(FormatKind::DIA), Dia);
-    return detail::ownOperator(std::move(Dia), K.Fn, K.Name, M.Fn, M.Name);
-  }
-  case FormatKind::ELL: {
-    EllMatrix<T> Ell;
-    if (!csrToEll(A, Ell))
-      break;
-    const auto &K = pickKernel(Kernels.Ell, Spmv(FormatKind::ELL), Ell);
-    const auto &M = pickKernel(Kernels.EllSpmm, Spmm(FormatKind::ELL), Ell);
-    return detail::ownOperator(std::move(Ell), K.Fn, K.Name, M.Fn, M.Name);
-  }
+  case FormatKind::COO:
+    Op = detail::bindConverted<CooMatrix>(
+        A, Kernels.Coo, Spmv(FormatKind::COO), &Kernels.CooSpmm,
+        Spmm(FormatKind::COO), 1, [](const CsrMatrix<T> &) { return true; },
+        [](const CsrMatrix<T> &M, CooMatrix<T> &Out, bool) {
+          Out = csrToCoo(M);
+          return true;
+        });
+    break;
+  case FormatKind::DIA:
+    Op = detail::bindConverted<DiaMatrix>(
+        A, Kernels.Dia, Spmv(FormatKind::DIA), &Kernels.DiaSpmm,
+        Spmm(FormatKind::DIA), 1,
+        [](const CsrMatrix<T> &M) { return diaFits(M); },
+        [](const CsrMatrix<T> &M, DiaMatrix<T> &Out, bool Guarded) {
+          return Guarded ? csrToDia(M, Out) : csrToDia(M, Out, 0.0, 0);
+        });
+    break;
+  case FormatKind::ELL:
+    Op = detail::bindConverted<EllMatrix>(
+        A, Kernels.Ell, Spmv(FormatKind::ELL), &Kernels.EllSpmm,
+        Spmm(FormatKind::ELL), 1,
+        [](const CsrMatrix<T> &M) { return ellFits(M); },
+        [](const CsrMatrix<T> &M, EllMatrix<T> &Out, bool Guarded) {
+          return Guarded ? csrToEll(M, Out) : csrToEll(M, Out, 0.0);
+        });
+    break;
   case FormatKind::BSR: {
     // BSR has no SpMM kernel family: multiply() runs the SpMV kernel column
-    // by column.
+    // by column. Slices start on block rows, so they tile the same blocks.
     index_t BlockSize = chooseBsrBlockSize(A);
-    BsrMatrix<T> Bsr;
-    if (BlockSize <= 0 || !csrToBsr(A, Bsr, BlockSize))
+    if (BlockSize <= 0)
       break;
-    const auto &K = pickKernel(Kernels.Bsr, Spmv(FormatKind::BSR), Bsr);
-    return detail::ownOperator(std::move(Bsr), K.Fn, K.Name);
+    Op = detail::bindConverted<BsrMatrix>(
+        A, Kernels.Bsr, Spmv(FormatKind::BSR), nullptr, -1, BlockSize,
+        [BlockSize](const CsrMatrix<T> &M) { return bsrFits(M, BlockSize); },
+        [BlockSize](const CsrMatrix<T> &M, BsrMatrix<T> &Out, bool Guarded) {
+          return Guarded ? csrToBsr(M, Out, BlockSize)
+                         : csrToBsr(M, Out, BlockSize, 0.0);
+        });
+    break;
   }
   case FormatKind::CSR:
     break;
   }
+  if (Op)
+    return Op;
 
   int CsrIdx =
       CsrKernelOverride >= 0 ? CsrKernelOverride : Spmv(FormatKind::CSR);

@@ -299,9 +299,13 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
   // borrowing is the honest remainder, and ownsStorage() reports it.
   if (!Result.Op) {
     Result.Degradation = DegradationLevel::ReferenceCsr;
+    const Kernel<CsrKernelFn<T>> Reference{"csr_reference", OptNone,
+                                           &refCsrSpmv<T>};
+    const bool Adopt =
+        Ctx.Opts.CsrMode == CsrStorage::Owned && Ctx.MoveSource;
     auto Ref = std::make_unique<BoundOperator<CsrMatrix, T>>(
-        &Ctx.A, &refCsrSpmv<T>, "csr_reference");
-    if (Ctx.Opts.CsrMode == CsrStorage::Owned && Ctx.MoveSource)
+        Adopt ? nullptr : &Ctx.A, Reference);
+    if (Adopt)
       Ref->adoptMatrix(std::move(*Ctx.MoveSource));
     Result.Op = std::move(Ref);
   }

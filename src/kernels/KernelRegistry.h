@@ -179,17 +179,24 @@ template <typename T> const Kernel<CsrSpmmFn<T>> &basicCsrSpmmKernel() {
 }
 
 /// \returns the kernel-library entry \p Idx of \p List, or the basic entry
-/// (index 0, precondition-free) when \p Idx is out of range — a model file
-/// trained on a build with a larger library, e.g. the AVX2/AVX-512 CSR
-/// variants, loaded into a portable build — or \p M violates the entry's
-/// declared structural preconditions.
+/// (index 0) when \p Idx is out of range — a model file trained on a build
+/// with a larger library, e.g. the AVX2/AVX-512 CSR variants, loaded into a
+/// portable build.
+template <typename FnT>
+const Kernel<FnT> &kernelEntry(const std::vector<Kernel<FnT>> &List,
+                               int Idx) {
+  if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
+    return List.front();
+  return List[static_cast<std::size_t>(Idx)];
+}
+
+/// \returns kernelEntry(List, Idx), or the basic entry (precondition-free)
+/// when \p M violates that entry's declared structural preconditions.
 template <typename FnT, typename MatrixT>
 const Kernel<FnT> &pickKernel(const std::vector<Kernel<FnT>> &List, int Idx,
                               const MatrixT &M) {
-  if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size() ||
-      !kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds, M))
-    return List.front();
-  return List[static_cast<std::size_t>(Idx)];
+  const Kernel<FnT> &K = kernelEntry(List, Idx);
+  return kernelPrecondsHold(K.Preconds, M) ? K : List.front();
 }
 
 extern template const KernelTable<float> &kernelTable<float>();

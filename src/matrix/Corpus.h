@@ -53,7 +53,7 @@ void splitCorpus(const std::vector<CorpusEntry> &Corpus,
 
 /// The 16 representative matrices of paper Figure 8, reproduced as synthetic
 /// structural analogues (same format-affinity roles, sizes scaled to a
-/// single-core machine). Order matches the paper's numbering 1-16.
+/// 4-vCPU machine). Order matches the paper's numbering 1-16.
 std::vector<CorpusEntry> representativeMatrices(bool Large = false);
 
 } // namespace smat

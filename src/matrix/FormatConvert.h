@@ -50,6 +50,14 @@ inline constexpr std::int64_t MaxConvertedElements = std::int64_t(1) << 31;
 /// counts (plan-cache fingerprints hash converted features).
 inline constexpr std::int64_t ParallelConvertGrain = std::int64_t(1) << 15;
 
+/// Nonzero count from which a converted plan whose kernel pick is serial
+/// runs as row slices across the OpenMP team (bindFormatOperator). Below it
+/// the wake-up of a team, 50-130 us per call while a second team (a
+/// TuningService worker's) is alive, costs more than the split saves; the
+/// crossover table in DESIGN.md section 10 puts that point at 120k-130k
+/// (ELL) and 200k-250k (DIA) nonzeros, and the grain sits above both.
+inline constexpr std::int64_t SlicedPlanGrain = std::int64_t(1) << 18;
+
 /// Builds a CSR matrix from (possibly unsorted, possibly duplicated)
 /// triplets. Duplicate coordinates are summed, matching MatrixMarket
 /// semantics.
@@ -168,22 +176,16 @@ template <typename T> void sortCooRowMajor(CooMatrix<T> &A) {
   A = std::move(Sorted);
 }
 
-/// CSR -> DIA.
-///
-/// \param MaxFillRatio reject when padded storage exceeds this multiple of
-/// nnz (values <= 0 disable the guard).
-/// \param MaxDiags reject when more than this many diagonals are occupied
-/// (values <= 0 disable the guard).
-/// \returns true and fills \p B on success; false when a guard rejects.
+namespace detail {
+
+/// Flags the occupied diagonals of \p A, indexed by Col - Row + (NumRows - 1)
+/// in [0, NumRows + NumCols - 2]. Threads may mark the same diagonal; the
+/// atomic accesses keep the racing stores of the same value well-defined,
+/// and a flag is read before it is written, so the few cache lines of a
+/// banded matrix's flags are stored once rather than bounced between cores
+/// on every entry.
 template <typename T>
-bool csrToDia(const CsrMatrix<T> &A, DiaMatrix<T> &B,
-              double MaxFillRatio = DefaultMaxFillRatio,
-              index_t MaxDiags = DefaultMaxDiags) {
-  if (!A.isValid())
-    return false;
-  // Mark the occupied diagonals. Offset index Col - Row + (NumRows - 1) is in
-  // [0, NumRows + NumCols - 2]. Threads may mark the same diagonal; the
-  // atomic write keeps the racing stores of the same value well-defined.
+std::vector<char> occupiedDiagonals(const CsrMatrix<T> &A) {
   std::vector<char> Occupied(
       static_cast<std::size_t>(A.NumRows) + A.NumCols, 0);
   if (A.nnz() <= ParallelConvertGrain) {
@@ -198,21 +200,70 @@ bool csrToDia(const CsrMatrix<T> &A, DiaMatrix<T> &B,
         char &Flag =
             Occupied[static_cast<std::size_t>(A.ColIdx[I]) - Row + A.NumRows -
                      1];
+        char Seen;
+#pragma omp atomic read
+        Seen = Flag;
+        if (!Seen) {
 #pragma omp atomic write
-        Flag = 1;
+          Flag = 1;
+        }
       }
   }
+  return Occupied;
+}
 
+/// Whether storing \p Stored padded elements for \p A stays within
+/// MaxConvertedElements and \p MaxFillRatio * nnz (values <= 0 disable the
+/// ratio).
+template <typename T>
+bool paddingFits(const CsrMatrix<T> &A, std::int64_t Stored,
+                 double MaxFillRatio) {
+  if (Stored > MaxConvertedElements)
+    return false;
+  return !(MaxFillRatio > 0 && A.nnz() > 0 &&
+           static_cast<double>(Stored) >
+               MaxFillRatio * static_cast<double>(A.nnz()));
+}
+
+/// The csrToDia guards for \p NumDiags occupied diagonals of \p A.
+template <typename T>
+bool diaGuardsPass(const CsrMatrix<T> &A, index_t NumDiags,
+                   double MaxFillRatio, index_t MaxDiags) {
+  return (MaxDiags <= 0 || NumDiags <= MaxDiags) &&
+         paddingFits(A, static_cast<std::int64_t>(NumDiags) * A.NumRows,
+                     MaxFillRatio);
+}
+
+/// \returns the largest row degree of \p A (the ELL width).
+template <typename T> index_t maxRowDegree(const CsrMatrix<T> &A) {
+  index_t Width = 0;
+#pragma omp parallel for schedule(static) reduction(max : Width)             \
+    if (A.nnz() > ParallelConvertGrain)
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Width = std::max(Width, A.rowDegree(Row));
+  return Width;
+}
+
+} // namespace detail
+
+/// CSR -> DIA.
+///
+/// \param MaxFillRatio reject when padded storage exceeds this multiple of
+/// nnz (values <= 0 disable the guard).
+/// \param MaxDiags reject when more than this many diagonals are occupied
+/// (values <= 0 disable the guard).
+/// \returns true and fills \p B on success; false when a guard rejects.
+template <typename T>
+bool csrToDia(const CsrMatrix<T> &A, DiaMatrix<T> &B,
+              double MaxFillRatio = DefaultMaxFillRatio,
+              index_t MaxDiags = DefaultMaxDiags) {
+  if (!A.isValid())
+    return false;
+  std::vector<char> Occupied = detail::occupiedDiagonals(A);
   index_t NumDiags = 0;
   for (char Flag : Occupied)
     NumDiags += Flag;
-  if (MaxDiags > 0 && NumDiags > MaxDiags)
-    return false;
-  if (static_cast<std::int64_t>(NumDiags) * A.NumRows > MaxConvertedElements)
-    return false;
-  double Stored = static_cast<double>(NumDiags) * A.NumRows;
-  if (MaxFillRatio > 0 && A.nnz() > 0 &&
-      Stored > MaxFillRatio * static_cast<double>(A.nnz()))
+  if (!detail::diaGuardsPass(A, NumDiags, MaxFillRatio, MaxDiags))
     return false;
   if (fault::injectFailure("convert.dia.cap"))
     return false;
@@ -256,16 +307,9 @@ bool csrToEll(const CsrMatrix<T> &A, EllMatrix<T> &B,
               double MaxFillRatio = DefaultMaxFillRatio) {
   if (!A.isValid())
     return false;
-  index_t Width = 0;
-#pragma omp parallel for schedule(static) reduction(max : Width)             \
-    if (A.nnz() > ParallelConvertGrain)
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    Width = std::max(Width, A.rowDegree(Row));
-  if (static_cast<std::int64_t>(Width) * A.NumRows > MaxConvertedElements)
-    return false;
-  double Stored = static_cast<double>(Width) * A.NumRows;
-  if (MaxFillRatio > 0 && A.nnz() > 0 &&
-      Stored > MaxFillRatio * static_cast<double>(A.nnz()))
+  index_t Width = detail::maxRowDegree(A);
+  if (!detail::paddingFits(A, static_cast<std::int64_t>(Width) * A.NumRows,
+                           MaxFillRatio))
     return false;
   if (fault::injectFailure("convert.ell.cap"))
     return false;
@@ -393,6 +437,21 @@ index_t chooseBsrBlockSize(const CsrMatrix<T> &A,
   return Best;
 }
 
+namespace detail {
+
+/// The csrToBsr guards for \p Blocks occupied BlockSize x BlockSize tiles.
+template <typename T>
+bool bsrGuardsPass(const CsrMatrix<T> &A, std::int64_t Blocks,
+                   index_t BlockSize, double MaxFillRatio) {
+  std::int64_t BlockElems = static_cast<std::int64_t>(BlockSize) * BlockSize;
+  // Checked by division first: the product of two huge factors overflows.
+  return BlockElems <= MaxConvertedElements &&
+         Blocks <= MaxConvertedElements / BlockElems &&
+         paddingFits(A, Blocks * BlockElems, MaxFillRatio);
+}
+
+} // namespace detail
+
 /// CSR -> BSR with the given block size.
 ///
 /// \param MaxFillRatio reject when padded storage exceeds this multiple of
@@ -406,15 +465,7 @@ bool csrToBsr(const CsrMatrix<T> &A, BsrMatrix<T> &B, index_t BlockSize,
   if (BlockSize < 1 || !A.isValid())
     return false;
   std::int64_t Blocks = countOccupiedBlocks(A, BlockSize);
-  std::int64_t BlockElems = static_cast<std::int64_t>(BlockSize) * BlockSize;
-  if (BlockElems > MaxConvertedElements ||
-      Blocks > MaxConvertedElements / BlockElems)
-    return false;
-  double Stored = static_cast<double>(Blocks) *
-                  static_cast<double>(BlockSize) *
-                  static_cast<double>(BlockSize);
-  if (MaxFillRatio > 0 && A.nnz() > 0 &&
-      Stored > MaxFillRatio * static_cast<double>(A.nnz()))
+  if (!detail::bsrGuardsPass(A, Blocks, BlockSize, MaxFillRatio))
     return false;
   if (fault::injectFailure("convert.bsr.cap"))
     return false;
@@ -508,6 +559,81 @@ template <typename T> CsrMatrix<T> bsrToCsr(const BsrMatrix<T> &A) {
     }
   return csrFromTriplets<T>(A.NumRows, A.NumCols, std::move(Rows),
                             std::move(Cols), std::move(Vals));
+}
+
+// --- Row slices -------------------------------------------------------------
+//
+// A row-sliced plan (core/FormatOperator.h) converts each row slice of a
+// matrix on its own. The fill guards still judge the whole matrix: the
+// *Fits predicates below run a converter's guards without converting, and
+// the slices are then converted with the guards off. A slice never stores
+// more than its rows of the whole conversion would, so the slices together
+// stay within the whole matrix's padded storage and MaxConvertedElements.
+
+/// Whether csrToDia(A, B, MaxFillRatio, MaxDiags) passes its guards.
+template <typename T>
+bool diaFits(const CsrMatrix<T> &A, double MaxFillRatio = DefaultMaxFillRatio,
+             index_t MaxDiags = DefaultMaxDiags) {
+  std::vector<char> Occupied = detail::occupiedDiagonals(A);
+  return detail::diaGuardsPass(
+      A, static_cast<index_t>(std::count(Occupied.begin(), Occupied.end(), 1)),
+      MaxFillRatio, MaxDiags);
+}
+
+/// Whether csrToEll(A, B, MaxFillRatio) passes its guards.
+template <typename T>
+bool ellFits(const CsrMatrix<T> &A, double MaxFillRatio = DefaultMaxFillRatio) {
+  return detail::paddingFits(
+      A, static_cast<std::int64_t>(detail::maxRowDegree(A)) * A.NumRows,
+      MaxFillRatio);
+}
+
+/// Whether csrToBsr(A, B, BlockSize, MaxFillRatio) passes its guards.
+template <typename T>
+bool bsrFits(const CsrMatrix<T> &A, index_t BlockSize,
+             double MaxFillRatio = 1.5) {
+  return BlockSize >= 1 &&
+         detail::bsrGuardsPass(A, countOccupiedBlocks(A, BlockSize),
+                               BlockSize, MaxFillRatio);
+}
+
+/// Splits the rows of \p A into at most \p Parts contiguous slices of
+/// near-equal nonzero counts. \returns the slice bounds: 0, the interior
+/// cuts, each rounded down to a multiple of \p Align (a BSR block row must
+/// not straddle two slices), and NumRows. A cut that would leave a slice
+/// empty is dropped, so few rows or one dense row yield fewer slices.
+template <typename T>
+std::vector<index_t> balancedRowBounds(const CsrMatrix<T> &A, index_t Parts,
+                                       index_t Align = 1) {
+  assert(Parts >= 1 && Align >= 1 && "slice count and alignment must be >= 1");
+  std::vector<index_t> Bounds{0};
+  for (index_t P = 1; P < Parts; ++P) {
+    // The first row that starts at or after the P-th share of the entries.
+    std::int64_t Target = A.nnz() * P / Parts;
+    auto Row = static_cast<index_t>(
+        std::lower_bound(A.RowPtr.begin(), A.RowPtr.end(), Target) -
+        A.RowPtr.begin());
+    Row -= Row % Align;
+    if (Row > Bounds.back() && Row < A.NumRows)
+      Bounds.push_back(Row);
+  }
+  Bounds.push_back(A.NumRows);
+  return Bounds;
+}
+
+/// \returns rows [Begin, End) of \p A as a matrix of End - Begin rows with
+/// A's columns.
+template <typename T>
+CsrMatrix<T> csrRowSlice(const CsrMatrix<T> &A, index_t Begin, index_t End) {
+  assert(0 <= Begin && Begin <= End && End <= A.NumRows &&
+         "row slice out of range");
+  CsrMatrix<T> S(End - Begin, A.NumCols);
+  const index_t First = A.RowPtr[Begin], Last = A.RowPtr[End];
+  for (index_t Row = Begin; Row <= End; ++Row)
+    S.RowPtr[Row - Begin] = A.RowPtr[Row] - First;
+  S.ColIdx.assign(A.ColIdx.begin() + First, A.ColIdx.begin() + Last);
+  S.Values.assign(A.Values.begin() + First, A.Values.begin() + Last);
+  return S;
 }
 
 /// \returns A^T in CSR format (used by AMG's Galerkin product and by the

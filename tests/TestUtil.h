@@ -14,6 +14,10 @@
 
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace smat {
 namespace test {
 
@@ -84,6 +88,31 @@ void expectVectorsNear(const std::vector<T> &Expected,
         << "at index " << I;
   }
 }
+
+/// Sets the calling thread's OpenMP team size (omp_set_num_threads) for the
+/// scope's lifetime; without OpenMP it does nothing. One thread makes
+/// bindFormatOperator build one-slice plans.
+class OmpThreadsScope {
+public:
+  explicit OmpThreadsScope(int Threads) {
+#ifdef _OPENMP
+    Saved = omp_get_max_threads();
+    omp_set_num_threads(Threads);
+#else
+    (void)Threads;
+#endif
+  }
+  ~OmpThreadsScope() {
+#ifdef _OPENMP
+    omp_set_num_threads(Saved);
+#endif
+  }
+  OmpThreadsScope(const OmpThreadsScope &) = delete;
+  OmpThreadsScope &operator=(const OmpThreadsScope &) = delete;
+
+private:
+  int Saved = 1;
+};
 
 } // namespace test
 } // namespace smat

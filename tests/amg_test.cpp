@@ -486,6 +486,42 @@ TEST(HierarchyTest, GalerkinDropToleranceSparsifies) {
   EXPECT_LE(Sparser.level(1).A.nnz(), Dense.level(1).A.nnz());
 }
 
+TEST(AmgSolverTest, SmatBackendSlicedFineLevelKeepsIterationCount) {
+  // The fine operator (860k nonzeros) binds DIA as row slices, whose
+  // results differ from the one-slice plan's only in rounding; the PCG
+  // solve takes as many iterations as with a one-thread (unsliced) setup.
+  LearningModel Model;
+  Model.Rules.DefaultFormat = FormatKind::DIA;
+  Model.Rules.DefaultConfidence = 1.0;
+  Model.refreshRuleMetadata();
+  const Smat<double> Tuner(Model);
+  CsrMatrix<double> A = laplace3d7pt(50, 50, 50);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  AmgOptions Opts;
+  Opts.Hierarchy.Coarsening = CoarsenKind::Cljp;
+  Opts.Backend = SpmvBackendKind::Smat;
+  Opts.Tuner = &Tuner;
+  Opts.Tune.AllowMeasure = false; // The model's answer, no timing override.
+  auto B = randomVector<double>(static_cast<std::size_t>(A.NumRows), 29);
+
+  auto SetupAndSolve = [&] {
+    AmgSolver Solver;
+    Solver.setup(A, Opts);
+    EXPECT_EQ(Solver.formatDecisions().front().Format, FormatKind::DIA);
+    std::vector<double> X;
+    return Solver.solvePcg(B, X);
+  };
+  SolveStats Sliced = SetupAndSolve();
+  SolveStats One;
+  {
+    OmpThreadsScope Serial(1);
+    One = SetupAndSolve();
+  }
+  ASSERT_TRUE(Sliced.Converged);
+  ASSERT_TRUE(One.Converged);
+  EXPECT_EQ(Sliced.Iterations, One.Iterations);
+}
+
 TEST(AmgSolverTest, FormatDecisionsRecorded) {
   CsrMatrix<double> A = laplace2d5pt(25, 25);
   AmgSolver Solver;

@@ -354,6 +354,221 @@ TEST(SmatRuntimeTest, OwnedModeAndRvalueTuneAreSelfContained) {
   }
 }
 
+// --- Row-sliced plans -------------------------------------------------------
+
+namespace {
+
+/// The library index of the kernel named \p Name in \p List.
+template <typename FnT>
+int kernelIndex(const std::vector<Kernel<FnT>> &List, const char *Name) {
+  for (std::size_t I = 0; I != List.size(); ++I)
+    if (std::string(List[I].Name) == Name)
+      return static_cast<int>(I);
+  ADD_FAILURE() << "no kernel named " << Name;
+  return 0;
+}
+
+/// Serial SpMV picks everywhere; the DIA SpMM picks are threaded at width 2
+/// and serial at width 8, so a sliced multiply runs both slice schedules.
+KernelSelection serialPicks() {
+  const KernelTable<double> &K = kernelTable<double>();
+  KernelSelection Sel;
+  Sel.BestKernel[static_cast<int>(FormatKind::DIA)] =
+      kernelIndex(K.Dia, "dia_unroll2");
+  Sel.BestKernel[static_cast<int>(FormatKind::ELL)] =
+      kernelIndex(K.Ell, "ell_simd");
+  Sel.BestKernel[static_cast<int>(FormatKind::BSR)] =
+      kernelIndex(K.Bsr, "bsr_unrolled");
+  auto &DiaSpmm = Sel.BestSpmmKernel[static_cast<int>(FormatKind::DIA)];
+  DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(2))] =
+      kernelIndex(K.DiaSpmm, "dia_spmm_omp_rows");
+  DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(8))] =
+      kernelIndex(K.DiaSpmm, "dia_spmm_tiled");
+  Sel.BestSpmmKernel[static_cast<int>(FormatKind::ELL)]
+                    [static_cast<std::size_t>(spmmWidthIndex(8))] =
+      kernelIndex(K.EllSpmm, "ell_spmm_tiled");
+  return Sel;
+}
+
+/// Checks \p Op against refCsrSpmv on every column of a K-wide block:
+/// apply() at K = 1, multiply() above.
+void expectMatchesRefSpmv(const FormatOperator<double> &Op,
+                          const CsrMatrix<double> &A, index_t K) {
+  SCOPED_TRACE("k=" + std::to_string(K));
+  const auto Rows = static_cast<std::size_t>(A.NumRows);
+  const auto Cols = static_cast<std::size_t>(A.NumCols);
+  const auto Width = static_cast<std::size_t>(K);
+  auto X = randomVector<double>(Cols * Width, 100 + Width);
+  std::vector<double> Y(Rows * Width, -1.0);
+  if (K == 1)
+    Op.apply(X.data(), Y.data());
+  else
+    Op.multiply(X.data(), Y.data(), K);
+  std::vector<double> Xc(Cols), Expected(Rows), Got(Rows);
+  for (std::size_t J = 0; J != Width; ++J) {
+    for (std::size_t I = 0; I != Cols; ++I)
+      Xc[I] = X[I * Width + J];
+    refCsrSpmv(A, Xc.data(), Expected.data());
+    for (std::size_t I = 0; I != Rows; ++I)
+      Got[I] = Y[I * Width + J];
+    expectVectorsNear(Expected, Got, 1e-12);
+  }
+}
+
+} // namespace
+
+TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
+  // Above SlicedPlanGrain a serial pick runs as one row slice per OpenMP
+  // thread. Results match the reference (to rounding: dia_unroll2 pairs
+  // diagonals over each slice's own row range) and the bound names are
+  // those of the one-thread bind, which is unsliced.
+  const KernelSelection Sel = serialPicks();
+  std::vector<std::pair<FormatKind, CsrMatrix<double>>> Cases;
+  Cases.emplace_back(FormatKind::DIA, laplace3d7pt(50, 50, 50));
+  Cases.emplace_back(FormatKind::ELL,
+                     boundedDegreeRandom(50000, 50000, 6, 8, 71));
+  Cases.emplace_back(FormatKind::COO,
+                     boundedDegreeRandom(50000, 50000, 6, 8, 72));
+  for (const auto &[Kind, A] : Cases) {
+    SCOPED_TRACE(std::string(formatName(Kind)));
+    ASSERT_GE(A.nnz(), SlicedPlanGrain);
+    for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)}) {
+      auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
+                                   static_cast<CsrMatrix<double> *>(nullptr),
+                                   -1, K);
+      std::unique_ptr<FormatOperator<double>> One;
+      {
+        OmpThreadsScope Serial(1);
+        One = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
+                                 static_cast<CsrMatrix<double> *>(nullptr),
+                                 -1, K);
+      }
+      ASSERT_EQ(Op->kind(), Kind);
+      EXPECT_EQ(Op->numSlices(), detail::teamSize());
+      EXPECT_EQ(One->numSlices(), 1);
+      EXPECT_EQ(One->kind(), Kind);
+      EXPECT_STREQ(Op->kernelName(), One->kernelName());
+      EXPECT_STREQ(Op->spmmKernelName(), One->spmmKernelName());
+      EXPECT_TRUE(Op->ownsStorage());
+      EXPECT_EQ(Op->numRows(), A.NumRows);
+      EXPECT_EQ(Op->numCols(), A.NumCols);
+      expectMatchesRefSpmv(*Op, A, K);
+    }
+  }
+}
+
+TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
+  // A model that confidently predicts BSR binds the block-diagonal FEM
+  // matrix through Smat::tune; the slices start on block rows, and
+  // multiply() runs the column-at-a-time path over the sliced apply().
+  LearningModel Model;
+  Model.BsrEnabled = true;
+  Model.Rules.DefaultFormat = FormatKind::BSR;
+  Model.Rules.DefaultConfidence = 1.0;
+  Model.Kernels = serialPicks();
+  Model.refreshRuleMetadata();
+  const Smat<double> Tuner(Model);
+  CsrMatrix<double> A = blockFem(20000, 4, 0.0, 73);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  TuneOptions Opts;
+  Opts.AllowMeasure = false; // The model's answer, no timing override.
+
+  TunedSpmv<double> Op = Tuner.tune(A, Opts);
+  TunedSpmv<double> One;
+  {
+    OmpThreadsScope Serial(1);
+    One = Tuner.tune(A, Opts);
+  }
+  ASSERT_EQ(Op.format(), FormatKind::BSR);
+  EXPECT_EQ(Op.formatOperator().numSlices(), detail::teamSize());
+  EXPECT_EQ(One.formatOperator().numSlices(), 1);
+  EXPECT_EQ(Op.kernelName(), One.kernelName());
+  EXPECT_STREQ(Op.spmmKernelName(), One.spmmKernelName());
+  for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)})
+    expectMatchesRefSpmv(Op.formatOperator(), A, K);
+}
+
+TEST(SlicedPlanTest, ThreadedPicksAndCsrBindsStayUnsliced) {
+  CsrMatrix<double> A = boundedDegreeRandom(50000, 50000, 6, 8, 74);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  KernelSelection Sel = serialPicks();
+  Sel.BestKernel[static_cast<int>(FormatKind::COO)] =
+      kernelIndex(kernelTable<double>().Coo, "coo_omp_rowsplit");
+
+  auto Coo = bindFormatOperator(A, FormatKind::COO, Sel);
+  ASSERT_EQ(Coo->kind(), FormatKind::COO);
+  EXPECT_STREQ(Coo->kernelName(), "coo_omp_rowsplit");
+  EXPECT_EQ(Coo->numSlices(), 1);
+  expectMatchesRefSpmv(*Coo, A, 1);
+
+  auto Borrowed = bindFormatOperator(A, FormatKind::CSR, Sel);
+  EXPECT_EQ(Borrowed->numSlices(), 1);
+  EXPECT_FALSE(Borrowed->ownsStorage());
+  expectMatchesRefSpmv(*Borrowed, A, 1);
+
+  auto Owned = bindFormatOperator(A, FormatKind::CSR, Sel, CsrStorage::Owned);
+  EXPECT_EQ(Owned->numSlices(), 1);
+  EXPECT_TRUE(Owned->ownsStorage());
+  expectMatchesRefSpmv(*Owned, A, 8);
+
+  auto Basic = basicCsrOperator(A);
+  EXPECT_EQ(Basic->numSlices(), 1);
+  EXPECT_FALSE(Basic->ownsStorage());
+}
+
+TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
+  // Each quarter of the rows holds its own 300 diagonals: 1200 in all, over
+  // the 1024-diagonal guard, while a balanced slice of at most half the rows
+  // touches at most three quarters (900). The whole-matrix guard still
+  // decides, so the bind falls back to CSR.
+  const index_t N = 1000, PerQuarter = 300;
+  std::vector<index_t> R, C;
+  std::vector<double> V;
+  for (index_t Row = 0; Row < N; ++Row)
+    for (index_t J = 0; J < PerQuarter; ++J) {
+      R.push_back(Row);
+      C.push_back(Row + (Row * 4 / N) * PerQuarter + J);
+      V.push_back(1.0 + 0.001 * J);
+    }
+  CsrMatrix<double> A = csrFromTriplets<double>(
+      N, N + 4 * PerQuarter, std::move(R), std::move(C), std::move(V));
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_FALSE(diaFits(A));
+  std::vector<index_t> Bounds = balancedRowBounds(A, detail::teamSize());
+  for (std::size_t S = 0; Bounds.size() > 2 && S + 1 < Bounds.size(); ++S)
+    EXPECT_TRUE(diaFits(csrRowSlice(A, Bounds[S], Bounds[S + 1])))
+        << "slice " << S << " alone passes the guard";
+
+  auto Op = bindFormatOperator(A, FormatKind::DIA, serialPicks());
+  EXPECT_EQ(Op->kind(), FormatKind::CSR);
+  EXPECT_EQ(Op->numSlices(), 1);
+  expectMatchesRefSpmv(*Op, A, 1);
+}
+
+TEST(SlicedPlanTest, BalancedRowBoundsSplitTheEntriesEvenly) {
+  CsrMatrix<double> A = laplace2d5pt(40, 40);
+  std::vector<index_t> Bounds = balancedRowBounds(A, 4);
+  ASSERT_EQ(Bounds.size(), 5u);
+  EXPECT_EQ(Bounds.front(), 0);
+  EXPECT_EQ(Bounds.back(), A.NumRows);
+  for (std::size_t S = 0; S + 1 < Bounds.size(); ++S) {
+    std::int64_t Entries = A.RowPtr[Bounds[S + 1]] - A.RowPtr[Bounds[S]];
+    EXPECT_NEAR(static_cast<double>(Entries), A.nnz() / 4.0, 10.0);
+  }
+  // Cuts land on multiples of the alignment, and a matrix with fewer rows
+  // than slices gets one slice per row.
+  for (index_t Cut : balancedRowBounds(A, 4, 8))
+    EXPECT_TRUE(Cut % 8 == 0 || Cut == A.NumRows);
+  EXPECT_EQ(balancedRowBounds(banded(3, 1), 8).size(), 4u);
+  EXPECT_EQ(balancedRowBounds(CsrMatrix<double>(0, 0), 4),
+            (std::vector<index_t>{0, 0}));
+
+  CsrMatrix<double> S = csrRowSlice(A, Bounds[1], Bounds[2]);
+  EXPECT_TRUE(S.isValid());
+  EXPECT_EQ(S.NumRows, Bounds[2] - Bounds[1]);
+  EXPECT_EQ(S.nnz(), A.RowPtr[Bounds[2]] - A.RowPtr[Bounds[1]]);
+}
+
 // --- PlanCache --------------------------------------------------------------
 
 TEST(PlanCacheTest, HitMissInsertEvictLru) {

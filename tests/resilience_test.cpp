@@ -17,7 +17,9 @@
 
 #include "amg/AmgSolver.h"
 #include "core/Smat.h"
+#include "core/TuningPipeline.h"
 #include "matrix/Generators.h"
+#include "ref/RefSpmv.h"
 #include "support/FaultInjection.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
@@ -353,15 +355,15 @@ TEST(DegradationLadderTest, InjectedTimerStallTripsTheBudget) {
 
 // --- Every-site sweep -------------------------------------------------------
 
-TEST(FaultSweepTest, EveryObservedSiteDegradesButNeverFails) {
-  if (!fault::CompiledIn)
-    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
-  Smat<double> Tuner(strictModel());
-  // A band keeps DIA and ELL plausible so their conversion and measurement
-  // sites are all on the path.
-  CsrMatrix<double> A = banded(500, 2);
-  TuneOptions Opts = fastTune();
+namespace {
 
+/// The every-site sweep over one tune of \p A: a discovery pass records the
+/// sites the tune visits, then each site fails on every invocation and the
+/// tune must still bind a working operator with its rung in the report.
+/// With \p CompareOneSlice, each armed tune must also take the rung of the
+/// same tune with a one-thread team, whose plans are unsliced.
+void sweepEverySite(const Smat<double> &Tuner, const CsrMatrix<double> &A,
+                    const TuneOptions &Opts, bool CompareOneSlice) {
   // Discovery pass: record every site this tune visits.
   std::vector<std::string> Sites;
   {
@@ -393,6 +395,92 @@ TEST(FaultSweepTest, EveryObservedSiteDegradesButNeverFails) {
     EXPECT_STRNE(degradationLevelName(Result->report().Degradation),
                  "unknown");
     expectSpmvMatches(*Result, A);
+    if (!CompareOneSlice)
+      continue;
+    OmpThreadsScope Serial(1);
+    auto One = Tuner.tryTune(A, Opts);
+    ASSERT_TRUE(One.ok()) << One.status().message();
+    EXPECT_STREQ(degradationLevelName(Result->report().Degradation),
+                 degradationLevelName(One->report().Degradation));
+  }
+}
+
+} // namespace
+
+TEST(FaultSweepTest, EveryObservedSiteDegradesButNeverFails) {
+  if (!fault::CompiledIn)
+    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  // A band keeps DIA and ELL plausible so their conversion and measurement
+  // sites are all on the path.
+  sweepEverySite(Smat<double>(strictModel()), banded(500, 2), fastTune(),
+                 false);
+}
+
+TEST(FaultSweepTest, EverySiteAboveTheSliceGrainTakesTheOneSliceRung) {
+  if (!fault::CompiledIn)
+    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  // Above SlicedPlanGrain the race converts every candidate as row slices;
+  // a fault during a slice conversion takes the rung the unsliced tune
+  // takes, and the bound operator stays correct.
+  CsrMatrix<double> A = banded(60000, 2);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  sweepEverySite(Smat<double>(strictModel()), A, fastTune(), true);
+}
+
+TEST(DegradationLadderTest, SliceConversionFaultsTakeTheOneSliceRungs) {
+  if (!fault::CompiledIn)
+    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  // The bind of each converted format above the grain, with its conversion
+  // allocation, its cap and the bind itself failing in turn: a cap hit is
+  // the guard fallback to CSR, a thrown fault the BasicKernel rung —
+  // exactly what the one-thread (unsliced) bind reports.
+  const LearningModel Model = strictModel();
+  CsrMatrix<double> A = banded(60000, 2);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  TuneOptions Opts;
+  TuningContext<double> Ctx{A, Model, Opts, nullptr};
+
+  const std::pair<FormatKind, const char *> Formats[] = {
+      {FormatKind::COO, "coo"},
+      {FormatKind::DIA, "dia"},
+      {FormatKind::ELL, "ell"},
+      {FormatKind::BSR, "bsr"}};
+  for (const auto &[Kind, Name] : Formats) {
+    SCOPED_TRACE(Name);
+    BindStageResult<double> Clean = BindStage::run(Ctx, Kind);
+    ASSERT_EQ(Clean.BoundFormat, Kind);
+    EXPECT_EQ(Clean.Op->numSlices(), detail::teamSize());
+
+    std::vector<std::pair<std::string, DegradationLevel>> Sites = {
+        {std::string("convert.") + Name + ".alloc",
+         DegradationLevel::BasicKernel},
+        {"bind.operator", DegradationLevel::BasicKernel}};
+    if (Kind != FormatKind::COO)
+      Sites.emplace_back(std::string("convert.") + Name + ".cap",
+                         DegradationLevel::None);
+    for (const auto &[Site, Rung] : Sites) {
+      SCOPED_TRACE(Site);
+      fault::FaultConfig Kill;
+      Kill.AlwaysSites = {Site};
+      FaultScope Scope(Kill);
+      BindStageResult<double> Sliced = BindStage::run(Ctx, Kind);
+      BindStageResult<double> One;
+      {
+        OmpThreadsScope Serial(1);
+        One = BindStage::run(Ctx, Kind);
+      }
+      EXPECT_EQ(Sliced.Degradation, Rung);
+      EXPECT_EQ(One.Degradation, Rung);
+      EXPECT_EQ(Sliced.BoundFormat, FormatKind::CSR);
+      EXPECT_EQ(One.BoundFormat, FormatKind::CSR);
+      EXPECT_GT(fault::injectedCount(), 0u);
+      auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 9);
+      std::vector<double> Expected(static_cast<std::size_t>(A.NumRows));
+      std::vector<double> Y(Expected.size(), -1.0);
+      refCsrSpmv(A, X.data(), Expected.data());
+      Sliced.Op->apply(X.data(), Y.data());
+      expectVectorsNear(Expected, Y, 1e-12);
+    }
   }
 }
 

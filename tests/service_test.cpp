@@ -18,6 +18,7 @@
 
 #include "core/TuningService.h"
 #include "matrix/Generators.h"
+#include "ref/RefSpmv.h"
 #include "support/FaultInjection.h"
 #include "support/Timer.h"
 
@@ -108,6 +109,48 @@ TEST(TuningServiceTest, ServesCorrectResultsFromCallOne) {
   EXPECT_EQ(Stats.Submitted, 1u);
   EXPECT_EQ(Stats.Tuned, 1u);
   EXPECT_EQ(Stats.Failed, 0u);
+}
+
+TEST(TuningServiceTest, SlicedPlanServesCorrectlyUnderOversubscribedTeam) {
+  // A live worker (a second OpenMP team) tunes a matrix above
+  // SlicedPlanGrain to a confidently predicted DIA plan, bound as row
+  // slices, while the caller's team has twice as many threads as the
+  // hardware. Every apply, from call #1 on the bootstrap plan through the
+  // swap to the sliced plan, matches the reference: the slices share x and
+  // write disjoint rows of y.
+  OmpThreadsScope Oversubscribed(
+      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  LearningModel Model;
+  Model.Rules.DefaultFormat = FormatKind::DIA;
+  Model.Rules.DefaultConfidence = 1.0;
+  Model.refreshRuleMetadata();
+  auto Opts = fastServiceOptions();
+  Opts.Tune.AllowMeasure = false; // The model's answer, no timing override.
+  TuningService<double> Service(Smat<double>(Model), Opts);
+  CsrMatrix<double> A = laplace3d7pt(40, 40, 40);
+  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+
+  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 5);
+  std::vector<double> Expected(static_cast<std::size_t>(A.NumRows));
+  refCsrSpmv(A, X.data(), Expected.data());
+
+  AsyncSpmv<double> Op = Service.tuneAsync(A);
+  ASSERT_TRUE(Op);
+  int Calls = 0;
+  auto ExpectApplyMatches = [&] {
+    SCOPED_TRACE("call " + std::to_string(++Calls));
+    std::vector<double> Y(Expected.size(), -1.0);
+    Op.apply(X.data(), Y.data());
+    expectVectorsNear(Expected, Y, 1e-12);
+  };
+  ExpectApplyMatches();
+  for (WallTimer Clock; !Op.tuned() && Clock.seconds() < WaitSeconds &&
+                        !::testing::Test::HasFailure();)
+    ExpectApplyMatches();
+  ASSERT_TRUE(Op.waitTuned(WaitSeconds)) << Op.error();
+  EXPECT_EQ(Op.format(), FormatKind::DIA);
+  for (int I = 0; I != 20 && !::testing::Test::HasFailure(); ++I)
+    ExpectApplyMatches();
 }
 
 TEST(TuningServiceTest, FirstCallIsOrdersOfMagnitudeCheaperThanBlockingTune) {
