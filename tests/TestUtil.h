@@ -8,18 +8,59 @@
 #define SMAT_TESTS_TESTUTIL_H
 
 #include "matrix/FormatConvert.h"
+#include "matrix/Generators.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SMAT_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SMAT_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace smat {
 namespace test {
+
+/// Whether this build enforces the wall-clock performance gates: an
+/// optimized (NDEBUG) build without a sanitizer. Debug and sanitizer builds
+/// run several times slower, so the gates skip there.
+#if defined(NDEBUG) && !defined(SMAT_TEST_SANITIZED)
+inline constexpr bool TimingGatesEnforced = true;
+#else
+inline constexpr bool TimingGatesEnforced = false;
+#endif
+inline constexpr const char *TimingGatesSkipReason =
+    "wall-clock gate: enforced only in Release builds without a sanitizer";
+
+/// One matrix of the pinned corpus.
+struct CorpusCase {
+  std::string Name;
+  CsrMatrix<double> A;
+};
+
+/// The pinned, seeded corpus of the performance gates: one matrix per
+/// structure family the selection guarantee must hold on, including the
+/// power-law skew case whose historical mispick motivated the guardrail.
+inline std::vector<CorpusCase> smokeCorpus() {
+  std::vector<CorpusCase> Cases;
+  Cases.push_back({"fem_balanced", blockFem(40, 8, 2.0, 101)});
+  Cases.push_back({"powerlaw_skew", powerLawGraph(2000, 1.9, 1, 400, 102)});
+  Cases.push_back({"banded_diag", banded(4000, 3)});
+  Cases.push_back({"rect_lp", lpRectangular(1500, 3000, 8, 103)});
+  for (CorpusCase &C : Cases)
+    randomizeValues(C.A, 7);
+  return Cases;
+}
 
 /// Expands a CSR matrix to a dense row-major array.
 template <typename T>

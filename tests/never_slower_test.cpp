@@ -12,7 +12,8 @@
 // menu without ever pruning CSR. This file tests the structural pieces
 // deterministically (baseline candidate, BaselineWon, ForceBasicCsr bind,
 // classifier masks, report plumbing) and the end-to-end property over the
-// seeded perf-suite smoke corpus for SpMV and width-8 SpMM. Fault-armed
+// pinned corpus (TestUtil.h) for SpMV and width-8 SpMM, plus the performance
+// gates of DESIGN.md section 13.4 (this binary is RUN_SERIAL). Fault-armed
 // variants skip themselves unless the build compiled the hooks in
 // (SMAT_FAULT_INJECTION=ON; scripts/check.sh's -L fault pass runs them).
 //
@@ -32,7 +33,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace smat;
@@ -72,39 +77,97 @@ struct FaultScope {
   ~FaultScope() { fault::reset(); }
 };
 
-/// The seeded perf-suite smoke corpus (bench/perf_suite.cpp): one matrix per
-/// structure family the selection guarantee must hold on, including the
-/// power-law skew case whose historical mispick motivated the guardrail.
-struct CorpusCase {
-  std::string Name;
-  CsrMatrix<double> A;
-};
-
-std::vector<CorpusCase> smokeCorpus() {
-  std::vector<CorpusCase> Cases;
-  Cases.push_back({"fem_balanced", blockFem(40, 8, 2.0, 101)});
-  Cases.push_back({"powerlaw_skew", powerLawGraph(2000, 1.9, 1, 400, 102)});
-  Cases.push_back({"banded_diag", banded(4000, 3)});
-  Cases.push_back({"rect_lp", lpRectangular(1500, 3000, 8, 103)});
-  for (CorpusCase &C : Cases)
-    randomizeValues(C.A, 7);
-  return Cases;
-}
-
 /// Min-of-samples GFLOPS of \p Fn -- the same robust discipline the runtime
 /// uses, so both sides of every comparison share one noise model.
-template <typename FnT> double robustGflops(std::uint64_t Flnnz, FnT Fn) {
+template <typename FnT>
+double robustGflops(std::uint64_t Flnnz, double MinSeconds, FnT Fn) {
   RobustMeasureOptions Opts;
-  Opts.MinSeconds = 5e-4;
-  return spmvGflops(Flnnz, robustMeasureSecondsPerCall(Fn, Opts).SecondsPerCall);
+  Opts.MinSeconds = MinSeconds;
+  return spmvGflops(Flnnz,
+                    robustMeasureSecondsPerCall(Fn, Opts).SecondsPerCall);
 }
 
-/// The end-to-end acceptance floor. The bench gate enforces the tight 10%
-/// noise floor on a quiet runner; under a parallel ctest schedule the
-/// re-measurement itself can swing further, so the property test asserts
-/// the gross bound that the pre-guardrail powerlaw mispick (tuned at 49% of
-/// basic) clearly violated while honest picks clearly satisfy.
+/// The end-to-end acceptance floor. The serial never-slower gate below
+/// enforces the tight 10% noise floor over a median of timing pairs; one
+/// pair of short re-measurements can swing further, so the property test
+/// asserts the gross bound that the pre-guardrail powerlaw mispick (tuned at
+/// 49% of basic) clearly violated while honest picks clearly satisfy.
 constexpr double TestNoiseFloor = 0.60;
+
+/// How expectNeverSlower times a tuned plan against basic CSR: Pairs
+/// alternating (basic, tuned) robust timings of MinSeconds each, of which
+/// the pair with the median ratio must reach Floor.
+struct NeverSlowerTiming {
+  int Pairs = 1;
+  double MinSeconds = 5e-4;
+  double Floor = TestNoiseFloor;
+};
+
+/// The tuned_never_slower property for one matrix at batch width \p K:
+/// tunes \p Case (through SMAT_dCSR_SpMM when K > 1), checks the tuned
+/// results, times the plan against the strategy-free basic CSR kernel as
+/// \p Timing says, and prints the ratio and the tune's overhead.
+TuningReport expectNeverSlower(const Smat<double> &Tuner,
+                               const CorpusCase &Case, const TuneOptions &Opts,
+                               index_t K, const NeverSlowerTiming &Timing) {
+  const CsrMatrix<double> &A = Case.A;
+  const KernelTable<double> &Kernels = kernelTable<double>();
+  TunedSpmv<double> Op =
+      K > 1 ? SMAT_dCSR_SpMM(Tuner, A, K, Opts) : Tuner.tune(A, Opts);
+  const auto Width = static_cast<std::size_t>(K);
+  AlignedVector<double> X(static_cast<std::size_t>(A.NumCols) * Width, 1.0);
+  AlignedVector<double> Yb(static_cast<std::size_t>(A.NumRows) * Width, 0.0);
+  AlignedVector<double> Yt(Yb.size(), 0.0);
+  auto Basic = [&] {
+    if (K > 1)
+      Kernels.CsrSpmm[0].Fn(A, X.data(), Yb.data(), K);
+    else
+      Kernels.Csr[0].Fn(A, X.data(), Yb.data());
+  };
+  auto Tuned = [&] {
+    if (K > 1)
+      Op.multiply(X.data(), Yt.data(), K);
+    else
+      Op.apply(X.data(), Yt.data());
+  };
+  if (K > 1) {
+    EXPECT_GT(Op.report().BaselineGflops, 0.0)
+        << Case.Name << ": batched tunes measure a width-" << K
+        << " basic SpMM baseline";
+    Basic();
+    Tuned();
+    expectVectorsNear(std::vector<double>(Yb.begin(), Yb.end()),
+                      std::vector<double>(Yt.begin(), Yt.end()), 1e-10);
+  } else {
+    expectSpmvMatches(Op, A);
+  }
+
+  // Basic and tuned alternate, so drift of the host lands on both sides.
+  const std::uint64_t Flnnz =
+      static_cast<std::uint64_t>(A.nnz()) * static_cast<std::uint64_t>(K);
+  std::vector<std::pair<double, double>> Pairs;
+  for (int I = 0; I < Timing.Pairs; ++I) {
+    double BasicG = robustGflops(Flnnz, Timing.MinSeconds, Basic);
+    Pairs.emplace_back(BasicG, robustGflops(Flnnz, Timing.MinSeconds, Tuned));
+  }
+  auto Median = Pairs.begin() + static_cast<std::ptrdiff_t>(Pairs.size() / 2);
+  std::nth_element(Pairs.begin(), Median, Pairs.end(),
+                   [](const auto &L, const auto &R) {
+                     return L.second / L.first < R.second / R.first;
+                   });
+  const auto [BasicGflops, TunedGflops] = *Median;
+  std::printf("%-14s k=%d  tuned/basic %6.3f  overhead %7.1f CSR SpMVs\n",
+              Case.Name.c_str(), static_cast<int>(K),
+              TunedGflops / BasicGflops, Op.report().overheadRatio());
+  EXPECT_GE(TunedGflops, BasicGflops * Timing.Floor)
+      << Case.Name << ": tuned " << TunedGflops << " GFLOPS vs "
+      << (K > 1 ? "basic_x8 " : "basic ") << BasicGflops
+      << " GFLOPS (median of " << Timing.Pairs << " pairs, format "
+      << formatName(Op.format()) << ", kernel "
+      << (K > 1 ? Op.spmmKernelName() : Op.kernelName())
+      << (Op.report().GuardrailEngaged ? ", guardrail engaged" : "") << ")";
+  return Op.report();
+}
 
 } // namespace
 
@@ -323,65 +386,58 @@ TEST(GuardrailReportTest, EngagementCounterMatchesTheReports) {
 // --- The tuned_never_slower property (SpMV and width-8 SpMM) ----------------
 
 TEST(NeverSlowerPropertyTest, TunedSpmvNeverGrosslySlowerThanBasicCsr) {
-  auto Corpus = smokeCorpus();
-  const KernelTable<double> &Kernels = kernelTable<double>();
   Smat<double> Tuner(strictModel());
-  for (const CorpusCase &Case : Corpus) {
-    const CsrMatrix<double> &A = Case.A;
-    TunedSpmv<double> Op = Tuner.tune(A, fastTune());
-    expectSpmvMatches(Op, A);
-
-    AlignedVector<double> X(static_cast<std::size_t>(A.NumCols), 1.0);
-    AlignedVector<double> Y(static_cast<std::size_t>(A.NumRows), 0.0);
-    const std::uint64_t Flnnz = static_cast<std::uint64_t>(A.nnz());
-    double Basic = robustGflops(
-        Flnnz, [&] { Kernels.Csr[0].Fn(A, X.data(), Y.data()); });
-    double Tuned =
-        robustGflops(Flnnz, [&] { Op.apply(X.data(), Y.data()); });
-    EXPECT_GE(Tuned, Basic * TestNoiseFloor)
-        << Case.Name << ": tuned " << Tuned << " GFLOPS vs basic " << Basic
-        << " GFLOPS (format " << formatName(Op.format()) << ", kernel "
-        << Op.kernelName()
-        << (Op.report().GuardrailEngaged ? ", guardrail engaged" : "") << ")";
-  }
+  for (const CorpusCase &Case : smokeCorpus())
+    expectNeverSlower(Tuner, Case, fastTune(), 1, NeverSlowerTiming());
 }
 
 TEST(NeverSlowerPropertyTest, TunedSpmmK8NeverGrosslySlowerThanBasicCsr) {
-  constexpr index_t K = 8;
-  auto Corpus = smokeCorpus();
-  const KernelTable<double> &Kernels = kernelTable<double>();
   Smat<double> Tuner(strictModel());
-  for (const CorpusCase &Case : Corpus) {
-    const CsrMatrix<double> &A = Case.A;
-    TunedSpmv<double> Op = SMAT_dCSR_SpMM(Tuner, A, K, fastTune());
-    EXPECT_GT(Op.report().BaselineGflops, 0.0)
-        << Case.Name << ": batched tunes measure a width-" << K
-        << " basic SpMM baseline";
+  for (const CorpusCase &Case : smokeCorpus())
+    expectNeverSlower(Tuner, Case, fastTune(), 8, NeverSlowerTiming());
+}
 
-    AlignedVector<double> X(
-        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
-        1.0);
-    AlignedVector<double> Yb(
-        static_cast<std::size_t>(A.NumRows) * static_cast<std::size_t>(K),
-        0.0);
-    AlignedVector<double> Yt(Yb.size(), 0.0);
-    Kernels.CsrSpmm[0].Fn(A, X.data(), Yb.data(), K);
-    Op.multiply(X.data(), Yt.data(), K);
-    expectVectorsNear(std::vector<double>(Yb.begin(), Yb.end()),
-                      std::vector<double>(Yt.begin(), Yt.end()), 1e-10);
+// --- Performance gates (Release builds without a sanitizer) -----------------
+//
+// The committed model takes the confident path on every pinned matrix,
+// including the endorsed verify skip, which strictModel() never reaches.
 
-    const std::uint64_t Flnnz =
-        static_cast<std::uint64_t>(A.nnz()) * static_cast<std::uint64_t>(K);
-    double Basic = robustGflops(
-        Flnnz, [&] { Kernels.CsrSpmm[0].Fn(A, X.data(), Yb.data(), K); });
-    double Tuned =
-        robustGflops(Flnnz, [&] { Op.multiply(X.data(), Yt.data(), K); });
-    EXPECT_GE(Tuned, Basic * TestNoiseFloor)
-        << Case.Name << ": tuned " << Tuned << " GFLOPS vs basic_x8 " << Basic
-        << " GFLOPS (format " << formatName(Op.format()) << ", kernel "
-        << Op.spmmKernelName()
-        << (Op.report().GuardrailEngaged ? ", guardrail engaged" : "") << ")";
+namespace {
+
+/// Paper Table 3's overhead bound, in basic CSR SpMVs per tune: 2.5x the
+/// worst reading on a 4-vCPU host (native, portable or serial, under load).
+constexpr double MaxOverheadCsrSpmvs = 100.0;
+
+/// The never-slower and overhead gates for the committed model's tune of
+/// every pinned matrix at width \p K.
+void expectCommittedModelGates(index_t K) {
+  std::string Error;
+  std::optional<Smat<double>> Tuner =
+      Smat<double>::tryFromFile(SMAT_TEST_MODEL_PATH, &Error);
+  ASSERT_TRUE(Tuner) << Error;
+  const NeverSlowerTiming Gate{7, 2e-3, 1.0 - GuardrailNoiseFloor};
+  for (const CorpusCase &Case : smokeCorpus()) {
+    TuningReport R = expectNeverSlower(*Tuner, Case, TuneOptions(), K, Gate);
+    ASSERT_GT(R.CsrSpmvSeconds, 0.0)
+        << Case.Name << ": the tune measured no overhead unit";
+    EXPECT_LE(R.overheadRatio(), MaxOverheadCsrSpmvs)
+        << Case.Name << " k=" << K << ": tune " << R.TuneSeconds * 1e3
+        << " ms vs one basic CSR SpMV " << R.CsrSpmvSeconds * 1e6 << " us";
   }
+}
+
+} // namespace
+
+TEST(NeverSlowerGateTest, CommittedModelSpmv) {
+  if (!TimingGatesEnforced)
+    GTEST_SKIP() << TimingGatesSkipReason;
+  expectCommittedModelGates(1);
+}
+
+TEST(NeverSlowerGateTest, CommittedModelSpmmK8) {
+  if (!TimingGatesEnforced)
+    GTEST_SKIP() << TimingGatesSkipReason;
+  expectCommittedModelGates(8);
 }
 
 // --- Fault-armed variants (need SMAT_FAULT_INJECTION=ON) --------------------
