@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The reuse layer of the tuning runtime. Tuning cost is dominated by the
-/// execute-and-measure fallback and the overhead baseline measurement; a
+/// execute-and-measure fallback and the never-slower check; a
 /// production service tuning many matrices (or an AMG hierarchy whose
 /// coarse-grid operators repeat structure level after level) pays that cost
 /// again and again for structurally equivalent inputs. `PlanCache` maps a
@@ -21,11 +21,10 @@
 /// near-identically, so reusing the decision does not change what the model
 /// would have answered — only what it costs.
 ///
-/// Concurrency: the cache is sharded (DESIGN.md section 16). A fingerprint
-/// hashes to one of min(8, capacity) shards, each with its own mutex, LRU
-/// list, slice of the capacity and singleflight lease set, so a service
-/// whose worker threads tune unrelated structures do not serialize on one
-/// global lock. LRU order and eviction are per shard.
+/// Concurrency: one mutex guards the LRU list, the index and the
+/// singleflight lease set. Tunes run on few threads (the TuningService
+/// worker, or the AMG setup's caller), and a cache operation is a hash
+/// lookup next to a tune of milliseconds.
 ///
 /// Persistence: `saveSnapshot` writes a versioned, checksummed snapshot
 /// atomically (temp file + rename) and `loadSnapshot` restores it, so a
@@ -41,17 +40,14 @@
 #include "features/FeatureExtractor.h"
 #include "matrix/Format.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
 namespace smat {
 
@@ -158,7 +154,7 @@ enum class SnapshotLoadResult {
   Corrupt,
 };
 
-/// A bounded, thread-safe, sharded LRU cache of tuning plans keyed by
+/// A bounded, thread-safe LRU cache of tuning plans keyed by
 /// structural fingerprint. Share one instance across every matrix a process
 /// tunes (or across an AMG hierarchy's levels) to amortize tuning cost.
 class PlanCache {
@@ -190,7 +186,7 @@ public:
   void abandon(const PlanFingerprint &Fp);
 
   /// Inserts or overwrites the plan for \p Fp, evicting the least recently
-  /// used entry of its shard when at capacity.
+  /// used entry when at capacity.
   void insert(const PlanFingerprint &Fp, const CachedPlan &Plan);
 
   /// Drops every entry (counters are preserved; they are monotonic).
@@ -202,7 +198,7 @@ public:
   /// \p Path, atomically: the payload goes to a temp file in the same
   /// directory which is then renamed over \p Path, so a crash mid-write
   /// leaves either the old snapshot or none — never a torn one. Thread-safe
-  /// against concurrent cache use (shards are walked one at a time).
+  /// against concurrent cache use.
   /// \returns false with the reason in \p Error (when non-null) on I/O
   /// failure; the cache itself is unaffected either way.
   bool saveSnapshot(const std::string &Path, std::string *Error = nullptr) const;
@@ -221,47 +217,28 @@ public:
 
   PlanCacheStats stats() const;
   std::size_t size() const;
-  /// The requested capacity. Each shard holds ceil(capacity / shards())
-  /// entries, so the cache holds at most shards() - 1 more.
+  /// The most entries the cache holds.
   std::size_t capacity() const { return Capacity; }
-  /// Number of lock shards: min(8, capacity).
-  std::size_t shards() const { return Shards.size(); }
 
 private:
   using Entry = std::pair<PlanFingerprint, CachedPlan>;
 
-  /// One lock domain: a slice of the capacity with its own LRU order and
-  /// singleflight lease set. A fingerprint always hashes to the same shard,
-  /// so per-fingerprint semantics (singleflight, LRU refresh, eviction
-  /// pressure) are unchanged from the unsharded cache.
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::size_t Capacity = 1;
-    /// Most recently used at the front.
-    std::list<Entry> Lru;
-    std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
-                       PlanFingerprintHash>
-        Index;
-    /// Fingerprints whose tune is in flight under a singleflight lease.
-    std::unordered_set<PlanFingerprint, PlanFingerprintHash> InFlight;
-    /// Signalled on publish()/abandon() so lookupOrLead waiters re-probe.
-    std::condition_variable InFlightCv;
-    PlanCacheStats Counters;
-  };
+  /// insert() with Mutex already held.
+  void insertLocked(const PlanFingerprint &Fp, const CachedPlan &Plan);
 
-  Shard &shardFor(const PlanFingerprint &Fp);
-
-  /// insert() with the shard mutex already held.
-  static void insertLocked(Shard &S, const PlanFingerprint &Fp,
-                           const CachedPlan &Plan);
-
-  std::size_t Capacity;
-  /// unique_ptr because Shard holds a mutex and must not move.
-  std::vector<std::unique_ptr<Shard>> Shards;
-  /// Cache-global persistence counters (snapshots span every shard).
-  mutable std::atomic<std::uint64_t> SnapshotSaves{0};
-  mutable std::atomic<std::uint64_t> SnapshotLoads{0};
-  mutable std::atomic<std::uint64_t> SnapshotLoadFailures{0};
+  const std::size_t Capacity;
+  mutable std::mutex Mutex;
+  /// Most recently used at the front.
+  std::list<Entry> Lru;
+  std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
+                     PlanFingerprintHash>
+      Index;
+  /// Fingerprints whose tune is in flight under a singleflight lease.
+  std::unordered_set<PlanFingerprint, PlanFingerprintHash> InFlight;
+  /// Signalled on publish()/abandon() so lookupOrLead waiters re-probe.
+  std::condition_variable InFlightCv;
+  /// Every counter, snapshot ones included (saveSnapshot is const).
+  mutable PlanCacheStats Counters;
 };
 
 } // namespace smat

@@ -22,43 +22,27 @@ DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
   return static_cast<int>(A) >= static_cast<int>(B) ? A : B;
 }
 
-/// Quick timing of \p Op at width \p K (apply at K = 1, multiply above)
-/// for the guardrail's baseline and post-bind verification; ORs the
-/// spread check into \p Noisy and \returns effective GFLOPS. Min-of-k
-/// quick sampling, not a single shot: the result feeds a selection
-/// comparison, and a one-shot timing inflated by a scheduling spike would
-/// let the guardrail spuriously override a good plan. The minimum is robust
-/// — interference only adds time. \p SecondsPerCall, when non-null,
-/// receives the per-call time (the overhead unit of Table 3).
+/// Table 3's overhead unit: seconds per call of one basic CSR SpMV on \p A,
+/// where the never-slower check takes no k=1 basic sample. Min-of-k quick
+/// sampling, not a single shot: the minimum is robust — interference only
+/// adds time. ORs the spread check into \p Noisy.
 template <typename T>
-double quickGflops(const FormatOperator<T> &Op, std::int64_t Nnz, index_t K,
-                   const char *Site, bool &Noisy,
-                   double *SecondsPerCall = nullptr) {
-  AlignedVector<T> X(static_cast<std::size_t>(Op.numCols()) *
-                         static_cast<std::size_t>(K),
-                     T(1));
-  AlignedVector<T> Y(static_cast<std::size_t>(Op.numRows()) *
-                         static_cast<std::size_t>(K),
-                     T(0));
+double quickSpmvSeconds(const CsrMatrix<T> &A, bool &Noisy) {
+  std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
+  AlignedVector<T> X(static_cast<std::size_t>(A.NumCols), T(1));
+  AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows), T(0));
   RobustMeasureOptions Opts;
   Opts.MinSeconds = 1e-4;
   Opts.MinReps = 2;
   Opts.MaxRetries = 1;
   RobustMeasureResult M = robustMeasureSecondsPerCall(
       [&] {
-        fault::injectKernelFault(Site);
-        if (K > 1)
-          Op.multiply(X.data(), Y.data(), K);
-        else
-          Op.apply(X.data(), Y.data());
+        fault::injectKernelFault("measure.baseline");
+        Basic->apply(X.data(), Y.data());
       },
       Opts);
   Noisy = Noisy || M.Noisy;
-  if (SecondsPerCall)
-    *SecondsPerCall = M.SecondsPerCall;
-  return spmvGflops(static_cast<std::uint64_t>(Nnz) *
-                        static_cast<std::uint64_t>(K),
-                    M.SecondsPerCall);
+  return M.SecondsPerCall;
 }
 
 } // namespace
@@ -228,14 +212,9 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   // inserted below.
   FormatKind Chosen = FormatKind::CSR;
   bool Decided = !HaveFeatures;
-  // The guardrail's decision to bind the untuned basic-CSR plan: set when
-  // the baseline wins the race, when the cached plan recorded an engaged
-  // guardrail, or by the post-bind verification below.
+  // Bind the untuned basic-CSR plan: set when the cached plan recorded an
+  // engaged guardrail.
   bool ForceBasic = false;
-  // Whether execute-and-measure actually raced candidates this tune; the
-  // post-bind verification only runs when it did not (the race already
-  // compared the baseline as a first-class candidate).
-  bool RanRace = false;
   PlanFingerprint Fp;
   PlanCache *Cache = HaveFeatures ? Opts.Cache : nullptr;
   bool Leading = false;
@@ -291,48 +270,40 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
     }
   } Lease{Cache, &Fp, Leading};
 
-  // The overhead-baseline measurement is excluded from TuneSeconds (it is
-  // the unit of Table 3's metric, not part of tuning); track it so it can be
-  // subtracted from the wall clock at the end.
+  // The basic side of the never-slower check and the overhead unit are
+  // excluded from TuneSeconds (the unit is Table 3's metric, not part of
+  // tuning); track their wall clock so it can be subtracted at the end.
   double BaselineSeconds = 0.0;
 
-  // The guardrail is a measurement: with AllowMeasure false (and no
+  // The check is a measurement: with AllowMeasure false (and no
   // ForceMeasure) the caller asked for the model's deterministic answer,
   // and a timing-dependent override would break that contract.
   const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
   const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
 
-  if (!Decided) {
-    // Overhead unit and guardrail baseline: one basic CSR SpMV on this
-    // matrix (Table 3's metric), measured up front — before the bind can
-    // move A away, and before the race so the untuned plan can compete in
-    // it as a first-class candidate. A batched tune additionally times the
-    // basic CSR SpMM at the requested width: the guardrail must compare
-    // like units (effective GFLOPS at that width), and a k-wide SpMM is not
-    // k SpMVs. Skipped when the tune budget is already spent; the report
-    // then has no overhead unit (overheadRatio() returns 0) and the
-    // guardrail is inactive (BaselineGflops stays 0).
-    if (TuneRemaining() > 0.0) {
-      try {
-        WallTimer BaselineTimer;
-        std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
-        double SpmvGflops =
-            quickGflops(*Basic, A.nnz(), 1, "measure.baseline",
-                        Report.NoisyTimings, &Report.CsrSpmvSeconds);
-        if (GuardrailActive)
-          Report.BaselineGflops =
-              Width > 1 ? quickGflops(*Basic, A.nnz(), Width,
-                                      "measure.baseline", Report.NoisyTimings)
-                        : SpmvGflops;
-        BaselineSeconds = BaselineTimer.seconds();
-      } catch (...) {
-        Report.CsrSpmvSeconds = 0.0;
-        Report.BaselineGflops = 0.0;
-        ++Report.DroppedCandidates;
-      }
-    } else {
+  // Table 3's overhead unit, one basic CSR SpMV on this matrix, timed on its
+  // own where the check takes no k=1 basic sample. Skipped when the tune
+  // budget is spent; the report then has no overhead unit (overheadRatio()
+  // returns 0).
+  auto TimeOverheadUnit = [&] {
+    if (TuneRemaining() <= 0.0) {
       Report.BudgetExhausted = true;
+      return;
     }
+    WallTimer UnitTimer;
+    try {
+      Report.CsrSpmvSeconds = quickSpmvSeconds(A, Report.NoisyTimings);
+    } catch (...) {
+      ++Report.DroppedCandidates;
+    }
+    BaselineSeconds += UnitTimer.seconds();
+  };
+
+  if (!Decided) {
+    // The rvalue tune's bind may move A into the operator, so it times the
+    // unit before the bind.
+    if (MoveSource)
+      TimeOverheadUnit();
 
     // Stage 2: confidence-gated prediction. A throwing predictor is dropped;
     // the default-constructed (unconfident) result lets execute-and-measure
@@ -353,24 +324,18 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
     // Stage 3: execute-and-measure when forced or unconfident. The stage
     // handles per-candidate failures and budgets itself; this catch only
     // covers its shared setup (vector allocation). The cost model prunes
-    // the candidate set it races; the baseline enters the race and wins it
-    // when no tuned candidate beats not tuning.
+    // the candidate set it races.
     if (MeasureStage::shouldRun(Opts, Prediction) && TuneRemaining() > 0.0) {
       try {
         MeasureStageResult Measured = MeasureStage::run(
             Ctx, Features, Prediction.Prediction,
-            HaveCost ? &CostDecision : nullptr, Report.BaselineGflops);
+            HaveCost ? &CostDecision : nullptr);
         Report.MeasuredCandidates = std::move(Measured.Candidates);
         Report.MeasureSeconds = Measured.Seconds;
         Report.NoisyTimings = Report.NoisyTimings || Measured.NoisyTimings;
         Report.BudgetExhausted = Measured.BudgetExhausted;
         Report.DroppedCandidates += Measured.DroppedCandidates;
         Chosen = Measured.Best;
-        if (Measured.BaselineWon) {
-          ForceBasic = true;
-          Report.GuardrailEngaged = true;
-        }
-        RanRace = true;
       } catch (...) {
         ++Report.DroppedCandidates;
       }
@@ -395,66 +360,70 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   Report.Degradation = Bound.Degradation;
   Op.Op = std::move(Bound.Op);
 
-  // Post-bind guardrail verification: on the confident-prediction path the
-  // race never ran, so nothing has compared the predicted plan against not
-  // tuning — the exact hole the powerlaw mispick fell through. Quick-time
-  // the bound operator and rebind the basic CSR plan when the measured
-  // baseline beats it beyond the noise floor (quick one-shot timings are
-  // noisier than the race's robust measurements, hence the margin).
-  // Skipped when: the race already included the baseline; the bound plan is
-  // already basic CSR (nothing to fall back to); the rvalue tune path
-  // moved the caller's matrix into a CSR operator (re-binding would read a
-  // moved-from matrix); or the analytic classifier independently endorses
-  // the bound format — two selectors with uncorrelated failure modes
-  // agreeing on the plan is the cheap certificate, and measurement only
-  // arbitrates when they disagree (the historical powerlaw mispick bound a
-  // format its bottleneck class rules out, exactly the disagreement case).
-  const bool CostEndorsed =
-      HaveCost && CostDecision.allows(Report.ChosenFormat);
-  if (GuardrailActive && !Decided && !RanRace && !CostEndorsed &&
-      Report.BaselineGflops > 0.0 && Op.Op) {
+  // Stage 5: the never-slower check, on every race winner and on every
+  // confident plan the cost model does not endorse. When the ruleset and
+  // the analytic classifier, two selectors with uncorrelated failure modes,
+  // agree, the agreement is the certificate, and skipping the check keeps
+  // AMG's small coarse operators on one plan from setup to setup (DESIGN.md
+  // section 15.2). The other skips: the plan already is basic CSR at the
+  // tune width; the rvalue tune moved the caller's matrix into the bound
+  // CSR operator, leaving nothing to bind basic CSR over; the budget is
+  // spent.
+  if (!Decided) {
+    // The kernels the check times: SpMV at k=1, SpMM above.
+    const std::string BasicKernel = Width > 1 ? basicCsrSpmmKernel<T>().Name
+                                              : basicCsrKernel<T>().Name;
+    const std::string BoundKernel =
+        Width > 1 ? Op.Op->spmmKernelName() : Op.Op->kernelName();
+    const bool Endorsed = Report.ModelConfident && HaveCost &&
+                          CostDecision.allows(Report.ChosenFormat);
     const bool AlreadyBasic =
-        Report.ChosenFormat == FormatKind::CSR &&
-        (Report.KernelName == basicCsrKernel<T>().Name ||
-         Report.KernelName == basicCsrSpmmKernel<T>().Name);
+        Report.ChosenFormat == FormatKind::CSR && BoundKernel == BasicKernel;
     const bool SourceConsumed = MoveSource != nullptr &&
                                 Opts.CsrMode == CsrStorage::Owned &&
                                 Report.ChosenFormat == FormatKind::CSR;
-    if (!AlreadyBasic && !SourceConsumed && TuneRemaining() > 0.0) {
-      WallTimer GuardTimer;
-      try {
-        double BoundGflops = quickGflops(*Op.Op, A.nnz(), Width,
-                                         "guardrail.verify",
-                                         Report.NoisyTimings);
-        Report.MeasuredCandidates.push_back(
-            {FormatKind::CSR,
-             Width > 1 ? basicCsrSpmmKernel<T>().Name
-                       : basicCsrKernel<T>().Name,
-             Report.BaselineGflops, true});
-        Report.MeasuredCandidates.push_back(
-            {Report.ChosenFormat,
-             Width > 1 ? Op.Op->spmmKernelName() : Report.KernelName,
-             BoundGflops, false});
-        if (Report.BaselineGflops >
-            BoundGflops * (1.0 + GuardrailNoiseFloor)) {
-          Report.GuardrailEngaged = true;
-          BindStageResult<T> Guarded = BindStage::run(
-              Ctx, FormatKind::CSR,
-              HaveFeatures ? &Features.Features : nullptr, true);
-          Report.ChosenFormat = Guarded.BoundFormat;
-          Report.KernelName = std::move(Guarded.KernelName);
-          Report.BindSeconds += Guarded.Seconds;
-          Report.Degradation =
-              maxLevel(Report.Degradation, Guarded.Degradation);
-          Op.Op = std::move(Guarded.Op);
+    if (GuardrailActive && !Endorsed && !AlreadyBasic && !SourceConsumed) {
+      if (TuneRemaining() > 0.0) {
+        try {
+          CheckStageResult Check =
+              CheckStage::run(*basicCsrOperator(A), *Op.Op, Width);
+          BaselineSeconds += Check.BasicSeconds;
+          Report.GuardrailSeconds = Check.BoundSeconds;
+          const std::uint64_t Flnnz = static_cast<std::uint64_t>(Op.Nnz) *
+                                      static_cast<std::uint64_t>(Width);
+          Report.BaselineGflops = spmvGflops(Flnnz, Check.BasicSecondsPerCall);
+          if (Width == 1)
+            Report.CsrSpmvSeconds = Check.BasicSecondsPerCall;
+          // A race already recorded the plan it bound.
+          if (Report.MeasuredCandidates.empty())
+            Report.MeasuredCandidates.push_back(
+                {Report.ChosenFormat, BoundKernel,
+                 spmvGflops(Flnnz, Check.BoundSecondsPerCall), false});
+          Report.MeasuredCandidates.push_back(
+              {FormatKind::CSR, BasicKernel, Report.BaselineGflops, true});
+          if (Check.BasicWins) {
+            Report.GuardrailEngaged = true;
+            BindStageResult<T> Guarded = BindStage::run(
+                Ctx, FormatKind::CSR,
+                HaveFeatures ? &Features.Features : nullptr, true);
+            Report.ChosenFormat = Guarded.BoundFormat;
+            Report.KernelName = std::move(Guarded.KernelName);
+            Report.BindSeconds += Guarded.Seconds;
+            Report.Degradation =
+                maxLevel(Report.Degradation, Guarded.Degradation);
+            Op.Op = std::move(Guarded.Op);
+          }
+        } catch (...) {
+          // A faulted check leaves the bound plan in place: the guardrail
+          // refines the decision, it must never break a good bind.
+          ++Report.DroppedCandidates;
         }
-      } catch (...) {
-        // A faulted verification leaves the bound plan in place: the
-        // guardrail refines the decision, it must never break a good bind.
-        ++Report.DroppedCandidates;
+      } else {
+        Report.BudgetExhausted = true;
       }
-      Report.GuardrailSeconds = GuardTimer.seconds();
     }
+    if (!MoveSource && Report.CsrSpmvSeconds == 0.0)
+      TimeOverheadUnit();
   }
 
   if (Report.DroppedCandidates > 0)
@@ -473,7 +442,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   }
 
   Report.Features = Features.Features;
-  // The baseline measurement is nested inside the tune wall clock, so the
+  // The baseline timings are nested inside the tune wall clock, so the
   // difference cannot go negative; reporting BaselineSeconds separately
   // (instead of clamping) keeps budget overruns during the baseline visible.
   Report.BaselineSeconds = BaselineSeconds;

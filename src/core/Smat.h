@@ -8,8 +8,8 @@
 /// The on-line stage of SMAT (paper Section 6 / Figure 7) and the unified
 /// programming interface (paper Figure 5): the user hands over a CSR matrix
 /// and receives a tuned SpMV. The runtime is a staged pipeline
-/// (FeatureStage -> PredictStage -> MeasureStage -> BindStage, see
-/// TuningPipeline.h) with an optional feature-fingerprint PlanCache that
+/// (FeatureStage -> PredictStage -> MeasureStage -> BindStage -> CheckStage,
+/// see TuningPipeline.h) with an optional feature-fingerprint PlanCache that
 /// lets structurally equivalent matrices skip prediction and measurement.
 ///
 /// Typical usage:
@@ -55,13 +55,6 @@
 
 namespace smat {
 
-/// Relative margin the measured baseline must win by before the never-slower
-/// guardrail overrides a confidently predicted plan post-bind (the race path
-/// needs no margin: there both numbers come from the same robust-measurement
-/// discipline). 0.10 = the 10% noise floor of the quick one-shot timings the
-/// verification uses.
-inline constexpr double GuardrailNoiseFloor = 0.10;
-
 /// What the tuner did for one matrix: the Table-3 trace columns plus
 /// per-stage wall-clock accounting.
 struct TuningReport {
@@ -71,15 +64,15 @@ struct TuningReport {
   FormatKind ModelPrediction = FormatKind::CSR;
   double ModelConfidence = 0.0;
   bool ModelConfident = false;
-  /// Every plan that entered the selection race, each with the kernel its
-  /// operator ran: the execute-and-measure candidates, the untuned
-  /// basic-CSR baseline (IsBaseline) and, on the confident-prediction path,
-  /// the post-bind guardrail verification of the bound plan. Empty on a
-  /// plan-cache hit or when measurement was disallowed.
+  /// Every plan measured for the selection, each with the kernel its
+  /// operator ran: the execute-and-measure candidates, then the never-slower
+  /// check's basic-CSR side (IsBaseline) and, when no race recorded it, the
+  /// check's bound side. Empty on a plan-cache hit, when measurement was
+  /// disallowed, and when a confident plan skipped the check.
   std::vector<MeasuredCandidate> MeasuredCandidates;
-  /// The never-slower guardrail fired: the measured basic-CSR baseline beat
-  /// every tuned candidate (or the bound plan's verification), so the
-  /// untuned basic CSR plan was bound instead.
+  /// The never-slower guardrail fired: the check found basic CSR faster
+  /// than the bound plan by more than GuardrailNoiseFloor, so the untuned
+  /// basic CSR plan was bound instead.
   bool GuardrailEngaged = false;
   /// Analytic bottleneck classification (CostModel.h) of this matrix; only
   /// meaningful when CostModelApplied is set (features survived and the
@@ -90,22 +83,21 @@ struct TuningReport {
   FormatKind ChosenFormat = FormatKind::CSR;
   std::string KernelName;
   /// True when the decision was reused from a PlanCache fingerprint hit
-  /// (PredictStage, MeasureStage, and the baseline measurement were
-  /// skipped).
+  /// (PredictStage, MeasureStage and the never-slower check were skipped).
   bool PlanCacheHit = false;
   /// Overhead accounting: total tuning seconds and the equivalent number of
   /// basic CSR-SpMV executions (the paper's "times of CSR-SpMV" metric).
-  /// TuneSeconds excludes the baseline measurement itself; BaselineSeconds
-  /// reports that wall clock separately instead of hiding it in a clamped
-  /// subtraction, so budget overruns during the baseline stay visible.
+  /// TuneSeconds excludes the basic-CSR timings: the check's basic side and
+  /// the separate overhead-unit timing. BaselineSeconds reports their wall
+  /// clock instead of hiding it in a clamped subtraction, so budget overruns
+  /// there stay visible. CsrSpmvSeconds is the per-call time of one basic
+  /// CSR SpMV: the check's k=1 basic samples, else its own timing.
   double TuneSeconds = 0.0;
   double BaselineSeconds = 0.0;
   double CsrSpmvSeconds = 0.0;
-  /// Measured throughput of the untuned baseline the guardrail compares
-  /// against: one basic CSR SpMV for single-vector tunes, one basic CSR
-  /// SpMM at the requested width for batched tunes. 0 when the baseline
-  /// could not be measured (budget expired or the measurement faulted) —
-  /// the guardrail is then inactive for this tune.
+  /// Throughput of the check's basic-CSR side: basic CSR SpMV for
+  /// single-vector tunes, basic CSR SpMM at the requested width for batched
+  /// tunes. 0 when the check did not run (skipped, or faulted).
   double BaselineGflops = 0.0;
   /// Per-stage wall-clock accounting. FeatureSeconds covers extraction
   /// step 1; a lazily triggered step 2 (power-law R) is included in
@@ -114,8 +106,7 @@ struct TuningReport {
   double PredictSeconds = 0.0;
   double MeasureSeconds = 0.0;
   double BindSeconds = 0.0;
-  /// Wall clock of the post-bind guardrail verification (confident
-  /// predictions only; 0 when the race already compared the baseline).
+  /// Wall clock of the check's bound side (0 when the check did not run).
   double GuardrailSeconds = 0.0;
   /// Resilience trace (DESIGN.md section 12). The rung of the degradation
   /// ladder this tune had to take; None when everything succeeded.

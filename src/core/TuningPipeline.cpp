@@ -126,8 +126,7 @@ template <typename T>
 MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
                                      const FeatureStageResult &Features,
                                      FormatKind Fallback,
-                                     const CostModelDecision *Allowed,
-                                     double BaselineGflops) {
+                                     const CostModelDecision *Allowed) {
   WallTimer Timer;
   const CsrMatrix<T> &A = Ctx.A;
   const LearningModel &Model = Ctx.Model;
@@ -155,7 +154,7 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
     return Ctx.Opts.TuneBudgetSeconds - Ctx.TuneClock->seconds();
   };
 
-  // CSR is always raced (it is the substrate and the guardrail's plan).
+  // CSR is always raced (it is the substrate format).
   // With a cost-model decision in hand, only the formats that can address
   // the classified bottleneck join it; a pruned format is not a dropped
   // candidate — it was excluded by design, not lost to a failure. The
@@ -224,21 +223,6 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
       }
     } catch (...) {
       ++Result.DroppedCandidates;
-    }
-  }
-
-  // The never-slower guardrail: the untuned basic-CSR baseline is a
-  // first-class candidate. When it beats every tuned measurement (or
-  // nothing was measured at all), the race's answer is "do not tune" — the
-  // caller binds the basic CSR plan.
-  if (BaselineGflops > 0.0) {
-    Result.Candidates.push_back({FormatKind::CSR,
-                                 Batched ? basicCsrSpmmKernel<T>().Name
-                                         : basicCsrKernel<T>().Name,
-                                 BaselineGflops, true});
-    if (BaselineGflops > BestGflops) {
-      Result.BaselineWon = true;
-      Result.Best = FormatKind::CSR;
     }
   }
   Result.Seconds = Timer.seconds();
@@ -316,6 +300,67 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
   return Result;
 }
 
+// --- CheckStage -------------------------------------------------------------
+
+template <typename T>
+CheckStageResult CheckStage::run(const FormatOperator<T> &Basic,
+                                 const FormatOperator<T> &Bound,
+                                 index_t Width) {
+  const auto K = static_cast<std::size_t>(Width);
+  AlignedVector<T> X(static_cast<std::size_t>(Bound.numCols()) * K, T(1));
+  AlignedVector<T> Y(static_cast<std::size_t>(Bound.numRows()) * K, T(0));
+  CheckStageResult Result;
+  // One sample of \p Op: timed calls until 0.1 ms has run. \returns the
+  // fastest call, since interference only adds time; the wall clock goes to
+  // \p Spent.
+  auto Sample = [&](const FormatOperator<T> &Op, const char *Site,
+                    double &Spent) {
+    WallTimer Timer;
+    double Fastest = std::numeric_limits<double>::infinity();
+    std::uint64_t Calls = 0;
+    do {
+      WallTimer CallTimer;
+      fault::injectKernelFault(Site);
+      if (Width > 1)
+        Op.multiply(X.data(), Y.data(), Width);
+      else
+        Op.apply(X.data(), Y.data());
+      Fastest = std::min(Fastest, CallTimer.seconds());
+    } while (Timer.seconds() < 1e-4 && ++Calls < DefaultMaxMeasureReps);
+    Spent += Timer.seconds();
+    return std::max(Fastest, 1e-9);
+  };
+
+  // (basic, bound) seconds per call; a ratio above 1 means basic is faster.
+  using Pair = std::pair<double, double>;
+  auto Ratio = [](const Pair &P) { return P.second / P.first; };
+  std::vector<Pair> Pairs;
+  Pair Median;
+  while (static_cast<int>(Pairs.size()) < MaxPairs) {
+    // Basic first: the order of evaluation of arguments is unspecified.
+    double BasicSample = Sample(Basic, "measure.baseline", Result.BasicSeconds);
+    Pairs.emplace_back(BasicSample,
+                       Sample(Bound, "guardrail.verify", Result.BoundSeconds));
+    if (static_cast<int>(Pairs.size()) < MinPairs)
+      continue;
+    std::vector<Pair> Sorted = Pairs;
+    auto Mid = Sorted.begin() + static_cast<std::ptrdiff_t>(Sorted.size() / 2);
+    std::nth_element(Sorted.begin(), Mid, Sorted.end(),
+                     [&](const Pair &L, const Pair &R) {
+                       return Ratio(L) < Ratio(R);
+                     });
+    Median = *Mid;
+    if (Ratio(Median) > 1.0 + GuardrailNoiseFloor ||
+        Ratio(Median) * (1.0 + GuardrailNoiseFloor) < 1.0)
+      break;
+  }
+  Result.Pairs = static_cast<int>(Pairs.size());
+  Result.BasicSecondsPerCall = Median.first;
+  Result.BoundSecondsPerCall = Median.second;
+  Result.BasicWins = Ratio(Median) > 1.0 + GuardrailNoiseFloor;
+  return Result;
+}
+
 // --- Explicit instantiations ------------------------------------------------
 
 namespace smat {
@@ -332,17 +377,21 @@ template PredictStageResult PredictStage::run(const TuningContext<double> &,
 template MeasureStageResult MeasureStage::run(const TuningContext<float> &,
                                               const FeatureStageResult &,
                                               FormatKind,
-                                              const CostModelDecision *,
-                                              double);
+                                              const CostModelDecision *);
 template MeasureStageResult MeasureStage::run(const TuningContext<double> &,
                                               const FeatureStageResult &,
                                               FormatKind,
-                                              const CostModelDecision *,
-                                              double);
+                                              const CostModelDecision *);
 template BindStageResult<float>
 BindStage::run(const TuningContext<float> &, FormatKind,
                const FeatureVector *, bool);
 template BindStageResult<double>
 BindStage::run(const TuningContext<double> &, FormatKind,
                const FeatureVector *, bool);
+template CheckStageResult CheckStage::run(const FormatOperator<float> &,
+                                          const FormatOperator<float> &,
+                                          index_t);
+template CheckStageResult CheckStage::run(const FormatOperator<double> &,
+                                          const FormatOperator<double> &,
+                                          index_t);
 } // namespace smat

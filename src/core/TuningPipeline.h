@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The pipeline layer of the tuning runtime: paper Figure 7's linear
-/// procedure split into four named, individually testable stages, each
+/// procedure split into five named, individually testable stages, each
 /// returning a typed result with its own wall-clock accounting:
 ///
 ///   FeatureStage  — Table-2 feature extraction (step 1 eagerly, the
@@ -16,7 +16,9 @@
 ///   MeasureStage  — execute-and-measure fallback over the plausible
 ///                   candidate formats;
 ///   BindStage     — format conversion (with guard fallback to CSR) and
-///                   optimal-kernel binding through `FormatOperator`.
+///                   optimal-kernel binding through `FormatOperator`;
+///   CheckStage    — the never-slower check: the bound plan against basic
+///                   CSR, timed in alternating pairs.
 ///
 /// `Smat::tune` composes these stages — and consults the optional
 /// `PlanCache` between FeatureStage and PredictStage — but each stage is a
@@ -81,8 +83,8 @@ struct TuneOptions {
   /// the storage instead of copying.
   CsrStorage CsrMode = CsrStorage::Borrowed;
   /// Optional plan cache shared across tune() calls. A fingerprint hit
-  /// skips PredictStage, MeasureStage, and the overhead-baseline
-  /// measurement entirely; a miss inserts the bound plan afterwards. When
+  /// skips PredictStage, MeasureStage and CheckStage entirely; a miss
+  /// inserts the bound plan afterwards. When
   /// several threads tune the same structure concurrently, singleflight
   /// deduplication lets one of them measure while the rest wait for the
   /// published plan.
@@ -144,28 +146,24 @@ struct PredictStageResult {
   double Seconds = 0.0;
 };
 
-/// One entry of the selection race: a measured candidate plan. The untuned
-/// basic-CSR baseline participates as a first-class candidate (IsBaseline)
-/// so a tuned plan structurally cannot lose to not tuning.
+/// One measured plan: a candidate of the execute-and-measure race, or a
+/// side of the never-slower check (CheckStage). The check's basic-CSR side
+/// is the one entry with IsBaseline set.
 struct MeasuredCandidate {
   FormatKind Format = FormatKind::CSR;
   /// The kernel the candidate's operator ran: its SpMM kernel in a batched
   /// tune, its SpMV kernel otherwise.
   std::string Kernel;
   double Gflops = 0.0;
-  /// True for the untuned basic-CSR guardrail entry.
+  /// True for the untuned basic-CSR side of the never-slower check.
   bool IsBaseline = false;
 };
 
 /// Result of MeasureStage.
 struct MeasureStageResult {
-  /// The full race in measurement order, with the kernel each candidate
-  /// operator ran (baseline entry last, when a baseline throughput was
-  /// supplied).
+  /// The race in measurement order, with the kernel each candidate operator
+  /// ran.
   std::vector<MeasuredCandidate> Candidates;
-  /// The supplied basic-CSR baseline beat every tuned candidate: Best is
-  /// CSR and the caller must bind the untuned basic plan (the guardrail).
-  bool BaselineWon = false;
   /// The measured winner (or the fallback passed in when nothing ran).
   FormatKind Best = FormatKind::CSR;
   double Seconds = 0.0;
@@ -224,17 +222,14 @@ public:
   /// with bindFormatOperator — the operator a win would bind — and times its
   /// apply() (multiply() at BatchWidth > 1); \p Fallback is returned as
   /// Best when nothing is measured. \p Allowed, when non-null, restricts
-  /// the race to the cost model's candidate mask (CSR is always raced).
-  /// \p BaselineGflops, when positive, enters the untuned basic-CSR
-  /// baseline as a first-class candidate: if it beats every tuned
-  /// measurement, Best is CSR and BaselineWon tells the caller to bind the
-  /// untuned basic plan.
+  /// the race to the cost model's candidate mask (CSR is always raced). The
+  /// race has no baseline candidate: CheckStage judges the bound winner
+  /// against basic CSR.
   template <typename T>
   static MeasureStageResult run(const TuningContext<T> &Ctx,
                                 const FeatureStageResult &Features,
                                 FormatKind Fallback,
-                                const CostModelDecision *Allowed = nullptr,
-                                double BaselineGflops = 0.0);
+                                const CostModelDecision *Allowed = nullptr);
 };
 
 /// Stage 4: conversion + kernel binding through the operator layer.
@@ -255,6 +250,45 @@ public:
                                 bool ForceBasicCsr = false);
 };
 
+/// Relative margin of the never-slower check: basic CSR must beat the bound
+/// plan by more than this before the guardrail binds basic CSR, and a median
+/// pair ratio beyond it in either direction ends the check early. 0.10 is
+/// the 10% noise floor of short alternating timings.
+inline constexpr double GuardrailNoiseFloor = 0.10;
+
+/// Result of CheckStage.
+struct CheckStageResult {
+  /// Basic CSR beat the bound plan by more than GuardrailNoiseFloor: the
+  /// caller binds the untuned basic plan.
+  bool BasicWins = false;
+  /// (basic, bound) samples taken.
+  int Pairs = 0;
+  /// Seconds per call of each side in the pair with the median ratio.
+  double BasicSecondsPerCall = 0.0;
+  double BoundSecondsPerCall = 0.0;
+  /// Wall clock spent timing each side, warm-up calls included.
+  double BasicSeconds = 0.0;
+  double BoundSeconds = 0.0;
+};
+
+/// Stage 5: the never-slower check. Times \p Basic (the untuned basic-CSR
+/// plan) and \p Bound alternately, one sample at a time, at width
+/// \p Width >= 1 (apply() at 1, multiply() above), so drift of the host
+/// lands on both sides alike. A sample is the fastest call in 0.1 ms (at
+/// least one call). After MinPairs pairs the check stops as soon as the
+/// median pair ratio clears GuardrailNoiseFloor in either direction, and
+/// in any case after MaxPairs. The fault sites are "measure.baseline" on
+/// the basic side and "guardrail.verify" on the bound side.
+class CheckStage {
+public:
+  static constexpr int MinPairs = 3;
+  static constexpr int MaxPairs = 9;
+
+  template <typename T>
+  static CheckStageResult run(const FormatOperator<T> &Basic,
+                              const FormatOperator<T> &Bound, index_t Width);
+};
+
 extern template FeatureStageResult
 FeatureStage::run(const TuningContext<float> &);
 extern template FeatureStageResult
@@ -270,16 +304,22 @@ extern template PredictStageResult
 PredictStage::run(const TuningContext<double> &, FeatureStageResult &);
 extern template MeasureStageResult
 MeasureStage::run(const TuningContext<float> &, const FeatureStageResult &,
-                  FormatKind, const CostModelDecision *, double);
+                  FormatKind, const CostModelDecision *);
 extern template MeasureStageResult
 MeasureStage::run(const TuningContext<double> &, const FeatureStageResult &,
-                  FormatKind, const CostModelDecision *, double);
+                  FormatKind, const CostModelDecision *);
 extern template BindStageResult<float>
 BindStage::run(const TuningContext<float> &, FormatKind,
                const FeatureVector *, bool);
 extern template BindStageResult<double>
 BindStage::run(const TuningContext<double> &, FormatKind,
                const FeatureVector *, bool);
+extern template CheckStageResult
+CheckStage::run(const FormatOperator<float> &, const FormatOperator<float> &,
+                index_t);
+extern template CheckStageResult
+CheckStage::run(const FormatOperator<double> &, const FormatOperator<double> &,
+                index_t);
 
 } // namespace smat
 

@@ -194,7 +194,7 @@ private:
 };
 
 /// The async tuning service: one background worker thread, a shared
-/// sharded PlanCache with optional disk persistence, and a hot-reloadable
+/// PlanCache with optional disk persistence, and a hot-reloadable
 /// model. One instance serves many matrices; destruction stops the worker
 /// (the running job finishes, queued jobs park on their bootstrap plans)
 /// and snapshots the plan cache when a snapshot path is configured.
@@ -207,7 +207,7 @@ public:
     /// default ON for the service — a background tune that stalls must
     /// degrade, not wedge the worker — and are inherited by every job.
     TuneOptions Tune = defaultTuneOptions();
-    /// Plan-cache capacity (entries across all shards).
+    /// Plan-cache capacity in entries.
     std::size_t CacheCapacity = 1024;
     /// Snapshot file for plan persistence; empty disables persistence.
     /// When set, the constructor warm-starts from it (a corrupt or

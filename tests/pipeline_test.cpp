@@ -119,7 +119,7 @@ TEST(MeasureStageTest, MeasuresPlausibleCandidatesAndPicksMax) {
   double BestGflops = -1.0;
   FormatKind BestKind = FormatKind::CSR;
   for (const MeasuredCandidate &C : M.Candidates) {
-    EXPECT_FALSE(C.IsBaseline) << "no baseline was supplied";
+    EXPECT_FALSE(C.IsBaseline) << "the race has no baseline candidate";
     EXPECT_GT(C.Gflops, 0.0);
     if (C.Gflops > BestGflops) {
       BestGflops = C.Gflops;
@@ -572,54 +572,50 @@ TEST(SlicedPlanTest, BalancedRowBoundsSplitTheEntriesEvenly) {
 // --- PlanCache --------------------------------------------------------------
 
 TEST(PlanCacheTest, HitMissInsertEvictLru) {
-  // LRU order and eviction are per shard: 16 entries over 8 shards is two
-  // per shard, and the three fingerprints below are chosen to share one.
-  PlanCache Cache(16);
-  ASSERT_EQ(Cache.shards(), 8u);
-  auto ShardOf = [&Cache](const PlanFingerprint &Fp) {
-    return PlanFingerprintHash{}(Fp) % Cache.shards();
+  // One LRU order over the whole cache: it fills to capacity without
+  // evicting, and the next insert evicts the least recently used of all.
+  constexpr int Capacity = 16;
+  PlanCache Cache(Capacity);
+  auto Fp = [](int I) {
+    PlanFingerprint F;
+    F.RowsLog2 = static_cast<std::int16_t>(I);
+    return F;
   };
-  std::vector<PlanFingerprint> SameShard;
-  for (std::int16_t Rows = 1; SameShard.size() < 3; ++Rows) {
-    PlanFingerprint Fp;
-    Fp.RowsLog2 = Rows;
-    if (SameShard.empty() || ShardOf(Fp) == ShardOf(SameShard.front()))
-      SameShard.push_back(Fp);
-  }
-  const PlanFingerprint F1 = SameShard[0], F2 = SameShard[1],
-                        F3 = SameShard[2];
 
   CachedPlan Plan;
-  EXPECT_FALSE(Cache.lookup(F1, Plan));
-  Cache.insert(F1, {FormatKind::DIA, 0.5});
-  ASSERT_TRUE(Cache.lookup(F1, Plan));
+  EXPECT_FALSE(Cache.lookup(Fp(0), Plan));
+  Cache.insert(Fp(0), {FormatKind::DIA, 0.5});
+  ASSERT_TRUE(Cache.lookup(Fp(0), Plan));
   EXPECT_EQ(Plan.Format, FormatKind::DIA);
   EXPECT_DOUBLE_EQ(Plan.CsrSpmvSeconds, 0.5);
+  for (int I = 1; I < Capacity; ++I)
+    Cache.insert(Fp(I), {FormatKind::ELL, 0.1});
+  EXPECT_EQ(Cache.size(), static_cast<std::size_t>(Capacity));
+  EXPECT_EQ(Cache.stats().Evictions, 0u) << "a full cache holds every plan";
 
-  // The shard's LRU order is [F1], then [F2, F1], then F3 evicts the back
-  // (F1).
-  Cache.insert(F2, {FormatKind::ELL, 0.1});
-  Cache.insert(F3, {FormatKind::COO, 0.2});
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_FALSE(Cache.lookup(F1, Plan)) << "least recently used must go";
-  EXPECT_TRUE(Cache.lookup(F2, Plan));
-  EXPECT_TRUE(Cache.lookup(F3, Plan));
+  // Refreshing Fp(0) leaves Fp(1) least recently used.
+  EXPECT_TRUE(Cache.lookup(Fp(0), Plan));
+  Cache.insert(Fp(Capacity), {FormatKind::COO, 0.2});
+  EXPECT_EQ(Cache.size(), static_cast<std::size_t>(Capacity));
+  EXPECT_FALSE(Cache.lookup(Fp(1), Plan)) << "least recently used must go";
+  EXPECT_TRUE(Cache.lookup(Fp(0), Plan));
+  EXPECT_TRUE(Cache.lookup(Fp(Capacity), Plan));
 
   PlanCacheStats Stats = Cache.stats();
-  EXPECT_EQ(Stats.Hits, 3u);
+  EXPECT_EQ(Stats.Hits, 4u);
   EXPECT_EQ(Stats.Misses, 2u);
-  EXPECT_EQ(Stats.Inserts, 3u);
+  EXPECT_EQ(Stats.Inserts, static_cast<std::uint64_t>(Capacity) + 1);
   EXPECT_EQ(Stats.Evictions, 1u);
 
   // Overwriting an existing key is an insert, not an eviction.
-  Cache.insert(F2, {FormatKind::CSR, 0.3});
-  ASSERT_TRUE(Cache.lookup(F2, Plan));
+  Cache.insert(Fp(2), {FormatKind::CSR, 0.3});
+  ASSERT_TRUE(Cache.lookup(Fp(2), Plan));
   EXPECT_EQ(Plan.Format, FormatKind::CSR);
   EXPECT_EQ(Cache.stats().Evictions, 1u);
 
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.stats().Hits, 4u) << "counters survive clear()";
+  EXPECT_EQ(Cache.stats().Hits, 5u) << "counters survive clear()";
 }
 
 TEST(PlanCacheTest, FingerprintGroupsEquivalentStructure) {

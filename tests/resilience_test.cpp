@@ -176,7 +176,7 @@ TEST(BudgetWatchdogTest, MeasureBudgetCapsEachCandidate) {
   double Elapsed = Clock.seconds();
 
   ASSERT_TRUE(Result.ok()) << Result.status().message();
-  // Four candidates at ~one budgeted sample each, plus baseline and bind.
+  // Four candidates at ~one budgeted sample each, plus bind and check.
   EXPECT_LT(Elapsed, 1.5) << "per-candidate budgets must cap the sweep";
   EXPECT_TRUE(Result->report().BudgetExhausted);
   EXPECT_GT(tunedCandidates(Result->report()), 0)

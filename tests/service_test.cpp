@@ -7,7 +7,7 @@
 // The tuning-as-a-service contract (DESIGN.md section 16): tuneAsync returns
 // a handle that serves correct SpMV from call #1 on basic CSR, a background
 // worker swaps the tuned plan in atomically, every worker failure parks the
-// handle on basic CSR (correct, never a crash), the sharded PlanCache stays
+// handle on basic CSR (correct, never a crash), the PlanCache stays
 // race-free under singleflight/eviction/persistence contention, snapshots
 // round-trip across service instances, and model hot-reload invalidates
 // stale cached plans via the generation stamp. The whole suite is run under
@@ -324,14 +324,7 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
 
 // --- Concurrent PlanCache: singleflight vs eviction vs persistence ----------
 
-TEST(PlanCacheConcurrencyTest, ShardCountAdaptsToCapacity) {
-  // One rule for every capacity: min(8, capacity) shards, each holding
-  // ceil(capacity / shards) entries.
-  EXPECT_EQ(PlanCache(1).shards(), 1u);
-  EXPECT_EQ(PlanCache(2).shards(), 2u);
-  EXPECT_EQ(PlanCache(8).shards(), 8u);
-  EXPECT_EQ(PlanCache(63).shards(), 8u);
-  EXPECT_EQ(PlanCache(1024).shards(), 8u);
+TEST(PlanCacheConcurrencyTest, SizeNeverExceedsCapacity) {
   for (std::size_t Capacity : {1u, 2u, 7u, 63u, 1024u}) {
     SCOPED_TRACE(Capacity);
     PlanCache Cache(Capacity);
@@ -341,16 +334,16 @@ TEST(PlanCacheConcurrencyTest, ShardCountAdaptsToCapacity) {
       Fp.RowsLog2 = static_cast<std::int16_t>(I % 1000);
       Fp.ColsLog2 = static_cast<std::int16_t>(I / 1000);
       Cache.insert(Fp, CachedPlan{});
+      ASSERT_LE(Cache.size(), Cache.capacity());
     }
-    EXPECT_LE(Cache.size(), Capacity + Cache.shards() - 1)
-        << "at most one entry per shard over the requested capacity";
-    EXPECT_GT(Cache.stats().Evictions, 0u);
+    EXPECT_EQ(Cache.size(), Capacity);
+    EXPECT_EQ(Cache.stats().Evictions, 3 * Capacity);
   }
 }
 
 TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
-  // Tiny cache: two one-entry shards, so nearly every insert is an
-  // eviction — the worst case for the lease/evict interleaving.
+  // Tiny cache: two entries for five fingerprints, so nearly every insert
+  // is an eviction — the worst case for the lease/evict interleaving.
   PlanCache Cache(2);
   constexpr int NumThreads = 4;
   constexpr int NumOps = 400;
@@ -393,7 +386,7 @@ TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
 TEST(PlanCacheConcurrencyTest, SingleflightRacesSnapshotSaveAndLoad) {
   const std::string Path = tempPath("plancache_race_snapshot.txt");
   std::remove(Path.c_str());
-  PlanCache Cache(128); // sharded
+  PlanCache Cache(128);
   std::atomic<bool> Stop{false};
 
   // Persistence thread: continuously snapshot and reload the live cache.
