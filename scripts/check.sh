@@ -18,10 +18,12 @@
 #                skip themselves in builds without the hooks
 #   build-tsan-fault
 #                SMAT_SANITIZE=thread + SMAT_FAULT_INJECTION=ON together,
-#                service-labelled binaries — the async tuning service's
-#                worker thread and atomic plan swaps race-checked WHILE the
-#                fault sites are armed, so the failure paths (worker death,
-#                snapshot corruption) run under TSan too
+#                service- and stress-labelled binaries — the async tuning
+#                service's worker thread and atomic plan swaps, and the
+#                concurrent tunes through one Smat and PlanCache,
+#                race-checked WHILE the fault sites are armed, so the
+#                failure paths (worker death, snapshot corruption, dropped
+#                stages) run under TSan too
 #   build-perfbench
 #                perfbench/ configured as its own package with
 #                SMAT_NATIVE_ARCH=OFF: builds perfbench and perfbench_selftest
@@ -62,7 +64,7 @@ run_pass build "${TIER1_LABEL}"
 run_pass build-asan "${TIER1_LABEL}" -DSMAT_SANITIZE=ON
 OMP_NUM_THREADS=1 run_pass build-tsan stress -DSMAT_SANITIZE=thread
 run_pass build-fault fault -DSMAT_FAULT_INJECTION=ON
-OMP_NUM_THREADS=1 run_pass build-tsan-fault service \
+OMP_NUM_THREADS=1 run_pass build-tsan-fault 'service|stress' \
   -DSMAT_SANITIZE=thread -DSMAT_FAULT_INJECTION=ON
 
 echo "=== configure: build-perfbench (perfbench/ -DSMAT_NATIVE_ARCH=OFF) ==="

@@ -17,8 +17,8 @@
 ///
 /// CSR is special: because it is the unified input format, the operator can
 /// either borrow the caller's matrix (zero-copy, the tune-once/apply-in-loop
-/// pattern) or own a copied/moved-in CSR when the caller cannot guarantee
-/// the input outlives the operator. See `CsrStorage`.
+/// pattern) or own a copy when the caller cannot guarantee the input
+/// outlives the operator. See `CsrStorage`.
 ///
 /// A large converted plan whose kernel pick is serial is bound as row
 /// slices, one per OpenMP thread, that run the same kernel side by side;
@@ -50,8 +50,7 @@ enum class CsrStorage {
   /// the default (zero conversion cost, zero memory cost) and matches the
   /// paper's usage pattern.
   Borrowed,
-  /// Copy (or, through the rvalue `Smat::tune` overload, move) the matrix
-  /// into the operator, which is then self-contained.
+  /// Copy the matrix into the operator, which is then self-contained.
   Owned,
 };
 
@@ -109,18 +108,17 @@ public:
   using SpmmFn = void (*)(const Matrix &, const T *, T *, index_t);
 
   /// Binds \p Spmv and \p Spmm to \p Borrowed, which must outlive the
-  /// operator, or, when it is null, to an owned empty matrix that
-  /// adoptMatrix fills. A null \p Spmm makes multiply() run \p Spmv column
-  /// by column.
-  BoundOperator(const Matrix *Borrowed, const Kernel<SpmvFn> &Spmv,
+  /// operator. A null \p Spmm makes multiply() run \p Spmv column by
+  /// column.
+  BoundOperator(const Matrix &Borrowed, const Kernel<SpmvFn> &Spmv,
                 const Kernel<SpmmFn> *Spmm = nullptr)
-      : Slices(Borrowed ? 0 : 1), A(Borrowed ? Borrowed : Slices.data()),
-        Rows(A->NumRows), Cols(A->NumCols) {
+      : A(&Borrowed), Rows(A->NumRows), Cols(A->NumCols) {
     bindKernels(Spmv, Spmm);
   }
 
   /// Binds the kernels to the owned row slices \p Parts: slice S holds the
-  /// matrix rows from \p Begins[S] up to the next slice's first row.
+  /// matrix rows from \p Begins[S] up to the next slice's first row. One
+  /// slice starting at row 0 is an owned, unsliced matrix.
   BoundOperator(std::vector<Matrix> &&Parts, std::vector<index_t> &&Begins,
                 const Kernel<SpmvFn> &Spmv, const Kernel<SpmmFn> *Spmm)
       : Slices(std::move(Parts)), RowBegin(std::move(Begins)),
@@ -185,18 +183,6 @@ public:
     return std::max(index_t(1), static_cast<index_t>(Slices.size()));
   }
 
-  /// Moves \p M in and binds to it; the operator must have been built over
-  /// an owned empty matrix. noexcept, so the degradation ladder can run the
-  /// one throwing step (allocating this node over an empty matrix) first and
-  /// only then move a precious move-source matrix in — if the allocation
-  /// throws, the source is still intact for the next rung.
-  void adoptMatrix(Matrix &&M) noexcept {
-    assert(Slices.size() == 1 && "adoptMatrix needs an owned one-slice node");
-    Slices.front() = std::move(M);
-    Rows = A->NumRows;
-    Cols = A->NumCols;
-  }
-
 private:
   void bindKernels(const Kernel<SpmvFn> &SpmvK, const Kernel<SpmmFn> *SpmmK) {
     Spmv = SpmvK.Fn;
@@ -212,7 +198,7 @@ private:
   std::vector<index_t> RowBegin;
   /// The borrowed matrix, or the first slice.
   const Matrix *A;
-  index_t Rows, Cols;
+  const index_t Rows, Cols;
   SpmvFn Spmv;
   SpmmFn Spmm;
   const char *SpmvName;
@@ -222,28 +208,17 @@ private:
 
 namespace detail {
 
-/// Binds the CSR kernels \p K and \p M to \p A, borrowed or owned per
-/// \p Storage; an owned bind moves \p MoveSource in when given, else copies.
-/// The owning node is allocated over an empty matrix — the only throwing
-/// step — before the matrix is adopted noexcept, so a failed allocation
-/// leaves a move source intact for the caller's degradation ladder.
+/// Binds the CSR kernels \p K and \p M to \p A, borrowed or, per
+/// \p Storage, copied into the operator as one slice.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
-            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage,
-            CsrMatrix<T> *MoveSource) {
+            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage) {
   using Op = BoundOperator<CsrMatrix, T>;
   if (Storage == CsrStorage::Borrowed)
-    return std::make_unique<Op>(&A, K, &M);
-  if (MoveSource) {
-    auto Owned = std::make_unique<Op>(nullptr, K, &M);
-    Owned->adoptMatrix(std::move(*MoveSource));
-    return Owned;
-  }
-  CsrMatrix<T> Copy(A);
-  auto Owned = std::make_unique<Op>(nullptr, K, &M);
-  Owned->adoptMatrix(std::move(Copy));
-  return Owned;
+    return std::make_unique<Op>(A, K, &M);
+  return std::make_unique<Op>(std::vector<CsrMatrix<T>>(1, A),
+                              std::vector<index_t>{0}, K, &M);
 }
 
 /// \returns the team size of the next OpenMP parallel region; 1 without
@@ -312,19 +287,16 @@ std::unique_ptr<FormatOperator<T>> bindConverted(
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 basicCsrOperator(const CsrMatrix<T> &A,
-                 CsrStorage Storage = CsrStorage::Borrowed,
-                 CsrMatrix<T> *MoveSource = nullptr) {
+                 CsrStorage Storage = CsrStorage::Borrowed) {
   return detail::csrOperator(A, basicCsrKernel<T>(), basicCsrSpmmKernel<T>(),
-                             Storage, MoveSource);
+                             Storage);
 }
 
 /// Converts \p A to \p Requested and binds the scoreboard-selected kernels
 /// from \p Sel, each passed through pickKernel. A DIA/ELL/BSR conversion can
 /// be rejected by its fill guards even when the model predicted the format
 /// confidently; the fallback is always CSR (honoring \p Storage).
-/// \p MoveSource, when non-null, is the same matrix as \p A but mutable: an
-/// Owned CSR bind moves its storage instead of copying (the rvalue tune
-/// path). \p CsrKernelOverride, when non-negative, replaces the
+/// \p CsrKernelOverride, when non-negative, replaces the
 /// scoreboard's general CSR pick — the skew-aware bind path passes
 /// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the
 /// load-balanced kernel. \p BatchWidth selects which per-width SpMM pick
@@ -341,7 +313,6 @@ std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
                    const KernelSelection &Sel,
                    CsrStorage Storage = CsrStorage::Borrowed,
-                   CsrMatrix<T> *MoveSource = nullptr,
                    int CsrKernelOverride = -1, index_t BatchWidth = 1) {
   const KernelTable<T> &Kernels = kernelTable<T>();
   auto Spmv = [&Sel](FormatKind Kind) {
@@ -405,8 +376,7 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
       CsrKernelOverride >= 0 ? CsrKernelOverride : Spmv(FormatKind::CSR);
   return detail::csrOperator(
       A, pickKernel(Kernels.Csr, CsrIdx, A),
-      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A), Storage,
-      MoveSource);
+      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A), Storage);
 }
 
 } // namespace smat

@@ -93,54 +93,6 @@ bool PlanCache::lookup(const PlanFingerprint &Fp, CachedPlan &Plan) {
   return true;
 }
 
-PlanProbe PlanCache::lookupOrLead(const PlanFingerprint &Fp) {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  PlanProbe Probe;
-  bool Waited = false;
-  for (;;) {
-    auto It = Index.find(Fp);
-    if (It != Index.end()) {
-      ++Counters.Hits;
-      Lru.splice(Lru.begin(), Lru, It->second);
-      Probe.Hit = true;
-      Probe.Shared = Waited;
-      Probe.Plan = It->second->second;
-      return Probe;
-    }
-    if (InFlight.find(Fp) == InFlight.end()) {
-      // No plan and nobody tuning it: this caller leads. A waiter landing
-      // here inherited an abandoned lease, which still counts as the miss
-      // it is about to pay for.
-      ++Counters.Misses;
-      InFlight.insert(Fp);
-      Probe.Lead = true;
-      return Probe;
-    }
-    if (!Waited) {
-      ++Counters.SingleflightWaits;
-      Waited = true;
-    }
-    InFlightCv.wait(Lock);
-  }
-}
-
-void PlanCache::publish(const PlanFingerprint &Fp, const CachedPlan &Plan) {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    insertLocked(Fp, Plan);
-    InFlight.erase(Fp);
-  }
-  InFlightCv.notify_all();
-}
-
-void PlanCache::abandon(const PlanFingerprint &Fp) {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    InFlight.erase(Fp);
-  }
-  InFlightCv.notify_all();
-}
-
 void PlanCache::insert(const PlanFingerprint &Fp, const CachedPlan &Plan) {
   std::lock_guard<std::mutex> Lock(Mutex);
   insertLocked(Fp, Plan);

@@ -21,10 +21,11 @@
 /// near-identically, so reusing the decision does not change what the model
 /// would have answered — only what it costs.
 ///
-/// Concurrency: one mutex guards the LRU list, the index and the
-/// singleflight lease set. Tunes run on few threads (the TuningService
-/// worker, or the AMG setup's caller), and a cache operation is a hash
-/// lookup next to a tune of milliseconds.
+/// Concurrency: one mutex guards the LRU list and the index. Tunes run on
+/// few threads (the TuningService worker, or the AMG setup's caller), and a
+/// cache operation is a hash lookup next to a tune of milliseconds. Two
+/// concurrent tunes of one structure both miss and both measure; the later
+/// insert overwrites the earlier one.
 ///
 /// Persistence: `saveSnapshot` writes a versioned, checksummed snapshot
 /// atomically (temp file + rename) and `loadSnapshot` restores it, so a
@@ -40,13 +41,11 @@
 #include "features/FeatureExtractor.h"
 #include "matrix/Format.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace smat {
@@ -116,29 +115,14 @@ struct PlanCacheStats {
   std::uint64_t Misses = 0;
   std::uint64_t Inserts = 0;
   std::uint64_t Evictions = 0;
-  /// lookupOrLead calls that blocked behind another thread's in-flight tune
-  /// of the same fingerprint instead of measuring themselves.
+  /// Always 0: the cache has no singleflight wait. Kept so readers of the
+  /// stats (the repository benchmark reports it) keep their field.
   std::uint64_t SingleflightWaits = 0;
   /// Persistence counters: successful snapshot saves and loads, and loads
   /// that found a corrupt/mismatched snapshot and cold-started instead.
   std::uint64_t SnapshotSaves = 0;
   std::uint64_t SnapshotLoads = 0;
   std::uint64_t SnapshotLoadFailures = 0;
-};
-
-/// Outcome of PlanCache::lookupOrLead (the singleflight probe).
-struct PlanProbe {
-  /// A plan was found: immediately cached, or published by the in-flight
-  /// tune this call waited for.
-  bool Hit = false;
-  /// This caller holds the measurement lease for the fingerprint and MUST
-  /// call publish() or abandon() for it exactly once — other threads
-  /// probing the same fingerprint are blocked until it does.
-  bool Lead = false;
-  /// The hit was satisfied by another thread's publication after a wait
-  /// (as opposed to an immediate cache hit).
-  bool Shared = false;
-  CachedPlan Plan;
 };
 
 /// Outcome of PlanCache::loadSnapshot.
@@ -168,30 +152,11 @@ public:
   /// LRU position, and returns true. Counts a hit or a miss either way.
   bool lookup(const PlanFingerprint &Fp, CachedPlan &Plan);
 
-  /// Singleflight probe: like lookup, but a miss whose fingerprint another
-  /// thread is already tuning blocks until that tune publishes (a shared
-  /// hit) or abandons (this caller inherits the lease). A miss with no tune
-  /// in flight returns Lead = true; the leader must publish() or abandon()
-  /// the fingerprint exactly once (Smat uses an RAII guard). Concurrent
-  /// tunes of the same structure therefore measure once.
-  PlanProbe lookupOrLead(const PlanFingerprint &Fp);
-
-  /// Publishes the leader's plan for \p Fp, releases the lease, and wakes
-  /// every thread waiting on the fingerprint.
-  void publish(const PlanFingerprint &Fp, const CachedPlan &Plan);
-
-  /// Releases the lease for \p Fp without publishing (the leading tune
-  /// degraded to a plan not worth caching, or failed to insert). One waiter
-  /// wakes and inherits the lease.
-  void abandon(const PlanFingerprint &Fp);
-
   /// Inserts or overwrites the plan for \p Fp, evicting the least recently
   /// used entry when at capacity.
   void insert(const PlanFingerprint &Fp, const CachedPlan &Plan);
 
   /// Drops every entry (counters are preserved; they are monotonic).
-  /// In-flight singleflight leases are untouched: their leaders still hold
-  /// them and will publish or abandon as usual.
   void clear();
 
   /// Writes a versioned, checksummed snapshot of every cached plan to
@@ -233,10 +198,6 @@ private:
   std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
                      PlanFingerprintHash>
       Index;
-  /// Fingerprints whose tune is in flight under a singleflight lease.
-  std::unordered_set<PlanFingerprint, PlanFingerprintHash> InFlight;
-  /// Signalled on publish()/abandon() so lookupOrLead waiters re-probe.
-  std::condition_variable InFlightCv;
   /// Every counter, snapshot ones included (saveSnapshot is const).
   mutable PlanCacheStats Counters;
 };

@@ -121,15 +121,7 @@ TunedSpmv<T> Smat<T>::tune(const CsrMatrix<T> &A,
                            const TuneOptions &Opts) const {
   if (Status S = validateTuneInput(A, Opts); !S.ok())
     throw std::invalid_argument("SMAT tune rejected input: " + S.message());
-  return tuneImpl(A, Opts, nullptr);
-}
-
-template <typename T>
-TunedSpmv<T> Smat<T>::tune(CsrMatrix<T> &&A, TuneOptions Opts) const {
-  if (Status S = validateTuneInput(A, Opts); !S.ok())
-    throw std::invalid_argument("SMAT tune rejected input: " + S.message());
-  Opts.CsrMode = CsrStorage::Owned;
-  return tuneImpl(A, Opts, &A);
+  return tuneImpl(A, Opts);
 }
 
 template <typename T>
@@ -137,21 +129,12 @@ Expected<TunedSpmv<T>> Smat<T>::tryTune(const CsrMatrix<T> &A,
                                         const TuneOptions &Opts) const {
   if (Status S = validateTuneInput(A, Opts); !S.ok())
     return S;
-  return tuneImpl(A, Opts, nullptr);
+  return tuneImpl(A, Opts);
 }
 
 template <typename T>
-Expected<TunedSpmv<T>> Smat<T>::tryTune(CsrMatrix<T> &&A,
-                                        TuneOptions Opts) const {
-  if (Status S = validateTuneInput(A, Opts); !S.ok())
-    return S;
-  Opts.CsrMode = CsrStorage::Owned;
-  return tuneImpl(A, Opts, &A);
-}
-
-template <typename T>
-TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
-                               CsrMatrix<T> *MoveSource) const {
+TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
+                               const TuneOptions &Opts) const {
   // Every public entry point has already run validateTuneInput; interior
   // stages assume a well-formed matrix from here on.
   assert(A.isValid() && "tuneImpl behind an unvalidated boundary");
@@ -163,7 +146,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   Op.Nnz = A.nnz();
   TuningReport &Report = Op.Report;
 
-  TuningContext<T> Ctx{A, Model, Opts, MoveSource,
+  TuningContext<T> Ctx{A, Model, Opts,
                        Opts.TuneBudgetSeconds > 0.0 ? &TuneTimer : nullptr};
 
   // Seconds of whole-tune budget left; +inf when unlimited.
@@ -205,11 +188,8 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
 
   // Plan-cache probe. The fingerprint needs only step-1 features, so a hit
   // costs one extraction + one hash lookup and skips everything up to the
-  // bind. The probe is a singleflight: a miss whose fingerprint another
-  // thread is already tuning waits for that thread's published plan instead
-  // of measuring the same structure twice. ForceMeasure bypasses the lookup
-  // (the caller wants ground truth) but the freshly tuned plan is still
-  // inserted below.
+  // bind. ForceMeasure bypasses the lookup (the caller wants ground truth)
+  // but the freshly tuned plan is still inserted below.
   FormatKind Chosen = FormatKind::CSR;
   bool Decided = !HaveFeatures;
   // Bind the untuned basic-CSR plan: set when the cached plan recorded an
@@ -217,7 +197,6 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   bool ForceBasic = false;
   PlanFingerprint Fp;
   PlanCache *Cache = HaveFeatures ? Opts.Cache : nullptr;
-  bool Leading = false;
   if (Cache) {
     Fp = fingerprintFeatures(Features.Features);
     // The batch width is a tuning input, not a matrix feature, so it is
@@ -238,37 +217,19 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
     // Hot-reload invalidation: plans tuned under an older model generation
     // stop matching once the service bumps the counter (PlanCache.h).
     Fp.ModelGeneration = static_cast<std::int32_t>(Opts.ModelGeneration);
-    if (!Opts.ForceMeasure) {
-      PlanProbe Probe = Cache->lookupOrLead(Fp);
-      if (Probe.Hit) {
-        Chosen = Probe.Plan.Format;
-        Report.CsrSpmvSeconds = Probe.Plan.CsrSpmvSeconds;
-        Report.PlanCacheHit = true;
-        Report.PlanShared = Probe.Shared;
-        // A cached guardrail engagement replays the guarded bind: the class
-        // was already shown to be fastest untuned, so the warm tune binds
-        // the basic plan directly instead of re-deriving that verdict.
-        Report.GuardrailEngaged = Probe.Plan.GuardrailEngaged;
-        ForceBasic = Probe.Plan.GuardrailEngaged;
-        Decided = true;
-      } else {
-        Leading = true;
-      }
+    CachedPlan Hit;
+    if (!Opts.ForceMeasure && Cache->lookup(Fp, Hit)) {
+      Chosen = Hit.Format;
+      Report.CsrSpmvSeconds = Hit.CsrSpmvSeconds;
+      Report.PlanCacheHit = true;
+      // A cached guardrail engagement replays the guarded bind: the class
+      // was already shown to be fastest untuned, so the warm tune binds the
+      // basic plan directly instead of re-deriving that verdict.
+      Report.GuardrailEngaged = Hit.GuardrailEngaged;
+      ForceBasic = Hit.GuardrailEngaged;
+      Decided = true;
     }
   }
-
-  // While leading, every exit path must release the lease or the threads
-  // waiting on this fingerprint block forever; the guard abandons it unless
-  // the normal path publishes first.
-  struct LeaseGuard {
-    PlanCache *Cache;
-    const PlanFingerprint *Fp;
-    bool Active;
-    ~LeaseGuard() {
-      if (Active)
-        Cache->abandon(*Fp);
-    }
-  } Lease{Cache, &Fp, Leading};
 
   // The basic side of the never-slower check and the overhead unit are
   // excluded from TuneSeconds (the unit is Table 3's metric, not part of
@@ -281,30 +242,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
   const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
 
-  // Table 3's overhead unit, one basic CSR SpMV on this matrix, timed on its
-  // own where the check takes no k=1 basic sample. Skipped when the tune
-  // budget is spent; the report then has no overhead unit (overheadRatio()
-  // returns 0).
-  auto TimeOverheadUnit = [&] {
-    if (TuneRemaining() <= 0.0) {
-      Report.BudgetExhausted = true;
-      return;
-    }
-    WallTimer UnitTimer;
-    try {
-      Report.CsrSpmvSeconds = quickSpmvSeconds(A, Report.NoisyTimings);
-    } catch (...) {
-      ++Report.DroppedCandidates;
-    }
-    BaselineSeconds += UnitTimer.seconds();
-  };
-
   if (!Decided) {
-    // The rvalue tune's bind may move A into the operator, so it times the
-    // unit before the bind.
-    if (MoveSource)
-      TimeOverheadUnit();
-
     // Stage 2: confidence-gated prediction. A throwing predictor is dropped;
     // the default-constructed (unconfident) result lets execute-and-measure
     // recover the decision when allowed.
@@ -366,9 +304,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   // agree, the agreement is the certificate, and skipping the check keeps
   // AMG's small coarse operators on one plan from setup to setup (DESIGN.md
   // section 15.2). The other skips: the plan already is basic CSR at the
-  // tune width; the rvalue tune moved the caller's matrix into the bound
-  // CSR operator, leaving nothing to bind basic CSR over; the budget is
-  // spent.
+  // tune width; the budget is spent.
   if (!Decided) {
     // The kernels the check times: SpMV at k=1, SpMM above.
     const std::string BasicKernel = Width > 1 ? basicCsrSpmmKernel<T>().Name
@@ -379,10 +315,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
                           CostDecision.allows(Report.ChosenFormat);
     const bool AlreadyBasic =
         Report.ChosenFormat == FormatKind::CSR && BoundKernel == BasicKernel;
-    const bool SourceConsumed = MoveSource != nullptr &&
-                                Opts.CsrMode == CsrStorage::Owned &&
-                                Report.ChosenFormat == FormatKind::CSR;
-    if (GuardrailActive && !Endorsed && !AlreadyBasic && !SourceConsumed) {
+    if (GuardrailActive && !Endorsed && !AlreadyBasic) {
       if (TuneRemaining() > 0.0) {
         try {
           CheckStageResult Check =
@@ -422,24 +355,32 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
         Report.BudgetExhausted = true;
       }
     }
-    if (!MoveSource && Report.CsrSpmvSeconds == 0.0)
-      TimeOverheadUnit();
+    // Table 3's overhead unit, one basic CSR SpMV on this matrix, timed on
+    // its own where the check took no k=1 basic sample. Skipped when the
+    // tune budget is spent; the report then has no overhead unit
+    // (overheadRatio() returns 0).
+    if (Report.CsrSpmvSeconds == 0.0) {
+      if (TuneRemaining() > 0.0) {
+        WallTimer UnitTimer;
+        try {
+          Report.CsrSpmvSeconds = quickSpmvSeconds(A, Report.NoisyTimings);
+        } catch (...) {
+          ++Report.DroppedCandidates;
+        }
+        BaselineSeconds += UnitTimer.seconds();
+      } else {
+        Report.BudgetExhausted = true;
+      }
+    }
   }
 
   if (Report.DroppedCandidates > 0)
     Report.Degradation =
         maxLevel(Report.Degradation, DegradationLevel::CandidateDropped);
 
-  if (Cache && !Report.PlanCacheHit) {
-    CachedPlan Plan{Report.ChosenFormat, Report.CsrSpmvSeconds,
-                    Report.GuardrailEngaged};
-    if (Leading) {
-      Cache->publish(Fp, Plan);
-      Lease.Active = false;
-    } else {
-      Cache->insert(Fp, Plan);
-    }
-  }
+  if (Cache && !Report.PlanCacheHit)
+    Cache->insert(Fp, CachedPlan{Report.ChosenFormat, Report.CsrSpmvSeconds,
+                                 Report.GuardrailEngaged});
 
   Report.Features = Features.Features;
   // The baseline timings are nested inside the tune wall clock, so the
@@ -448,65 +389,29 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   Report.BaselineSeconds = BaselineSeconds;
   Report.TuneSeconds = TuneTimer.seconds() - BaselineSeconds;
 
-  // Publish this tune's whole counter delta as one seqlock write section,
-  // so a concurrent resilienceCounters() reader (e.g. a monitoring thread
-  // sampling while the async service's worker is mid-tune) never observes a
-  // torn snapshot where only half the delta has landed — every snapshot
-  // satisfies the invariants (each flag counter <= Tunes).
+  // The whole delta lands under one lock, so a concurrent
+  // resilienceCounters() (a monitor sampling while the service worker tunes)
+  // never sees half a tune: every flag counter stays <= Tunes.
   {
     ResilienceState &RS = *Resilience;
-    std::lock_guard<std::mutex> WriteLock(RS.WriteLock);
-    RS.Seq.fetch_add(1, std::memory_order_release); // now odd: write open
-    RS.Tunes.fetch_add(1, std::memory_order_relaxed);
-    RS.CandidatesDropped.fetch_add(
-        static_cast<std::uint64_t>(Report.DroppedCandidates),
-        std::memory_order_relaxed);
-    if (Report.NoisyTimings)
-      RS.NoisyTunes.fetch_add(1, std::memory_order_relaxed);
-    if (Report.BudgetExhausted)
-      RS.BudgetExhaustedTunes.fetch_add(1, std::memory_order_relaxed);
-    if (Report.Degradation == DegradationLevel::BasicKernel)
-      RS.BasicKernelFallbacks.fetch_add(1, std::memory_order_relaxed);
-    if (Report.Degradation == DegradationLevel::ReferenceCsr)
-      RS.ReferenceFallbacks.fetch_add(1, std::memory_order_relaxed);
-    if (Report.PlanShared)
-      RS.PlanShares.fetch_add(1, std::memory_order_relaxed);
-    if (Report.GuardrailEngaged)
-      RS.GuardrailEngagements.fetch_add(1, std::memory_order_relaxed);
-    RS.Seq.fetch_add(1, std::memory_order_release); // even again: closed
+    std::lock_guard<std::mutex> Lock(RS.Lock);
+    SmatResilienceCounters &C = RS.Counters;
+    ++C.Tunes;
+    C.CandidatesDropped += static_cast<std::uint64_t>(Report.DroppedCandidates);
+    C.NoisyTunes += Report.NoisyTimings;
+    C.BudgetExhaustedTunes += Report.BudgetExhausted;
+    C.BasicKernelFallbacks +=
+        Report.Degradation == DegradationLevel::BasicKernel;
+    C.ReferenceFallbacks += Report.Degradation == DegradationLevel::ReferenceCsr;
+    C.GuardrailEngagements += Report.GuardrailEngaged;
   }
   return Op;
 }
 
 template <typename T>
 SmatResilienceCounters Smat<T>::resilienceCounters() const {
-  const ResilienceState &RS = *Resilience;
-  SmatResilienceCounters Out;
-  // Seqlock read: retry whenever the snapshot straddled a write section
-  // (sequence odd, or changed across the reads). Loads are acquire-paired
-  // with the writer's release increments; the counter fields themselves are
-  // atomic, so the optimistic reads are data-race-free.
-  for (;;) {
-    std::uint64_t Before = RS.Seq.load(std::memory_order_acquire);
-    if (Before & 1)
-      continue; // a write is open right now
-    Out.Tunes = RS.Tunes.load(std::memory_order_relaxed);
-    Out.CandidatesDropped =
-        RS.CandidatesDropped.load(std::memory_order_relaxed);
-    Out.NoisyTunes = RS.NoisyTunes.load(std::memory_order_relaxed);
-    Out.BudgetExhaustedTunes =
-        RS.BudgetExhaustedTunes.load(std::memory_order_relaxed);
-    Out.BasicKernelFallbacks =
-        RS.BasicKernelFallbacks.load(std::memory_order_relaxed);
-    Out.ReferenceFallbacks =
-        RS.ReferenceFallbacks.load(std::memory_order_relaxed);
-    Out.PlanShares = RS.PlanShares.load(std::memory_order_relaxed);
-    Out.GuardrailEngagements =
-        RS.GuardrailEngagements.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (RS.Seq.load(std::memory_order_relaxed) == Before)
-      return Out;
-  }
+  std::lock_guard<std::mutex> Lock(Resilience->Lock);
+  return Resilience->Counters;
 }
 
 TunedSpmv<double> smat::SMAT_dCSR_SpMV(const Smat<double> &Tuner,

@@ -26,9 +26,10 @@
 ///   for (const auto &M : Matrices)
 ///     Ops.push_back(Tuner.tune(M, Opts));       // warm tunes skip measure
 ///
-///   // Input cannot outlive the operator? Request an owning CSR bind:
+///   // Input cannot outlive the operator? Request an owning CSR bind,
+///   // which copies the matrix (tuning a temporary does not compile):
 ///   Opts.CsrMode = smat::CsrStorage::Owned;
-///   smat::TunedSpmv<double> SelfContained = Tuner.tune(Temporary, Opts);
+///   smat::TunedSpmv<double> SelfContained = Tuner.tune(ShortLived, Opts);
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -44,7 +45,6 @@
 #include "matrix/Validate.h"
 #include "support/Status.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -120,10 +120,6 @@ struct TuningReport {
   /// A MeasureBudgetSeconds/TuneBudgetSeconds budget expired mid-tune and
   /// the remaining work was skipped.
   bool BudgetExhausted = false;
-  /// The plan came from another thread's concurrent tune of the same
-  /// fingerprint (singleflight wait), not this thread's own measurement.
-  /// Implies PlanCacheHit.
-  bool PlanShared = false;
 
   double overheadRatio() const {
     return CsrSpmvSeconds > 0 ? TuneSeconds / CsrSpmvSeconds : 0.0;
@@ -139,7 +135,6 @@ struct SmatResilienceCounters {
   std::uint64_t BudgetExhaustedTunes = 0; ///< Tunes with BudgetExhausted.
   std::uint64_t BasicKernelFallbacks = 0; ///< Tunes that bound the basic rung.
   std::uint64_t ReferenceFallbacks = 0;   ///< Tunes that bound the last rung.
-  std::uint64_t PlanShares = 0; ///< Tunes served by a singleflight wait.
   std::uint64_t GuardrailEngagements = 0; ///< Tunes bound to the untuned
                                           ///< baseline by the guardrail.
 };
@@ -152,8 +147,8 @@ struct SmatResilienceCounters {
 /// instead of copying it, so the input CsrMatrix must outlive the TunedSpmv
 /// (the usual pattern: tune once, apply in a solver loop, drop both
 /// together); `ownsStorage()` reports whether that constraint applies.
-/// Request `TuneOptions::CsrMode = CsrStorage::Owned` (or tune from an
-/// rvalue matrix) for a self-contained operator.
+/// Request `TuneOptions::CsrMode = CsrStorage::Owned` for a self-contained
+/// operator; tuning a temporary matrix does not compile.
 template <typename T> class TunedSpmv {
 public:
   /// \returns the chosen storage format.
@@ -264,10 +259,11 @@ public:
   TunedSpmv<T> tune(const CsrMatrix<T> &A,
                     const TuneOptions &Opts = TuneOptions()) const;
 
-  /// Rvalue overload: consumes \p A and returns a self-contained operator
-  /// (a CSR bind moves the storage in; other formats convert and drop it).
+  /// Tuning a temporary is rejected: the default operator borrows the
+  /// matrix, which would die under it. Keep the matrix alive, or tune a
+  /// named one with `CsrMode = CsrStorage::Owned`, which copies it.
   TunedSpmv<T> tune(CsrMatrix<T> &&A,
-                    TuneOptions Opts = TuneOptions()) const;
+                    const TuneOptions &Opts = TuneOptions()) const = delete;
 
   /// Non-throwing tune: validates \p A and \p Opts and returns either the
   /// tuned operator or the Status naming the violated invariant. A failed
@@ -276,14 +272,16 @@ public:
   Expected<TunedSpmv<T>> tryTune(const CsrMatrix<T> &A,
                                  const TuneOptions &Opts = TuneOptions()) const;
 
-  /// Non-throwing rvalue tune; consumes \p A only on success.
-  Expected<TunedSpmv<T>> tryTune(CsrMatrix<T> &&A,
-                                 TuneOptions Opts = TuneOptions()) const;
+  /// Rejected for the same reason as the rvalue tune().
+  Expected<TunedSpmv<T>>
+  tryTune(CsrMatrix<T> &&A,
+          const TuneOptions &Opts = TuneOptions()) const = delete;
 
   /// \returns a snapshot of this instance's resilience counters: how many
   /// tunes ran, and how often they dropped candidates, hit noisy timings,
-  /// exhausted budgets, fell down the degradation ladder, or were served by
-  /// a concurrent tune's singleflight publication. Thread-safe.
+  /// exhausted budgets, fell down the degradation ladder, or bound basic
+  /// CSR by the guardrail. Thread-safe, and never half a tune: each tune
+  /// adds its whole delta under the same lock this copy is taken under.
   SmatResilienceCounters resilienceCounters() const;
 
   /// Validates the option struct alone (budgets, batch width, flag
@@ -298,28 +296,13 @@ private:
   static Status validateTuneInput(const CsrMatrix<T> &A,
                                   const TuneOptions &Opts);
 
-  TunedSpmv<T> tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
-                        CsrMatrix<T> *MoveSource) const;
+  TunedSpmv<T> tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts) const;
 
-  /// Atomic counter block behind a pointer so the tuner stays movable (and
-  /// tuneImpl, which is const, can count). Writers publish a tune's whole
-  /// counter delta inside a seqlock write section (WriteLock + odd/even
-  /// Seq), and resilienceCounters() retries its read until it straddles no
-  /// write — so a snapshot taken while a background worker is mid-update
-  /// never shows a torn state (e.g. GuardrailEngagements > Tunes). The
-  /// fields stay individually atomic so the seqlock's racing reads are
-  /// data-race-free under TSan.
+  /// The counters and their lock, behind a pointer so the tuner stays
+  /// movable (and tuneImpl, which is const, can count).
   struct ResilienceState {
-    std::mutex WriteLock;
-    std::atomic<std::uint64_t> Seq{0};
-    std::atomic<std::uint64_t> Tunes{0};
-    std::atomic<std::uint64_t> CandidatesDropped{0};
-    std::atomic<std::uint64_t> NoisyTunes{0};
-    std::atomic<std::uint64_t> BudgetExhaustedTunes{0};
-    std::atomic<std::uint64_t> BasicKernelFallbacks{0};
-    std::atomic<std::uint64_t> ReferenceFallbacks{0};
-    std::atomic<std::uint64_t> PlanShares{0};
-    std::atomic<std::uint64_t> GuardrailEngagements{0};
+    std::mutex Lock;
+    SmatResilienceCounters Counters;
   };
 
   LearningModel Model;
@@ -336,12 +319,17 @@ extern template class Smat<double>;
 /// \p Opts carries the production knobs (plan cache, CSR ownership).
 /// Malformed input throws std::invalid_argument with the diagnostic; the
 /// _try variants below report the same failures as error codes instead.
+/// Every entry point rejects a temporary matrix, as Smat::tune does.
 TunedSpmv<double> SMAT_dCSR_SpMV(const Smat<double> &Tuner,
                                  const CsrMatrix<double> &A,
                                  const TuneOptions &Opts = TuneOptions());
 TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &Tuner,
                                 const CsrMatrix<float> &A,
                                 const TuneOptions &Opts = TuneOptions());
+TunedSpmv<double> SMAT_dCSR_SpMV(const Smat<double> &, CsrMatrix<double> &&,
+                                 const TuneOptions & = TuneOptions()) = delete;
+TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &, CsrMatrix<float> &&,
+                                const TuneOptions & = TuneOptions()) = delete;
 
 /// Batched (multi-RHS) variants: tune for \p BatchWidth right-hand sides
 /// and return an operator whose multiply(X, Y, K) runs the register-tiled
@@ -354,6 +342,10 @@ TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &Tuner,
 TunedSpmv<float> SMAT_sCSR_SpMM(const Smat<float> &Tuner,
                                 const CsrMatrix<float> &A, index_t BatchWidth,
                                 TuneOptions Opts = TuneOptions());
+TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &, CsrMatrix<double> &&,
+                                 index_t, TuneOptions = TuneOptions()) = delete;
+TunedSpmv<float> SMAT_sCSR_SpMM(const Smat<float> &, CsrMatrix<float> &&,
+                                index_t, TuneOptions = TuneOptions()) = delete;
 
 /// Error-code variants of the unified interface for callers that cannot
 /// unwind: validates \p A, fills \p Out on success, and \returns
@@ -378,6 +370,19 @@ ErrorCode SMAT_sCSR_SpMM_try(const Smat<float> &Tuner,
                              TunedSpmv<float> &Out,
                              std::string *ErrorMessage = nullptr,
                              TuneOptions Opts = TuneOptions());
+ErrorCode SMAT_dCSR_SpMV_try(const Smat<double> &, CsrMatrix<double> &&,
+                             TunedSpmv<double> &, std::string * = nullptr,
+                             const TuneOptions & = TuneOptions()) = delete;
+ErrorCode SMAT_sCSR_SpMV_try(const Smat<float> &, CsrMatrix<float> &&,
+                             TunedSpmv<float> &, std::string * = nullptr,
+                             const TuneOptions & = TuneOptions()) = delete;
+ErrorCode SMAT_dCSR_SpMM_try(const Smat<double> &, CsrMatrix<double> &&,
+                             index_t, TunedSpmv<double> &,
+                             std::string * = nullptr,
+                             TuneOptions = TuneOptions()) = delete;
+ErrorCode SMAT_sCSR_SpMM_try(const Smat<float> &, CsrMatrix<float> &&, index_t,
+                             TunedSpmv<float> &, std::string * = nullptr,
+                             TuneOptions = TuneOptions()) = delete;
 
 } // namespace smat
 

@@ -183,10 +183,9 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
     // operator (and its converted storage) is freed before the next
     // candidate converts.
     try {
-      std::unique_ptr<FormatOperator<T>> Op = bindFormatOperator(
-          A, Kind, Model.Kernels, CsrStorage::Borrowed,
-          static_cast<CsrMatrix<T> *>(nullptr),
-          Model.Kernels.csrKernelFor(F.rowCv()), Width);
+      std::unique_ptr<FormatOperator<T>> Op =
+          bindFormatOperator(A, Kind, Model.Kernels, CsrStorage::Borrowed,
+                             Model.Kernels.csrKernelFor(F.rowCv()), Width);
       if (Op->kind() != Kind)
         continue; // A conversion guard rejected the format.
       double Remaining = TuneRemaining();
@@ -253,23 +252,21 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
     try {
       fault::injectKernelFault("bind.operator");
       Result.Op = bindFormatOperator(Ctx.A, Requested, Ctx.Model.Kernels,
-                                     Ctx.Opts.CsrMode, Ctx.MoveSource,
-                                     CsrOverride, Ctx.Opts.BatchWidth);
+                                     Ctx.Opts.CsrMode, CsrOverride,
+                                     Ctx.Opts.BatchWidth);
     } catch (...) {
       Result.Op = nullptr;
     }
   }
 
   // Rung BasicKernel: the strategy-free CSR kernels, no conversion and no
-  // scoreboard lookup. basicCsrOperator allocates the node before adopting
-  // an owned matrix, so a failure here leaves a MoveSource intact for the
-  // final rung.
+  // scoreboard lookup.
   if (!Result.Op) {
     if (!ForceBasicCsr)
       Result.Degradation = DegradationLevel::BasicKernel;
     try {
       fault::injectKernelFault("bind.basic_csr");
-      Result.Op = basicCsrOperator(Ctx.A, Ctx.Opts.CsrMode, Ctx.MoveSource);
+      Result.Op = basicCsrOperator(Ctx.A, Ctx.Opts.CsrMode);
     } catch (...) {
       Result.Op = nullptr;
     }
@@ -277,21 +274,14 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
 
   // Final rung: CSR bound to the fixed-interface reference kernel
   // (ref/RefSpmv.h) — no conversion, no kernel table, no scoreboard
-  // selection. Once the node exists nothing can fail. The rvalue tune path
-  // moves its matrix in (the caller's temporary is about to die); the
-  // lvalue path borrows — if Owned was requested but its copy failed above,
-  // borrowing is the honest remainder, and ownsStorage() reports it.
+  // selection. Once the node exists nothing can fail. It always borrows: if
+  // Owned was requested but its copy failed above, borrowing is the honest
+  // remainder, and ownsStorage() reports it.
   if (!Result.Op) {
     Result.Degradation = DegradationLevel::ReferenceCsr;
     const Kernel<CsrKernelFn<T>> Reference{"csr_reference", OptNone,
                                            &refCsrSpmv<T>};
-    const bool Adopt =
-        Ctx.Opts.CsrMode == CsrStorage::Owned && Ctx.MoveSource;
-    auto Ref = std::make_unique<BoundOperator<CsrMatrix, T>>(
-        Adopt ? nullptr : &Ctx.A, Reference);
-    if (Adopt)
-      Ref->adoptMatrix(std::move(*Ctx.MoveSource));
-    Result.Op = std::move(Ref);
+    Result.Op = std::make_unique<BoundOperator<CsrMatrix, T>>(Ctx.A, Reference);
   }
 
   Result.BoundFormat = Result.Op->kind();

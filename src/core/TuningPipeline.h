@@ -79,15 +79,12 @@ struct TuneOptions {
   /// Measurement floor per candidate during execute-and-measure.
   double MeasureMinSeconds = 5e-4;
   /// Whether a CSR-bound operator borrows the caller's matrix (default) or
-  /// owns a copy. The rvalue `Smat::tune` overload forces Owned and moves
-  /// the storage instead of copying.
+  /// owns a copy.
   CsrStorage CsrMode = CsrStorage::Borrowed;
   /// Optional plan cache shared across tune() calls. A fingerprint hit
   /// skips PredictStage, MeasureStage and CheckStage entirely; a miss
-  /// inserts the bound plan afterwards. When
-  /// several threads tune the same structure concurrently, singleflight
-  /// deduplication lets one of them measure while the rest wait for the
-  /// published plan.
+  /// inserts the bound plan afterwards. Concurrent tunes of one structure
+  /// each miss and measure for themselves.
   PlanCache *Cache = nullptr;
   /// Wall-clock budget in seconds for measuring a single candidate format
   /// (0 = unlimited). A candidate that exhausts its budget keeps its best
@@ -120,9 +117,6 @@ template <typename T> struct TuningContext {
   const CsrMatrix<T> &A;
   const LearningModel &Model;
   const TuneOptions &Opts;
-  /// Non-null only on the rvalue tune path: the same matrix as A, mutable,
-  /// so an Owned CSR bind can move the storage instead of copying it.
-  CsrMatrix<T> *MoveSource = nullptr;
   /// Wall clock of the whole tune, set by Smat::tuneImpl when
   /// Opts.TuneBudgetSeconds > 0 so stages can check the remaining budget.
   const WallTimer *TuneClock = nullptr;

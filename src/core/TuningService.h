@@ -7,9 +7,10 @@
 /// \file
 /// The tuning-as-a-service layer (DESIGN.md section 16, ROADMAP north
 /// star): SMAT's adaptive selection without ever making a caller wait for
-/// it. A blocking cold `Smat::tune` costs ~14 ms median on the bench corpus
-/// — three orders of magnitude more than the SpMV it optimizes — which is
-/// unacceptable on a traffic-serving path. `TuningService::tuneAsync`
+/// it. A blocking cold `Smat::tune` costs milliseconds (5.6 ms median in
+/// perfbench tune_cold on a 4-vCPU VM), tens of the SpMV calls it
+/// optimizes, which is too long on a traffic-serving path.
+/// `TuningService::tuneAsync`
 /// instead returns a servable `AsyncSpmv` handle in O(1): the handle
 /// multiplies on the basic (strategy-free) CSR kernel from call #1, while a
 /// background worker thread runs the full Feature/Predict/Measure/Bind

@@ -282,7 +282,8 @@ TEST(PlanCacheErrorTest, FailedTuneNeverInsertsPlan) {
       << "a rejected tune must not populate the plan cache";
 
   // The same cache still works for a healthy matrix afterwards.
-  auto Good = sharedTuner().tryTune(validMatrix(), Opts);
+  CsrMatrix<double> Healthy = validMatrix();
+  auto Good = sharedTuner().tryTune(Healthy, Opts);
   ASSERT_TRUE(Good.ok()) << Good.status().message();
   EXPECT_EQ(Cache.stats().Inserts, 1u);
 }

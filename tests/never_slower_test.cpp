@@ -330,7 +330,7 @@ TEST(GuardrailRaceTest, CostModelMaskRestrictsTheRaceToCsr) {
   CsrMatrix<double> A = banded(1500, 2);
   LearningModel Model = strictModel();
   TuneOptions Opts = fastTune();
-  TuningContext<double> Ctx{A, Model, Opts, nullptr};
+  TuningContext<double> Ctx{A, Model, Opts};
   FeatureStageResult F = FeatureStage::run(Ctx);
 
   CostModelDecision CsrOnly;
@@ -350,7 +350,7 @@ TEST(GuardrailBindTest, ForceBasicCsrBindsTheUntunedPlan) {
   CsrMatrix<double> A = banded(800, 2);
   LearningModel Model = strictModel();
   TuneOptions Opts = fastTune();
-  TuningContext<double> Ctx{A, Model, Opts, nullptr};
+  TuningContext<double> Ctx{A, Model, Opts};
   FeatureStageResult F = FeatureStage::run(Ctx);
 
   // Even a DIA request (which the band would happily satisfy) must yield

@@ -17,7 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <utility>
 
 using namespace smat;
 using namespace smat::test;
@@ -52,7 +56,7 @@ const Smat<double> &sharedTuner() {
 TEST(FeatureStageTest, Step1EagerPowerLawLazy) {
   CsrMatrix<double> A = banded(800, 2);
   TuneOptions Opts;
-  TuningContext<double> Ctx{A, sharedModel(), Opts, nullptr};
+  TuningContext<double> Ctx{A, sharedModel(), Opts};
 
   FeatureStageResult F = FeatureStage::run(Ctx);
   EXPECT_DOUBLE_EQ(F.Features.M, 800);
@@ -76,7 +80,7 @@ TEST(PredictStageTest, AgreesWithEndToEndTune) {
 
   for (const CsrMatrix<double> &A :
        {banded(2000, 5), powerLawGraph(600, 2.0, 1, 60, 21)}) {
-    TuningContext<double> Ctx{A, Tuner.model(), NoMeasure, nullptr};
+    TuningContext<double> Ctx{A, Tuner.model(), NoMeasure};
     FeatureStageResult F = FeatureStage::run(Ctx);
     PredictStageResult P = PredictStage::run(Ctx, F);
 
@@ -110,7 +114,7 @@ TEST(MeasureStageTest, MeasuresPlausibleCandidatesAndPicksMax) {
   CsrMatrix<double> A = banded(1500, 2);
   TuneOptions Opts;
   Opts.MeasureMinSeconds = 1e-4;
-  TuningContext<double> Ctx{A, sharedModel(), Opts, nullptr};
+  TuningContext<double> Ctx{A, sharedModel(), Opts};
   FeatureStageResult F = FeatureStage::run(Ctx);
 
   MeasureStageResult M = MeasureStage::run(Ctx, F, FormatKind::CSR);
@@ -139,7 +143,7 @@ TEST(MeasureStageTest, FallbackReturnedWhenNothingPlausibleWins) {
   CsrMatrix<double> A = powerLawGraph(3000, 2.0, 1, 400, 3);
   TuneOptions Opts;
   Opts.MeasureMinSeconds = 1e-4;
-  TuningContext<double> Ctx{A, sharedModel(), Opts, nullptr};
+  TuningContext<double> Ctx{A, sharedModel(), Opts};
   FeatureStageResult F = FeatureStage::run(Ctx);
   MeasureStageResult M = MeasureStage::run(Ctx, F, FormatKind::DIA);
   for (const MeasuredCandidate &C : M.Candidates) {
@@ -154,7 +158,7 @@ TEST(MeasureStageTest, FallbackReturnedWhenNothingPlausibleWins) {
 TEST(BindStageTest, GuardRejectionFallsBackToCsr) {
   CsrMatrix<double> A = powerLawGraph(800, 2.0, 1, 80, 5);
   TuneOptions Opts;
-  TuningContext<double> Ctx{A, sharedModel(), Opts, nullptr};
+  TuningContext<double> Ctx{A, sharedModel(), Opts};
 
   BindStageResult<double> B = BindStage::run(Ctx, FormatKind::DIA);
   ASSERT_TRUE(B.Op);
@@ -182,7 +186,7 @@ TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
 
   CsrMatrix<double> A = spikedRows(1500, 2, 500, 0.01, 41);
   TuneOptions Opts;
-  TuningContext<double> Ctx{A, Model, Opts, nullptr};
+  TuningContext<double> Ctx{A, Model, Opts};
   FeatureStageResult F = FeatureStage::run(Ctx);
   ASSERT_GT(F.Features.rowCv(), SkewRowCvThreshold);
 
@@ -197,7 +201,7 @@ TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
 
   // A balanced matrix stays on the general pick even with features given.
   CsrMatrix<double> B = banded(1500, 2);
-  TuningContext<double> CtxB{B, Model, Opts, nullptr};
+  TuningContext<double> CtxB{B, Model, Opts};
   FeatureStageResult FB = FeatureStage::run(CtxB);
   ASSERT_LT(FB.Features.rowCv(), SkewRowCvThreshold);
   BindStageResult<double> Balanced = BindStage::run(CtxB, FormatKind::CSR,
@@ -249,10 +253,9 @@ TEST(MeasureStageTest, RaceMeasuresTheKernelTheBindBinds) {
         if (C.IsBaseline)
           continue;
         ++Tuned;
-        auto Bound = bindFormatOperator(
-            A, C.Format, Model.Kernels, CsrStorage::Borrowed,
-            static_cast<CsrMatrix<double> *>(nullptr),
-            Model.Kernels.csrKernelFor(RowCv), K);
+        auto Bound = bindFormatOperator(A, C.Format, Model.Kernels,
+                                        CsrStorage::Borrowed,
+                                        Model.Kernels.csrKernelFor(RowCv), K);
         ASSERT_EQ(Bound->kind(), C.Format);
         EXPECT_EQ(C.Kernel,
                   K > 1 ? Bound->spmmKernelName() : Bound->kernelName())
@@ -298,22 +301,55 @@ TEST(FormatOperatorTest, OwnedCsrSurvivesSourceDestruction) {
   expectVectorsNear(Expected, Y, 1e-12);
 }
 
-TEST(FormatOperatorTest, MoveSourceAvoidsCopyAndStaysCorrect) {
-  KernelSelection Sel;
-  CsrMatrix<double> Src = banded(300, 1);
-  auto X = randomVector<double>(300, 17);
-  std::vector<double> Expected = denseSpmv(Src, X);
+// Every tuning entry point takes the caller's matrix by const reference and
+// rejects a temporary: the default operator borrows the matrix, so a
+// temporary would die under it. EntriesAccept<MD, MF> holds, per entry
+// point, whether it compiles with a double (MD) or float (MF) matrix
+// argument of that type; a plain type is a temporary.
+template <typename MD, typename MF>
+constexpr bool EntriesAccept[] = {
+    requires(const Smat<double> &S, MD &&A) { S.tune(std::forward<MD>(A)); },
+    requires(const Smat<double> &S, MD &&A) {
+      S.tryTune(std::forward<MD>(A));
+    },
+    requires(const Smat<double> &S, MD &&A) {
+      SMAT_dCSR_SpMV(S, std::forward<MD>(A));
+    },
+    requires(const Smat<float> &S, MF &&A) {
+      SMAT_sCSR_SpMV(S, std::forward<MF>(A));
+    },
+    requires(const Smat<double> &S, MD &&A) {
+      SMAT_dCSR_SpMM(S, std::forward<MD>(A), 4);
+    },
+    requires(const Smat<float> &S, MF &&A) {
+      SMAT_sCSR_SpMM(S, std::forward<MF>(A), 4);
+    },
+    requires(const Smat<double> &S, MD &&A, TunedSpmv<double> &Out) {
+      SMAT_dCSR_SpMV_try(S, std::forward<MD>(A), Out);
+    },
+    requires(const Smat<float> &S, MF &&A, TunedSpmv<float> &Out) {
+      SMAT_sCSR_SpMV_try(S, std::forward<MF>(A), Out);
+    },
+    requires(const Smat<double> &S, MD &&A, TunedSpmv<double> &Out) {
+      SMAT_dCSR_SpMM_try(S, std::forward<MD>(A), 4, Out);
+    },
+    requires(const Smat<float> &S, MF &&A, TunedSpmv<float> &Out) {
+      SMAT_sCSR_SpMM_try(S, std::forward<MF>(A), 4, Out);
+    },
+};
+static_assert(std::size(EntriesAccept<CsrMatrix<double>, CsrMatrix<float>>) ==
+              10);
+static_assert(std::ranges::all_of(
+                  EntriesAccept<const CsrMatrix<double> &,
+                                const CsrMatrix<float> &>,
+                  std::identity()),
+              "every entry point tunes a matrix the caller keeps alive");
+static_assert(std::ranges::none_of(
+                  EntriesAccept<CsrMatrix<double>, CsrMatrix<float>>,
+                  std::identity()),
+              "no entry point tunes a temporary matrix");
 
-  auto Op =
-      bindFormatOperator(Src, FormatKind::CSR, Sel, CsrStorage::Owned, &Src);
-  // The operator took Src's storage; wiping the source must not affect it.
-  Src = banded(10, 1);
-  std::vector<double> Y(300, -1.0);
-  Op->apply(X.data(), Y.data());
-  expectVectorsNear(Expected, Y, 1e-12);
-}
-
-TEST(SmatRuntimeTest, OwnedModeAndRvalueTuneAreSelfContained) {
+TEST(SmatRuntimeTest, OwnedModeIsSelfContained) {
   const Smat<double> &Tuner = sharedTuner();
 
   // Lvalue tune with CsrMode = Owned: the operator must not reference A.
@@ -326,18 +362,6 @@ TEST(SmatRuntimeTest, OwnedModeAndRvalueTuneAreSelfContained) {
     TunedSpmv<double> Op = Tuner.tune(*A, Opts);
     EXPECT_TRUE(Op.ownsStorage());
     A.reset();
-    std::vector<double> Y(300, -1.0);
-    Op.apply(X.data(), Y.data());
-    expectVectorsNear(Expected, Y, 1e-12);
-  }
-
-  // Rvalue tune: forces owned storage, moving when the bind lands on CSR.
-  {
-    CsrMatrix<double> A = randomCsr(300, 300, 0.02, 23);
-    auto X = randomVector<double>(300, 29);
-    std::vector<double> Expected = denseSpmv(A, X);
-    TunedSpmv<double> Op = Tuner.tune(std::move(A));
-    EXPECT_TRUE(Op.ownsStorage());
     std::vector<double> Y(300, -1.0);
     Op.apply(X.data(), Y.data());
     expectVectorsNear(Expected, Y, 1e-12);
@@ -433,15 +457,11 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
     SCOPED_TRACE(std::string(formatName(Kind)));
     ASSERT_GE(A.nnz(), SlicedPlanGrain);
     for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)}) {
-      auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
-                                   static_cast<CsrMatrix<double> *>(nullptr),
-                                   -1, K);
+      auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed, -1, K);
       std::unique_ptr<FormatOperator<double>> One;
       {
         OmpThreadsScope Serial(1);
-        One = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
-                                 static_cast<CsrMatrix<double> *>(nullptr),
-                                 -1, K);
+        One = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed, -1, K);
       }
       ASSERT_EQ(Op->kind(), Kind);
       EXPECT_EQ(Op->numSlices(), detail::teamSize());

@@ -164,7 +164,6 @@ TEST_P(MatrixProperties, BatchedMultiplyMatchesRepeatedApply) {
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
                           FormatKind::ELL, FormatKind::BSR}) {
     auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
-                                 static_cast<CsrMatrix<double> *>(nullptr),
                                  /*CsrKernelOverride=*/-1, /*BatchWidth=*/8);
     ASSERT_TRUE(Op);
     SCOPED_TRACE(std::string("requested format ") +

@@ -8,7 +8,7 @@
 // a handle that serves correct SpMV from call #1 on basic CSR, a background
 // worker swaps the tuned plan in atomically, every worker failure parks the
 // handle on basic CSR (correct, never a crash), the PlanCache stays
-// race-free under singleflight/eviction/persistence contention, snapshots
+// race-free under lookup/insert/eviction/persistence contention, snapshots
 // round-trip across service instances, and model hot-reload invalidates
 // stale cached plans via the generation stamp. The whole suite is run under
 // TSan with fault injection armed by the CI "service" leg (scripts/check.sh
@@ -299,7 +299,7 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
   std::atomic<bool> Stop{false};
   // A monitoring thread samples the aggregated counters while the worker is
   // mid-tune. Every snapshot must satisfy the cross-counter invariants —
-  // the seqlock publishes a tune's whole delta or none of it.
+  // a tune adds its whole delta under the counters' lock, or none of it.
   std::thread Monitor([&] {
     while (!Stop.load(std::memory_order_acquire)) {
       SmatResilienceCounters C = Service.resilienceCounters();
@@ -307,7 +307,6 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
       ASSERT_LE(C.BudgetExhaustedTunes, C.Tunes);
       ASSERT_LE(C.BasicKernelFallbacks, C.Tunes);
       ASSERT_LE(C.ReferenceFallbacks, C.Tunes);
-      ASSERT_LE(C.PlanShares, C.Tunes);
       ASSERT_LE(C.GuardrailEngagements, C.Tunes);
     }
   });
@@ -322,7 +321,7 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
   EXPECT_EQ(Service.resilienceCounters().Tunes, 6u);
 }
 
-// --- Concurrent PlanCache: singleflight vs eviction vs persistence ----------
+// --- Concurrent PlanCache: lookup/insert vs eviction vs persistence ---------
 
 TEST(PlanCacheConcurrencyTest, SizeNeverExceedsCapacity) {
   for (std::size_t Capacity : {1u, 2u, 7u, 63u, 1024u}) {
@@ -341,34 +340,27 @@ TEST(PlanCacheConcurrencyTest, SizeNeverExceedsCapacity) {
   }
 }
 
-TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
+TEST(PlanCacheConcurrencyTest, LookupInsertRacesLruEviction) {
   // Tiny cache: two entries for five fingerprints, so nearly every insert
-  // is an eviction — the worst case for the lease/evict interleaving.
+  // is an eviction — the worst case for the lookup/evict interleaving.
   PlanCache Cache(2);
   constexpr int NumThreads = 4;
   constexpr int NumOps = 400;
-  std::atomic<std::uint64_t> Published{0}, HitsSeen{0};
+  std::atomic<std::uint64_t> HitsSeen{0};
   std::vector<std::thread> Threads;
   for (int Tid = 0; Tid < NumThreads; ++Tid) {
     Threads.emplace_back([&, Tid] {
       for (int I = 0; I < NumOps; ++I) {
         PlanFingerprint Fp;
         Fp.RowsLog2 = static_cast<std::int16_t>((Tid + I) % 5);
-        PlanProbe Probe = Cache.lookupOrLead(Fp);
-        if (Probe.Lead) {
-          CachedPlan Plan;
+        CachedPlan Plan;
+        if (Cache.lookup(Fp, Plan)) {
+          ASSERT_EQ(Plan.Format, FormatKind::ELL);
+          HitsSeen.fetch_add(1, std::memory_order_relaxed);
+        } else if (I % 7 != 0) { // else a tune that cached nothing
           Plan.Format = FormatKind::ELL;
           Plan.CsrSpmvSeconds = 1e-6;
-          if (I % 7 == 0) {
-            Cache.abandon(Fp); // a tune that degraded; lease must free
-          } else {
-            Cache.publish(Fp, Plan);
-            Published.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          ASSERT_TRUE(Probe.Hit);
-          ASSERT_EQ(Probe.Plan.Format, FormatKind::ELL);
-          HitsSeen.fetch_add(1, std::memory_order_relaxed);
+          Cache.insert(Fp, Plan);
         }
       }
     });
@@ -383,7 +375,7 @@ TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
   EXPECT_GT(Stats.Evictions, 0u);
 }
 
-TEST(PlanCacheConcurrencyTest, SingleflightRacesSnapshotSaveAndLoad) {
+TEST(PlanCacheConcurrencyTest, LookupInsertRacesSnapshotSaveAndLoad) {
   const std::string Path = tempPath("plancache_race_snapshot.txt");
   std::remove(Path.c_str());
   PlanCache Cache(128);
@@ -397,8 +389,8 @@ TEST(PlanCacheConcurrencyTest, SingleflightRacesSnapshotSaveAndLoad) {
       ASSERT_NE(Cache.loadSnapshot(Path), SnapshotLoadResult::Corrupt);
     }
   });
-  // Mutator threads: singleflight leases, publishes, abandons, and plain
-  // inserts racing the walker. 130+ distinct fingerprints force evictions.
+  // Mutator threads: lookups and inserts racing the walker. 130+ distinct
+  // fingerprints force evictions.
   std::vector<std::thread> Threads;
   for (int Tid = 0; Tid < 3; ++Tid) {
     Threads.emplace_back([&, Tid] {
@@ -406,14 +398,10 @@ TEST(PlanCacheConcurrencyTest, SingleflightRacesSnapshotSaveAndLoad) {
         PlanFingerprint Fp;
         Fp.RowsLog2 = static_cast<std::int16_t>(I % 50);
         Fp.ColsLog2 = static_cast<std::int16_t>(Tid);
-        PlanProbe Probe = Cache.lookupOrLead(Fp);
-        if (Probe.Lead) {
-          CachedPlan Plan;
+        CachedPlan Plan;
+        if (!Cache.lookup(Fp, Plan) && I % 5 != 0) {
           Plan.Format = FormatKind::DIA;
-          if (I % 5 == 0)
-            Cache.abandon(Fp);
-          else
-            Cache.publish(Fp, Plan);
+          Cache.insert(Fp, Plan);
         }
       }
     });

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Thread-stress coverage of the shared-state paths: many threads tuning
-// through one Smat instance and one PlanCache. The singleflight probe must
-// deduplicate concurrent same-fingerprint tunes down to one measurement,
-// the resilience counters must stay consistent under concurrent updates and
+// through one Smat instance and one PlanCache. Concurrent tunes of one
+// structure may each measure, but they must share one cache entry, the
+// resilience counters must stay consistent under concurrent updates and
 // reads, and every thread's operator must stay correct. scripts/check.sh
-// runs this binary under ThreadSanitizer (SMAT_SANITIZE=thread, -L stress);
-// it is also part of tier 1 so the logic is exercised in every build.
+// runs this binary under ThreadSanitizer (SMAT_SANITIZE=thread, -L stress),
+// and with fault injection armed (-L fault, and TSan with faults); it is
+// also part of tier 1 so the logic is exercised in every build.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,7 @@ namespace {
 constexpr int NumThreads = 8;
 
 /// Never-confident model: every cache miss pays the full execute-and-measure
-/// path, which is exactly the work singleflight must deduplicate.
+/// path, the longest a tune holds its matrix and the cache apart.
 LearningModel strictModel() {
   LearningModel Model;
   Model.ConfidenceThreshold = 2.0;
@@ -57,17 +58,16 @@ void expectSpmvMatches(const TunedSpmv<double> &Op, const CsrMatrix<double> &A,
 
 } // namespace
 
-TEST(StressTest, ConcurrentSameFingerprintTunesMeasureOnce) {
+TEST(StressTest, ConcurrentSameFingerprintTunesShareOneEntry) {
   Smat<double> Tuner(strictModel());
   PlanCache Cache;
   CsrMatrix<double> A = banded(800, 2);
   TuneOptions Opts;
-  Opts.MeasureMinSeconds = 2e-3; // Long enough that late arrivals must wait.
+  Opts.MeasureMinSeconds = 2e-3; // Long enough that tunes overlap.
   Opts.Cache = &Cache;
 
   constexpr int TunesPerThread = 4;
   std::atomic<int> Failures{0};
-  std::atomic<std::uint64_t> SharedReports{0};
   std::vector<std::thread> Threads;
   Threads.reserve(NumThreads);
   for (int T = 0; T != NumThreads; ++T)
@@ -78,17 +78,11 @@ TEST(StressTest, ConcurrentSameFingerprintTunesMeasureOnce) {
           ++Failures;
           return;
         }
-        if (Result->report().PlanShared) {
-          ++SharedReports;
-          // A shared plan is still a cache hit by contract.
-          if (!Result->report().PlanCacheHit)
-            ++Failures;
-        }
         expectSpmvMatches(*Result, A, static_cast<std::uint64_t>(T * 31 + I));
       }
     });
   // Concurrent counter reads race against the tuning threads' updates; TSan
-  // verifies the atomics make that safe.
+  // verifies the lock makes that safe.
   for (int Poll = 0; Poll != 50; ++Poll)
     (void)Tuner.resilienceCounters();
   for (std::thread &Th : Threads)
@@ -97,16 +91,12 @@ TEST(StressTest, ConcurrentSameFingerprintTunesMeasureOnce) {
   EXPECT_EQ(Failures.load(), 0);
   PlanCacheStats Stats = Cache.stats();
   constexpr std::uint64_t Total = NumThreads * TunesPerThread;
-  EXPECT_EQ(Stats.Misses, 1u)
-      << "singleflight must collapse every concurrent same-fingerprint tune "
-         "onto one measuring leader";
-  EXPECT_EQ(Stats.Hits, Total - 1);
-  EXPECT_EQ(Stats.SingleflightWaits, SharedReports.load())
-      << "every waiter's report is marked PlanShared, nothing else is";
-
-  SmatResilienceCounters C = Tuner.resilienceCounters();
-  EXPECT_EQ(C.Tunes, Total);
-  EXPECT_EQ(C.PlanShares, SharedReports.load());
+  // Tunes that overlap the first one miss and measure too; every tune is
+  // counted once, and all of them land on the one fingerprint's entry.
+  EXPECT_EQ(Stats.Hits + Stats.Misses, Total);
+  EXPECT_GE(Stats.Misses, 1u);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Tuner.resilienceCounters().Tunes, Total);
 }
 
 TEST(StressTest, ConcurrentDistinctStructuresStayIndependent) {
@@ -143,8 +133,8 @@ TEST(StressTest, ConcurrentDistinctStructuresStayIndependent) {
 
   EXPECT_EQ(Failures.load(), 0);
   PlanCacheStats Stats = Cache.stats();
-  EXPECT_EQ(Stats.Misses, Inputs.size())
-      << "exactly one measuring tune per structural class";
+  EXPECT_GE(Stats.Misses, Inputs.size())
+      << "at least one measuring tune per structural class";
   EXPECT_EQ(Stats.Hits + Stats.Misses,
             static_cast<std::uint64_t>(NumThreads) * 3);
   EXPECT_EQ(Cache.size(), Inputs.size());
@@ -154,10 +144,8 @@ TEST(StressTest, ConcurrentTunesUnderRandomFaultsStayCorrect) {
   if (!fault::CompiledIn)
     GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
   // Probabilistic faults while eight threads hammer a shared cache: no
-  // tryTune may fail, no waiter may deadlock on an abandoned lease, and
-  // every bound operator must stay correct. (A tune whose feature stage
-  // faults skips the cache entirely; everything else publishes, so waiters
-  // always wake.)
+  // tryTune may fail and every bound operator must stay correct. (A tune
+  // whose feature stage faults skips the cache entirely.)
   fault::FaultConfig Cfg;
   Cfg.Seed = 17;
   Cfg.Probability = 0.02;
