@@ -4,21 +4,24 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The measurement behind SlicedPlanGrain (matrix/FormatConvert.h): per
-// nonzero count, the median latency of one SpMV call through the serial
-// kernel pick (dia_unroll2 on a 7-diagonal band, ell_simd on a bounded-degree
-// random matrix) against the same pick run as one row slice per OpenMP
-// thread. Calls are 2 ms apart, so every sliced call pays the wake-up of an
-// idle team, as a solver's or a server's calls do between other work.
+// The measurement behind slicedPlanGrain (core/FormatOperator.h): per
+// nonzero count, the median latency of one SpMV call through a serial kernel
+// pick (dia_unroll2 on a 7-diagonal band; ell_simd and the serial CSR pick,
+// csr_avx2 where the build has it, on a bounded-degree random matrix)
+// against the same pick run as one row slice per OpenMP thread, and of
+// csr_basic, the unsliced kernel every plan is checked against. Calls are
+// 2 ms apart, so every sliced call pays the wake-up of an idle team, as a
+// solver's or a server's calls do between other work.
 //
 // Two phases: first the process has one OpenMP team; then a TuningService
 // has tuned one matrix, so its idle worker keeps a second team alive, and
-// libgomp stops spinning when more threads exist than cores. The grain has
-// to sit above the crossover of the second phase.
+// libgomp stops spinning when more threads exist than cores. The grain with
+// no service sits at the first phase's crossover, the grain while one is
+// alive at the second's.
 //
-// The sliced plans are built here the way bindFormatOperator builds them
-// above the grain (balancedRowBounds, csrRowSlice, guard-free conversion),
-// so sizes below the grain can be measured too.
+// The plans are built the way bindFormatOperator builds them (one matrix,
+// balancedRowBounds slices), at every size, so sizes below the grain can be
+// measured too.
 //
 // Usage: micro_slice_grain [calls per point, default 200]
 //
@@ -43,20 +46,13 @@ using namespace smat;
 
 namespace {
 
-/// Binds \p K to \p A converted by \p Convert as \p Parts row slices.
-template <template <typename> class MatrixT, typename ConvertFn>
+/// Binds \p K to \p M, the conversion of \p A, as \p Parts row slices.
+template <template <typename> class MatrixT>
 std::unique_ptr<FormatOperator<double>>
-slicedPlan(const CsrMatrix<double> &A, index_t Parts,
-           const Kernel<typename BoundOperator<MatrixT, double>::SpmvFn> &K,
-           ConvertFn Convert) {
-  std::vector<index_t> Bounds = balancedRowBounds(A, Parts);
-  std::vector<MatrixT<double>> Slices(Bounds.size() - 1);
-  for (std::size_t S = 0; S != Slices.size(); ++S)
-    if (!Convert(csrRowSlice(A, Bounds[S], Bounds[S + 1]), Slices[S]))
-      return nullptr;
-  Bounds.pop_back();
+slicedPlan(const CsrMatrix<double> &A, MatrixT<double> M, index_t Parts,
+           const Kernel<typename BoundOperator<MatrixT, double>::SpmvFn> &K) {
   return std::make_unique<BoundOperator<MatrixT, double>>(
-      std::move(Slices), std::move(Bounds), K, nullptr);
+      std::move(M), K, nullptr, balancedRowBounds(A, Parts));
 }
 
 /// The library entry named \p Name.
@@ -88,34 +84,42 @@ double medianCallUs(const FormatOperator<double> &Op, int Calls) {
 struct Point {
   const char *Format;
   CsrMatrix<double> A;
-  std::unique_ptr<FormatOperator<double>> Serial, Sliced;
+  std::unique_ptr<FormatOperator<double>> Basic, Serial, Sliced;
 };
 
 std::vector<Point> buildPoints(index_t Parts) {
   const KernelTable<double> &K = kernelTable<double>();
   const auto &DiaPick = kernelNamed(K.Dia, "dia_unroll2");
   const auto &EllPick = kernelNamed(K.Ell, "ell_simd");
-  auto ToDia = [](const CsrMatrix<double> &M, DiaMatrix<double> &Out) {
-    return csrToDia(M, Out, 0.0, 0);
-  };
-  auto ToEll = [](const CsrMatrix<double> &M, EllMatrix<double> &Out) {
-    return csrToEll(M, Out, 0.0);
-  };
+  const bool HaveAvx2 = kernelIndexNamed(K.Csr, "csr_avx2") != 0;
+  const auto &CsrPick =
+      kernelNamed(K.Csr, HaveAvx2 ? "csr_avx2" : "csr_unroll4");
   std::vector<Point> Points;
   for (std::int64_t Nnz = std::int64_t(1) << 13; Nnz <= std::int64_t(1) << 20;
        Nnz *= 2) {
     auto Rows = static_cast<index_t>(Nnz / 7);
-    Points.push_back({"DIA", banded(Rows, 3), nullptr, nullptr});
-    Points.push_back(
-        {"ELL", boundedDegreeRandom(Rows, Rows, 6, 8, 90), nullptr, nullptr});
+    Points.push_back({"DIA", banded(Rows, 3), nullptr, nullptr, nullptr});
+    Points.push_back({"ELL", boundedDegreeRandom(Rows, Rows, 6, 8, 90),
+                      nullptr, nullptr, nullptr});
+    Points.push_back({"CSR", boundedDegreeRandom(Rows, Rows, 6, 8, 91),
+                      nullptr, nullptr, nullptr});
   }
   for (Point &P : Points) {
-    if (std::string(P.Format) == "DIA") {
-      P.Serial = slicedPlan<DiaMatrix>(P.A, 1, DiaPick, ToDia);
-      P.Sliced = slicedPlan<DiaMatrix>(P.A, Parts, DiaPick, ToDia);
+    P.Basic = basicCsrOperator(P.A);
+    const std::string Format = P.Format;
+    if (Format == "DIA") {
+      DiaMatrix<double> M;
+      csrToDia(P.A, M);
+      P.Serial = slicedPlan<DiaMatrix>(P.A, M, 1, DiaPick);
+      P.Sliced = slicedPlan<DiaMatrix>(P.A, std::move(M), Parts, DiaPick);
+    } else if (Format == "ELL") {
+      EllMatrix<double> M;
+      csrToEll(P.A, M);
+      P.Serial = slicedPlan<EllMatrix>(P.A, M, 1, EllPick);
+      P.Sliced = slicedPlan<EllMatrix>(P.A, std::move(M), Parts, EllPick);
     } else {
-      P.Serial = slicedPlan<EllMatrix>(P.A, 1, EllPick, ToEll);
-      P.Sliced = slicedPlan<EllMatrix>(P.A, Parts, EllPick, ToEll);
+      P.Serial = slicedPlan<CsrMatrix>(P.A, P.A, 1, CsrPick);
+      P.Sliced = slicedPlan<CsrMatrix>(P.A, P.A, Parts, CsrPick);
     }
   }
   return Points;
@@ -123,13 +127,16 @@ std::vector<Point> buildPoints(index_t Parts) {
 
 void measure(const char *Title, std::vector<Point> &Points, int Calls) {
   std::printf("\n%s\n", Title);
-  AsciiTable Table({"format", "nnz", "slices", "serial_us", "sliced_us",
-                    "serial/sliced"});
+  AsciiTable Table({"format", "kernel", "nnz", "slices", "csr_basic_us",
+                    "serial_us", "sliced_us", "serial/sliced"});
   for (Point &P : Points) {
+    double BasicUs = medianCallUs(*P.Basic, Calls);
     double SerialUs = medianCallUs(*P.Serial, Calls);
     double SlicedUs = medianCallUs(*P.Sliced, Calls);
-    Table.addRow({P.Format, std::to_string(P.A.nnz()),
+    Table.addRow({P.Format, P.Serial->kernelName(),
+                  std::to_string(P.A.nnz()),
                   std::to_string(P.Sliced->numSlices()),
+                  formatString("%.1f", BasicUs),
                   formatString("%.1f", SerialUs),
                   formatString("%.1f", SlicedUs),
                   formatString("%.2f", SerialUs / SlicedUs)});
@@ -143,8 +150,9 @@ int main(int Argc, char **Argv) {
   const int Calls = Argc > 1 ? std::max(1, std::atoi(Argv[1])) : 200;
   const index_t Parts = detail::teamSize();
   std::printf("micro_slice_grain: %d calls per point, %d slices, grain %lld "
-              "nonzeros\n",
+              "nonzeros with no service, %lld with one\n",
               Calls, static_cast<int>(Parts),
+              static_cast<long long>(slicedPlanGrain()),
               static_cast<long long>(SlicedPlanGrain));
   std::vector<Point> Points = buildPoints(Parts);
 

@@ -20,9 +20,10 @@
 /// pattern) or own a copy when the caller cannot guarantee the input
 /// outlives the operator. See `CsrStorage`.
 ///
-/// A large converted plan whose kernel pick is serial is bound as row
-/// slices, one per OpenMP thread, that run the same kernel side by side;
-/// see `bindFormatOperator`.
+/// A large plan whose kernel pick is serial runs as row slices, one per
+/// OpenMP thread: the one matrix plus nonzero-balanced row bounds, each
+/// slice running the pick's row-range kernel on its rows side by side; see
+/// `bindFormatOperator` and `slicedPlanGrain`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,10 @@
 #include "matrix/FormatConvert.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -87,8 +91,9 @@ public:
   /// \returns false when the operator borrows the caller's CSR matrix.
   virtual bool ownsStorage() const = 0;
 
-  /// \returns how many row slices apply() and multiply() run side by side;
-  /// 1 for an unsliced plan.
+  /// \returns how many row slices apply() runs side by side; 1 for an
+  /// unsliced plan. multiply() runs the same slices unless its SpMM kernel
+  /// spans the team by itself.
   virtual index_t numSlices() const = 0;
 };
 
@@ -96,78 +101,75 @@ public:
 /// CooMatrix, ...) bound to an SpMV kernel and an optional SpMM kernel. The
 /// operator owns its matrix, or borrows the caller's (CSR only); it is
 /// always heap-allocated and never copied, since it may point at itself.
-/// An owned matrix is held as one or more row slices: with several, apply()
-/// and multiply() run the bound kernel on every slice in one OpenMP parallel
-/// loop, and each slice writes only its own rows of y. The unsliced operator
-/// is the one-slice case.
+///
+/// The operator also holds row bounds that cut the matrix into slices (one
+/// slice by default). apply() and multiply() run their kernel on every slice
+/// in one OpenMP parallel loop, each slice writing only its own rows of y,
+/// when the kernel runs sliced (runsSliced); otherwise they make one
+/// whole-matrix call. Either way the matrix is the same one: a slice is a
+/// row range, never a copy.
 template <template <typename> class MatrixT, typename T>
 class BoundOperator final : public FormatOperator<T> {
 public:
   using Matrix = MatrixT<T>;
-  using SpmvFn = void (*)(const Matrix &, const T *, T *);
-  using SpmmFn = void (*)(const Matrix &, const T *, T *, index_t);
+  using SpmvFn = RowRangeSpmv<Matrix, T>;
+  using SpmmFn = RowRangeSpmm<Matrix, T>;
 
   /// Binds \p Spmv and \p Spmm to \p Borrowed, which must outlive the
-  /// operator. A null \p Spmm makes multiply() run \p Spmv column by
-  /// column.
+  /// operator, with the slice bounds \p Bounds (0, the interior cuts,
+  /// NumRows; empty for one slice). A null \p Spmm makes multiply() run
+  /// \p Spmv column by column.
   BoundOperator(const Matrix &Borrowed, const Kernel<SpmvFn> &Spmv,
-                const Kernel<SpmmFn> *Spmm = nullptr)
-      : A(&Borrowed), Rows(A->NumRows), Cols(A->NumCols) {
-    bindKernels(Spmv, Spmm);
+                const Kernel<SpmmFn> *Spmm = nullptr,
+                std::vector<index_t> Bounds = {})
+      : A(&Borrowed) {
+    bind(Spmv, Spmm, std::move(Bounds));
   }
 
-  /// Binds the kernels to the owned row slices \p Parts: slice S holds the
-  /// matrix rows from \p Begins[S] up to the next slice's first row. One
-  /// slice starting at row 0 is an owned, unsliced matrix.
-  BoundOperator(std::vector<Matrix> &&Parts, std::vector<index_t> &&Begins,
-                const Kernel<SpmvFn> &Spmv, const Kernel<SpmmFn> *Spmm)
-      : Slices(std::move(Parts)), RowBegin(std::move(Begins)),
-        A(Slices.data()), Rows(RowBegin.back() + Slices.back().NumRows),
-        Cols(A->NumCols) {
-    assert(!Slices.empty() && Slices.size() == RowBegin.size() &&
-           "one first row per slice");
-    bindKernels(Spmv, Spmm);
+  /// Same, with the operator owning \p Owned.
+  BoundOperator(Matrix &&Owned, const Kernel<SpmvFn> &Spmv,
+                const Kernel<SpmmFn> *Spmm, std::vector<index_t> Bounds = {})
+      : Storage(std::move(Owned)), A(&*Storage) {
+    bind(Spmv, Spmm, std::move(Bounds));
   }
   BoundOperator(const BoundOperator &) = delete;
   BoundOperator &operator=(const BoundOperator &) = delete;
 
   void apply(const T *X, T *Y) const override {
-    if (Slices.size() < 2) {
+    if (!SliceSpmv) {
       Spmv(*A, X, Y);
       return;
     }
-    const auto N = static_cast<index_t>(Slices.size());
+    const auto N = static_cast<index_t>(Bounds.size() - 1);
 #pragma omp parallel for schedule(static)
     for (index_t S = 0; S < N; ++S)
-      Spmv(Slices[S], X, Y + RowBegin[S]);
+      Spmv(*A, Bounds[S], Bounds[S + 1], X, Y);
   }
 
   void multiply(const T *X, T *Y, index_t K) const override {
-    if (Spmm) {
-      if (Slices.size() < 2) {
+    if (Spmm.Range) {
+      if (!SliceSpmm) {
         Spmm(*A, X, Y, K);
         return;
       }
-      // A threaded SpMM pick spans the team by itself: its slices run in
-      // turn instead of nesting one team inside another.
-      const auto N = static_cast<index_t>(Slices.size());
-#pragma omp parallel for schedule(static) if (!SpmmThreaded)
+      const auto N = static_cast<index_t>(Bounds.size() - 1);
+#pragma omp parallel for schedule(static)
       for (index_t S = 0; S < N; ++S)
-        Spmm(Slices[S], X, Y + static_cast<std::size_t>(RowBegin[S]) * K, K);
+        Spmm(*A, Bounds[S], Bounds[S + 1], X, Y, K);
       return;
     }
     if (K == 1) {
       apply(X, Y);
       return;
     }
-    AlignedVector<T> Xc(static_cast<std::size_t>(Cols));
-    AlignedVector<T> Yc(static_cast<std::size_t>(Rows));
+    AlignedVector<T> Xc(static_cast<std::size_t>(A->NumCols));
+    AlignedVector<T> Yc(static_cast<std::size_t>(A->NumRows));
     for (index_t J = 0; J < K; ++J) {
-      for (index_t I = 0; I < Cols; ++I)
+      for (index_t I = 0; I < A->NumCols; ++I)
         Xc[static_cast<std::size_t>(I)] =
             X[static_cast<std::size_t>(I) * K + J];
       apply(Xc.data(), Yc.data());
-      for (index_t I = 0; I < Rows; ++I)
+      for (index_t I = 0; I < A->NumRows; ++I)
         Y[static_cast<std::size_t>(I) * K + J] =
             Yc[static_cast<std::size_t>(I)];
     }
@@ -176,50 +178,58 @@ public:
   FormatKind kind() const override { return Matrix::Format; }
   const char *kernelName() const override { return SpmvName; }
   const char *spmmKernelName() const override { return SpmmName; }
-  index_t numRows() const override { return Rows; }
-  index_t numCols() const override { return Cols; }
-  bool ownsStorage() const override { return !Slices.empty(); }
+  index_t numRows() const override { return A->NumRows; }
+  index_t numCols() const override { return A->NumCols; }
+  bool ownsStorage() const override { return Storage.has_value(); }
   index_t numSlices() const override {
-    return std::max(index_t(1), static_cast<index_t>(Slices.size()));
+    return SliceSpmv ? static_cast<index_t>(Bounds.size() - 1) : 1;
+  }
+
+  /// Whether \p K runs as row slices when the plan has several: a threaded
+  /// kernel spans the team by itself, and the basic CSR kernels stay the
+  /// serial reference every plan is checked against (by name, which is how
+  /// a report reads them).
+  template <typename FnT> static bool runsSliced(const Kernel<FnT> &K) {
+    return !(K.Flags & OptThreads) &&
+           std::strcmp(K.Name, basicCsrKernel<T>().Name) != 0 &&
+           std::strcmp(K.Name, basicCsrSpmmKernel<T>().Name) != 0;
   }
 
 private:
-  void bindKernels(const Kernel<SpmvFn> &SpmvK, const Kernel<SpmmFn> *SpmmK) {
+  void bind(const Kernel<SpmvFn> &SpmvK, const Kernel<SpmmFn> *SpmmK,
+            std::vector<index_t> RowBounds) {
+    assert((RowBounds.empty() ||
+            (RowBounds.front() == 0 && RowBounds.back() == A->NumRows)) &&
+           "slice bounds run from row 0 to NumRows");
+    Bounds = std::move(RowBounds);
+    const bool Sliced = Bounds.size() > 2;
     Spmv = SpmvK.Fn;
     SpmvName = SpmvK.Name;
-    Spmm = SpmmK ? SpmmK->Fn : nullptr;
+    SliceSpmv = Sliced && runsSliced(SpmvK);
+    Spmm = SpmmK ? SpmmK->Fn : SpmmFn();
     SpmmName = SpmmK ? SpmmK->Name : SpmvK.Name;
-    SpmmThreaded = SpmmK && (SpmmK->Flags & OptThreads);
+    SliceSpmm = Sliced && SpmmK && runsSliced(*SpmmK);
   }
 
-  /// The owned matrix as row slices in row order; empty when borrowing.
-  std::vector<Matrix> Slices;
-  /// First matrix row of each slice (empty for a borrowing operator).
-  std::vector<index_t> RowBegin;
-  /// The borrowed matrix, or the first slice.
+  /// The owned matrix; empty when borrowing.
+  std::optional<Matrix> Storage;
+  /// The borrowed or owned matrix.
   const Matrix *A;
-  const index_t Rows, Cols;
+  /// Slice bounds: slice S is rows [Bounds[S], Bounds[S + 1]).
+  std::vector<index_t> Bounds;
   SpmvFn Spmv;
   SpmmFn Spmm;
   const char *SpmvName;
   const char *SpmmName;
-  bool SpmmThreaded;
+  bool SliceSpmv = false, SliceSpmm = false;
 };
 
 namespace detail {
 
-/// Binds the CSR kernels \p K and \p M to \p A, borrowed or, per
-/// \p Storage, copied into the operator as one slice.
-template <typename T>
-std::unique_ptr<FormatOperator<T>>
-csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
-            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage) {
-  using Op = BoundOperator<CsrMatrix, T>;
-  if (Storage == CsrStorage::Borrowed)
-    return std::make_unique<Op>(A, K, &M);
-  return std::make_unique<Op>(std::vector<CsrMatrix<T>>(1, A),
-                              std::vector<index_t>{0}, K, &M);
-}
+/// TuningService instances alive in the process. Each one's worker thread
+/// runs an OpenMP team of its own beside the callers' team; the service
+/// keeps this count itself (TuningService.h).
+inline std::atomic<int> LiveTuningServices{0};
 
 /// \returns the team size of the next OpenMP parallel region; 1 without
 /// OpenMP.
@@ -231,21 +241,51 @@ inline index_t teamSize() {
 #endif
 }
 
+} // namespace detail
+
+/// \returns the nonzero count from which a plan runs as row slices. With one
+/// OpenMP team in the process, the wake-up of the idle team costs a few
+/// microseconds and slicing wins from ParallelConvertGrain on, the grain
+/// below which nothing forks a team. While a TuningService is alive, its
+/// worker's second team makes every wake-up cost 50-130 us, and the grain
+/// is SlicedPlanGrain (DESIGN.md section 10 has both crossovers).
+inline std::int64_t slicedPlanGrain() {
+  return detail::LiveTuningServices.load(std::memory_order_relaxed) > 0
+             ? SlicedPlanGrain
+             : ParallelConvertGrain;
+}
+
+namespace detail {
+
+/// The slice bounds a plan of \p A runs as: teamSize() slices of near-equal
+/// nonzero counts, cut on multiples of \p Align rows, once \p A has
+/// slicedPlanGrain() nonzeros; one slice below that.
+template <typename T>
+std::vector<index_t> planRowBounds(const CsrMatrix<T> &A, index_t Align) {
+  return balancedRowBounds(
+      A, A.nnz() >= slicedPlanGrain() ? teamSize() : index_t(1), Align);
+}
+
+/// Binds the CSR kernels \p K and \p M to \p A, borrowed or, per
+/// \p Storage, copied into the operator, as planRowBounds slices.
+template <typename T>
+std::unique_ptr<FormatOperator<T>>
+csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
+            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage) {
+  using Op = BoundOperator<CsrMatrix, T>;
+  std::vector<index_t> Bounds = planRowBounds(A, 1);
+  if (Storage == CsrStorage::Borrowed)
+    return std::make_unique<Op>(A, K, &M, std::move(Bounds));
+  return std::make_unique<Op>(CsrMatrix<T>(A), K, &M, std::move(Bounds));
+}
+
 /// Converts \p A with \p Convert and binds the picks \p SpmvIdx of
 /// \p SpmvList and \p SpmmIdx of \p SpmmList (null: no SpMM family), each
-/// through pickKernel. \p Convert(M, Out, Guarded) converts M into Out,
-/// with the format's fill guards only when Guarded; \p Fits(M) runs those
-/// guards alone. \returns null when a guard declines.
-///
-/// A matrix of at least SlicedPlanGrain nonzeros whose SpMV pick is serial
-/// (a threaded pick already spans the team) is converted as teamSize() row
-/// slices of near-equal nonzero counts, each starting on a multiple of
-/// \p Align rows. \p Fits judges the whole matrix first, so slicing never
-/// changes the bound format; the slices are then converted without guards,
-/// one after another on the calling thread, so their storage is never
-/// allocated inside a parallel region.
-template <template <typename> class MatrixT, typename T, typename FitsFn,
-          typename ConvertFn>
+/// through pickKernel, as planRowBounds slices of the one converted matrix
+/// cut on multiples of \p Align rows. \p Convert(M, Out) converts M into
+/// Out with the format's fill guards, which judge the whole matrix.
+/// \returns null when a guard declines.
+template <template <typename> class MatrixT, typename T, typename ConvertFn>
 std::unique_ptr<FormatOperator<T>> bindConverted(
     const CsrMatrix<T> &A,
     const std::vector<Kernel<typename BoundOperator<MatrixT, T>::SpmvFn>>
@@ -253,29 +293,14 @@ std::unique_ptr<FormatOperator<T>> bindConverted(
     int SpmvIdx,
     const std::vector<Kernel<typename BoundOperator<MatrixT, T>::SpmmFn>>
         *SpmmList,
-    int SpmmIdx, index_t Align, FitsFn Fits, ConvertFn Convert) {
-  const bool Serial = !(kernelEntry(SpmvList, SpmvIdx).Flags & OptThreads);
-  std::vector<index_t> Bounds = balancedRowBounds(
-      A, Serial && A.nnz() >= SlicedPlanGrain ? teamSize() : index_t(1),
-      Align);
-  std::vector<MatrixT<T>> Slices(Bounds.size() - 1);
-  if (Slices.size() == 1) {
-    if (!Convert(A, Slices.front(), true))
-      return nullptr;
-  } else {
-    if (!Fits(A))
-      return nullptr;
-    for (std::size_t S = 0; S != Slices.size(); ++S)
-      if (!Convert(csrRowSlice(A, Bounds[S], Bounds[S + 1]), Slices[S],
-                   false))
-        return nullptr;
-  }
-  const auto &K = pickKernel(SpmvList, SpmvIdx, Slices.front());
-  const auto *M =
-      SpmmList ? &pickKernel(*SpmmList, SpmmIdx, Slices.front()) : nullptr;
-  Bounds.pop_back();
+    int SpmmIdx, index_t Align, ConvertFn Convert) {
+  MatrixT<T> M;
+  if (!Convert(A, M))
+    return nullptr;
+  const auto &K = pickKernel(SpmvList, SpmvIdx, M);
+  const auto *S = SpmmList ? &pickKernel(*SpmmList, SpmmIdx, M) : nullptr;
   return std::make_unique<BoundOperator<MatrixT, T>>(
-      std::move(Slices), std::move(Bounds), K, M);
+      std::move(M), K, S, planRowBounds(A, Align));
 }
 
 } // namespace detail
@@ -304,10 +329,10 @@ basicCsrOperator(const CsrMatrix<T> &A,
 /// unsearched width binds the format's basic SpMM kernel, so multiply() is
 /// batched for CSR/COO/DIA/ELL regardless of tuning width.
 ///
-/// A COO/DIA/ELL/BSR plan is row-sliced when \p A has at least
-/// SlicedPlanGrain nonzeros and the format's SpMV pick is serial (see
-/// detail::bindConverted). CSR binds, threaded picks and basicCsrOperator
-/// are never sliced.
+/// A plan of any format is cut into row slices when \p A has at least
+/// slicedPlanGrain() nonzeros, and each of its kernels runs sliced unless
+/// it is threaded or a basic CSR kernel (BoundOperator::runsSliced). A
+/// borrowed CSR plan stays zero-copy; basicCsrOperator never slices.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
@@ -327,8 +352,8 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
   case FormatKind::COO:
     Op = detail::bindConverted<CooMatrix>(
         A, Kernels.Coo, Spmv(FormatKind::COO), &Kernels.CooSpmm,
-        Spmm(FormatKind::COO), 1, [](const CsrMatrix<T> &) { return true; },
-        [](const CsrMatrix<T> &M, CooMatrix<T> &Out, bool) {
+        Spmm(FormatKind::COO), 1,
+        [](const CsrMatrix<T> &M, CooMatrix<T> &Out) {
           Out = csrToCoo(M);
           return true;
         });
@@ -337,32 +362,28 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
     Op = detail::bindConverted<DiaMatrix>(
         A, Kernels.Dia, Spmv(FormatKind::DIA), &Kernels.DiaSpmm,
         Spmm(FormatKind::DIA), 1,
-        [](const CsrMatrix<T> &M) { return diaFits(M); },
-        [](const CsrMatrix<T> &M, DiaMatrix<T> &Out, bool Guarded) {
-          return Guarded ? csrToDia(M, Out) : csrToDia(M, Out, 0.0, 0);
+        [](const CsrMatrix<T> &M, DiaMatrix<T> &Out) {
+          return csrToDia(M, Out);
         });
     break;
   case FormatKind::ELL:
     Op = detail::bindConverted<EllMatrix>(
         A, Kernels.Ell, Spmv(FormatKind::ELL), &Kernels.EllSpmm,
         Spmm(FormatKind::ELL), 1,
-        [](const CsrMatrix<T> &M) { return ellFits(M); },
-        [](const CsrMatrix<T> &M, EllMatrix<T> &Out, bool Guarded) {
-          return Guarded ? csrToEll(M, Out) : csrToEll(M, Out, 0.0);
+        [](const CsrMatrix<T> &M, EllMatrix<T> &Out) {
+          return csrToEll(M, Out);
         });
     break;
   case FormatKind::BSR: {
     // BSR has no SpMM kernel family: multiply() runs the SpMV kernel column
-    // by column. Slices start on block rows, so they tile the same blocks.
+    // by column. Slices start on block rows.
     index_t BlockSize = chooseBsrBlockSize(A);
     if (BlockSize <= 0)
       break;
     Op = detail::bindConverted<BsrMatrix>(
         A, Kernels.Bsr, Spmv(FormatKind::BSR), nullptr, -1, BlockSize,
-        [BlockSize](const CsrMatrix<T> &M) { return bsrFits(M, BlockSize); },
-        [BlockSize](const CsrMatrix<T> &M, BsrMatrix<T> &Out, bool Guarded) {
-          return Guarded ? csrToBsr(M, Out, BlockSize)
-                         : csrToBsr(M, Out, BlockSize, 0.0);
+        [BlockSize](const CsrMatrix<T> &M, BsrMatrix<T> &Out) {
+          return csrToBsr(M, Out, BlockSize);
         });
     break;
   }

@@ -15,6 +15,36 @@
 
 using namespace smat;
 
+namespace {
+
+/// The index of the kernel named \p Name in this build's SpMV (\p Spmm
+/// false) or SpMM library of \p Kind; 0, the basic kernel, when the build
+/// has no kernel of that name or (BSR) no SpMM family. Both value types
+/// register the same names in the same order, so the double table answers
+/// for either.
+int kernelIndexFor(FormatKind Kind, const std::string &Name, bool Spmm) {
+  const KernelTable<double> &K = kernelTable<double>();
+  switch (Kind) {
+  case FormatKind::CSR:
+    return Spmm ? kernelIndexNamed(K.CsrSpmm, Name)
+                : kernelIndexNamed(K.Csr, Name);
+  case FormatKind::COO:
+    return Spmm ? kernelIndexNamed(K.CooSpmm, Name)
+                : kernelIndexNamed(K.Coo, Name);
+  case FormatKind::DIA:
+    return Spmm ? kernelIndexNamed(K.DiaSpmm, Name)
+                : kernelIndexNamed(K.Dia, Name);
+  case FormatKind::ELL:
+    return Spmm ? kernelIndexNamed(K.EllSpmm, Name)
+                : kernelIndexNamed(K.Ell, Name);
+  case FormatKind::BSR:
+    return Spmm ? 0 : kernelIndexNamed(K.Bsr, Name);
+  }
+  return 0;
+}
+
+} // namespace
+
 void LearningModel::refreshRuleMetadata() {
   GroupUsesR.fill(false);
   for (const Rule &R : Rules.Rules)
@@ -112,9 +142,12 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
       Error = "malformed kernel line: '" + Line + "'";
       return false;
     }
+    // Picks bind by name: the index a model was written with is only
+    // informative, since another build's table may order (or lack) kernels
+    // differently.
     int Idx = static_cast<int>(Kind);
     Model.Kernels.BestKernel[static_cast<std::size_t>(Idx)] =
-        static_cast<int>(std::strtol(KernelParts[2].c_str(), nullptr, 10));
+        kernelIndexFor(Kind, KernelParts[3], false);
     Model.Kernels.BestKernelName[static_cast<std::size_t>(Idx)] =
         KernelParts[3];
   }
@@ -133,7 +166,7 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
         return false;
       }
       Model.Kernels.BestSkewCsrKernel =
-          static_cast<int>(std::strtol(Parts[2].c_str(), nullptr, 10));
+          kernelIndexFor(FormatKind::CSR, Parts[3], false);
       Model.Kernels.BestSkewCsrKernelName = Parts[3];
       continue;
     }
@@ -149,8 +182,7 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
       }
       std::size_t F = static_cast<std::size_t>(Kind);
       std::size_t W = static_cast<std::size_t>(spmmWidthIndex(Width));
-      Model.Kernels.BestSpmmKernel[F][W] =
-          static_cast<int>(std::strtol(Parts[3].c_str(), nullptr, 10));
+      Model.Kernels.BestSpmmKernel[F][W] = kernelIndexFor(Kind, Parts[4], true);
       Model.Kernels.BestSpmmKernelName[F][W] = Parts[4];
       continue;
     }

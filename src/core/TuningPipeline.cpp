@@ -50,6 +50,16 @@ bool conversionPlausible(FormatKind Kind, const FeatureVector &F) {
   }
 }
 
+/// refCsrSpmv as a kernel entry. The reference rung binds it unsliced, so
+/// it only ever runs the whole matrix.
+template <typename T>
+void refCsrRows(const CsrMatrix<T> &A, [[maybe_unused]] index_t RowBegin,
+                [[maybe_unused]] index_t RowEnd, const T *X, T *Y) {
+  assert(RowBegin == 0 && RowEnd == A.NumRows &&
+         "the reference rung runs the whole matrix");
+  refCsrSpmv(A, X, Y);
+}
+
 } // namespace
 
 // --- FeatureStage -----------------------------------------------------------
@@ -280,7 +290,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
   if (!Result.Op) {
     Result.Degradation = DegradationLevel::ReferenceCsr;
     const Kernel<CsrKernelFn<T>> Reference{"csr_reference", OptNone,
-                                           &refCsrSpmv<T>};
+                                           &refCsrRows<T>};
     Result.Op = std::make_unique<BoundOperator<CsrMatrix, T>>(Ctx.A, Reference);
   }
 

@@ -194,6 +194,20 @@ private:
   std::shared_ptr<detail::AsyncJob<T>> Job;
 };
 
+namespace detail {
+
+/// Counts its owner in LiveTuningServices (core/FormatOperator.h) from
+/// construction to destruction, so binds anywhere in the process slice at
+/// the two-team grain while a service and its worker's team exist.
+struct LiveServiceMark {
+  LiveServiceMark() { LiveTuningServices.fetch_add(1); }
+  ~LiveServiceMark() { LiveTuningServices.fetch_sub(1); }
+  LiveServiceMark(const LiveServiceMark &) = delete;
+  LiveServiceMark &operator=(const LiveServiceMark &) = delete;
+};
+
+} // namespace detail
+
 /// The async tuning service: one background worker thread, a shared
 /// PlanCache with optional disk persistence, and a hot-reloadable
 /// model. One instance serves many matrices; destruction stops the worker
@@ -296,6 +310,9 @@ private:
     return Model;
   }
 
+  /// First member, so the count covers the worker's whole life: it is
+  /// released only after the destructor has joined the worker.
+  detail::LiveServiceMark Live;
   Options Opts;
   /// Hot-swappable tuner; guarded by ModelMutex, accessed via loadModel().
   mutable std::mutex ModelMutex;

@@ -19,17 +19,30 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace smat {
 namespace {
 
+/// The block rows [First, Last) holding rows [RowBegin, RowEnd); both bounds
+/// fall on block rows (RowEnd may also be NumRows).
+template <typename T>
+std::pair<index_t, index_t> blockRows(const BsrMatrix<T> &A, index_t RowBegin,
+                                      index_t RowEnd) {
+  assert(RowBegin % A.BlockSize == 0 &&
+         (RowEnd % A.BlockSize == 0 || RowEnd == A.NumRows) &&
+         "BSR row bounds must fall on block rows");
+  return {RowBegin / A.BlockSize, (RowEnd + A.BlockSize - 1) / A.BlockSize};
+}
+
 /// Generic block multiply with full edge clamping; correct for any
 /// BlockSize. All other variants fall back to this for edge blocks.
 template <typename T>
-void bsrBasic(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
+void bsrBasic(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+              const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   index_t B = A.BlockSize;
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
+  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
+  for (index_t Br = First; Br < Last; ++Br) {
     index_t RowBase = Br * B;
     index_t RowsHere = std::min(B, A.NumRows - RowBase);
     for (index_t R = 0; R < RowsHere; ++R)
@@ -52,12 +65,12 @@ void bsrBasic(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// Compile-time block size: the block multiply fully unrolls and X values
 /// stay in registers across the block's rows.
 template <typename T, int B>
-void bsrFixed(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
+void bsrFixed(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+              const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   assert(A.BlockSize == B && "fixed-size kernel bound to wrong matrix");
-  index_t BlockRows = A.numBlockRows();
+  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
   index_t FullRows = A.NumRows / B; // Block rows with no row clamping.
-  for (index_t Br = 0; Br < BlockRows; ++Br) {
+  for (index_t Br = First; Br < Last; ++Br) {
     index_t RowBase = Br * B;
     bool EdgeRow = Br >= FullRows;
     T Acc[B];
@@ -98,30 +111,31 @@ void bsrFixed(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// Dispatches to the unrolled kernel when the block size matches one of the
 /// supported specializations; generic otherwise.
 template <typename T>
-void bsrUnrolled(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
+void bsrUnrolled(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   switch (A.BlockSize) {
   case 2:
-    bsrFixed<T, 2>(A, X, Y);
+    bsrFixed<T, 2>(A, RowBegin, RowEnd, X, Y);
     return;
   case 4:
-    bsrFixed<T, 4>(A, X, Y);
+    bsrFixed<T, 4>(A, RowBegin, RowEnd, X, Y);
     return;
   case 8:
-    bsrFixed<T, 8>(A, X, Y);
+    bsrFixed<T, 8>(A, RowBegin, RowEnd, X, Y);
     return;
   default:
-    bsrBasic(A, X, Y);
+    bsrBasic(A, RowBegin, RowEnd, X, Y);
     return;
   }
 }
 
 /// SIMD-annotated block rows (vectorizes the inner block multiply).
 template <typename T>
-void bsrSimd(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
+void bsrSimd(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+             const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   index_t B = A.BlockSize;
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
+  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
+  for (index_t Br = First; Br < Last; ++Br) {
     index_t RowBase = Br * B;
     index_t RowsHere = std::min(B, A.NumRows - RowBase);
     for (index_t R = 0; R < RowsHere; ++R)
@@ -144,12 +158,13 @@ void bsrSimd(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Threaded over block rows (disjoint Y ranges).
 template <typename T>
-void bsrOmp(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-            T *SMAT_RESTRICT Y) {
+void bsrOmp(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+            const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   index_t B = A.BlockSize;
-  index_t BlockRows = A.numBlockRows();
+  const std::pair<index_t, index_t> Span = blockRows(A, RowBegin, RowEnd);
+  const index_t First = Span.first, Last = Span.second;
 #pragma omp parallel for schedule(static)
-  for (index_t Br = 0; Br < BlockRows; ++Br) {
+  for (index_t Br = First; Br < Last; ++Br) {
     index_t RowBase = Br * B;
     index_t RowsHere = std::min(B, A.NumRows - RowBase);
     for (index_t R = 0; R < RowsHere; ++R)
@@ -172,11 +187,12 @@ void bsrOmp(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// Generic loop with software prefetch of the next blocks' values and X
 /// slices.
 template <typename T>
-void bsrPrefetch(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
+void bsrPrefetch(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   index_t B = A.BlockSize;
   std::int64_t Blocks = A.numBlocks();
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
+  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
+  for (index_t Br = First; Br < Last; ++Br) {
     index_t RowBase = Br * B;
     index_t RowsHere = std::min(B, A.NumRows - RowBase);
     for (index_t R = 0; R < RowsHere; ++R)

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -24,63 +25,74 @@ namespace smat {
 namespace {
 
 template <typename T>
-void zeroOut(T *SMAT_RESTRICT Y, index_t N) {
-  std::memset(Y, 0, sizeof(T) * static_cast<std::size_t>(N));
-}
-
-template <typename T>
-void zeroOutBlock(T *SMAT_RESTRICT Y, index_t NumRows, index_t K) {
-  std::memset(Y, 0,
-              sizeof(T) * static_cast<std::size_t>(NumRows) *
+void zeroOut(T *SMAT_RESTRICT Y, index_t RowBegin, index_t RowEnd,
+             index_t K = 1) {
+  std::memset(Y + static_cast<std::size_t>(RowBegin) * K, 0,
+              sizeof(T) * static_cast<std::size_t>(RowEnd - RowBegin) *
                   static_cast<std::size_t>(K));
 }
 
+/// The entries [First, Last) of rows [RowBegin, RowEnd). The whole matrix
+/// takes every entry, in any order; a partial range finds its entries by
+/// binary search, so it needs the monotone row indices every COO matrix the
+/// library builds has (csrToCoo, sortCooRowMajor).
 template <typename T>
-void cooBasic(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
-  zeroOut(Y, A.NumRows);
-  std::int64_t Nnz = A.nnz();
+std::pair<std::int64_t, std::int64_t>
+cooEntries(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd) {
+  if (RowBegin == 0 && RowEnd == A.NumRows)
+    return {0, A.nnz()};
+  const index_t *Rows = A.Rows.data();
+  const index_t *End = Rows + A.nnz();
+  return {std::lower_bound(Rows, End, RowBegin) - Rows,
+          std::lower_bound(Rows, End, RowEnd) - Rows};
+}
+
+template <typename T>
+void cooBasic(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+              const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  zeroOut(Y, RowBegin, RowEnd);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  for (std::int64_t I = 0; I < Nnz; ++I)
+  for (std::int64_t I = First; I < Last; ++I)
     Y[Rows[I]] += Val[I] * X[Cols[I]];
 }
 
 template <typename T>
-void cooUnroll4(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  zeroOut(Y, A.NumRows);
-  std::int64_t Nnz = A.nnz();
+void cooUnroll4(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  zeroOut(Y, RowBegin, RowEnd);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  std::int64_t I = 0;
-  for (; I + 3 < Nnz; I += 4) {
+  std::int64_t I = First;
+  for (; I + 3 < Last; I += 4) {
     Y[Rows[I + 0]] += Val[I + 0] * X[Cols[I + 0]];
     Y[Rows[I + 1]] += Val[I + 1] * X[Cols[I + 1]];
     Y[Rows[I + 2]] += Val[I + 2] * X[Cols[I + 2]];
     Y[Rows[I + 3]] += Val[I + 3] * X[Cols[I + 3]];
   }
-  for (; I < Nnz; ++I)
+  for (; I < Last; ++I)
     Y[Rows[I]] += Val[I] * X[Cols[I]];
 }
 
 /// Defers the store until the row index changes: turns the per-nonzero
 /// read-modify-write of Y into one store per row run (branch optimization).
 template <typename T>
-void cooSegmented(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
-  zeroOut(Y, A.NumRows);
-  std::int64_t Nnz = A.nnz();
-  if (Nnz == 0)
+void cooSegmented(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  zeroOut(Y, RowBegin, RowEnd);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
+  if (First == Last)
     return;
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  index_t Current = Rows[0];
+  index_t Current = Rows[First];
   T Sum = T(0);
-  for (std::int64_t I = 0; I < Nnz; ++I) {
+  for (std::int64_t I = First; I < Last; ++I) {
     index_t Row = Rows[I];
     if (Row != Current) {
       Y[Current] += Sum;
@@ -94,29 +106,30 @@ void cooSegmented(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Prefetches the X gather stream.
 template <typename T>
-void cooPrefetch(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  zeroOut(Y, A.NumRows);
-  std::int64_t Nnz = A.nnz();
+void cooPrefetch(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  zeroOut(Y, RowBegin, RowEnd);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
   constexpr std::int64_t Distance = 64;
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  for (std::int64_t I = 0; I < Nnz; ++I) {
-    if (I + Distance < Nnz)
+  for (std::int64_t I = First; I < Last; ++I) {
+    if (I + Distance < Last)
       __builtin_prefetch(&X[Cols[I + Distance]], 0, 0);
     Y[Rows[I]] += Val[I] * X[Cols[I]];
   }
 }
 
-/// Splits the nonzero stream into per-thread chunks whose boundaries are
-/// snapped to row transitions, so every thread writes a disjoint Y range.
-/// Requires monotone row indices (declared as PrecondMonotoneRows at
+/// Splits the rows of the range into per-thread slices and each thread
+/// processes exactly the nonzeros of its slice, found by binary search, so
+/// every thread writes a disjoint Y range. Requires monotone row indices
+/// even for the whole matrix (declared as PrecondMonotoneRows at
 /// registration; the binding layer falls back to the basic kernel when the
 /// input does not satisfy it).
 template <typename T>
-void cooOmpRowSplit(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                    T *SMAT_RESTRICT Y) {
+void cooOmpRowSplit(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                    const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   std::int64_t Nnz = A.nnz();
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
@@ -131,16 +144,18 @@ void cooOmpRowSplit(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
     int ThreadId = 0;
 #endif
     // Zero this thread's row slice.
-    index_t RowsPerThread = (A.NumRows + ThreadCount - 1) / ThreadCount;
-    index_t RowBegin = std::min<index_t>(A.NumRows, ThreadId * RowsPerThread);
-    index_t RowEnd =
-        std::min<index_t>(A.NumRows, (ThreadId + 1) * RowsPerThread);
-    for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+    index_t RowsPerThread =
+        (RowEnd - RowBegin + ThreadCount - 1) / ThreadCount;
+    index_t Begin =
+        std::min<index_t>(RowEnd, RowBegin + ThreadId * RowsPerThread);
+    index_t End =
+        std::min<index_t>(RowEnd, RowBegin + (ThreadId + 1) * RowsPerThread);
+    for (index_t Row = Begin; Row < End; ++Row)
       Y[Row] = T(0);
 #pragma omp barrier
     // Process exactly the nonzeros whose row falls in this thread's slice.
-    const index_t *First = std::lower_bound(Rows, Rows + Nnz, RowBegin);
-    const index_t *Last = std::lower_bound(Rows, Rows + Nnz, RowEnd);
+    const index_t *First = std::lower_bound(Rows, Rows + Nnz, Begin);
+    const index_t *Last = std::lower_bound(Rows, Rows + Nnz, End);
     for (std::int64_t I = First - Rows, E = Last - Rows; I < E; ++I)
       Y[Rows[I]] += Val[I] * X[Cols[I]];
   }
@@ -151,16 +166,17 @@ void cooOmpRowSplit(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
 //===----------------------------------------------------------------------===//
 
 /// Strategy-free batched COO: per-entry accumulate with a runtime-K inner
-/// loop. Order-independent, so it has no structural preconditions.
+/// loop. Order-independent on the whole matrix, so it has no structural
+/// preconditions.
 template <typename T>
-void cooSpmmBasic(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y, index_t K) {
-  zeroOutBlock(Y, A.NumRows, K);
-  std::int64_t Nnz = A.nnz();
+void cooSpmmBasic(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y, index_t K) {
+  zeroOut(Y, RowBegin, RowEnd, K);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  for (std::int64_t I = 0; I < Nnz; ++I) {
+  for (std::int64_t I = First; I < Last; ++I) {
     const T V = Val[I];
     const T *SMAT_RESTRICT Xr = X + static_cast<std::size_t>(Cols[I]) * K;
     T *SMAT_RESTRICT Yr = Y + static_cast<std::size_t>(Rows[I]) * K;
@@ -173,18 +189,19 @@ void cooSpmmBasic(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// accumulated in registers across a run of equal row indices and flushed
 /// (with +=, so unsorted inputs stay correct) when the row changes.
 template <typename T, int K>
-void cooSpmmSegmentedTiled(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
+void cooSpmmSegmentedTiled(const CooMatrix<T> &A, index_t RowBegin,
+                           index_t RowEnd, const T *SMAT_RESTRICT X,
                            T *SMAT_RESTRICT Y) {
-  zeroOutBlock(Y, A.NumRows, K);
-  std::int64_t Nnz = A.nnz();
-  if (Nnz == 0)
+  zeroOut(Y, RowBegin, RowEnd, K);
+  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
+  if (First == Last)
     return;
   const index_t *SMAT_RESTRICT Rows = A.Rows.data();
   const index_t *SMAT_RESTRICT Cols = A.Cols.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  index_t Current = Rows[0];
+  index_t Current = Rows[First];
   T Acc[K] = {};
-  for (std::int64_t I = 0; I < Nnz; ++I) {
+  for (std::int64_t I = First; I < Last; ++I) {
     const index_t Row = Rows[I];
     if (Row != Current) {
       T *SMAT_RESTRICT Yr = Y + static_cast<std::size_t>(Current) * K;
@@ -205,18 +222,19 @@ void cooSpmmSegmentedTiled(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
 }
 
 template <typename T>
-void cooSpmmTiled(const CooMatrix<T> &A, const T *X, T *Y, index_t K) {
+void cooSpmmTiled(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
   switch (K) {
   case 2:
-    return cooSpmmSegmentedTiled<T, 2>(A, X, Y);
+    return cooSpmmSegmentedTiled<T, 2>(A, RowBegin, RowEnd, X, Y);
   case 4:
-    return cooSpmmSegmentedTiled<T, 4>(A, X, Y);
+    return cooSpmmSegmentedTiled<T, 4>(A, RowBegin, RowEnd, X, Y);
   case 8:
-    return cooSpmmSegmentedTiled<T, 8>(A, X, Y);
+    return cooSpmmSegmentedTiled<T, 8>(A, RowBegin, RowEnd, X, Y);
   case 16:
-    return cooSpmmSegmentedTiled<T, 16>(A, X, Y);
+    return cooSpmmSegmentedTiled<T, 16>(A, RowBegin, RowEnd, X, Y);
   default:
-    return cooSpmmBasic(A, X, Y, K);
+    return cooSpmmBasic(A, RowBegin, RowEnd, X, Y, K);
   }
 }
 

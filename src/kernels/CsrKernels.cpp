@@ -28,9 +28,9 @@ namespace smat {
 namespace {
 
 template <typename T>
-void csrBasic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+void csrBasic(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+              const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
       Sum += A.Values[I] * X[A.ColIdx[I]];
@@ -40,11 +40,11 @@ void csrBasic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Four independent accumulators hide the FMA latency chain.
 template <typename T>
-void csrUnroll4(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
+void csrUnroll4(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     T S0 = T(0), S1 = T(0), S2 = T(0), S3 = T(0);
     for (; I + 3 < E; I += 4) {
@@ -64,14 +64,14 @@ void csrUnroll4(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// row is split at that point into a prefetching main loop and a plain tail
 /// instead of paying a bounds check on every nonzero.
 template <typename T>
-void csrPrefetch(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
+void csrPrefetch(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   constexpr index_t Distance = 64;
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
   index_t Nnz = static_cast<index_t>(A.nnz());
   const index_t PrefetchEnd = Nnz > Distance ? Nnz - Distance : 0;
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     index_t I = A.RowPtr[Row];
     const index_t E = A.RowPtr[Row + 1];
@@ -89,11 +89,11 @@ void csrPrefetch(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Compiler-driven vectorization of the row reduction.
 template <typename T>
-void csrSimd(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
+void csrSimd(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+             const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     index_t Begin = A.RowPtr[Row], End = A.RowPtr[Row + 1];
 #pragma omp simd reduction(+ : Sum)
@@ -105,11 +105,11 @@ void csrSimd(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 #if defined(__AVX2__)
 /// AVX2 gather kernel, double precision: 4-wide FMA over the row.
-void csrAvx2D(const CsrMatrix<double> &A, const double *SMAT_RESTRICT X,
-              double *SMAT_RESTRICT Y) {
+void csrAvx2D(const CsrMatrix<double> &A, index_t RowBegin, index_t RowEnd,
+              const double *SMAT_RESTRICT X, double *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const double *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     __m256d Acc = _mm256_setzero_pd();
     for (; I + 3 < E; I += 4) {
@@ -128,11 +128,11 @@ void csrAvx2D(const CsrMatrix<double> &A, const double *SMAT_RESTRICT X,
 }
 
 /// AVX2 gather kernel, single precision: 8-wide FMA over the row.
-void csrAvx2F(const CsrMatrix<float> &A, const float *SMAT_RESTRICT X,
-              float *SMAT_RESTRICT Y) {
+void csrAvx2F(const CsrMatrix<float> &A, index_t RowBegin, index_t RowEnd,
+              const float *SMAT_RESTRICT X, float *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const float *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     __m256 Acc = _mm256_setzero_ps();
     for (; I + 7 < E; I += 8) {
@@ -155,11 +155,11 @@ void csrAvx2F(const CsrMatrix<float> &A, const float *SMAT_RESTRICT X,
 
 #if defined(__AVX512F__)
 /// AVX-512 gather kernel, double precision: 8-wide FMA over the row.
-void csrAvx512D(const CsrMatrix<double> &A, const double *SMAT_RESTRICT X,
-                double *SMAT_RESTRICT Y) {
+void csrAvx512D(const CsrMatrix<double> &A, index_t RowBegin, index_t RowEnd,
+                const double *SMAT_RESTRICT X, double *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const double *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     __m512d Acc = _mm512_setzero_pd();
     for (; I + 7 < E; I += 8) {
@@ -177,11 +177,11 @@ void csrAvx512D(const CsrMatrix<double> &A, const double *SMAT_RESTRICT X,
 }
 
 /// AVX-512 gather kernel, single precision: 16-wide FMA over the row.
-void csrAvx512F(const CsrMatrix<float> &A, const float *SMAT_RESTRICT X,
-                float *SMAT_RESTRICT Y) {
+void csrAvx512F(const CsrMatrix<float> &A, index_t RowBegin, index_t RowEnd,
+                const float *SMAT_RESTRICT X, float *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const float *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     __m512 Acc = _mm512_setzero_ps();
     for (; I + 15 < E; I += 16) {
@@ -201,12 +201,12 @@ void csrAvx512F(const CsrMatrix<float> &A, const float *SMAT_RESTRICT X,
 
 /// Guided scheduling: a third threading policy for skewed degree mixes.
 template <typename T>
-void csrOmpGuided(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
+void csrOmpGuided(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(guided)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
       Sum += Val[I] * X[Col[I]];
@@ -216,12 +216,12 @@ void csrOmpGuided(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Static row partitioning across threads.
 template <typename T>
-void csrOmpStatic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
+void csrOmpStatic(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
       Sum += Val[I] * X[Col[I]];
@@ -231,12 +231,12 @@ void csrOmpStatic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Dynamic chunked scheduling: tolerates skewed row degrees.
 template <typename T>
-void csrOmpDynamic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                   T *SMAT_RESTRICT Y) {
+void csrOmpDynamic(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                   const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(dynamic, 256)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
       Sum += Val[I] * X[Col[I]];
@@ -246,12 +246,12 @@ void csrOmpDynamic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
 /// Threads + unrolled accumulators.
 template <typename T>
-void csrOmpUnroll(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
+void csrOmpUnroll(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
     T S0 = T(0), S1 = T(0), S2 = T(0), S3 = T(0);
     for (; I + 3 < E; I += 4) {
@@ -274,34 +274,64 @@ inline int csrMaxThreads() {
 #endif
 }
 
+/// The merge-path partition of rows [RowBegin, RowEnd) of \p A into
+/// \p Chunks entry chunks: chunk C owns entries [Begin[C], Begin[C+1]) and
+/// rows [Split[C], Split[C+1]), where Split[C] is the row containing entry
+/// Begin[C] (the last row starting at or before it when empty rows pile up
+/// on the boundary). Endpoints are forced to the range bounds so leading and
+/// trailing empty rows are owned (and zeroed) too.
+template <typename T>
+void nnzSplitChunks(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                    std::int64_t Chunks, std::vector<std::int64_t> &Begin,
+                    std::vector<index_t> &Split) {
+  const index_t *RowPtr = A.RowPtr.data();
+  const std::int64_t First = RowPtr[RowBegin];
+  const std::int64_t Nnz = RowPtr[RowEnd] - First;
+  Begin.assign(static_cast<std::size_t>(Chunks) + 1, First);
+  Split.assign(static_cast<std::size_t>(Chunks) + 1, RowBegin);
+  Begin[static_cast<std::size_t>(Chunks)] = First + Nnz;
+  Split[static_cast<std::size_t>(Chunks)] = RowEnd;
+  for (std::int64_t C = 1; C < Chunks; ++C) {
+    std::int64_t B = First + Nnz * C / Chunks;
+    Begin[static_cast<std::size_t>(C)] = B;
+    Split[static_cast<std::size_t>(C)] = static_cast<index_t>(
+        std::upper_bound(RowPtr + RowBegin, RowPtr + RowEnd + 1,
+                         static_cast<index_t>(B)) -
+        RowPtr - 1);
+  }
+}
+
+/// How many merge-path chunks rows [RowBegin, RowEnd) of \p A split into:
+/// one per thread, but at least ~512 entries per chunk so tiny matrices do
+/// not pay the carry machinery for nothing.
+template <typename T>
+std::int64_t nnzSplitChunkCount(const CsrMatrix<T> &A, index_t RowBegin,
+                                index_t RowEnd) {
+  constexpr std::int64_t MinEntriesPerChunk = 512;
+  const std::int64_t Nnz = A.RowPtr[RowEnd] - A.RowPtr[RowBegin];
+  return std::min<std::int64_t>(
+      csrMaxThreads(), std::max<std::int64_t>(1, Nnz / MinEntriesPerChunk));
+}
+
 /// Nnz-balanced (merge-path-style) parallel CSR. The row-split OpenMP
 /// kernels above assign rows to threads, so one dense row among short ones
 /// serializes the whole SpMV on the unlucky thread. This kernel splits the
-/// *entry* stream into equal chunks instead: chunk boundaries B_t = t*nnz/T
-/// are located in RowPtr by binary search, giving each thread a row range
+/// *entry* stream into equal chunks instead: chunk boundaries are located in
+/// RowPtr by binary search (nnzSplitChunks), giving each thread a row range
 /// whose nonzero count is balanced by construction; a long row crossing a
 /// boundary is split, each trespassing thread computing a partial sum
 /// ("carry") that is combined serially after the parallel region.
 template <typename T>
-void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
+void csrNnzSplit(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT RowPtr = A.RowPtr.data();
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  const index_t M = A.NumRows;
-  const std::int64_t Nnz = A.nnz();
-  if (M == 0)
+  if (RowBegin == RowEnd)
     return;
-
-  // Keep at least ~512 entries per chunk so tiny matrices do not pay the
-  // carry machinery for nothing.
-  constexpr std::int64_t MinEntriesPerChunk = 512;
-  std::int64_t Chunks =
-      std::min<std::int64_t>(csrMaxThreads(),
-                             std::max<std::int64_t>(
-                                 1, Nnz / MinEntriesPerChunk));
+  const std::int64_t Chunks = nnzSplitChunkCount(A, RowBegin, RowEnd);
   if (Chunks <= 1) {
-    for (index_t Row = 0; Row < M; ++Row) {
+    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
       T Sum = T(0);
       for (index_t I = RowPtr[Row], E = RowPtr[Row + 1]; I < E; ++I)
         Sum += Val[I] * X[Col[I]];
@@ -309,25 +339,9 @@ void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
     }
     return;
   }
-
-  // Chunk t owns entries [Begin[t], Begin[t+1]) and rows [Split[t],
-  // Split[t+1]): Split[t] is the row containing entry Begin[t] (the last
-  // row starting at or before it when empty rows pile up on the boundary).
-  // Endpoints are forced to [0, M] so leading/trailing empty rows are owned
-  // (and zeroed) too.
-  std::vector<std::int64_t> Begin(static_cast<std::size_t>(Chunks) + 1);
-  std::vector<index_t> Split(static_cast<std::size_t>(Chunks) + 1);
-  Begin[0] = 0;
-  Split[0] = 0;
-  Begin[static_cast<std::size_t>(Chunks)] = Nnz;
-  Split[static_cast<std::size_t>(Chunks)] = M;
-  for (std::int64_t C = 1; C < Chunks; ++C) {
-    std::int64_t B = Nnz * C / Chunks;
-    Begin[static_cast<std::size_t>(C)] = B;
-    Split[static_cast<std::size_t>(C)] = static_cast<index_t>(
-        std::upper_bound(RowPtr, RowPtr + M + 1, static_cast<index_t>(B)) -
-        RowPtr - 1);
-  }
+  std::vector<std::int64_t> Begin;
+  std::vector<index_t> Split;
+  nnzSplitChunks(A, RowBegin, RowEnd, Chunks, Begin, Split);
 
   // Carry[t]: chunk t's partial sum for row Split[t+1], whose tail lies in
   // a later chunk. At most one carry per chunk.
@@ -337,12 +351,12 @@ void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   for (std::int64_t C = 0; C < Chunks; ++C) {
     const std::int64_t ChunkBegin = Begin[static_cast<std::size_t>(C)];
     const std::int64_t ChunkEnd = Begin[static_cast<std::size_t>(C) + 1];
-    const index_t RowBegin = Split[static_cast<std::size_t>(C)];
-    const index_t RowEnd = Split[static_cast<std::size_t>(C) + 1];
+    const index_t First = Split[static_cast<std::size_t>(C)];
+    const index_t Last = Split[static_cast<std::size_t>(C) + 1];
 
     // Owned rows: rows strictly inside the chunk are complete; the first
     // row's head (if any) arrives later as earlier chunks' carries.
-    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
+    for (index_t Row = First; Row < Last; ++Row) {
       std::int64_t I = std::max<std::int64_t>(RowPtr[Row], ChunkBegin);
       const std::int64_t E = RowPtr[Row + 1];
       T Sum = T(0);
@@ -351,10 +365,10 @@ void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
       Y[Row] = Sum;
     }
 
-    // Boundary row RowEnd: the head inside this chunk is a carry for the
-    // chunk that owns the row's end. The last chunk has RowEnd == M.
-    if (RowEnd < M) {
-      std::int64_t I = std::max<std::int64_t>(RowPtr[RowEnd], ChunkBegin);
+    // Boundary row Last: the head inside this chunk is a carry for the
+    // chunk that owns the row's end. The last chunk has Last == RowEnd.
+    if (Last < RowEnd) {
+      std::int64_t I = std::max<std::int64_t>(RowPtr[Last], ChunkBegin);
       T Sum = T(0);
       for (; I < ChunkEnd; ++I)
         Sum += Val[I] * X[Col[I]];
@@ -366,7 +380,7 @@ void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   // the boundary-row heads just accumulate on top.
   for (std::int64_t C = 0; C < Chunks; ++C) {
     const index_t Row = Split[static_cast<std::size_t>(C) + 1];
-    if (Row < M)
+    if (Row < RowEnd)
       Y[Row] += Carry[static_cast<std::size_t>(C)];
   }
 }
@@ -474,65 +488,51 @@ void csrSpmmRowRange(const CsrMatrix<T> &A, const T *X, T *Y, index_t K,
 
 /// Strategy-free reference: runtime-K inner loop, serial rows.
 template <typename T>
-void csrSpmmBasic(const CsrMatrix<T> &A, const T *X, T *Y, index_t K) {
-  csrSpmmRowRangeGeneric(A, X, Y, K, 0, A.NumRows);
+void csrSpmmBasic(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
+  csrSpmmRowRangeGeneric(A, X, Y, K, RowBegin, RowEnd);
 }
 
 /// Serial register-tiled variant.
 template <typename T>
-void csrSpmmTiled(const CsrMatrix<T> &A, const T *X, T *Y, index_t K) {
-  csrSpmmRowRange(A, X, Y, K, 0, A.NumRows);
+void csrSpmmTiled(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
+  csrSpmmRowRange(A, X, Y, K, RowBegin, RowEnd);
 }
 
 /// Row-split threading over fixed-size row blocks; each block runs the
 /// register-tiled range kernel. Collapses to a serial block loop without
 /// OpenMP.
 template <typename T>
-void csrSpmmOmpRowSplit(const CsrMatrix<T> &A, const T *X, T *Y, index_t K) {
+void csrSpmmOmpRowSplit(const CsrMatrix<T> &A, index_t RowBegin,
+                        index_t RowEnd, const T *X, T *Y, index_t K) {
   constexpr index_t BlockRows = 64;
-  const index_t M = A.NumRows;
-  const index_t NumBlocks = (M + BlockRows - 1) / BlockRows;
+  const index_t NumBlocks = (RowEnd - RowBegin + BlockRows - 1) / BlockRows;
 #pragma omp parallel for schedule(static)
   for (index_t B = 0; B < NumBlocks; ++B)
-    csrSpmmRowRange(A, X, Y, K, B * BlockRows,
-                    std::min<index_t>(M, (B + 1) * BlockRows));
+    csrSpmmRowRange(A, X, Y, K, RowBegin + B * BlockRows,
+                    std::min<index_t>(RowEnd, RowBegin + (B + 1) * BlockRows));
 }
 
 /// Nnz-balanced SpMM: same merge-path chunk/carry partition as csrNnzSplit,
 /// but each carry is a K-wide partial tile instead of a scalar.
 template <typename T>
-void csrSpmmNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                     T *SMAT_RESTRICT Y, index_t K) {
+void csrSpmmNnzSplit(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                     const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y,
+                     index_t K) {
   const index_t *SMAT_RESTRICT RowPtr = A.RowPtr.data();
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  const index_t M = A.NumRows;
-  const std::int64_t Nnz = A.nnz();
-  if (M == 0)
+  if (RowBegin == RowEnd)
     return;
-
-  constexpr std::int64_t MinEntriesPerChunk = 512;
-  std::int64_t Chunks = std::min<std::int64_t>(
-      csrMaxThreads(),
-      std::max<std::int64_t>(1, Nnz / MinEntriesPerChunk));
+  const std::int64_t Chunks = nnzSplitChunkCount(A, RowBegin, RowEnd);
   if (Chunks <= 1) {
-    csrSpmmRowRange(A, X, Y, K, 0, M);
+    csrSpmmRowRange(A, X, Y, K, RowBegin, RowEnd);
     return;
   }
-
-  std::vector<std::int64_t> Begin(static_cast<std::size_t>(Chunks) + 1);
-  std::vector<index_t> Split(static_cast<std::size_t>(Chunks) + 1);
-  Begin[0] = 0;
-  Split[0] = 0;
-  Begin[static_cast<std::size_t>(Chunks)] = Nnz;
-  Split[static_cast<std::size_t>(Chunks)] = M;
-  for (std::int64_t C = 1; C < Chunks; ++C) {
-    std::int64_t B = Nnz * C / Chunks;
-    Begin[static_cast<std::size_t>(C)] = B;
-    Split[static_cast<std::size_t>(C)] = static_cast<index_t>(
-        std::upper_bound(RowPtr, RowPtr + M + 1, static_cast<index_t>(B)) -
-        RowPtr - 1);
-  }
+  std::vector<std::int64_t> Begin;
+  std::vector<index_t> Split;
+  nnzSplitChunks(A, RowBegin, RowEnd, Chunks, Begin, Split);
 
   // Carry[C*K .. C*K+K): chunk C's partial tile for boundary row
   // Split[C+1].
@@ -542,18 +542,17 @@ void csrSpmmNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   for (std::int64_t C = 0; C < Chunks; ++C) {
     const std::int64_t ChunkBegin = Begin[static_cast<std::size_t>(C)];
     const std::int64_t ChunkEnd = Begin[static_cast<std::size_t>(C) + 1];
-    const index_t RowBegin = Split[static_cast<std::size_t>(C)];
-    const index_t RowEnd = Split[static_cast<std::size_t>(C) + 1];
+    const index_t First = Split[static_cast<std::size_t>(C)];
+    const index_t Last = Split[static_cast<std::size_t>(C) + 1];
 
-    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
+    for (index_t Row = First; Row < Last; ++Row) {
       const std::int64_t I = std::max<std::int64_t>(RowPtr[Row], ChunkBegin);
       csrSpmmPartial(Col, Val, I, RowPtr[Row + 1], X,
                      Y + static_cast<std::size_t>(Row) * K, K);
     }
 
-    if (RowEnd < M) {
-      const std::int64_t I =
-          std::max<std::int64_t>(RowPtr[RowEnd], ChunkBegin);
+    if (Last < RowEnd) {
+      const std::int64_t I = std::max<std::int64_t>(RowPtr[Last], ChunkBegin);
       csrSpmmPartial(Col, Val, I, ChunkEnd, X,
                      Carry.data() + static_cast<std::size_t>(C) * K, K);
     }
@@ -561,7 +560,7 @@ void csrSpmmNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
 
   for (std::int64_t C = 0; C < Chunks; ++C) {
     const index_t Row = Split[static_cast<std::size_t>(C) + 1];
-    if (Row < M) {
+    if (Row < RowEnd) {
       const T *SMAT_RESTRICT Part =
           Carry.data() + static_cast<std::size_t>(C) * K;
       T *SMAT_RESTRICT Yr = Y + static_cast<std::size_t>(Row) * K;

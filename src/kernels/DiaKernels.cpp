@@ -15,106 +15,97 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace smat {
 namespace {
 
 template <typename T>
-void diaZero(T *SMAT_RESTRICT Y, index_t N) {
-  std::memset(Y, 0, sizeof(T) * static_cast<std::size_t>(N));
+void diaZero(T *SMAT_RESTRICT Y, index_t RowBegin, index_t RowEnd,
+             index_t K = 1) {
+  std::memset(Y + static_cast<std::size_t>(RowBegin) * K, 0,
+              sizeof(T) * static_cast<std::size_t>(RowEnd - RowBegin) *
+                  static_cast<std::size_t>(K));
 }
 
+/// The rows [Lo, Hi) of [RowBegin, RowEnd) where the diagonal at offset
+/// \p Off lies inside the matrix; Lo >= Hi when there are none.
 template <typename T>
-void diaBasic(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
-    for (index_t I = 0; I < N; ++I)
-      Ys[I] += Data[I] * Xs[I];
-  }
+std::pair<index_t, index_t> diagonalRows(const DiaMatrix<T> &A, index_t Off,
+                                         index_t RowBegin, index_t RowEnd) {
+  return {std::max(RowBegin, -Off), std::min(RowEnd, A.NumCols - Off)};
 }
 
-/// Explicit vectorization request on the contiguous inner loop.
-template <typename T>
-void diaSimd(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
-#pragma omp simd
-    for (index_t I = 0; I < N; ++I)
-      Ys[I] += Data[I] * Xs[I];
-  }
-}
-
-/// Processes two diagonals per pass so each Y element is loaded/stored half
-/// as often.
-template <typename T>
-void diaUnroll2(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
+/// Diagonal-major pass: for each stored diagonal, the rows of the range
+/// it covers, streaming contiguously over Data, X and Y. \p Diagonals is 1
+/// (the paper's loop) or 2 (two diagonals per pass, so each Y element is
+/// loaded and stored half as often); \p Simd adds the explicit
+/// vectorization request. Whether a row takes the paired update depends
+/// only on the row and the diagonal pair, never on the range, so every row
+/// computes the same bits in any row slice.
+template <typename T, int Diagonals, bool Simd>
+void diaDiagonalMajor(const DiaMatrix<T> &A, index_t RowBegin,
+                      index_t RowEnd, const T *SMAT_RESTRICT X,
+                      T *SMAT_RESTRICT Y) {
+  diaZero(Y, RowBegin, RowEnd);
   index_t Stride = A.stride();
   index_t D = 0;
-  for (; D + 1 < A.numDiags(); D += 2) {
-    index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
-    // Row range where *both* diagonals are in-bounds.
-    index_t IStart = std::max({index_t(0), -K0, -K1});
-    index_t IEnd = std::min({A.NumRows, A.NumCols - K0, A.NumCols - K1});
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    const T *SMAT_RESTRICT Data1 =
-        A.Data.data() + static_cast<std::size_t>(D + 1) * Stride;
-    for (index_t I = IStart; I < IEnd; ++I)
-      Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
-    // Head/tail rows where only one of the two diagonals is valid.
-    auto Edge = [&](index_t K, const T *SMAT_RESTRICT Data) {
-      index_t Lo = std::max(index_t(0), -K);
-      index_t Hi = std::min(A.NumRows, A.NumCols - K);
-      for (index_t I = Lo; I < std::min(IStart, Hi); ++I)
-        Y[I] += Data[I] * X[I + K];
-      for (index_t I = std::max(IEnd, Lo); I < Hi; ++I)
-        Y[I] += Data[I] * X[I + K];
-    };
-    Edge(K0, Data0);
-    Edge(K1, Data1);
-  }
+  if constexpr (Diagonals == 2)
+    for (; D + 1 < A.numDiags(); D += 2) {
+      index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
+      auto [Lo0, Hi0] = diagonalRows(A, K0, RowBegin, RowEnd);
+      auto [Lo1, Hi1] = diagonalRows(A, K1, RowBegin, RowEnd);
+      // Row range where *both* diagonals are in-bounds.
+      index_t IStart = std::max(Lo0, Lo1);
+      index_t IEnd = std::min(Hi0, Hi1);
+      const T *SMAT_RESTRICT Data0 =
+          A.Data.data() + static_cast<std::size_t>(D) * Stride;
+      const T *SMAT_RESTRICT Data1 =
+          A.Data.data() + static_cast<std::size_t>(D + 1) * Stride;
+      if constexpr (Simd) {
+#pragma omp simd
+        for (index_t I = IStart; I < IEnd; ++I)
+          Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
+      } else {
+        for (index_t I = IStart; I < IEnd; ++I)
+          Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
+      }
+      // Head/tail rows where only one of the two diagonals is valid.
+      auto Edge = [&](index_t K, const T *SMAT_RESTRICT Data, index_t Lo,
+                      index_t Hi) {
+        for (index_t I = Lo; I < std::min(IStart, Hi); ++I)
+          Y[I] += Data[I] * X[I + K];
+        for (index_t I = std::max(IEnd, Lo); I < Hi; ++I)
+          Y[I] += Data[I] * X[I + K];
+      };
+      Edge(K0, Data0, Lo0, Hi0);
+      Edge(K1, Data1, Lo1, Hi1);
+    }
   for (; D < A.numDiags(); ++D) {
     index_t K = A.Offsets[D];
-    index_t Lo = std::max(index_t(0), -K);
-    index_t Hi = std::min(A.NumRows, A.NumCols - K);
+    auto [Lo, Hi] = diagonalRows(A, K, RowBegin, RowEnd);
     const T *SMAT_RESTRICT Data =
         A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    for (index_t I = Lo; I < Hi; ++I)
-      Y[I] += Data[I] * X[I + K];
+    if constexpr (Simd) {
+#pragma omp simd
+      for (index_t I = Lo; I < Hi; ++I)
+        Y[I] += Data[I] * X[I + K];
+    } else {
+      for (index_t I = Lo; I < Hi; ++I)
+        Y[I] += Data[I] * X[I + K];
+    }
   }
 }
 
 /// Row-blocked threading: each thread owns a contiguous row range and walks
 /// all diagonals inside it, so Y writes are disjoint.
 template <typename T>
-void diaOmpRows(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
+void diaOmpRows(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
   index_t Stride = A.stride();
   index_t NumDiags = A.numDiags();
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t D = 0; D < NumDiags; ++D) {
       index_t Col = Row + A.Offsets[D];
@@ -125,63 +116,23 @@ void diaOmpRows(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
-/// SIMD + unroll combination.
-template <typename T>
-void diaSimdUnroll2(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                    T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  index_t D = 0;
-  for (; D + 1 < A.numDiags(); D += 2) {
-    index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
-    index_t IStart = std::max({index_t(0), -K0, -K1});
-    index_t IEnd = std::min({A.NumRows, A.NumCols - K0, A.NumCols - K1});
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    const T *SMAT_RESTRICT Data1 =
-        A.Data.data() + static_cast<std::size_t>(D + 1) * Stride;
-#pragma omp simd
-    for (index_t I = IStart; I < IEnd; ++I)
-      Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
-    auto Edge = [&](index_t K, const T *SMAT_RESTRICT Data) {
-      index_t Lo = std::max(index_t(0), -K);
-      index_t Hi = std::min(A.NumRows, A.NumCols - K);
-      for (index_t I = Lo; I < std::min(IStart, Hi); ++I)
-        Y[I] += Data[I] * X[I + K];
-      for (index_t I = std::max(IEnd, Lo); I < Hi; ++I)
-        Y[I] += Data[I] * X[I + K];
-    };
-    Edge(K0, Data0);
-    Edge(K1, Data1);
-  }
-  for (; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t Lo = std::max(index_t(0), -K);
-    index_t Hi = std::min(A.NumRows, A.NumCols - K);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-#pragma omp simd
-    for (index_t I = Lo; I < Hi; ++I)
-      Y[I] += Data[I] * X[I + K];
-  }
-}
-
 /// Prefetches the diagonal data and X streams a fixed distance ahead.
 template <typename T>
-void diaPrefetch(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
+void diaPrefetch(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  diaZero(Y, RowBegin, RowEnd);
   constexpr index_t Distance = 64;
   index_t Stride = A.stride();
   for (index_t D = 0; D < A.numDiags(); ++D) {
     index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
+    auto [Lo, Hi] = diagonalRows(A, K, RowBegin, RowEnd);
+    if (Lo >= Hi)
+      continue;
+    const index_t N = Hi - Lo;
     const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
+        A.Data.data() + static_cast<std::size_t>(D) * Stride + Lo;
+    const T *SMAT_RESTRICT Xs = X + (Lo + K);
+    T *SMAT_RESTRICT Ys = Y + Lo;
     for (index_t I = 0; I < N; ++I) {
       if (I + Distance < N) {
         __builtin_prefetch(&Data[I + Distance], 0, 0);
@@ -197,27 +148,21 @@ void diaPrefetch(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
 //===----------------------------------------------------------------------===//
 
 /// Strategy-free batched DIA: diagonal-major streaming with a runtime-K
-/// inner loop, mirroring diaBasic.
+/// inner loop, mirroring the basic SpMV loop.
 template <typename T>
-void diaSpmmBasic(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y, index_t K) {
-  std::memset(Y, 0,
-              sizeof(T) * static_cast<std::size_t>(A.NumRows) *
-                  static_cast<std::size_t>(K));
+void diaSpmmBasic(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y, index_t K) {
+  diaZero(Y, RowBegin, RowEnd, K);
   index_t Stride = A.stride();
   for (index_t D = 0; D < A.numDiags(); ++D) {
     index_t Off = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -Off);
-    index_t JStart = std::max(index_t(0), Off);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
+    auto [Lo, Hi] = diagonalRows(A, Off, RowBegin, RowEnd);
     const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + static_cast<std::size_t>(JStart) * K;
-    T *SMAT_RESTRICT Ys = Y + static_cast<std::size_t>(IStart) * K;
-    for (index_t I = 0; I < N; ++I) {
+        A.Data.data() + static_cast<std::size_t>(D) * Stride;
+    for (index_t I = Lo; I < Hi; ++I) {
       const T V = Data[I];
-      const T *SMAT_RESTRICT Xr = Xs + static_cast<std::size_t>(I) * K;
-      T *SMAT_RESTRICT Yr = Ys + static_cast<std::size_t>(I) * K;
+      const T *SMAT_RESTRICT Xr = X + static_cast<std::size_t>(I + Off) * K;
+      T *SMAT_RESTRICT Yr = Y + static_cast<std::size_t>(I) * K;
       for (index_t J = 0; J < K; ++J)
         Yr[J] += V * Xr[J];
     }
@@ -287,20 +232,21 @@ void diaSpmmRowRange(const DiaMatrix<T> &A, const T *X, T *Y, index_t K,
 }
 
 template <typename T>
-void diaSpmmTiled(const DiaMatrix<T> &A, const T *X, T *Y, index_t K) {
-  diaSpmmRowRange(A, X, Y, K, 0, A.NumRows);
+void diaSpmmTiled(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
+  diaSpmmRowRange(A, X, Y, K, RowBegin, RowEnd);
 }
 
 /// Row-blocked threading over the register-tiled row kernel.
 template <typename T>
-void diaSpmmOmpRows(const DiaMatrix<T> &A, const T *X, T *Y, index_t K) {
+void diaSpmmOmpRows(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                    const T *X, T *Y, index_t K) {
   constexpr index_t BlockRows = 256;
-  const index_t M = A.NumRows;
-  const index_t NumBlocks = (M + BlockRows - 1) / BlockRows;
+  const index_t NumBlocks = (RowEnd - RowBegin + BlockRows - 1) / BlockRows;
 #pragma omp parallel for schedule(static)
   for (index_t B = 0; B < NumBlocks; ++B)
-    diaSpmmRowRange(A, X, Y, K, B * BlockRows,
-                    std::min<index_t>(M, (B + 1) * BlockRows));
+    diaSpmmRowRange(A, X, Y, K, RowBegin + B * BlockRows,
+                    std::min<index_t>(RowEnd, RowBegin + (B + 1) * BlockRows));
 }
 
 } // namespace
@@ -309,11 +255,11 @@ void diaSpmmOmpRows(const DiaMatrix<T> &A, const T *X, T *Y, index_t K) {
 template <typename T>
 std::vector<smat::Kernel<smat::DiaKernelFn<T>>> smat::makeDiaKernels() {
   return {
-      {"dia_basic", OptNone, &diaBasic<T>},
-      {"dia_simd", OptSimd, &diaSimd<T>},
-      {"dia_unroll2", OptUnroll, &diaUnroll2<T>},
+      {"dia_basic", OptNone, &diaDiagonalMajor<T, 1, false>},
+      {"dia_simd", OptSimd, &diaDiagonalMajor<T, 1, true>},
+      {"dia_unroll2", OptUnroll, &diaDiagonalMajor<T, 2, false>},
       {"dia_omp_rows", OptThreads, &diaOmpRows<T>},
-      {"dia_simd_unroll2", OptSimd | OptUnroll, &diaSimdUnroll2<T>},
+      {"dia_simd_unroll2", OptSimd | OptUnroll, &diaDiagonalMajor<T, 2, true>},
       {"dia_prefetch", OptPrefetch, &diaPrefetch<T>},
   };
 }

@@ -20,88 +20,75 @@ namespace smat {
 namespace {
 
 template <typename T>
-void ellZero(T *SMAT_RESTRICT Y, index_t N) {
-  std::memset(Y, 0, sizeof(T) * static_cast<std::size_t>(N));
+void ellZero(T *SMAT_RESTRICT Y, index_t RowBegin, index_t RowEnd,
+             index_t K = 1) {
+  std::memset(Y + static_cast<std::size_t>(RowBegin) * K, 0,
+              sizeof(T) * static_cast<std::size_t>(RowEnd - RowBegin) *
+                  static_cast<std::size_t>(K));
 }
 
-template <typename T>
-void ellBasic(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-              T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
-  }
-}
-
-/// Explicit vectorization of the column-major pass (contiguous loads from
-/// Data/Indices, gather from X).
-template <typename T>
-void ellSimd(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
+/// Column-major pass: for each packed column, the rows of the range.
+/// \p Columns is 1 (the paper's loop) or 2 (two packed columns per sweep,
+/// halving Y traffic); \p Simd adds the explicit vectorization request.
+template <typename T, int Columns, bool Simd>
+void ellColumnMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                    const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  ellZero(Y, RowBegin, RowEnd);
+  index_t C = 0;
+  if constexpr (Columns == 2)
+    for (; C + 1 < A.Width; C += 2) {
+      const T *SMAT_RESTRICT Data0 =
+          A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
+      const T *SMAT_RESTRICT Data1 = Data0 + A.NumRows;
+      const index_t *SMAT_RESTRICT Idx0 =
+          A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
+      const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
+      if constexpr (Simd) {
 #pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
+        for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+          Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
+      } else {
+        for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+          Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
+      }
+    }
+  for (; C < A.Width; ++C) {
+    const T *SMAT_RESTRICT Data =
+        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
+    const index_t *SMAT_RESTRICT Idx =
+        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
+    if constexpr (Simd) {
+#pragma omp simd
+      for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+        Y[Row] += Data[Row] * X[Idx[Row]];
+    } else {
+      for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+        Y[Row] += Data[Row] * X[Idx[Row]];
+    }
   }
 }
 
 /// Loop interchange: per-row accumulation (one Y store per row, strided
 /// loads from the packed matrix).
 template <typename T>
-void ellRowMajor(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+void ellRowMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t C = 0; C < A.Width; ++C) {
       std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
       Sum += A.Data[I] * X[A.Indices[I]];
     }
     Y[Row] = Sum;
-  }
-}
-
-/// Column-major pass with two packed columns per sweep: halves Y traffic.
-template <typename T>
-void ellUnroll2(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  index_t C = 0;
-  for (; C + 1 < A.Width; C += 2) {
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const T *SMAT_RESTRICT Data1 = Data0 + A.NumRows;
-    const index_t *SMAT_RESTRICT Idx0 =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-  }
-  for (; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
   }
 }
 
 /// Row-partitioned threading over the interchange (row-major) loop.
 template <typename T>
-void ellOmpRows(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
+void ellOmpRows(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
     T Sum = T(0);
     for (index_t C = 0; C < A.Width; ++C) {
       std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
@@ -111,106 +98,92 @@ void ellOmpRows(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
-/// SIMD + unrolled column-major combination.
+/// Row chunk size of the sliced (load-balanced) kernels: big enough to keep
+/// the column-major access pattern streaming, small enough that one long row
+/// only pads its own chunk. Chunks start on multiples of EllSliceRows.
+constexpr index_t EllSliceRows = 64;
+
+/// Sliced (SELL-style) sweep of rows [Begin, End), which lie in one chunk:
+/// the sweep stops at the chunk's longest row (from the RowLen sidecar,
+/// PrecondRowLengths) instead of the global padded Width, so a few long
+/// rows no longer drag every chunk through their padding columns. The
+/// chunk's width is taken over all its rows, so a row sweeps as many
+/// columns in any row range.
 template <typename T>
-void ellSimdUnroll2(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                    T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  index_t C = 0;
-  for (; C + 1 < A.Width; C += 2) {
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const T *SMAT_RESTRICT Data1 = Data0 + A.NumRows;
-    const index_t *SMAT_RESTRICT Idx0 =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
-#pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-  }
-  for (; C < A.Width; ++C) {
+void ellSlicedChunk(const EllMatrix<T> &A, index_t Begin, index_t End,
+                    const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
+  const index_t ChunkBegin = Begin - Begin % EllSliceRows;
+  const index_t ChunkEnd =
+      std::min<index_t>(ChunkBegin + EllSliceRows, A.NumRows);
+  index_t Width = 0;
+  for (index_t Row = ChunkBegin; Row < ChunkEnd; ++Row)
+    Width = std::max(Width, RowLen[Row]);
+  for (index_t Row = Begin; Row < End; ++Row)
+    Y[Row] = T(0);
+  for (index_t C = 0; C < Width; ++C) {
     const T *SMAT_RESTRICT Data =
         A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
     const index_t *SMAT_RESTRICT Idx =
         A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-#pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
+    for (index_t Row = Begin; Row < End; ++Row)
       Y[Row] += Data[Row] * X[Idx[Row]];
   }
 }
 
-/// Row slice size of the sliced (load-balanced) kernels: big enough to keep
-/// the column-major access pattern streaming, small enough that one long row
-/// only pads its own slice.
-constexpr index_t EllSliceRows = 64;
-
-/// Sliced ELL (SELL-style): rows are processed in slices of EllSliceRows;
-/// each slice sweeps only up to its own longest row (from the RowLen
-/// sidecar, PrecondRowLengths) instead of the global padded Width, so a few
-/// long rows no longer drag every slice through their padding columns.
-template <typename T>
-void ellSliced(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-               T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  for (index_t SliceBegin = 0; SliceBegin < A.NumRows;
-       SliceBegin += EllSliceRows) {
-    index_t SliceEnd = std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
-    index_t SliceWidth = 0;
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      SliceWidth = std::max(SliceWidth, RowLen[Row]);
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      Y[Row] = T(0);
-    for (index_t C = 0; C < SliceWidth; ++C) {
-      const T *SMAT_RESTRICT Data =
-          A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-      const index_t *SMAT_RESTRICT Idx =
-          A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-      for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-        Y[Row] += Data[Row] * X[Idx[Row]];
-    }
+/// Calls \p Chunk(Begin, End) for the part of each EllSliceRows chunk that
+/// lies in [RowBegin, RowEnd), threaded (dynamic schedule, which balances
+/// skewed row lengths) or in order without entering the OpenMP runtime.
+template <bool Threaded, typename ChunkFn>
+void forEachEllChunk(index_t RowBegin, index_t RowEnd, ChunkFn Chunk) {
+  const index_t First = RowBegin / EllSliceRows;
+  const index_t Last = (RowEnd + EllSliceRows - 1) / EllSliceRows;
+  auto Run = [&](index_t C) {
+    Chunk(std::max(RowBegin, C * EllSliceRows),
+          std::min(RowEnd, (C + 1) * EllSliceRows));
+  };
+  if constexpr (Threaded) {
+#pragma omp parallel for schedule(dynamic, 1)
+    for (index_t C = First; C < Last; ++C)
+      Run(C);
+  } else {
+    for (index_t C = First; C < Last; ++C)
+      Run(C);
   }
 }
 
-/// Threaded sliced ELL: slices are independent and their work is bounded by
-/// their own width, so dynamic scheduling balances skewed row lengths.
+/// Sliced ELL, chunk after chunk.
 template <typename T>
-void ellSlicedOmp(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  index_t NumSlices = (A.NumRows + EllSliceRows - 1) / EllSliceRows;
-#pragma omp parallel for schedule(dynamic, 1)
-  for (index_t Slice = 0; Slice < NumSlices; ++Slice) {
-    index_t SliceBegin = Slice * EllSliceRows;
-    index_t SliceEnd = std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
-    index_t SliceWidth = 0;
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      SliceWidth = std::max(SliceWidth, RowLen[Row]);
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      Y[Row] = T(0);
-    for (index_t C = 0; C < SliceWidth; ++C) {
-      const T *SMAT_RESTRICT Data =
-          A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-      const index_t *SMAT_RESTRICT Idx =
-          A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-      for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-        Y[Row] += Data[Row] * X[Idx[Row]];
-    }
-  }
+void ellSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+               const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  forEachEllChunk<false>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
+    ellSlicedChunk(A, Begin, End, X, Y);
+  });
+}
+
+/// Threaded sliced ELL: chunks are independent and their work is bounded by
+/// their own width.
+template <typename T>
+void ellSlicedOmp(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  forEachEllChunk<true>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
+    ellSlicedChunk(A, Begin, End, X, Y);
+  });
 }
 
 /// Column-major pass with gather prefetch on the X stream.
 template <typename T>
-void ellPrefetch(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
+void ellPrefetch(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  ellZero(Y, RowBegin, RowEnd);
   constexpr index_t Distance = 64;
   for (index_t C = 0; C < A.Width; ++C) {
     const T *SMAT_RESTRICT Data =
         A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
     const index_t *SMAT_RESTRICT Idx =
         A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row) {
-      if (Row + Distance < A.NumRows)
+    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
+      if (Row + Distance < RowEnd)
         __builtin_prefetch(&X[Idx[Row + Distance]], 0, 0);
       Y[Row] += Data[Row] * X[Idx[Row]];
     }
@@ -222,19 +195,18 @@ void ellPrefetch(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
 //===----------------------------------------------------------------------===//
 
 /// Strategy-free batched ELL: column-major packed sweep, runtime-K inner
-/// loop, mirroring ellBasic. Padding entries multiply by zero harmlessly.
+/// loop, mirroring the basic SpMV loop. Padding entries multiply by zero
+/// harmlessly.
 template <typename T>
-void ellSpmmBasic(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y, index_t K) {
-  std::memset(Y, 0,
-              sizeof(T) * static_cast<std::size_t>(A.NumRows) *
-                  static_cast<std::size_t>(K));
+void ellSpmmBasic(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y, index_t K) {
+  ellZero(Y, RowBegin, RowEnd, K);
   for (index_t C = 0; C < A.Width; ++C) {
     const T *SMAT_RESTRICT Data =
         A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
     const index_t *SMAT_RESTRICT Idx =
         A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row) {
+    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
       const T V = Data[Row];
       const T *SMAT_RESTRICT Xr = X + static_cast<std::size_t>(Idx[Row]) * K;
       T *SMAT_RESTRICT Yr = Y + static_cast<std::size_t>(Row) * K;
@@ -311,21 +283,22 @@ void ellSpmmRowRange(const EllMatrix<T> &A, const T *X, T *Y, index_t K,
 }
 
 template <typename T>
-void ellSpmmTiled(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
-  ellSpmmRowRange(A, X, Y, K, 0, A.NumRows,
+void ellSpmmTiled(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
+  ellSpmmRowRange(A, X, Y, K, RowBegin, RowEnd,
                   [&](index_t) { return A.Width; });
 }
 
 /// Row-blocked threading over the register-tiled row pass.
 template <typename T>
-void ellSpmmOmpRows(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
+void ellSpmmOmpRows(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                    const T *X, T *Y, index_t K) {
   constexpr index_t BlockRows = 128;
-  const index_t M = A.NumRows;
-  const index_t NumBlocks = (M + BlockRows - 1) / BlockRows;
+  const index_t NumBlocks = (RowEnd - RowBegin + BlockRows - 1) / BlockRows;
 #pragma omp parallel for schedule(static)
   for (index_t B = 0; B < NumBlocks; ++B)
-    ellSpmmRowRange(A, X, Y, K, B * BlockRows,
-                    std::min<index_t>(M, (B + 1) * BlockRows),
+    ellSpmmRowRange(A, X, Y, K, RowBegin + B * BlockRows,
+                    std::min<index_t>(RowEnd, RowBegin + (B + 1) * BlockRows),
                     [&](index_t) { return A.Width; });
 }
 
@@ -333,26 +306,23 @@ void ellSpmmOmpRows(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
 /// sidecar (PrecondRowLengths), so skewed rows do not drag the whole block
 /// through padding columns.
 template <typename T>
-void ellSpmmSliced(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
+void ellSpmmSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                   const T *X, T *Y, index_t K) {
   const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  ellSpmmRowRange(A, X, Y, K, 0, A.NumRows,
+  ellSpmmRowRange(A, X, Y, K, RowBegin, RowEnd,
                   [RowLen](index_t Row) { return RowLen[Row]; });
 }
 
-/// Threaded sliced batched ELL: dynamic slice scheduling balances skewed
+/// Threaded sliced batched ELL: dynamic chunk scheduling balances skewed
 /// row lengths.
 template <typename T>
-void ellSpmmSlicedOmp(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
+void ellSpmmSlicedOmp(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                      const T *X, T *Y, index_t K) {
   const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  const index_t NumSlices = (A.NumRows + EllSliceRows - 1) / EllSliceRows;
-#pragma omp parallel for schedule(dynamic, 1)
-  for (index_t Slice = 0; Slice < NumSlices; ++Slice) {
-    const index_t SliceBegin = Slice * EllSliceRows;
-    const index_t SliceEnd =
-        std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
-    ellSpmmRowRange(A, X, Y, K, SliceBegin, SliceEnd,
+  forEachEllChunk<true>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
+    ellSpmmRowRange(A, X, Y, K, Begin, End,
                     [RowLen](index_t Row) { return RowLen[Row]; });
-  }
+  });
 }
 
 } // namespace
@@ -361,12 +331,12 @@ void ellSpmmSlicedOmp(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
 template <typename T>
 std::vector<smat::Kernel<smat::EllKernelFn<T>>> smat::makeEllKernels() {
   return {
-      {"ell_basic", OptNone, &ellBasic<T>},
-      {"ell_simd", OptSimd, &ellSimd<T>},
+      {"ell_basic", OptNone, &ellColumnMajor<T, 1, false>},
+      {"ell_simd", OptSimd, &ellColumnMajor<T, 1, true>},
       {"ell_rowmajor", OptInterchange, &ellRowMajor<T>},
-      {"ell_unroll2", OptUnroll, &ellUnroll2<T>},
+      {"ell_unroll2", OptUnroll, &ellColumnMajor<T, 2, false>},
       {"ell_omp_rows", OptThreads | OptInterchange, &ellOmpRows<T>},
-      {"ell_simd_unroll2", OptSimd | OptUnroll, &ellSimdUnroll2<T>},
+      {"ell_simd_unroll2", OptSimd | OptUnroll, &ellColumnMajor<T, 2, true>},
       {"ell_prefetch", OptPrefetch, &ellPrefetch<T>},
       {"ell_sliced", OptLoadBalance, &ellSliced<T>, PrecondRowLengths},
       {"ell_sliced_omp", OptThreads | OptLoadBalance, &ellSlicedOmp<T>,

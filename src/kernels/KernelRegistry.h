@@ -11,7 +11,12 @@
 /// strategies on the target architecture and picks the per-format optimal
 /// kernel.
 ///
-/// Kernel semantics: every kernel computes y := A * x (y is overwritten).
+/// Kernel semantics: every kernel is written once over a row range. Called
+/// as (A, RowBegin, RowEnd, x, y) it computes rows [RowBegin, RowEnd) of
+/// y := A * x, overwriting them, and writes no other row of y; called as
+/// (A, x, y) it runs the whole matrix. Each row's arithmetic is the same
+/// whatever range it is computed in, so a plan cut into row slices gives
+/// the same bits as the whole call (core/FormatOperator.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +30,7 @@
 #include "matrix/EllMatrix.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smat {
@@ -90,30 +96,47 @@ const char *optStrategyName(unsigned Bit);
 /// \returns a "+"-joined list of the strategies in \p Flags, or "basic".
 std::string optFlagsString(unsigned Flags);
 
-template <typename T>
-using CsrKernelFn = void (*)(const CsrMatrix<T> &, const T *, T *);
-template <typename T>
-using CooKernelFn = void (*)(const CooMatrix<T> &, const T *, T *);
-template <typename T>
-using DiaKernelFn = void (*)(const DiaMatrix<T> &, const T *, T *);
-template <typename T>
-using EllKernelFn = void (*)(const EllMatrix<T> &, const T *, T *);
-template <typename T>
-using BsrKernelFn = void (*)(const BsrMatrix<T> &, const T *, T *);
+/// A kernel's entry point: the row-range function it is written as, also
+/// callable on the whole matrix. \p Args are the kernel's operands after the
+/// row range. For BSR, both bounds must fall on block rows (RowEnd may also
+/// be NumRows); a BSR kernel computes whole block rows.
+template <typename MatrixT, typename... Args> struct RowRangeFn {
+  using RangeFn = void (*)(const MatrixT &, index_t RowBegin, index_t RowEnd,
+                           Args...);
+  constexpr RowRangeFn(RangeFn Range = nullptr) : Range(Range) {}
+  void operator()(const MatrixT &A, index_t RowBegin, index_t RowEnd,
+                  Args... Operands) const {
+    Range(A, RowBegin, RowEnd, Operands...);
+  }
+  void operator()(const MatrixT &A, Args... Operands) const {
+    Range(A, 0, A.NumRows, Operands...);
+  }
+  RangeFn Range;
+};
 
-/// Batched (multi-RHS) SpMM kernels: Y := A * X where X is a row-major
+/// SpMV entry point: y := A * x.
+template <typename MatrixT, typename T>
+using RowRangeSpmv = RowRangeFn<MatrixT, const T *, T *>;
+
+/// Batched (multi-RHS) SpMM entry point: Y := A * X where X is a row-major
 /// dense block of K right-hand sides (NumCols x K) and Y is the row-major
-/// result block (NumRows x K). Keeping the K values of one matrix row
-/// contiguous is what lets the register-tiled variants hold the whole tile
-/// in registers while the matrix is streamed once.
-template <typename T>
-using CsrSpmmFn = void (*)(const CsrMatrix<T> &, const T *, T *, index_t);
-template <typename T>
-using CooSpmmFn = void (*)(const CooMatrix<T> &, const T *, T *, index_t);
-template <typename T>
-using DiaSpmmFn = void (*)(const DiaMatrix<T> &, const T *, T *, index_t);
-template <typename T>
-using EllSpmmFn = void (*)(const EllMatrix<T> &, const T *, T *, index_t);
+/// result block (NumRows x K); the row range selects rows of Y. Keeping
+/// the K values of one matrix row contiguous is what lets the
+/// register-tiled variants hold the whole tile in registers while the
+/// matrix is streamed once.
+template <typename MatrixT, typename T>
+using RowRangeSpmm = RowRangeFn<MatrixT, const T *, T *, index_t>;
+
+template <typename T> using CsrKernelFn = RowRangeSpmv<CsrMatrix<T>, T>;
+template <typename T> using CooKernelFn = RowRangeSpmv<CooMatrix<T>, T>;
+template <typename T> using DiaKernelFn = RowRangeSpmv<DiaMatrix<T>, T>;
+template <typename T> using EllKernelFn = RowRangeSpmv<EllMatrix<T>, T>;
+template <typename T> using BsrKernelFn = RowRangeSpmv<BsrMatrix<T>, T>;
+
+template <typename T> using CsrSpmmFn = RowRangeSpmm<CsrMatrix<T>, T>;
+template <typename T> using CooSpmmFn = RowRangeSpmm<CooMatrix<T>, T>;
+template <typename T> using DiaSpmmFn = RowRangeSpmm<DiaMatrix<T>, T>;
+template <typename T> using EllSpmmFn = RowRangeSpmm<EllMatrix<T>, T>;
 
 /// One kernel-library entry: an implementation plus its strategy tag set
 /// and any structural preconditions it demands of the input.
@@ -188,6 +211,17 @@ const Kernel<FnT> &kernelEntry(const std::vector<Kernel<FnT>> &List,
   if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
     return List.front();
   return List[static_cast<std::size_t>(Idx)];
+}
+
+/// \returns the index of the entry named \p Name in \p List, or 0 (the
+/// basic entry) when this build registers no kernel of that name.
+template <typename FnT>
+int kernelIndexNamed(const std::vector<Kernel<FnT>> &List,
+                     std::string_view Name) {
+  for (std::size_t I = 0; I != List.size(); ++I)
+    if (Name == List[I].Name)
+      return static_cast<int>(I);
+  return 0;
 }
 
 /// \returns kernelEntry(List, Idx), or the basic entry (precondition-free)

@@ -50,12 +50,14 @@ inline constexpr std::int64_t MaxConvertedElements = std::int64_t(1) << 31;
 /// counts (plan-cache fingerprints hash converted features).
 inline constexpr std::int64_t ParallelConvertGrain = std::int64_t(1) << 15;
 
-/// Nonzero count from which a converted plan whose kernel pick is serial
-/// runs as row slices across the OpenMP team (bindFormatOperator). Below it
-/// the wake-up of a team, 50-130 us per call while a second team (a
-/// TuningService worker's) is alive, costs more than the split saves; the
-/// crossover table in DESIGN.md section 10 puts that point at 120k-130k
-/// (ELL) and 200k-250k (DIA) nonzeros, and the grain sits above both.
+/// Nonzero count from which a plan runs as row slices across the OpenMP
+/// team while a TuningService is alive (slicedPlanGrain in
+/// core/FormatOperator.h; with no service the grain is
+/// ParallelConvertGrain). The service's worker keeps a second team, and
+/// with more threads than cores libgomp stops spinning, so every sliced call
+/// pays a wake-up of 50-130 us; the crossover table in DESIGN.md section 10
+/// puts that point at 50k (CSR) to 250k (DIA) nonzeros, and the grain sits
+/// above it.
 inline constexpr std::int64_t SlicedPlanGrain = std::int64_t(1) << 18;
 
 /// Builds a CSR matrix from (possibly unsorted, possibly duplicated)
@@ -563,39 +565,8 @@ template <typename T> CsrMatrix<T> bsrToCsr(const BsrMatrix<T> &A) {
 
 // --- Row slices -------------------------------------------------------------
 //
-// A row-sliced plan (core/FormatOperator.h) converts each row slice of a
-// matrix on its own. The fill guards still judge the whole matrix: the
-// *Fits predicates below run a converter's guards without converting, and
-// the slices are then converted with the guards off. A slice never stores
-// more than its rows of the whole conversion would, so the slices together
-// stay within the whole matrix's padded storage and MaxConvertedElements.
-
-/// Whether csrToDia(A, B, MaxFillRatio, MaxDiags) passes its guards.
-template <typename T>
-bool diaFits(const CsrMatrix<T> &A, double MaxFillRatio = DefaultMaxFillRatio,
-             index_t MaxDiags = DefaultMaxDiags) {
-  std::vector<char> Occupied = detail::occupiedDiagonals(A);
-  return detail::diaGuardsPass(
-      A, static_cast<index_t>(std::count(Occupied.begin(), Occupied.end(), 1)),
-      MaxFillRatio, MaxDiags);
-}
-
-/// Whether csrToEll(A, B, MaxFillRatio) passes its guards.
-template <typename T>
-bool ellFits(const CsrMatrix<T> &A, double MaxFillRatio = DefaultMaxFillRatio) {
-  return detail::paddingFits(
-      A, static_cast<std::int64_t>(detail::maxRowDegree(A)) * A.NumRows,
-      MaxFillRatio);
-}
-
-/// Whether csrToBsr(A, B, BlockSize, MaxFillRatio) passes its guards.
-template <typename T>
-bool bsrFits(const CsrMatrix<T> &A, index_t BlockSize,
-             double MaxFillRatio = 1.5) {
-  return BlockSize >= 1 &&
-         detail::bsrGuardsPass(A, countOccupiedBlocks(A, BlockSize),
-                               BlockSize, MaxFillRatio);
-}
+// A row-sliced plan (core/FormatOperator.h) is one matrix plus row bounds:
+// every kernel runs over a row range, so no slice is ever copied.
 
 /// Splits the rows of \p A into at most \p Parts contiguous slices of
 /// near-equal nonzero counts. \returns the slice bounds: 0, the interior
@@ -619,21 +590,6 @@ std::vector<index_t> balancedRowBounds(const CsrMatrix<T> &A, index_t Parts,
   }
   Bounds.push_back(A.NumRows);
   return Bounds;
-}
-
-/// \returns rows [Begin, End) of \p A as a matrix of End - Begin rows with
-/// A's columns.
-template <typename T>
-CsrMatrix<T> csrRowSlice(const CsrMatrix<T> &A, index_t Begin, index_t End) {
-  assert(0 <= Begin && Begin <= End && End <= A.NumRows &&
-         "row slice out of range");
-  CsrMatrix<T> S(End - Begin, A.NumCols);
-  const index_t First = A.RowPtr[Begin], Last = A.RowPtr[End];
-  for (index_t Row = Begin; Row <= End; ++Row)
-    S.RowPtr[Row - Begin] = A.RowPtr[Row] - First;
-  S.ColIdx.assign(A.ColIdx.begin() + First, A.ColIdx.begin() + Last);
-  S.Values.assign(A.Values.begin() + First, A.Values.begin() + Last);
-  return S;
 }
 
 /// \returns A^T in CSR format (used by AMG's Galerkin product and by the

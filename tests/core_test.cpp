@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 using namespace smat;
 using namespace smat::test;
 
@@ -302,6 +304,123 @@ TEST(LearningModelTest, CostModelLinesRoundTripAndStayOptional) {
   Bad.insert(RulesetPos, "costmodel bogus_key 1.0\n");
   LearningModel Rejected;
   EXPECT_FALSE(parseModel(Bad, Rejected, Error));
+}
+
+TEST(LearningModelTest, KernelPicksBindByName) {
+  // The index on a model's kernel lines is informative only: the load
+  // resolves each pick by name against this build's table, so a reordered
+  // table cannot bind another kernel, and a name this build lacks binds the
+  // format's basic kernel.
+  const KernelTable<double> &K = kernelTable<double>();
+  auto Index = [](const auto &List, const std::string &Name) {
+    for (std::size_t I = 0; I != List.size(); ++I)
+      if (Name == List[I].Name)
+        return static_cast<int>(I);
+    ADD_FAILURE() << "no kernel named " << Name;
+    return 0;
+  };
+  const auto Csr = static_cast<std::size_t>(FormatKind::CSR);
+  const auto Dia = static_cast<std::size_t>(FormatKind::DIA);
+  const auto Ell = static_cast<std::size_t>(FormatKind::ELL);
+  LearningModel Model = sharedTrainResult().Model;
+  Model.Kernels.BestKernel[Csr] = 0;
+  Model.Kernels.BestKernelName[Csr] = "csr_unroll4";
+  Model.Kernels.BestKernel[Dia] = 3;
+  Model.Kernels.BestKernelName[Dia] = "dia_of_another_build";
+  Model.Kernels.BestSkewCsrKernel = 0;
+  Model.Kernels.BestSkewCsrKernelName = "csr_nnzsplit";
+  Model.Kernels.BestSpmmKernel[Csr][2] = 0;
+  Model.Kernels.BestSpmmKernelName[Csr][2] = "csr_spmm_tiled";
+  Model.Kernels.BestSpmmKernel[Ell][0] = 1;
+  Model.Kernels.BestSpmmKernelName[Ell][0] = "ell_spmm_of_another_build";
+  LearningModel Parsed;
+  std::string Error;
+  ASSERT_TRUE(parseModel(serializeModel(Model), Parsed, Error)) << Error;
+  EXPECT_EQ(Parsed.Kernels.BestKernel[Csr], Index(K.Csr, "csr_unroll4"));
+  EXPECT_EQ(Parsed.Kernels.BestKernel[Dia], 0);
+  EXPECT_EQ(Parsed.Kernels.BestKernelName[Dia], "dia_of_another_build");
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_nnzsplit"));
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Csr][2],
+            Index(K.CsrSpmm, "csr_spmm_tiled"));
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Ell][0], 0);
+
+  // The double table answers for both value types: they register the same
+  // names in the same order.
+  const KernelTable<float> &F = kernelTable<float>();
+  auto SameNames = [](const auto &L, const auto &R) {
+    if (L.size() != R.size())
+      return false;
+    for (std::size_t I = 0; I != L.size(); ++I)
+      if (std::string(L[I].Name) != R[I].Name)
+        return false;
+    return true;
+  };
+  EXPECT_TRUE(SameNames(K.Csr, F.Csr) && SameNames(K.Coo, F.Coo) &&
+              SameNames(K.Dia, F.Dia) && SameNames(K.Ell, F.Ell) &&
+              SameNames(K.Bsr, F.Bsr) && SameNames(K.CsrSpmm, F.CsrSpmm) &&
+              SameNames(K.CooSpmm, F.CooSpmm) &&
+              SameNames(K.DiaSpmm, F.DiaSpmm) &&
+              SameNames(K.EllSpmm, F.EllSpmm));
+}
+
+TEST(LearningModelTest, CommittedModelsBindTheKernelsTheirIndicesBound) {
+  // Binding by name changes no pick of the committed bench_cache models:
+  // each line resolves to the index it carries, or to the basic kernel
+  // where that index is past this build's table (a portable build), which
+  // is what binding by index did.
+  const KernelTable<double> &K = kernelTable<double>();
+  auto ListSize = [&K](FormatKind Kind, bool Spmm) -> std::size_t {
+    switch (Kind) {
+    case FormatKind::CSR:
+      return Spmm ? K.CsrSpmm.size() : K.Csr.size();
+    case FormatKind::COO:
+      return Spmm ? K.CooSpmm.size() : K.Coo.size();
+    case FormatKind::DIA:
+      return Spmm ? K.DiaSpmm.size() : K.Dia.size();
+    case FormatKind::ELL:
+      return Spmm ? K.EllSpmm.size() : K.Ell.size();
+    case FormatKind::BSR:
+      return Spmm ? 0 : K.Bsr.size();
+    }
+    return 0;
+  };
+  for (const char *File : {"model_double_small.txt", "model_float_small.txt"}) {
+    SCOPED_TRACE(File);
+    const std::string Path =
+        std::string(SMAT_TEST_BENCH_CACHE_DIR) + "/" + File;
+    LearningModel Model;
+    std::string Error;
+    ASSERT_TRUE(loadModelFile(Path, Model, Error)) << Error;
+    std::ifstream In(Path);
+    int Lines = 0;
+    for (std::string Line; std::getline(In, Line);) {
+      std::vector<std::string> Parts = splitWhitespace(Line);
+      FormatKind Kind;
+      int Written = 0, Bound = 0;
+      bool Spmm = false;
+      if (Parts.size() == 4 && Parts[0] == "kernel" &&
+          parseFormatName(Parts[1], Kind)) {
+        Written = std::stoi(Parts[2]);
+        Bound = Model.Kernels.BestKernel[static_cast<std::size_t>(Kind)];
+      } else if (Parts.size() == 4 && Parts[0] == "kernel_skew") {
+        Kind = FormatKind::CSR;
+        Written = std::stoi(Parts[2]);
+        Bound = Model.Kernels.BestSkewCsrKernel;
+      } else if (Parts.size() == 5 && Parts[0] == "kernel_spmm" &&
+                 parseFormatName(Parts[2], Kind)) {
+        Spmm = true;
+        Written = std::stoi(Parts[3]);
+        Bound = Model.Kernels.spmmKernelFor(Kind, std::stoi(Parts[1]));
+      } else {
+        continue;
+      }
+      ++Lines;
+      const bool InTable =
+          static_cast<std::size_t>(Written) < ListSize(Kind, Spmm);
+      EXPECT_EQ(Bound, InTable ? Written : 0) << Line;
+    }
+    EXPECT_GT(Lines, NumFormats);
+  }
 }
 
 TEST(LearningModelTest, FileRoundTripAndSmatFromFile) {

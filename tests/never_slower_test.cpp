@@ -90,17 +90,20 @@ double robustGflops(std::uint64_t Flnnz, double MinSeconds, FnT Fn) {
 }
 
 /// The end-to-end acceptance floor. The serial never-slower gate below
-/// enforces the tight 10% noise floor over a median of timing pairs; one
-/// pair of short re-measurements can swing further, so the property test
-/// asserts the gross bound that the pre-guardrail powerlaw mispick (tuned at
-/// 49% of basic) clearly violated while honest picks clearly satisfy.
+/// enforces the tight 10% noise floor over a median of seven timing pairs;
+/// the property test's three pairs of short re-measurements can swing
+/// further, so it asserts the gross bound that the pre-guardrail powerlaw
+/// mispick (tuned at 49% of basic) clearly violated while honest picks
+/// clearly satisfy.
 constexpr double TestNoiseFloor = 0.60;
 
 /// How expectNeverSlower times a tuned plan against basic CSR: Pairs
 /// alternating (basic, tuned) robust timings of MinSeconds each, of which
-/// the pair with the median ratio must reach Floor.
+/// the pair with the median ratio must reach Floor. One pair is not enough
+/// even when the tuned plan runs the basic kernel itself: such a
+/// self-comparison read 0.50-0.58 in 2 of 105 runs.
 struct NeverSlowerTiming {
-  int Pairs = 1;
+  int Pairs = 3;
   double MinSeconds = 5e-4;
   double Floor = TestNoiseFloor;
 };

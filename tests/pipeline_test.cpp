@@ -10,6 +10,7 @@
 #include "core/Smat.h"
 #include "core/Trainer.h"
 #include "core/TuningPipeline.h"
+#include "core/TuningService.h"
 #include "matrix/Generators.h"
 #include "ref/RefSpmv.h"
 
@@ -18,9 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <thread>
+#include <tuple>
 #include <utility>
 
 using namespace smat;
@@ -442,10 +446,9 @@ void expectMatchesRefSpmv(const FormatOperator<double> &Op,
 } // namespace
 
 TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
-  // Above SlicedPlanGrain a serial pick runs as one row slice per OpenMP
-  // thread. Results match the reference (to rounding: dia_unroll2 pairs
-  // diagonals over each slice's own row range) and the bound names are
-  // those of the one-thread bind, which is unsliced.
+  // Above the grain a serial pick runs as one row slice per OpenMP thread
+  // over the one converted matrix. Results match the reference and the
+  // bound names are those of the one-thread bind, which is unsliced.
   const KernelSelection Sel = serialPicks();
   std::vector<std::pair<FormatKind, CsrMatrix<double>>> Cases;
   Cases.emplace_back(FormatKind::DIA, laplace3d7pt(50, 50, 50));
@@ -508,39 +511,73 @@ TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
     expectMatchesRefSpmv(Op.formatOperator(), A, K);
 }
 
-TEST(SlicedPlanTest, ThreadedPicksAndCsrBindsStayUnsliced) {
+TEST(SlicedPlanTest, CsrSlicesInPlaceThreadedAndBasicCsrStayUnsliced) {
+  // A serial CSR pick slices the caller's matrix in place: a borrowed plan
+  // stays zero-copy, an owned one holds one copy. Threaded picks span the
+  // team by themselves, and the basic CSR kernels stay the unsliced serial
+  // reference, in a plan of their own or in basicCsrOperator.
   CsrMatrix<double> A = boundedDegreeRandom(50000, 50000, 6, 8, 74);
   ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  const KernelTable<double> &Kernels = kernelTable<double>();
   KernelSelection Sel = serialPicks();
-  Sel.BestKernel[static_cast<int>(FormatKind::COO)] =
-      kernelIndex(kernelTable<double>().Coo, "coo_omp_rowsplit");
-
-  auto Coo = bindFormatOperator(A, FormatKind::COO, Sel);
-  ASSERT_EQ(Coo->kind(), FormatKind::COO);
-  EXPECT_STREQ(Coo->kernelName(), "coo_omp_rowsplit");
-  EXPECT_EQ(Coo->numSlices(), 1);
-  expectMatchesRefSpmv(*Coo, A, 1);
+  Sel.BestKernel[static_cast<int>(FormatKind::CSR)] =
+      kernelIndex(Kernels.Csr, "csr_unroll4");
+  Sel.BestSpmmKernel[static_cast<int>(FormatKind::CSR)]
+                    [static_cast<std::size_t>(spmmWidthIndex(8))] =
+      kernelIndex(Kernels.CsrSpmm, "csr_spmm_tiled");
 
   auto Borrowed = bindFormatOperator(A, FormatKind::CSR, Sel);
-  EXPECT_EQ(Borrowed->numSlices(), 1);
+  EXPECT_STREQ(Borrowed->kernelName(), "csr_unroll4");
+  EXPECT_EQ(Borrowed->numSlices(), detail::teamSize());
   EXPECT_FALSE(Borrowed->ownsStorage());
   expectMatchesRefSpmv(*Borrowed, A, 1);
 
-  auto Owned = bindFormatOperator(A, FormatKind::CSR, Sel, CsrStorage::Owned);
-  EXPECT_EQ(Owned->numSlices(), 1);
+  auto Owned = bindFormatOperator(A, FormatKind::CSR, Sel, CsrStorage::Owned,
+                                  -1, 8);
+  EXPECT_STREQ(Owned->spmmKernelName(), "csr_spmm_tiled");
+  EXPECT_EQ(Owned->numSlices(), detail::teamSize());
   EXPECT_TRUE(Owned->ownsStorage());
+  expectMatchesRefSpmv(*Owned, A, 1);
   expectMatchesRefSpmv(*Owned, A, 8);
 
-  auto Basic = basicCsrOperator(A);
-  EXPECT_EQ(Basic->numSlices(), 1);
-  EXPECT_FALSE(Basic->ownsStorage());
+  KernelSelection Threaded = Sel;
+  Threaded.BestKernel[static_cast<int>(FormatKind::CSR)] =
+      kernelIndex(Kernels.Csr, "csr_omp_static");
+  Threaded.BestKernel[static_cast<int>(FormatKind::COO)] =
+      kernelIndex(Kernels.Coo, "coo_omp_rowsplit");
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO}) {
+    auto Op = bindFormatOperator(A, Kind, Threaded);
+    ASSERT_EQ(Op->kind(), Kind);
+    EXPECT_EQ(Op->numSlices(), 1) << Op->kernelName();
+    expectMatchesRefSpmv(*Op, A, 1);
+  }
+
+  KernelSelection Basic = Sel;
+  Basic.BestKernel[static_cast<int>(FormatKind::CSR)] = 0;
+  auto BasicPick = bindFormatOperator(A, FormatKind::CSR, Basic);
+  EXPECT_STREQ(BasicPick->kernelName(), basicCsrKernel<double>().Name);
+  EXPECT_EQ(BasicPick->numSlices(), 1);
+  using CsrOp = BoundOperator<CsrMatrix, double>;
+  EXPECT_FALSE(CsrOp::runsSliced(basicCsrKernel<double>()));
+  EXPECT_FALSE(CsrOp::runsSliced(basicCsrSpmmKernel<double>()));
+  EXPECT_FALSE(CsrOp::runsSliced(
+      Kernels.CsrSpmm[static_cast<std::size_t>(
+          kernelIndex(Kernels.CsrSpmm, "csr_spmm_nnzsplit"))]));
+  EXPECT_TRUE(CsrOp::runsSliced(
+      Kernels.CsrSpmm[static_cast<std::size_t>(
+          kernelIndex(Kernels.CsrSpmm, "csr_spmm_tiled"))]));
+
+  auto BasicOp = basicCsrOperator(A);
+  EXPECT_EQ(BasicOp->numSlices(), 1);
+  EXPECT_FALSE(BasicOp->ownsStorage());
 }
 
 TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
   // Each quarter of the rows holds its own 300 diagonals: 1200 in all, over
   // the 1024-diagonal guard, while a balanced slice of at most half the rows
-  // touches at most three quarters (900). The whole-matrix guard still
-  // decides, so the bind falls back to CSR.
+  // touches at most three quarters (900). The guard judges the one
+  // conversion of the whole matrix, so the bind falls back to CSR, which
+  // then slices like any CSR plan with a serial pick.
   const index_t N = 1000, PerQuarter = 300;
   std::vector<index_t> R, C;
   std::vector<double> V;
@@ -553,16 +590,141 @@ TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
   CsrMatrix<double> A = csrFromTriplets<double>(
       N, N + 4 * PerQuarter, std::move(R), std::move(C), std::move(V));
   ASSERT_GE(A.nnz(), SlicedPlanGrain);
-  ASSERT_FALSE(diaFits(A));
-  std::vector<index_t> Bounds = balancedRowBounds(A, detail::teamSize());
-  for (std::size_t S = 0; Bounds.size() > 2 && S + 1 < Bounds.size(); ++S)
-    EXPECT_TRUE(diaFits(csrRowSlice(A, Bounds[S], Bounds[S + 1])))
-        << "slice " << S << " alone passes the guard";
+  DiaMatrix<double> Dia;
+  ASSERT_FALSE(csrToDia(A, Dia));
 
-  auto Op = bindFormatOperator(A, FormatKind::DIA, serialPicks());
+  KernelSelection Sel = serialPicks();
+  Sel.BestKernel[static_cast<int>(FormatKind::CSR)] =
+      kernelIndex(kernelTable<double>().Csr, "csr_unroll4");
+  auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);
   EXPECT_EQ(Op->kind(), FormatKind::CSR);
-  EXPECT_EQ(Op->numSlices(), 1);
+  EXPECT_EQ(Op->numSlices(), detail::teamSize());
   expectMatchesRefSpmv(*Op, A, 1);
+}
+
+TEST(SlicedPlanTest, GrainFollowsTheLiveServiceCount) {
+  // A plan between the two grains slices while the process has one OpenMP
+  // team, binds whole while a TuningService (and its worker's team) lives,
+  // and slices again once the service is gone.
+  CsrMatrix<double> A = banded(20000, 3);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
+  ASSERT_LT(A.nnz(), SlicedPlanGrain);
+  const KernelSelection Sel = serialPicks();
+  auto SlicesOfBind = [&] {
+    auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);
+    EXPECT_EQ(Op->kind(), FormatKind::DIA);
+    expectMatchesRefSpmv(*Op, A, 1);
+    return Op->numSlices();
+  };
+  EXPECT_EQ(slicedPlanGrain(), ParallelConvertGrain);
+  EXPECT_EQ(SlicesOfBind(), detail::teamSize());
+  {
+    TuningService<double> Service{Smat<double>(LearningModel())};
+    EXPECT_EQ(slicedPlanGrain(), SlicedPlanGrain);
+    EXPECT_EQ(SlicesOfBind(), 1);
+  }
+  EXPECT_EQ(slicedPlanGrain(), ParallelConvertGrain);
+  EXPECT_EQ(SlicesOfBind(), detail::teamSize());
+}
+
+namespace {
+
+/// The bits of \p Op's apply() (K = 1) or multiply() on a fixed block.
+std::vector<double> planBits(const FormatOperator<double> &Op, index_t K) {
+  const auto Width = static_cast<std::size_t>(K);
+  auto X = randomVector<double>(
+      static_cast<std::size_t>(Op.numCols()) * Width, 300 + Width);
+  std::vector<double> Y(static_cast<std::size_t>(Op.numRows()) * Width, -1.0);
+  if (K == 1)
+    Op.apply(X.data(), Y.data());
+  else
+    Op.multiply(X.data(), Y.data(), K);
+  return Y;
+}
+
+bool sameBits(const std::vector<double> &L, const std::vector<double> &R) {
+  return L.size() == R.size() &&
+         std::memcmp(L.data(), R.data(), L.size() * sizeof(double)) == 0;
+}
+
+/// Indices of the serial (non-OptThreads) entries of \p List.
+template <typename FnT>
+std::vector<int> serialKernels(const std::vector<Kernel<FnT>> &List) {
+  std::vector<int> Out;
+  for (std::size_t I = 0; I != List.size(); ++I)
+    if (!(List[I].Flags & OptThreads))
+      Out.push_back(static_cast<int>(I));
+  return Out;
+}
+
+} // namespace
+
+TEST(SlicedPlanTest, EveryThreadCountGivesTheSameBits) {
+  // Every serial SpMV and SpMM pick of every format, bound at 1, 2, 4 and
+  // twice the hardware threads: apply() and multiply() at k = 2 and 8 give
+  // the bits of the one-thread (unsliced) plan, since each row's arithmetic
+  // does not depend on the slice it is computed in.
+  const int Hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const std::vector<int> Teams = {1, 2, 4, 2 * Hw};
+  const KernelTable<double> &Kernels = kernelTable<double>();
+  struct Case {
+    FormatKind Kind;
+    CsrMatrix<double> A;
+    std::vector<int> Spmv, Spmm;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({FormatKind::CSR, boundedDegreeRandom(8000, 8000, 2, 12, 81),
+                   serialKernels(Kernels.Csr), serialKernels(Kernels.CsrSpmm)});
+  Cases.push_back({FormatKind::COO, boundedDegreeRandom(8000, 8000, 2, 12, 82),
+                   serialKernels(Kernels.Coo), serialKernels(Kernels.CooSpmm)});
+  Cases.push_back({FormatKind::DIA, laplace3d7pt(20, 20, 20),
+                   serialKernels(Kernels.Dia), serialKernels(Kernels.DiaSpmm)});
+  Cases.push_back({FormatKind::ELL, boundedDegreeRandom(8000, 8000, 2, 12, 83),
+                   serialKernels(Kernels.Ell), serialKernels(Kernels.EllSpmm)});
+  Cases.push_back(
+      {FormatKind::BSR, blockFem(2500, 4, 0.0, 84), serialKernels(Kernels.Bsr),
+       {}});
+  for (Case &C : Cases) {
+    SCOPED_TRACE(std::string(formatName(C.Kind)));
+    ASSERT_GE(C.A.nnz(), slicedPlanGrain());
+    randomizeValues(C.A, 85);
+    const auto F = static_cast<std::size_t>(C.Kind);
+    // (SpMV pick, SpMM pick, width): every SpMV pick at k = 1, every SpMM
+    // pick (BSR: every SpMV pick, column by column) at k = 2 and 8.
+    std::vector<std::tuple<int, int, index_t>> Binds;
+    for (int I : C.Spmv)
+      Binds.emplace_back(I, 0, 1);
+    for (index_t K : {index_t(2), index_t(8)})
+      for (int I : C.Spmm.empty() ? C.Spmv : C.Spmm)
+        Binds.emplace_back(C.Spmm.empty() ? I : 0, C.Spmm.empty() ? 0 : I, K);
+    for (const auto &[SpmvIdx, SpmmIdx, K] : Binds) {
+      KernelSelection Sel;
+      Sel.BestKernel[F] = SpmvIdx;
+      Sel.BestSpmmKernel[F][static_cast<std::size_t>(spmmWidthIndex(K))] =
+          SpmmIdx;
+      std::vector<double> One;
+      for (int Team : Teams) {
+        OmpThreadsScope Scope(Team);
+        auto Op = bindFormatOperator(C.A, C.Kind, Sel, CsrStorage::Borrowed,
+                                     -1, K);
+        ASSERT_EQ(Op->kind(), C.Kind);
+        SCOPED_TRACE(std::string(K > 1 ? Op->spmmKernelName()
+                                       : Op->kernelName()) +
+                     " k=" + std::to_string(K) + " team " +
+                     std::to_string(Team));
+        if (Team == 1) {
+          One = planBits(*Op, K);
+          continue;
+        }
+        if (K == 1 && std::string(Op->kernelName()) !=
+                          basicCsrKernel<double>().Name) {
+          EXPECT_EQ(Op->numSlices(), detail::teamSize());
+        }
+        EXPECT_TRUE(sameBits(planBits(*Op, K), One));
+      }
+    }
+  }
 }
 
 TEST(SlicedPlanTest, BalancedRowBoundsSplitTheEntriesEvenly) {
@@ -582,11 +744,6 @@ TEST(SlicedPlanTest, BalancedRowBoundsSplitTheEntriesEvenly) {
   EXPECT_EQ(balancedRowBounds(banded(3, 1), 8).size(), 4u);
   EXPECT_EQ(balancedRowBounds(CsrMatrix<double>(0, 0), 4),
             (std::vector<index_t>{0, 0}));
-
-  CsrMatrix<double> S = csrRowSlice(A, Bounds[1], Bounds[2]);
-  EXPECT_TRUE(S.isValid());
-  EXPECT_EQ(S.NumRows, Bounds[2] - Bounds[1]);
-  EXPECT_EQ(S.nnz(), A.RowPtr[Bounds[2]] - A.RowPtr[Bounds[1]]);
 }
 
 // --- PlanCache --------------------------------------------------------------

@@ -8,16 +8,22 @@
 // through one Smat instance and one PlanCache. Concurrent tunes of one
 // structure may each measure, but they must share one cache entry, the
 // resilience counters must stay consistent under concurrent updates and
-// reads, and every thread's operator must stay correct. scripts/check.sh
-// runs this binary under ThreadSanitizer (SMAT_SANITIZE=thread, -L stress),
-// and with fault injection armed (-L fault, and TSan with faults); it is
-// also part of tier 1 so the logic is exercised in every build.
+// reads, and every thread's operator must stay correct. The row-range
+// kernels of every format run as slices of one matrix from std::threads, so
+// ThreadSanitizer sees the disjoint-row writes a sliced plan makes (the
+// TSan legs run with OMP_NUM_THREADS=1, where the library's OpenMP slice
+// loop runs one slice). scripts/check.sh runs this binary under
+// ThreadSanitizer (SMAT_SANITIZE=thread, -L stress), and with fault
+// injection armed (-L fault, and TSan with faults); it is also part of
+// tier 1 so the logic is exercised in every build.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/FormatOperator.h"
 #include "core/PlanCache.h"
 #include "core/Smat.h"
 #include "matrix/Generators.h"
+#include "ref/RefSpmv.h"
 #include "support/FaultInjection.h"
 
 #include "TestUtil.h"
@@ -30,6 +36,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace smat;
@@ -191,4 +198,91 @@ TEST(StressTest, ConcurrentTunesUnderRandomFaultsStayCorrect) {
   EXPECT_EQ(Failures.load(), 0);
   EXPECT_EQ(Tuner.resilienceCounters().Tunes,
             static_cast<std::uint64_t>(NumThreads) * 3);
+}
+
+// --- Row slices from std::threads -------------------------------------------
+
+namespace {
+
+/// Checks every serial kernel of \p Kernels on \p M, the conversion of
+/// \p A, at batch width \p Width (1: the SpMV entry point): one std::thread
+/// per balanced slice (cut on multiples of \p Align rows) runs the kernel on
+/// its rows into one shared y, which must match refCsrSpmv.
+template <typename MatrixT, typename FnT>
+void expectSlicesOnThreadsMatch(const CsrMatrix<double> &A, const MatrixT &M,
+                                const std::vector<Kernel<FnT>> &Kernels,
+                                index_t Align, index_t Width) {
+  const std::vector<index_t> Bounds = balancedRowBounds(A, NumThreads, Align);
+  ASSERT_GT(Bounds.size(), 2u);
+  const auto Rows = static_cast<std::size_t>(A.NumRows);
+  const auto Cols = static_cast<std::size_t>(A.NumCols);
+  const auto W = static_cast<std::size_t>(Width);
+  auto X = randomVector<double>(Cols * W, 61);
+  std::vector<double> Expected(Rows * W), Xc(Cols), Yc(Rows);
+  for (std::size_t J = 0; J != W; ++J) {
+    for (std::size_t I = 0; I != Cols; ++I)
+      Xc[I] = X[I * W + J];
+    refCsrSpmv(A, Xc.data(), Yc.data());
+    for (std::size_t I = 0; I != Rows; ++I)
+      Expected[I * W + J] = Yc[I];
+  }
+  for (const Kernel<FnT> &K : Kernels) {
+    if ((K.Flags & OptThreads) || !kernelPrecondsHold(K.Preconds, M))
+      continue;
+    SCOPED_TRACE(std::string(K.Name) + " k=" + std::to_string(Width));
+    std::vector<double> Y(Rows * W, -1.0);
+    std::vector<std::thread> Threads;
+    for (std::size_t S = 0; S + 1 < Bounds.size(); ++S)
+      Threads.emplace_back([&, S] {
+        if constexpr (std::is_same_v<FnT, RowRangeSpmv<MatrixT, double>>)
+          K.Fn(M, Bounds[S], Bounds[S + 1], X.data(), Y.data());
+        else
+          K.Fn(M, Bounds[S], Bounds[S + 1], X.data(), Y.data(), Width);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    expectVectorsNear(Expected, Y, 1e-10);
+  }
+}
+
+} // namespace
+
+TEST(StressTest, RowRangeKernelsOnThreadsWriteDisjointRows) {
+  const KernelTable<double> &K = kernelTable<double>();
+  CsrMatrix<double> A = boundedDegreeRandom(2000, 2000, 2, 12, 62);
+  randomizeValues(A, 63);
+  {
+    SCOPED_TRACE("CSR");
+    expectSlicesOnThreadsMatch(A, A, K.Csr, 1, 1);
+    expectSlicesOnThreadsMatch(A, A, K.CsrSpmm, 1, 8);
+  }
+  {
+    SCOPED_TRACE("COO");
+    CooMatrix<double> Coo = csrToCoo(A);
+    expectSlicesOnThreadsMatch(A, Coo, K.Coo, 1, 1);
+    expectSlicesOnThreadsMatch(A, Coo, K.CooSpmm, 1, 8);
+  }
+  {
+    SCOPED_TRACE("ELL");
+    EllMatrix<double> Ell;
+    ASSERT_TRUE(csrToEll(A, Ell));
+    expectSlicesOnThreadsMatch(A, Ell, K.Ell, 1, 1);
+    expectSlicesOnThreadsMatch(A, Ell, K.EllSpmm, 1, 8);
+  }
+  {
+    SCOPED_TRACE("DIA");
+    CsrMatrix<double> Band = laplace2d9pt(40, 40);
+    randomizeValues(Band, 64);
+    DiaMatrix<double> Dia;
+    ASSERT_TRUE(csrToDia(Band, Dia));
+    expectSlicesOnThreadsMatch(Band, Dia, K.Dia, 1, 1);
+    expectSlicesOnThreadsMatch(Band, Dia, K.DiaSpmm, 1, 8);
+  }
+  {
+    SCOPED_TRACE("BSR");
+    CsrMatrix<double> Fem = blockFem(500, 4, 0.0, 65);
+    BsrMatrix<double> Bsr;
+    ASSERT_TRUE(csrToBsr(Fem, Bsr, 4));
+    expectSlicesOnThreadsMatch(Fem, Bsr, K.Bsr, 4, 1);
+  }
 }
