@@ -4,20 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The measurement behind slicedPlanGrain (core/FormatOperator.h): per
-// nonzero count, the median latency of one SpMV call through a serial kernel
-// pick (dia_unroll2 on a 7-diagonal band; ell_simd and the serial CSR pick,
-// csr_avx2 where the build has it, on a bounded-degree random matrix)
-// against the same pick run as one row slice per OpenMP thread, and of
-// csr_basic, the unsliced kernel every plan is checked against. Calls are
-// 2 ms apart, so every sliced call pays the wake-up of an idle team, as a
-// solver's or a server's calls do between other work.
+// The measurement behind the plan grain, ParallelConvertGrain
+// (core/FormatOperator.h): per nonzero count, the median latency of one SpMV
+// call through a serial kernel pick (dia_unroll2 on a 7-diagonal band;
+// ell_simd and the serial CSR pick, csr_avx2 where the build has it, on a
+// bounded-degree random matrix) against the same pick run as one row slice
+// per processor, and of csr_basic, the unsliced kernel every plan is checked
+// against. Calls are 2 ms apart, so every sliced call pays the wake-up of an
+// idle team, as a solver's or a server's calls do between other work.
 //
-// Two phases: first the process has one OpenMP team; then a TuningService
-// has tuned one matrix, so its idle worker keeps a second team alive, and
-// libgomp stops spinning when more threads exist than cores. The grain with
-// no service sits at the first phase's crossover, the grain while one is
-// alive at the second's.
+// Two phases: first the process has no TuningService; then one has tuned a
+// matrix above the grain and sits idle. Its worker runs at one OpenMP thread
+// and forks no team, so the process keeps one team and the two phases
+// should agree; a second team would make libgomp stop spinning (more
+// threads than cores) and every sliced call pay a wake-up.
 //
 // The plans are built the way bindFormatOperator builds them (one matrix,
 // balancedRowBounds slices), at every size, so sizes below the grain can be
@@ -148,25 +148,24 @@ void measure(const char *Title, std::vector<Point> &Points, int Calls) {
 
 int main(int Argc, char **Argv) {
   const int Calls = Argc > 1 ? std::max(1, std::atoi(Argv[1])) : 200;
-  const index_t Parts = detail::teamSize();
+  const index_t Parts = detail::planSliceCount();
   std::printf("micro_slice_grain: %d calls per point, %d slices, grain %lld "
-              "nonzeros with no service, %lld with one\n",
+              "nonzeros\n",
               Calls, static_cast<int>(Parts),
-              static_cast<long long>(slicedPlanGrain()),
-              static_cast<long long>(SlicedPlanGrain));
+              static_cast<long long>(ParallelConvertGrain));
   std::vector<Point> Points = buildPoints(Parts);
 
-  measure("one OpenMP team", Points, Calls);
+  measure("no TuningService", Points, Calls);
 
-  // An idle service worker that has run parallel regions of its own: the
-  // tune of a matrix above ParallelConvertGrain converts and extracts
-  // features with its team.
+  // An idle service worker that has tuned a matrix above the grain: its
+  // conversions and feature extraction ran in parallel regions of one
+  // thread.
   TuningService<double> Service{Smat<double>(LearningModel())};
   AsyncSpmv<double> Warm = Service.tuneAsync(banded(20000, 3));
   if (!Warm.waitTuned(60.0)) {
     std::fprintf(stderr, "service tune failed: %s\n", Warm.error().c_str());
     return 1;
   }
-  measure("with a live TuningService's idle second team", Points, Calls);
+  measure("with a live TuningService (serial worker)", Points, Calls);
   return 0;
 }

@@ -3,7 +3,8 @@
 #
 # Part of the SMAT reproduction project.
 #
-# Runs the tier-1 test suite across five build configurations, then builds
+# Checks that the kernels stay serial (scripts/check_serial_kernels.sh),
+# runs the tier-1 test suite across five build configurations, then builds
 # and self-tests the repository benchmark:
 #
 #   build        default flags, full tier-1 suite
@@ -60,6 +61,9 @@ run_pass() {
    ctest --output-on-failure -j "$(nproc)" -L "${label}")
 }
 
+echo "=== check: src/kernels stay serial ==="
+scripts/check_serial_kernels.sh
+
 run_pass build "${TIER1_LABEL}"
 run_pass build-asan "${TIER1_LABEL}" -DSMAT_SANITIZE=ON
 OMP_NUM_THREADS=1 run_pass build-tsan stress -DSMAT_SANITIZE=thread
@@ -74,4 +78,4 @@ cmake --build build-perfbench -j "$(nproc)" --target perfbench perfbench_selftes
 echo "=== self-test: build-perfbench ==="
 ./build-perfbench/perfbench_selftest
 
-echo "=== check.sh: all six passes green ==="
+echo "=== check.sh: all seven passes green ==="

@@ -32,9 +32,9 @@ smat::classifyBottleneck(const FeatureVector &F,
 
   // Imbalance first: a heavily skewed row-length distribution makes work
   // imbalance the dominant cost regardless of any fill efficiency, and the
-  // cure is a load-balanced (nnz-partitioned) CSR kernel, not a format
-  // conversion. Racing conversions here wastes the latency the pre-filter
-  // exists to save.
+  // cure is CSR in nonzero-balanced row slices (and the skew pass's CSR
+  // kernel), not a format conversion. Racing conversions here wastes the
+  // latency the pre-filter exists to save.
   if (F.rowCv() > Thresholds.ImbalanceRowCv) {
     D.Class = BottleneckClass::ImbalanceBound;
     return D;

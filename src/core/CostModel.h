@@ -14,8 +14,8 @@
 ///                      dominates, so the dense-stream formats (DIA, ELL)
 ///                      are the candidates worth racing;
 ///   imbalance-bound    heavily skewed row lengths; thread/work imbalance
-///                      dominates and the load-balanced CSR kernels are the
-///                      answer, so format conversion buys nothing;
+///                      dominates and nonzero-balanced row slices of CSR
+///                      are the answer, so format conversion buys nothing;
 ///   irregularity-bound scattered accesses with no exploitable structure;
 ///                      CSR and COO are the only sensible plans.
 ///

@@ -20,10 +20,11 @@
 /// pattern) or own a copy when the caller cannot guarantee the input
 /// outlives the operator. See `CsrStorage`.
 ///
-/// A large plan whose kernel pick is serial runs as row slices, one per
-/// OpenMP thread: the one matrix plus nonzero-balanced row bounds, each
-/// slice running the pick's row-range kernel on its rows side by side; see
-/// `bindFormatOperator` and `slicedPlanGrain`.
+/// Threads reach a plan only here: every kernel is serial, and a plan of
+/// ParallelConvertGrain nonzeros or more runs as row slices, one per
+/// processor: the one matrix plus nonzero-balanced row bounds, each slice
+/// running the pick's row-range kernel on its rows side by side in one
+/// OpenMP loop; see `bindFormatOperator`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,6 @@
 #include "matrix/FormatConvert.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -93,7 +93,7 @@ public:
 
   /// \returns how many row slices apply() runs side by side; 1 for an
   /// unsliced plan. multiply() runs the same slices unless its SpMM kernel
-  /// spans the team by itself.
+  /// is the basic CSR one.
   virtual index_t numSlices() const = 0;
 };
 
@@ -185,13 +185,12 @@ public:
     return SliceSpmv ? static_cast<index_t>(Bounds.size() - 1) : 1;
   }
 
-  /// Whether \p K runs as row slices when the plan has several: a threaded
-  /// kernel spans the team by itself, and the basic CSR kernels stay the
-  /// serial reference every plan is checked against (by name, which is how
-  /// a report reads them).
+  /// Whether \p K runs as row slices when the plan has several: every
+  /// kernel does but the basic CSR ones, which stay the serial reference
+  /// every plan is checked against (by name, which is how a report reads
+  /// them).
   template <typename FnT> static bool runsSliced(const Kernel<FnT> &K) {
-    return !(K.Flags & OptThreads) &&
-           std::strcmp(K.Name, basicCsrKernel<T>().Name) != 0 &&
+    return std::strcmp(K.Name, basicCsrKernel<T>().Name) != 0 &&
            std::strcmp(K.Name, basicCsrSpmmKernel<T>().Name) != 0;
   }
 
@@ -226,44 +225,26 @@ private:
 
 namespace detail {
 
-/// TuningService instances alive in the process. Each one's worker thread
-/// runs an OpenMP team of its own beside the callers' team; the service
-/// keeps this count itself (TuningService.h).
-inline std::atomic<int> LiveTuningServices{0};
-
-/// \returns the team size of the next OpenMP parallel region; 1 without
+/// \returns how many row slices a plan above the grain runs as: one per
+/// processor the process may use, whichever thread binds it, so a plan the
+/// serial tuning-service worker binds slices for its callers too. 1 without
 /// OpenMP.
-inline index_t teamSize() {
+inline index_t planSliceCount() {
 #ifdef _OPENMP
-  return static_cast<index_t>(omp_get_max_threads());
+  return static_cast<index_t>(omp_get_num_procs());
 #else
   return 1;
 #endif
 }
 
-} // namespace detail
-
-/// \returns the nonzero count from which a plan runs as row slices. With one
-/// OpenMP team in the process, the wake-up of the idle team costs a few
-/// microseconds and slicing wins from ParallelConvertGrain on, the grain
-/// below which nothing forks a team. While a TuningService is alive, its
-/// worker's second team makes every wake-up cost 50-130 us, and the grain
-/// is SlicedPlanGrain (DESIGN.md section 10 has both crossovers).
-inline std::int64_t slicedPlanGrain() {
-  return detail::LiveTuningServices.load(std::memory_order_relaxed) > 0
-             ? SlicedPlanGrain
-             : ParallelConvertGrain;
-}
-
-namespace detail {
-
-/// The slice bounds a plan of \p A runs as: teamSize() slices of near-equal
-/// nonzero counts, cut on multiples of \p Align rows, once \p A has
-/// slicedPlanGrain() nonzeros; one slice below that.
+/// The slice bounds a plan of \p A runs as: planSliceCount() slices of
+/// near-equal nonzero counts, cut on multiples of \p Align rows, once \p A
+/// has ParallelConvertGrain nonzeros; one slice below that.
 template <typename T>
 std::vector<index_t> planRowBounds(const CsrMatrix<T> &A, index_t Align) {
   return balancedRowBounds(
-      A, A.nnz() >= slicedPlanGrain() ? teamSize() : index_t(1), Align);
+      A, A.nnz() >= ParallelConvertGrain ? planSliceCount() : index_t(1),
+      Align);
 }
 
 /// Binds the CSR kernels \p K and \p M to \p A, borrowed or, per
@@ -323,16 +304,16 @@ basicCsrOperator(const CsrMatrix<T> &A,
 /// confidently; the fallback is always CSR (honoring \p Storage).
 /// \p CsrKernelOverride, when non-negative, replaces the
 /// scoreboard's general CSR pick — the skew-aware bind path passes
-/// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the
-/// load-balanced kernel. \p BatchWidth selects which per-width SpMM pick
+/// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the kernel
+/// the skewed probe picked. \p BatchWidth selects which per-width SpMM pick
 /// (KernelSelection::BestSpmmKernel) the operator binds for multiply(); an
 /// unsearched width binds the format's basic SpMM kernel, so multiply() is
 /// batched for CSR/COO/DIA/ELL regardless of tuning width.
 ///
 /// A plan of any format is cut into row slices when \p A has at least
-/// slicedPlanGrain() nonzeros, and each of its kernels runs sliced unless
-/// it is threaded or a basic CSR kernel (BoundOperator::runsSliced). A
-/// borrowed CSR plan stays zero-copy; basicCsrOperator never slices.
+/// ParallelConvertGrain nonzeros, and each of its kernels runs sliced unless
+/// it is a basic CSR kernel (BoundOperator::runsSliced). A borrowed CSR plan
+/// stays zero-copy; basicCsrOperator never slices.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,

@@ -15,6 +15,10 @@
 #include <stdexcept>
 #include <utility>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 using namespace smat;
 
 //===----------------------------------------------------------------------===//
@@ -162,6 +166,11 @@ Expected<AsyncSpmv<T>> TuningService<T>::tryTuneAsync(CsrMatrix<T> &&A) {
 }
 
 template <typename T> void TuningService<T>::workerLoop() {
+#ifdef _OPENMP
+  // One OpenMP thread for this thread only: the worker's parallel regions
+  // run on itself and never start a second team beside the callers'.
+  omp_set_num_threads(1);
+#endif
   for (;;) {
     std::shared_ptr<detail::AsyncJob<T>> Job;
     {

@@ -37,6 +37,11 @@
 ///    swaps the tuner and bumps a generation counter that is part of the
 ///    plan-cache fingerprint, so plans tuned under the old model go stale
 ///    by construction instead of being served forever.
+///  - The worker never forks an OpenMP team: it sets its own thread to one
+///    OpenMP thread, so its features, conversions, race and never-slower
+///    check run on one core, and the callers' team is the only one in the
+///    process. The plans it binds still slice for the callers, since the
+///    slice count is a process value (core/FormatOperator.h).
 ///
 /// Typical usage:
 /// \code
@@ -178,6 +183,14 @@ public:
 
   FormatKind format() const { return report().ChosenFormat; }
 
+  /// The currently serving operator (basic CSR until the swap). The job
+  /// owns every plan it publishes, so the reference stays valid while this
+  /// handle lives.
+  const FormatOperator<T> &formatOperator() const {
+    assert(Job && "formatOperator() on a default-constructed AsyncSpmv");
+    return *Job->Plan.load(std::memory_order_acquire)->Op;
+  }
+
   index_t numRows() const { return Job->Matrix.NumRows; }
   index_t numCols() const { return Job->Matrix.NumCols; }
   std::int64_t nnz() const { return Job->Matrix.nnz(); }
@@ -193,20 +206,6 @@ private:
 
   std::shared_ptr<detail::AsyncJob<T>> Job;
 };
-
-namespace detail {
-
-/// Counts its owner in LiveTuningServices (core/FormatOperator.h) from
-/// construction to destruction, so binds anywhere in the process slice at
-/// the two-team grain while a service and its worker's team exist.
-struct LiveServiceMark {
-  LiveServiceMark() { LiveTuningServices.fetch_add(1); }
-  ~LiveServiceMark() { LiveTuningServices.fetch_sub(1); }
-  LiveServiceMark(const LiveServiceMark &) = delete;
-  LiveServiceMark &operator=(const LiveServiceMark &) = delete;
-};
-
-} // namespace detail
 
 /// The async tuning service: one background worker thread, a shared
 /// PlanCache with optional disk persistence, and a hot-reloadable
@@ -310,9 +309,6 @@ private:
     return Model;
   }
 
-  /// First member, so the count covers the worker's whole life: it is
-  /// released only after the destructor has joined the worker.
-  detail::LiveServiceMark Live;
   Options Opts;
   /// Hot-swappable tuner; guarded by ModelMutex, accessed via loadModel().
   mutable std::mutex ModelMutex;

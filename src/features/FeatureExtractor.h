@@ -80,8 +80,8 @@ struct FeatureVector {
   }
 
   /// Row-length coefficient of variation sqrt(var_RD)/aver_RD — the
-  /// skew signal that steers kernel binding toward the load-balanced
-  /// variants (compare SkewRowCvThreshold).
+  /// skew signal that steers CSR binding toward the skew pass's kernel
+  /// (compare SkewRowCvThreshold).
   double rowCv() const { return AverRd > 0 ? std::sqrt(VarRd) / AverRd : 0.0; }
 
   /// One-line human-readable rendering (for traces and CSV headers).

@@ -156,34 +156,6 @@ void bsrSimd(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   }
 }
 
-/// Threaded over block rows (disjoint Y ranges).
-template <typename T>
-void bsrOmp(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-            const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  const std::pair<index_t, index_t> Span = blockRows(A, RowBegin, RowEnd);
-  const index_t First = Span.first, Last = Span.second;
-#pragma omp parallel for schedule(static)
-  for (index_t Br = First; Br < Last; ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
-}
-
 /// Generic loop with software prefetch of the next blocks' values and X
 /// slices.
 template <typename T>
@@ -226,7 +198,6 @@ std::vector<smat::Kernel<smat::BsrKernelFn<T>>> smat::makeBsrKernels() {
       {"bsr_basic", OptNone, &bsrBasic<T>},
       {"bsr_unrolled", OptUnroll, &bsrUnrolled<T>},
       {"bsr_simd", OptSimd, &bsrSimd<T>},
-      {"bsr_omp", OptThreads, &bsrOmp<T>},
       {"bsr_prefetch", OptPrefetch, &bsrPrefetch<T>},
   };
 }

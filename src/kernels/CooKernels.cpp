@@ -6,7 +6,8 @@
 //
 // COO y := A*x variants. The basic loop is the paper's Figure 2(b). All
 // builders in this library emit row-major sorted COO, which the segmented
-// and threaded variants exploit (runs of equal row index are contiguous).
+// variants and the row ranges exploit (runs of equal row index are
+// contiguous).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,10 +17,6 @@
 #include <algorithm>
 #include <cstring>
 #include <utility>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace smat {
 namespace {
@@ -121,46 +118,6 @@ void cooPrefetch(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   }
 }
 
-/// Splits the rows of the range into per-thread slices and each thread
-/// processes exactly the nonzeros of its slice, found by binary search, so
-/// every thread writes a disjoint Y range. Requires monotone row indices
-/// even for the whole matrix (declared as PrecondMonotoneRows at
-/// registration; the binding layer falls back to the basic kernel when the
-/// input does not satisfy it).
-template <typename T>
-void cooOmpRowSplit(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                    const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  std::int64_t Nnz = A.nnz();
-  const index_t *SMAT_RESTRICT Rows = A.Rows.data();
-  const index_t *SMAT_RESTRICT Cols = A.Cols.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-#pragma omp parallel
-  {
-#ifdef _OPENMP
-    int ThreadCount = omp_get_num_threads();
-    int ThreadId = omp_get_thread_num();
-#else
-    int ThreadCount = 1;
-    int ThreadId = 0;
-#endif
-    // Zero this thread's row slice.
-    index_t RowsPerThread =
-        (RowEnd - RowBegin + ThreadCount - 1) / ThreadCount;
-    index_t Begin =
-        std::min<index_t>(RowEnd, RowBegin + ThreadId * RowsPerThread);
-    index_t End =
-        std::min<index_t>(RowEnd, RowBegin + (ThreadId + 1) * RowsPerThread);
-    for (index_t Row = Begin; Row < End; ++Row)
-      Y[Row] = T(0);
-#pragma omp barrier
-    // Process exactly the nonzeros whose row falls in this thread's slice.
-    const index_t *First = std::lower_bound(Rows, Rows + Nnz, Begin);
-    const index_t *Last = std::lower_bound(Rows, Rows + Nnz, End);
-    for (std::int64_t I = First - Rows, E = Last - Rows; I < E; ++I)
-      Y[Rows[I]] += Val[I] * X[Cols[I]];
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // SpMM (multi-RHS) kernels: X row-major NumCols x K, Y row-major NumRows x K.
 //===----------------------------------------------------------------------===//
@@ -248,8 +205,6 @@ std::vector<smat::Kernel<smat::CooKernelFn<T>>> smat::makeCooKernels() {
       {"coo_unroll4", OptUnroll, &cooUnroll4<T>},
       {"coo_segmented", OptBranchFree, &cooSegmented<T>},
       {"coo_prefetch", OptPrefetch, &cooPrefetch<T>},
-      {"coo_omp_rowsplit", OptThreads, &cooOmpRowSplit<T>,
-       PrecondMonotoneRows},
   };
 }
 

@@ -97,25 +97,6 @@ void diaDiagonalMajor(const DiaMatrix<T> &A, index_t RowBegin,
   }
 }
 
-/// Row-blocked threading: each thread owns a contiguous row range and walks
-/// all diagonals inside it, so Y writes are disjoint.
-template <typename T>
-void diaOmpRows(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  index_t Stride = A.stride();
-  index_t NumDiags = A.numDiags();
-#pragma omp parallel for schedule(static)
-  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
-    T Sum = T(0);
-    for (index_t D = 0; D < NumDiags; ++D) {
-      index_t Col = Row + A.Offsets[D];
-      if (Col >= 0 && Col < A.NumCols)
-        Sum += A.Data[static_cast<std::size_t>(D) * Stride + Row] * X[Col];
-    }
-    Y[Row] = Sum;
-  }
-}
-
 /// Prefetches the diagonal data and X streams a fixed distance ahead.
 template <typename T>
 void diaPrefetch(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
@@ -195,9 +176,11 @@ void diaSpmmRowsTiled(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
+/// The register tile for the widths {2, 4, 8, 16}; other widths take a
+/// runtime-K tile in the Y row.
 template <typename T>
-void diaSpmmRowRange(const DiaMatrix<T> &A, const T *X, T *Y, index_t K,
-                     index_t RowBegin, index_t RowEnd) {
+void diaSpmmTiled(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
+                  const T *X, T *Y, index_t K) {
   switch (K) {
   case 2:
     return diaSpmmRowsTiled<T, 2>(A, X, Y, RowBegin, RowEnd);
@@ -231,24 +214,6 @@ void diaSpmmRowRange(const DiaMatrix<T> &A, const T *X, T *Y, index_t K,
   }
 }
 
-template <typename T>
-void diaSpmmTiled(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                  const T *X, T *Y, index_t K) {
-  diaSpmmRowRange(A, X, Y, K, RowBegin, RowEnd);
-}
-
-/// Row-blocked threading over the register-tiled row kernel.
-template <typename T>
-void diaSpmmOmpRows(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                    const T *X, T *Y, index_t K) {
-  constexpr index_t BlockRows = 256;
-  const index_t NumBlocks = (RowEnd - RowBegin + BlockRows - 1) / BlockRows;
-#pragma omp parallel for schedule(static)
-  for (index_t B = 0; B < NumBlocks; ++B)
-    diaSpmmRowRange(A, X, Y, K, RowBegin + B * BlockRows,
-                    std::min<index_t>(RowEnd, RowBegin + (B + 1) * BlockRows));
-}
-
 } // namespace
 } // namespace smat
 
@@ -258,7 +223,6 @@ std::vector<smat::Kernel<smat::DiaKernelFn<T>>> smat::makeDiaKernels() {
       {"dia_basic", OptNone, &diaDiagonalMajor<T, 1, false>},
       {"dia_simd", OptSimd, &diaDiagonalMajor<T, 1, true>},
       {"dia_unroll2", OptUnroll, &diaDiagonalMajor<T, 2, false>},
-      {"dia_omp_rows", OptThreads, &diaOmpRows<T>},
       {"dia_simd_unroll2", OptSimd | OptUnroll, &diaDiagonalMajor<T, 2, true>},
       {"dia_prefetch", OptPrefetch, &diaPrefetch<T>},
   };
@@ -274,8 +238,6 @@ std::vector<smat::Kernel<smat::DiaSpmmFn<T>>> smat::makeDiaSpmmKernels() {
   return {
       {"dia_spmm_basic", OptNone, &diaSpmmBasic<T>},
       {"dia_spmm_tiled", OptUnroll | OptInterchange, &diaSpmmTiled<T>},
-      {"dia_spmm_omp_rows", OptThreads | OptUnroll | OptInterchange,
-       &diaSpmmOmpRows<T>},
   };
 }
 

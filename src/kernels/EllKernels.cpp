@@ -83,21 +83,6 @@ void ellRowMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   }
 }
 
-/// Row-partitioned threading over the interchange (row-major) loop.
-template <typename T>
-void ellOmpRows(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-#pragma omp parallel for schedule(static)
-  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
-    T Sum = T(0);
-    for (index_t C = 0; C < A.Width; ++C) {
-      std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
-      Sum += A.Data[I] * X[A.Indices[I]];
-    }
-    Y[Row] = Sum;
-  }
-}
-
 /// Row chunk size of the sliced (load-balanced) kernels: big enough to keep
 /// the column-major access pattern streaming, small enough that one long row
 /// only pads its own chunk. Chunks start on multiples of EllSliceRows.
@@ -131,44 +116,16 @@ void ellSlicedChunk(const EllMatrix<T> &A, index_t Begin, index_t End,
   }
 }
 
-/// Calls \p Chunk(Begin, End) for the part of each EllSliceRows chunk that
-/// lies in [RowBegin, RowEnd), threaded (dynamic schedule, which balances
-/// skewed row lengths) or in order without entering the OpenMP runtime.
-template <bool Threaded, typename ChunkFn>
-void forEachEllChunk(index_t RowBegin, index_t RowEnd, ChunkFn Chunk) {
-  const index_t First = RowBegin / EllSliceRows;
-  const index_t Last = (RowEnd + EllSliceRows - 1) / EllSliceRows;
-  auto Run = [&](index_t C) {
-    Chunk(std::max(RowBegin, C * EllSliceRows),
-          std::min(RowEnd, (C + 1) * EllSliceRows));
-  };
-  if constexpr (Threaded) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (index_t C = First; C < Last; ++C)
-      Run(C);
-  } else {
-    for (index_t C = First; C < Last; ++C)
-      Run(C);
-  }
-}
-
-/// Sliced ELL, chunk after chunk.
+/// Sliced ELL: the part of each EllSliceRows chunk that lies in
+/// [RowBegin, RowEnd), chunk after chunk.
 template <typename T>
 void ellSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  forEachEllChunk<false>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
-    ellSlicedChunk(A, Begin, End, X, Y);
-  });
-}
-
-/// Threaded sliced ELL: chunks are independent and their work is bounded by
-/// their own width.
-template <typename T>
-void ellSlicedOmp(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                  const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  forEachEllChunk<true>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
-    ellSlicedChunk(A, Begin, End, X, Y);
-  });
+  const index_t First = RowBegin / EllSliceRows;
+  const index_t Last = (RowEnd + EllSliceRows - 1) / EllSliceRows;
+  for (index_t C = First; C < Last; ++C)
+    ellSlicedChunk(A, std::max(RowBegin, C * EllSliceRows),
+                   std::min(RowEnd, (C + 1) * EllSliceRows), X, Y);
 }
 
 /// Column-major pass with gather prefetch on the X stream.
@@ -289,19 +246,6 @@ void ellSpmmTiled(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
                   [&](index_t) { return A.Width; });
 }
 
-/// Row-blocked threading over the register-tiled row pass.
-template <typename T>
-void ellSpmmOmpRows(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                    const T *X, T *Y, index_t K) {
-  constexpr index_t BlockRows = 128;
-  const index_t NumBlocks = (RowEnd - RowBegin + BlockRows - 1) / BlockRows;
-#pragma omp parallel for schedule(static)
-  for (index_t B = 0; B < NumBlocks; ++B)
-    ellSpmmRowRange(A, X, Y, K, RowBegin + B * BlockRows,
-                    std::min<index_t>(RowEnd, RowBegin + (B + 1) * BlockRows),
-                    [&](index_t) { return A.Width; });
-}
-
 /// Sliced batched ELL: each row sweeps only its own length from the RowLen
 /// sidecar (PrecondRowLengths), so skewed rows do not drag the whole block
 /// through padding columns.
@@ -311,18 +255,6 @@ void ellSpmmSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
   ellSpmmRowRange(A, X, Y, K, RowBegin, RowEnd,
                   [RowLen](index_t Row) { return RowLen[Row]; });
-}
-
-/// Threaded sliced batched ELL: dynamic chunk scheduling balances skewed
-/// row lengths.
-template <typename T>
-void ellSpmmSlicedOmp(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                      const T *X, T *Y, index_t K) {
-  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  forEachEllChunk<true>(RowBegin, RowEnd, [&](index_t Begin, index_t End) {
-    ellSpmmRowRange(A, X, Y, K, Begin, End,
-                    [RowLen](index_t Row) { return RowLen[Row]; });
-  });
 }
 
 } // namespace
@@ -335,12 +267,9 @@ std::vector<smat::Kernel<smat::EllKernelFn<T>>> smat::makeEllKernels() {
       {"ell_simd", OptSimd, &ellColumnMajor<T, 1, true>},
       {"ell_rowmajor", OptInterchange, &ellRowMajor<T>},
       {"ell_unroll2", OptUnroll, &ellColumnMajor<T, 2, false>},
-      {"ell_omp_rows", OptThreads | OptInterchange, &ellOmpRows<T>},
       {"ell_simd_unroll2", OptSimd | OptUnroll, &ellColumnMajor<T, 2, true>},
       {"ell_prefetch", OptPrefetch, &ellPrefetch<T>},
       {"ell_sliced", OptLoadBalance, &ellSliced<T>, PrecondRowLengths},
-      {"ell_sliced_omp", OptThreads | OptLoadBalance, &ellSlicedOmp<T>,
-       PrecondRowLengths},
   };
 }
 
@@ -354,12 +283,8 @@ std::vector<smat::Kernel<smat::EllSpmmFn<T>>> smat::makeEllSpmmKernels() {
   return {
       {"ell_spmm_basic", OptNone, &ellSpmmBasic<T>},
       {"ell_spmm_tiled", OptUnroll | OptInterchange, &ellSpmmTiled<T>},
-      {"ell_spmm_omp_rows", OptThreads | OptUnroll | OptInterchange,
-       &ellSpmmOmpRows<T>},
       {"ell_spmm_sliced", OptUnroll | OptLoadBalance, &ellSpmmSliced<T>,
        PrecondRowLengths},
-      {"ell_spmm_sliced_omp", OptThreads | OptUnroll | OptLoadBalance,
-       &ellSpmmSlicedOmp<T>, PrecondRowLengths},
   };
 }
 

@@ -21,12 +21,8 @@ const char *smat::optStrategyName(unsigned Bit) {
   case 3:
     return "branchfree";
   case 4:
-    return "threads";
-  case 5:
-    return "dynsched";
-  case 6:
     return "interchange";
-  case 7:
+  case 5:
     return "loadbalance";
   }
   smatUnreachable("invalid optimization strategy bit");

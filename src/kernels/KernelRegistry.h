@@ -37,35 +37,33 @@ namespace smat {
 
 /// Optimization strategies the kernel library explores (paper Section 5.2:
 /// blocking/unrolling, SIMDization, software prefetching, branch
-/// optimization, multi-threading and threading policy).
+/// optimization). The paper's multi-threading and thread scheduling are not
+/// kernel strategies here: every kernel is serial, and a plan runs its kernel
+/// as balanced row slices across the OpenMP team once the matrix reaches the
+/// grain (core/FormatOperator.h).
 enum OptStrategy : unsigned {
   OptNone = 0,
   OptUnroll = 1u << 0,      ///< Inner-loop unrolling / multiple accumulators.
   OptSimd = 1u << 1,        ///< Explicit or pragma-driven vectorization.
   OptPrefetch = 1u << 2,    ///< Software prefetching of index/value streams.
   OptBranchFree = 1u << 3,  ///< Branch elimination / store deferral.
-  OptThreads = 1u << 4,     ///< OpenMP multi-threading.
-  OptDynSchedule = 1u << 5, ///< Dynamic (load-balanced) thread schedule.
-  OptInterchange = 1u << 6, ///< Loop-order interchange (ELL row-major).
-  OptLoadBalance = 1u << 7, ///< Nnz-balanced work partition (merge-path CSR
-                            ///< split, sliced ELL) for skewed row lengths.
+  OptInterchange = 1u << 4, ///< Loop-order interchange (ELL row-major).
+  OptLoadBalance = 1u << 5, ///< Work bounded by each row's own length
+                            ///< (sliced ELL) for skewed row lengths.
 };
 
 /// Number of distinct strategy bits above.
-inline constexpr unsigned NumOptStrategies = 8;
+inline constexpr unsigned NumOptStrategies = 6;
 
 /// Structural preconditions a kernel demands of its input beyond the
 /// format's base invariants. Declared at registration so the binding layer
 /// (and the scoreboard) can check them instead of trusting an assert.
 enum KernelPrecond : unsigned {
   PrecondNone = 0,
-  /// Row indices must be non-decreasing (COO row-split threading relies on
-  /// binary search over Rows and disjoint per-thread output slices).
-  PrecondMonotoneRows = 1u << 0,
   /// ELL storage must carry the optional per-row length sidecar
   /// (EllMatrix::RowLen); the sliced kernels use it to compute per-slice
   /// effective widths instead of sweeping the global padded width.
-  PrecondRowLengths = 1u << 1,
+  PrecondRowLengths = 1u << 0,
 };
 
 /// Whether \p A satisfies the precondition set \p Preconds. The generic
@@ -74,13 +72,6 @@ enum KernelPrecond : unsigned {
 template <typename MatrixT>
 inline bool kernelPrecondsHold(unsigned Preconds, const MatrixT &) {
   return Preconds == PrecondNone;
-}
-
-template <typename T>
-inline bool kernelPrecondsHold(unsigned Preconds, const CooMatrix<T> &A) {
-  if (Preconds & PrecondMonotoneRows)
-    return A.hasMonotoneRows();
-  return true;
 }
 
 template <typename T>

@@ -154,9 +154,9 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds,
   Pick(FormatKind::BSR, Kernels.Bsr, BsrProbe);
 
   // Second CSR pass on a heavily skewed (power-law, row CV > 2) probe: the
-  // balanced FEM probe above cannot distinguish the load-balance strategy
-  // from plain row-split threading, so the skew-bound kernel gets its own
-  // scoreboard where long rows actually exist.
+  // serial CSR kernels rank differently on long rows than on the balanced
+  // FEM probe above, so the skew-bound kernel gets its own scoreboard where
+  // long rows actually exist.
   CsrMatrix<double> SkewProbeD = powerLawGraph(30000, 1.8, 1, 3000, 46);
   CsrMatrix<T> SkewProbe = convertValueType<T>(SkewProbeD);
   {

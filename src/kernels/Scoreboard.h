@@ -180,8 +180,8 @@ struct KernelSelection {
   std::array<int, NumFormats> BestKernel{}; ///< Indexed by FormatKind.
   std::array<std::string, NumFormats> BestKernelName{};
   /// CSR kernel for heavily skewed row-length distributions, selected by a
-  /// second scoreboard pass on a power-law probe (where the load-balance
-  /// strategy can actually score). -1 = not searched; the runtime then uses
+  /// second scoreboard pass on a power-law probe (where long rows change
+  /// how the serial kernels rank). -1 = not searched; the runtime then uses
   /// BestKernel[CSR] everywhere.
   int BestSkewCsrKernel = -1;
   std::string BestSkewCsrKernelName;

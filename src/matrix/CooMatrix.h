@@ -49,16 +49,6 @@ template <typename T> struct CooMatrix {
     return true;
   }
 
-  /// \returns true when row indices are non-decreasing — the weaker
-  /// precondition the row-split kernels need (column order within a row is
-  /// irrelevant to them).
-  bool hasMonotoneRows() const {
-    for (std::size_t I = 1; I < Rows.size(); ++I)
-      if (Rows[I - 1] > Rows[I])
-        return false;
-    return true;
-  }
-
   /// \returns true when entries are sorted row-major with unique positions.
   bool isSortedRowMajor() const {
     for (std::size_t I = 1; I < Rows.size(); ++I) {

@@ -44,21 +44,15 @@ inline constexpr index_t DefaultMaxDiags = 1024;
 /// attempting a multi-terabyte allocation.
 inline constexpr std::int64_t MaxConvertedElements = std::int64_t(1) << 31;
 
-/// Nonzero count below which the converters stay serial: forking a team for
-/// a matrix this small costs more than the scan itself, and the serial path
-/// keeps small-matrix conversions bit-for-bit reproducible across thread
-/// counts (plan-cache fingerprints hash converted features).
+/// The grain: the nonzero count below which nothing forks an OpenMP team.
+/// The converters stay serial below it (forking a team for a matrix this
+/// small costs more than the scan itself, and the serial path keeps
+/// small-matrix conversions bit-for-bit reproducible across thread counts;
+/// plan-cache fingerprints hash converted features), and a plan runs as row
+/// slices from it on (core/FormatOperator.h). With one team in the process
+/// slicing wins from 8k-16k nonzeros (DESIGN.md section 10), so the grain
+/// sits above the crossover.
 inline constexpr std::int64_t ParallelConvertGrain = std::int64_t(1) << 15;
-
-/// Nonzero count from which a plan runs as row slices across the OpenMP
-/// team while a TuningService is alive (slicedPlanGrain in
-/// core/FormatOperator.h; with no service the grain is
-/// ParallelConvertGrain). The service's worker keeps a second team, and
-/// with more threads than cores libgomp stops spinning, so every sliced call
-/// pays a wake-up of 50-130 us; the crossover table in DESIGN.md section 10
-/// puts that point at 50k (CSR) to 250k (DIA) nonzeros, and the grain sits
-/// above it.
-inline constexpr std::int64_t SlicedPlanGrain = std::int64_t(1) << 18;
 
 /// Builds a CSR matrix from (possibly unsorted, possibly duplicated)
 /// triplets. Duplicate coordinates are summed, matching MatrixMarket
@@ -102,8 +96,8 @@ CsrMatrix<T> csrFromTriplets(index_t NumRows, index_t NumCols,
 }
 
 /// CSR -> COO; entries come out with monotone (non-decreasing) row indices
-/// by construction, so the threaded COO kernels' row-split precondition
-/// holds for every COO matrix this function produces.
+/// by construction, so a COO kernel called on a row range finds its entries
+/// by binary search in every COO matrix this function produces.
 template <typename T> CooMatrix<T> csrToCoo(const CsrMatrix<T> &A) {
   assert(A.isValid() && "csrToCoo requires a structurally valid CSR matrix");
   fault::injectAllocFailure("convert.coo.alloc");

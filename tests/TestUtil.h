@@ -28,6 +28,14 @@
 #endif
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define SMAT_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SMAT_TEST_TSAN 1
+#endif
+#endif
+
 namespace smat {
 namespace test {
 
@@ -41,6 +49,16 @@ inline constexpr bool TimingGatesEnforced = false;
 #endif
 inline constexpr const char *TimingGatesSkipReason =
     "wall-clock gate: enforced only in Release builds without a sanitizer";
+
+/// Whether ThreadSanitizer instruments this build. libgomp is not
+/// instrumented, so TSan reports the synchronization of an OpenMP team of
+/// several threads as races; the TSan passes run with OMP_NUM_THREADS=1,
+/// and a test that sets a team size of its own keeps to one thread there.
+#ifdef SMAT_TEST_TSAN
+inline constexpr bool ThreadSanitized = true;
+#else
+inline constexpr bool ThreadSanitized = false;
+#endif
 
 /// One matrix of the pinned corpus.
 struct CorpusCase {

@@ -487,16 +487,16 @@ TEST(HierarchyTest, GalerkinDropToleranceSparsifies) {
 }
 
 TEST(AmgSolverTest, SmatBackendSlicedFineLevelKeepsIterationCount) {
-  // The fine operator (860k nonzeros) binds DIA as row slices, whose
-  // results differ from the one-slice plan's only in rounding; the PCG
-  // solve takes as many iterations as with a one-thread (unsliced) setup.
+  // The fine operator (860k nonzeros) binds DIA as row slices; a setup on a
+  // one-thread team, as the serial service worker binds, gives the same
+  // slices, and the PCG solve takes as many iterations with either.
   LearningModel Model;
   Model.Rules.DefaultFormat = FormatKind::DIA;
   Model.Rules.DefaultConfidence = 1.0;
   Model.refreshRuleMetadata();
   const Smat<double> Tuner(Model);
   CsrMatrix<double> A = laplace3d7pt(50, 50, 50);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   AmgOptions Opts;
   Opts.Hierarchy.Coarsening = CoarsenKind::Cljp;
   Opts.Backend = SpmvBackendKind::Smat;

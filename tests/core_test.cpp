@@ -186,13 +186,16 @@ TEST(LearningModelTest, SkewKernelLineRoundTripsAndStaysOptional) {
   // With the skew pick set, serialize/parse preserves it without disturbing
   // the ruleset.
   LearningModel Model = sharedTrainResult().Model;
-  Model.Kernels.BestSkewCsrKernel = 8;
-  Model.Kernels.BestSkewCsrKernelName = "csr_nnzsplit";
+  const int Prefetch = kernelIndexNamed(kernelTable<double>().Csr,
+                                        "csr_prefetch");
+  ASSERT_GT(Prefetch, 0);
+  Model.Kernels.BestSkewCsrKernel = Prefetch;
+  Model.Kernels.BestSkewCsrKernelName = "csr_prefetch";
   LearningModel Parsed;
   std::string Error;
   ASSERT_TRUE(parseModel(serializeModel(Model), Parsed, Error)) << Error;
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, 8);
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernelName, "csr_nnzsplit");
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Prefetch);
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernelName, "csr_prefetch");
   EXPECT_EQ(Parsed.Rules.size(), Model.Rules.size());
 
   // A pre-skew model text (no kernel_skew line) must parse with the field
@@ -214,10 +217,10 @@ TEST(LearningModelTest, SpmmKernelLinesRoundTripAndStayOptional) {
   // "unsearched" default.
   LearningModel Model = sharedTrainResult().Model;
   Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::CSR)][2] =
-      3; // width 8
+      1; // width 8
   Model.Kernels
       .BestSpmmKernelName[static_cast<std::size_t>(FormatKind::CSR)][2] =
-      "csr_spmm_nnzsplit";
+      "csr_spmm_tiled";
   Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::ELL)][0] =
       1; // width 2
   Model.Kernels
@@ -328,7 +331,7 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   Model.Kernels.BestKernel[Dia] = 3;
   Model.Kernels.BestKernelName[Dia] = "dia_of_another_build";
   Model.Kernels.BestSkewCsrKernel = 0;
-  Model.Kernels.BestSkewCsrKernelName = "csr_nnzsplit";
+  Model.Kernels.BestSkewCsrKernelName = "csr_prefetch";
   Model.Kernels.BestSpmmKernel[Csr][2] = 0;
   Model.Kernels.BestSpmmKernelName[Csr][2] = "csr_spmm_tiled";
   Model.Kernels.BestSpmmKernel[Ell][0] = 1;
@@ -339,7 +342,7 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   EXPECT_EQ(Parsed.Kernels.BestKernel[Csr], Index(K.Csr, "csr_unroll4"));
   EXPECT_EQ(Parsed.Kernels.BestKernel[Dia], 0);
   EXPECT_EQ(Parsed.Kernels.BestKernelName[Dia], "dia_of_another_build");
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_nnzsplit"));
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_prefetch"));
   EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Csr][2],
             Index(K.CsrSpmm, "csr_spmm_tiled"));
   EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Ell][0], 0);
@@ -364,25 +367,33 @@ TEST(LearningModelTest, KernelPicksBindByName) {
 }
 
 TEST(LearningModelTest, CommittedModelsBindTheKernelsTheirIndicesBound) {
-  // Binding by name changes no pick of the committed bench_cache models:
-  // each line resolves to the index it carries, or to the basic kernel
-  // where that index is past this build's table (a portable build), which
-  // is what binding by index did.
+  // Every pick of the committed bench_cache models names a kernel this
+  // build registers, at the index the line carries; only the AVX kernels,
+  // which a portable build lacks, may be missing, and those bind the basic
+  // kernel. A pick of a kernel the library no longer has would silently
+  // bind the basic kernel instead.
   const KernelTable<double> &K = kernelTable<double>();
-  auto ListSize = [&K](FormatKind Kind, bool Spmm) -> std::size_t {
+  auto IndexNamed = [&K](FormatKind Kind, bool Spmm,
+                         const std::string &Name) -> int {
+    auto Find = [&Name](const auto &List) {
+      for (std::size_t I = 0; I != List.size(); ++I)
+        if (Name == List[I].Name)
+          return static_cast<int>(I);
+      return -1;
+    };
     switch (Kind) {
     case FormatKind::CSR:
-      return Spmm ? K.CsrSpmm.size() : K.Csr.size();
+      return Spmm ? Find(K.CsrSpmm) : Find(K.Csr);
     case FormatKind::COO:
-      return Spmm ? K.CooSpmm.size() : K.Coo.size();
+      return Spmm ? Find(K.CooSpmm) : Find(K.Coo);
     case FormatKind::DIA:
-      return Spmm ? K.DiaSpmm.size() : K.Dia.size();
+      return Spmm ? Find(K.DiaSpmm) : Find(K.Dia);
     case FormatKind::ELL:
-      return Spmm ? K.EllSpmm.size() : K.Ell.size();
+      return Spmm ? Find(K.EllSpmm) : Find(K.Ell);
     case FormatKind::BSR:
-      return Spmm ? 0 : K.Bsr.size();
+      return Spmm ? -1 : Find(K.Bsr);
     }
-    return 0;
+    return -1;
   };
   for (const char *File : {"model_double_small.txt", "model_float_small.txt"}) {
     SCOPED_TRACE(File);
@@ -415,9 +426,15 @@ TEST(LearningModelTest, CommittedModelsBindTheKernelsTheirIndicesBound) {
         continue;
       }
       ++Lines;
-      const bool InTable =
-          static_cast<std::size_t>(Written) < ListSize(Kind, Spmm);
-      EXPECT_EQ(Bound, InTable ? Written : 0) << Line;
+      const std::string &Name = Parts.back();
+      const int Registered = IndexNamed(Kind, Spmm, Name);
+      if (Registered < 0) {
+        EXPECT_TRUE(Name == "csr_avx2" || Name == "csr_avx512") << Line;
+        EXPECT_EQ(Bound, 0) << Line;
+        continue;
+      }
+      EXPECT_EQ(Bound, Registered) << Line;
+      EXPECT_EQ(Written, Registered) << Line;
     }
     EXPECT_GT(Lines, NumFormats);
   }

@@ -336,57 +336,87 @@ TEST(ConversionGuardTest, TryCooToCsrReportsBadCoordinates) {
   EXPECT_EQ(Fixed->nnz(), 2);
 }
 
-// --- COO kernel preconditions (ISSUE satellite 2) ---------------------------
+// --- Kernel preconditions ----------------------------------------------------
 
-TEST(KernelPrecondTest, RowSplitDeclaresMonotoneRows) {
-  bool Found = false;
-  for (const auto &K : kernelTable<double>().Coo)
-    if (std::string(K.Name) == "coo_omp_rowsplit") {
-      Found = true;
-      EXPECT_TRUE(K.Preconds & PrecondMonotoneRows)
-          << "the row-split kernel must declare its sortedness precondition";
-    }
-  EXPECT_TRUE(Found) << "coo_omp_rowsplit missing from the kernel table";
+TEST(KernelPrecondTest, CooKernelsDeclareNoPrecondAndSliceCsrToCooOutput) {
+  // No COO kernel declares a precondition: on the whole matrix each takes
+  // the entries in any order. A row range finds its entries by binary
+  // search, which csrToCoo's monotone rows (the only COO a plan binds)
+  // make exact: every kernel, called slice by slice, matches the whole call.
+  CsrMatrix<double> A = randomCsr(300, 280, 0.05, 7);
+  CooMatrix<double> Coo = csrToCoo(A);
+  ASSERT_TRUE(std::is_sorted(Coo.Rows.begin(), Coo.Rows.end()));
+  const std::vector<index_t> Bounds = balancedRowBounds(A, 4);
+  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 8);
+  std::vector<double> Expected(static_cast<std::size_t>(A.NumRows));
+  refCsrSpmv(A, X.data(), Expected.data());
+  for (const auto &K : kernelTable<double>().Coo) {
+    SCOPED_TRACE(K.Name);
+    EXPECT_EQ(K.Preconds, PrecondNone);
+    std::vector<double> Y(Expected.size(), -1.0);
+    for (std::size_t S = 0; S + 1 < Bounds.size(); ++S)
+      K.Fn(Coo, Bounds[S], Bounds[S + 1], X.data(), Y.data());
+    expectVectorsNear(Expected, Y, 1e-12);
+  }
+  for (const auto &K : kernelTable<double>().CooSpmm)
+    EXPECT_EQ(K.Preconds, PrecondNone) << K.Name;
+
+  // Out of row order, the whole-matrix call still holds.
+  std::swap(Coo.Rows.front(), Coo.Rows.back());
+  std::swap(Coo.Cols.front(), Coo.Cols.back());
+  std::swap(Coo.Values.front(), Coo.Values.back());
+  ASSERT_FALSE(std::is_sorted(Coo.Rows.begin(), Coo.Rows.end()));
+  for (const auto &K : kernelTable<double>().Coo) {
+    std::vector<double> Y(Expected.size(), -1.0);
+    K.Fn(Coo, X.data(), Y.data());
+    expectVectorsNear(Expected, Y, 1e-12);
+  }
 }
 
-TEST(KernelPrecondTest, PrecondsHoldChecksMonotoneRows) {
+TEST(KernelPrecondTest, PrecondsHoldChecksRowLengths) {
+  EllMatrix<double> Ell;
+  ASSERT_TRUE(csrToEll(validMatrix(), Ell, /*MaxFillRatio=*/0.0));
+  EXPECT_TRUE(kernelPrecondsHold(PrecondRowLengths, Ell))
+      << "csrToEll output carries the RowLen sidecar";
+  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Ell));
+  Ell.RowLen.clear();
+  EXPECT_FALSE(kernelPrecondsHold(PrecondRowLengths, Ell));
+  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Ell));
+  // Formats without declared preconditions accept only the empty set.
   CooMatrix<double> Coo = csrToCoo(validMatrix());
-  EXPECT_TRUE(kernelPrecondsHold(PrecondMonotoneRows, Coo))
-      << "csrToCoo output is monotone by construction";
-
-  if (Coo.Rows.size() >= 2) {
-    std::swap(Coo.Rows.front(), Coo.Rows.back());
-    if (!Coo.hasMonotoneRows()) {
-      EXPECT_FALSE(kernelPrecondsHold(PrecondMonotoneRows, Coo));
-      sortCooRowMajor(Coo);
-      EXPECT_TRUE(kernelPrecondsHold(PrecondMonotoneRows, Coo));
-    }
-  }
+  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Coo));
+  EXPECT_FALSE(kernelPrecondsHold(PrecondRowLengths, Coo));
 }
 
 TEST(KernelPrecondTest, ScoreboardNeverRunsKernelOnViolatedPrecond) {
-  // An out-of-order COO probe: the row-split kernel must be recorded at
-  // zero GFLOPS (table stays index-aligned) instead of being executed.
-  CooMatrix<double> Coo = csrToCoo(randomCsr(30, 30, 0.2, 7));
-  ASSERT_GE(Coo.Rows.size(), 2u);
-  std::swap(Coo.Rows.front(), Coo.Rows.back());
-  std::swap(Coo.Cols.front(), Coo.Cols.back());
-  ASSERT_FALSE(Coo.hasMonotoneRows());
+  // An ELL probe without the RowLen sidecar: the sliced kernel must be
+  // recorded at zero GFLOPS (table stays index-aligned) instead of being
+  // executed, since it would read past RowLen.data().
+  EllMatrix<double> Ell;
+  ASSERT_TRUE(csrToEll(randomCsr(30, 30, 0.2, 7), Ell, /*MaxFillRatio=*/0.0));
+  Ell.RowLen.clear();
+  ASSERT_FALSE(Ell.hasRowLengths());
 
-  const auto &Kernels = kernelTable<double>().Coo;
-  auto Table = measureKernelTable<double>(Kernels, Coo, 1e-5);
+  const auto &Kernels = kernelTable<double>().Ell;
+  auto Table = measureKernelTable<double>(Kernels, Ell, 1e-5);
   ASSERT_EQ(Table.size(), Kernels.size());
+  int Gated = 0;
   for (std::size_t I = 0; I != Kernels.size(); ++I) {
     EXPECT_EQ(Table[I].Name, Kernels[I].Name);
-    if (Kernels[I].Preconds & PrecondMonotoneRows)
+    if (Kernels[I].Preconds & PrecondRowLengths) {
+      ++Gated;
       EXPECT_EQ(Table[I].Gflops, 0.0)
           << Kernels[I].Name << " ran on input violating its precondition";
+    } else {
+      EXPECT_GT(Table[I].Gflops, 0.0) << Kernels[I].Name;
+    }
   }
+  EXPECT_GE(Gated, 1) << "ell_sliced declares PrecondRowLengths";
 }
 
-TEST(KernelPrecondTest, TuneBindsRowSplitOnlyWithMonotoneRows) {
-  // End to end: a COO-bound tune goes through csrToCoo, so the precondition
-  // holds and whatever kernel is bound computes the right answer.
+TEST(KernelPrecondTest, TuneOfSkewedGraphComputesTheRightAnswer) {
+  // End to end: a COO-bound tune goes through csrToCoo, so its slices find
+  // their rows and whatever kernel is bound computes the right answer.
   CsrMatrix<double> A = powerLawGraph(400, 2.2, 1, 50, 5);
   TuneOptions Opts = fastTune();
   auto Result = sharedTuner().tryTune(A, Opts);
@@ -764,8 +794,6 @@ TEST_P(MalformedInputFuzz, BrokenCooAlwaysYieldsErrors) {
     } else {
       ASSERT_FALSE(Result.ok());
       EXPECT_FALSE(Result.status().message().empty());
-      // The precondition probe must also stay crash-free on broken input.
-      (void)kernelPrecondsHold(PrecondMonotoneRows, Broken);
     }
   }
 }

@@ -16,10 +16,6 @@
 #include <array>
 #include <set>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 using namespace smat;
 using namespace smat::test;
 
@@ -453,34 +449,26 @@ TEST(KernelRegistryTest, KernelNamesUnique) {
 TEST(KernelRegistryTest, FlagStrings) {
   EXPECT_EQ(optFlagsString(OptNone), "basic");
   EXPECT_EQ(optFlagsString(OptUnroll), "unroll");
-  EXPECT_EQ(optFlagsString(OptSimd | OptThreads), "simd+threads");
+  EXPECT_EQ(optFlagsString(OptSimd | OptLoadBalance), "simd+loadbalance");
+  for (unsigned Bit = 0; Bit < NumOptStrategies; ++Bit)
+    EXPECT_NE(optFlagsString(1u << Bit), "basic") << Bit;
 }
 
-// --- Load-balanced kernels (nnz-split CSR, sliced ELL) -------------------------
+// --- Skewed rows (balanced row slices, sliced ELL) ---------------------------
 
-TEST(LoadBalanceTest, NnzSplitMatchesReferenceUnderForcedChunking) {
-  // The nnz-split kernel only partitions when several chunks are worthwhile;
-  // force a high thread count so its boundary-row carry logic runs even on a
-  // single-core CI runner, and use matrices whose longest row spans multiple
-  // chunks.
-#ifdef _OPENMP
-  int Saved = omp_get_max_threads();
-  omp_set_num_threads(8);
-#endif
-  const CsrKernelFn<double> *NnzSplit = nullptr;
-  for (const auto &K : kernelTable<double>().Csr)
-    if (std::string(K.Name) == "csr_nnzsplit")
-      NnzSplit = &K.Fn;
-  ASSERT_NE(NnzSplit, nullptr);
-
+TEST(LoadBalanceTest, SkewedRowsMatchReferenceInBalancedSlices) {
+  // A plan splits skew across threads with nonzero-balanced row slices, so
+  // a row far longer than the rest fills a slice of its own. Every CSR
+  // SpMV and SpMM kernel, called slice by slice over eight such slices,
+  // matches the reference on matrices whose longest row exceeds a slice's
+  // share of the nonzeros.
   std::vector<std::pair<std::string, CsrMatrix<double>>> Skewed;
   Skewed.emplace_back("power_law_large",
                       powerLawGraph(3000, 1.8, 1, 1500, 21));
   Skewed.emplace_back("spiked_hubs", spikedRows(2000, 2, 600, 0.02, 22));
   Skewed.emplace_back("circuit_dense_rows", circuitLike(1500, 3, 0.9, 23));
   {
-    // A single row holding nearly all nonzeros: the row spans every chunk,
-    // so all but one chunk contribute carries.
+    // A single row holding nearly all nonzeros.
     std::vector<index_t> Rows, Cols;
     std::vector<double> Vals;
     for (index_t C = 0; C < 4000; ++C) {
@@ -491,17 +479,32 @@ TEST(LoadBalanceTest, NnzSplitMatchesReferenceUnderForcedChunking) {
     Skewed.emplace_back("one_giant_row",
                         csrFromTriplets<double>(64, 4000, Rows, Cols, Vals));
   }
+  const KernelTable<double> &T = kernelTable<double>();
+  const index_t K = 8;
   for (const auto &[Name, A] : Skewed) {
     SCOPED_TRACE(Name);
+    const std::vector<index_t> Bounds = balancedRowBounds(A, 8);
     auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 400);
     auto Expected = denseSpmv(A, X);
-    std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-    (*NnzSplit)(A, X.data(), Y.data());
-    expectVectorsNear(Expected, Y, 1e-9);
+    for (const auto &Kern : T.Csr) {
+      std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
+      for (std::size_t S = 0; S + 1 < Bounds.size(); ++S)
+        Kern.Fn(A, Bounds[S], Bounds[S + 1], X.data(), Y.data());
+      SCOPED_TRACE(Kern.Name);
+      expectVectorsNear(Expected, Y, 1e-9);
+    }
+    auto Xk = randomVector<double>(
+        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
+        401);
+    auto ExpectedK = denseSpmmBlock(A, Xk, K);
+    for (const auto &Kern : T.CsrSpmm) {
+      std::vector<double> Y(ExpectedK.size(), -7.0);
+      for (std::size_t S = 0; S + 1 < Bounds.size(); ++S)
+        Kern.Fn(A, Bounds[S], Bounds[S + 1], Xk.data(), Y.data(), K);
+      SCOPED_TRACE(Kern.Name);
+      expectVectorsNear(ExpectedK, Y, 1e-9);
+    }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(Saved);
-#endif
 }
 
 TEST(LoadBalanceTest, SlicedEllKernelsDeclareRowLengthPrecond) {
@@ -516,14 +519,18 @@ TEST(LoadBalanceTest, SlicedEllKernelsDeclareRowLengthPrecond) {
   EllMatrix<double> Bare = Converted;
   Bare.RowLen.clear();
   int SlicedSeen = 0;
-  for (const auto &K : kernelTable<double>().Ell) {
-    if (!(K.Flags & OptLoadBalance))
-      continue;
-    ++SlicedSeen;
-    EXPECT_EQ(K.Preconds & PrecondRowLengths, PrecondRowLengths) << K.Name;
-    EXPECT_TRUE(kernelPrecondsHold(K.Preconds, Converted)) << K.Name;
-    EXPECT_FALSE(kernelPrecondsHold(K.Preconds, Bare)) << K.Name;
-  }
+  auto CheckSliced = [&](const auto &List) {
+    for (const auto &K : List) {
+      if (!(K.Flags & OptLoadBalance))
+        continue;
+      ++SlicedSeen;
+      EXPECT_EQ(K.Preconds & PrecondRowLengths, PrecondRowLengths) << K.Name;
+      EXPECT_TRUE(kernelPrecondsHold(K.Preconds, Converted)) << K.Name;
+      EXPECT_FALSE(kernelPrecondsHold(K.Preconds, Bare)) << K.Name;
+    }
+  };
+  CheckSliced(kernelTable<double>().Ell);
+  CheckSliced(kernelTable<double>().EllSpmm);
   EXPECT_GE(SlicedSeen, 2);
 
   // measureKernelTable applies the same gate: precondition violators are

@@ -13,8 +13,9 @@
 // file tests the check on fake operators (its verdicts and its pair counts),
 // the ForceBasicCsr bind, the classifier masks and the report plumbing, and
 // the end-to-end property over the pinned corpus (TestUtil.h) for SpMV and
-// width-8 SpMM, plus the performance gates of DESIGN.md section 13.4 (this
-// binary is RUN_SERIAL). Fault-armed variants skip themselves unless the
+// width-8 SpMM, plus the performance gates of DESIGN.md section 13.4, among
+// them the plans a live TuningService publishes (this binary is
+// RUN_SERIAL). Fault-armed variants skip themselves unless the
 // build compiled the hooks in (SMAT_FAULT_INJECTION=ON; scripts/check.sh's
 // -L fault pass runs them).
 //
@@ -23,6 +24,7 @@
 #include "core/CostModel.h"
 #include "core/Smat.h"
 #include "core/TuningPipeline.h"
+#include "core/TuningService.h"
 #include "kernels/KernelRegistry.h"
 #include "kernels/Scoreboard.h"
 #include "matrix/Generators.h"
@@ -108,6 +110,26 @@ struct NeverSlowerTiming {
   double Floor = TestNoiseFloor;
 };
 
+/// (basic, tuned) GFLOPS of the pair with the median ratio among
+/// \p Timing.Pairs alternating robust timings of \p Basic and \p Tuned.
+/// Basic and tuned alternate, so drift of the host lands on both sides.
+template <typename BasicFn, typename TunedFn>
+std::pair<double, double> medianTimingPair(std::uint64_t Flnnz,
+                                           const NeverSlowerTiming &Timing,
+                                           BasicFn Basic, TunedFn Tuned) {
+  std::vector<std::pair<double, double>> Pairs;
+  for (int I = 0; I < Timing.Pairs; ++I) {
+    double BasicG = robustGflops(Flnnz, Timing.MinSeconds, Basic);
+    Pairs.emplace_back(BasicG, robustGflops(Flnnz, Timing.MinSeconds, Tuned));
+  }
+  auto Median = Pairs.begin() + static_cast<std::ptrdiff_t>(Pairs.size() / 2);
+  std::nth_element(Pairs.begin(), Median, Pairs.end(),
+                   [](const auto &L, const auto &R) {
+                     return L.second / L.first < R.second / R.first;
+                   });
+  return *Median;
+}
+
 /// The tuned_never_slower property for one matrix at batch width \p K:
 /// tunes \p Case (through SMAT_dCSR_SpMM when K > 1), checks the tuned
 /// results, times the plan against the strategy-free basic CSR kernel as
@@ -151,20 +173,10 @@ TuningReport expectNeverSlower(const Smat<double> &Tuner,
     expectSpmvMatches(Op, A);
   }
 
-  // Basic and tuned alternate, so drift of the host lands on both sides.
   const std::uint64_t Flnnz =
       static_cast<std::uint64_t>(A.nnz()) * static_cast<std::uint64_t>(K);
-  std::vector<std::pair<double, double>> Pairs;
-  for (int I = 0; I < Timing.Pairs; ++I) {
-    double BasicG = robustGflops(Flnnz, Timing.MinSeconds, Basic);
-    Pairs.emplace_back(BasicG, robustGflops(Flnnz, Timing.MinSeconds, Tuned));
-  }
-  auto Median = Pairs.begin() + static_cast<std::ptrdiff_t>(Pairs.size() / 2);
-  std::nth_element(Pairs.begin(), Median, Pairs.end(),
-                   [](const auto &L, const auto &R) {
-                     return L.second / L.first < R.second / R.first;
-                   });
-  const auto [BasicGflops, TunedGflops] = *Median;
+  const auto [BasicGflops, TunedGflops] =
+      medianTimingPair(Flnnz, Timing, Basic, Tuned);
   std::printf("%-14s k=%d  tuned/basic %6.3f  overhead %7.1f CSR SpMVs\n",
               Case.Name.c_str(), static_cast<int>(K),
               TunedGflops / BasicGflops, Op.report().overheadRatio());
@@ -519,6 +531,51 @@ TEST(NeverSlowerGateTest, CommittedModelSpmmK8) {
   if (!TimingGatesEnforced)
     GTEST_SKIP() << TimingGatesSkipReason;
   expectCommittedModelGates(8);
+}
+
+TEST(NeverSlowerGateTest, LiveServicePlansAboveTheGrain) {
+  if (!TimingGatesEnforced)
+    GTEST_SKIP() << TimingGatesSkipReason;
+  // The plans a live TuningService publishes for a band and a power-law
+  // graph above the grain. Its worker binds and checks them on one OpenMP
+  // thread; the caller runs them as row slices on its default team, timed
+  // against basic CSR in alternating pairs with the gate's floor while the
+  // service lives.
+  std::string Error;
+  std::optional<Smat<double>> Tuner =
+      Smat<double>::tryFromFile(SMAT_TEST_MODEL_PATH, &Error);
+  ASSERT_TRUE(Tuner) << Error;
+  TuningService<double> Service(std::move(*Tuner));
+  std::vector<CorpusCase> Cases;
+  Cases.push_back({"banded_large", banded(40000, 3)});
+  Cases.push_back({"powerlaw_large", powerLawGraph(20000, 1.9, 1, 400, 103)});
+  const NeverSlowerTiming Gate{7, 2e-3, 1.0 - GuardrailNoiseFloor};
+  const KernelTable<double> &Kernels = kernelTable<double>();
+  for (CorpusCase &Case : Cases) {
+    randomizeValues(Case.A, 7);
+    const CsrMatrix<double> &A = Case.A;
+    ASSERT_GE(A.nnz(), ParallelConvertGrain) << Case.Name;
+    AsyncSpmv<double> Op = Service.tuneAsync(A);
+    ASSERT_TRUE(Op.waitTuned(60.0)) << Case.Name << ": " << Op.error();
+    expectSpmvMatches(Op, A);
+    AlignedVector<double> X(static_cast<std::size_t>(A.NumCols), 1.0);
+    AlignedVector<double> Yb(static_cast<std::size_t>(A.NumRows), 0.0);
+    AlignedVector<double> Yt(Yb.size(), 0.0);
+    const auto [BasicGflops, TunedGflops] = medianTimingPair(
+        static_cast<std::uint64_t>(A.nnz()), Gate,
+        [&] { Kernels.Csr[0].Fn(A, X.data(), Yb.data()); },
+        [&] { Op.apply(X.data(), Yt.data()); });
+    const FormatOperator<double> &Plan = Op.formatOperator();
+    std::printf("%-14s live service  tuned/basic %6.3f  %s %s, %d slices\n",
+                Case.Name.c_str(), TunedGflops / BasicGflops,
+                std::string(formatName(Plan.kind())).c_str(),
+                Plan.kernelName(), static_cast<int>(Plan.numSlices()));
+    EXPECT_GE(TunedGflops, BasicGflops * Gate.Floor)
+        << Case.Name << ": tuned " << TunedGflops << " GFLOPS vs basic "
+        << BasicGflops << " GFLOPS (median of " << Gate.Pairs
+        << " pairs, format " << formatName(Plan.kind()) << ", kernel "
+        << Plan.kernelName() << ", " << Plan.numSlices() << " slices)";
+  }
 }
 
 // --- Fault-armed variants (need SMAT_FAULT_INJECTION=ON) --------------------

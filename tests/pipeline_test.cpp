@@ -25,6 +25,7 @@
 #include <memory>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 using namespace smat;
@@ -173,20 +174,20 @@ TEST(BindStageTest, GuardRejectionFallsBackToCsr) {
   EXPECT_FALSE(B.KernelName.empty());
 }
 
-TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
+TEST(BindStageTest, SkewedFeaturesBindTheSkewCsrPick) {
   // With the skew pick populated, features whose row CV clears the
-  // threshold must route the CSR bind to the load-balanced kernel; without
-  // features (legacy 2-arg call sites) the general pick stays.
+  // threshold must route the CSR bind to the skew pick; without features
+  // (legacy 2-arg call sites) the general pick stays.
   const auto &Csr = kernelTable<double>().Csr;
-  int NnzSplit = -1;
-  for (std::size_t I = 0; I != Csr.size(); ++I)
-    if (std::string(Csr[I].Name) == "csr_nnzsplit")
-      NnzSplit = static_cast<int>(I);
-  ASSERT_GE(NnzSplit, 0);
+  const int Unroll = kernelIndexNamed(Csr, "csr_unroll4");
+  ASSERT_GT(Unroll, 0);
 
   LearningModel Model = sharedModel();
-  Model.Kernels.BestSkewCsrKernel = NnzSplit;
-  Model.Kernels.BestSkewCsrKernelName = "csr_nnzsplit";
+  Model.Kernels.BestKernel[static_cast<int>(FormatKind::CSR)] = 0;
+  Model.Kernels.BestKernelName[static_cast<int>(FormatKind::CSR)] =
+      Csr.front().Name;
+  Model.Kernels.BestSkewCsrKernel = Unroll;
+  Model.Kernels.BestSkewCsrKernelName = "csr_unroll4";
 
   CsrMatrix<double> A = spikedRows(1500, 2, 500, 0.01, 41);
   TuneOptions Opts;
@@ -197,11 +198,11 @@ TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
   BindStageResult<double> Skewed = BindStage::run(Ctx, FormatKind::CSR,
                                                   &F.Features);
   ASSERT_TRUE(Skewed.Op);
-  EXPECT_EQ(Skewed.KernelName, "csr_nnzsplit");
+  EXPECT_EQ(Skewed.KernelName, "csr_unroll4");
 
   BindStageResult<double> Legacy = BindStage::run(Ctx, FormatKind::CSR);
   ASSERT_TRUE(Legacy.Op);
-  EXPECT_NE(Legacy.KernelName, "csr_nnzsplit");
+  EXPECT_EQ(Legacy.KernelName, Csr.front().Name);
 
   // A balanced matrix stays on the general pick even with features given.
   CsrMatrix<double> B = banded(1500, 2);
@@ -211,7 +212,7 @@ TEST(BindStageTest, SkewedFeaturesBindLoadBalancedCsrKernel) {
   BindStageResult<double> Balanced = BindStage::run(CtxB, FormatKind::CSR,
                                                     &FB.Features);
   ASSERT_TRUE(Balanced.Op);
-  EXPECT_NE(Balanced.KernelName, "csr_nnzsplit");
+  EXPECT_EQ(Balanced.KernelName, Csr.front().Name);
 
   // The bound skewed operator computes the right thing.
   auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 42);
@@ -396,8 +397,9 @@ int kernelIndex(const std::vector<Kernel<FnT>> &List, const char *Name) {
   return 0;
 }
 
-/// Serial SpMV picks everywhere; the DIA SpMM picks are threaded at width 2
-/// and serial at width 8, so a sliced multiply runs both slice schedules.
+/// SpMV picks past the basic entry for DIA, ELL and BSR; the DIA SpMM picks
+/// are basic at width 2 and tiled at width 8, so a sliced multiply runs both
+/// kernels.
 KernelSelection serialPicks() {
   const KernelTable<double> &K = kernelTable<double>();
   KernelSelection Sel;
@@ -409,13 +411,44 @@ KernelSelection serialPicks() {
       kernelIndex(K.Bsr, "bsr_unrolled");
   auto &DiaSpmm = Sel.BestSpmmKernel[static_cast<int>(FormatKind::DIA)];
   DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(2))] =
-      kernelIndex(K.DiaSpmm, "dia_spmm_omp_rows");
+      kernelIndex(K.DiaSpmm, "dia_spmm_basic");
   DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(8))] =
       kernelIndex(K.DiaSpmm, "dia_spmm_tiled");
   Sel.BestSpmmKernel[static_cast<int>(FormatKind::ELL)]
                     [static_cast<std::size_t>(spmmWidthIndex(8))] =
       kernelIndex(K.EllSpmm, "ell_spmm_tiled");
   return Sel;
+}
+
+/// The bits of \p Op's apply() (K = 1) or multiply() on a fixed block.
+std::vector<double> planBits(const FormatOperator<double> &Op, index_t K) {
+  const auto Width = static_cast<std::size_t>(K);
+  auto X = randomVector<double>(
+      static_cast<std::size_t>(Op.numCols()) * Width, 300 + Width);
+  std::vector<double> Y(static_cast<std::size_t>(Op.numRows()) * Width, -1.0);
+  if (K == 1)
+    Op.apply(X.data(), Y.data());
+  else
+    Op.multiply(X.data(), Y.data(), K);
+  return Y;
+}
+
+bool sameBits(const std::vector<double> &L, const std::vector<double> &R) {
+  return L.size() == R.size() &&
+         std::memcmp(L.data(), R.data(), L.size() * sizeof(double)) == 0;
+}
+
+/// Expects every kernel of \p List to run sliced in a plan over MatrixT but
+/// the basic CSR ones.
+template <template <typename> class MatrixT, typename FnT>
+void expectSlicedUnlessBasicCsr(const std::vector<Kernel<FnT>> &List) {
+  for (const Kernel<FnT> &K : List) {
+    const bool BasicCsr =
+        std::string(K.Name) == basicCsrKernel<double>().Name ||
+        std::string(K.Name) == basicCsrSpmmKernel<double>().Name;
+    using Op = BoundOperator<MatrixT, double>;
+    EXPECT_EQ(Op::runsSliced(K), !BasicCsr) << K.Name;
+  }
 }
 
 /// Checks \p Op against refCsrSpmv on every column of a K-wide block:
@@ -446,9 +479,10 @@ void expectMatchesRefSpmv(const FormatOperator<double> &Op,
 } // namespace
 
 TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
-  // Above the grain a serial pick runs as one row slice per OpenMP thread
-  // over the one converted matrix. Results match the reference and the
-  // bound names are those of the one-thread bind, which is unsliced.
+  // Above the grain a pick runs as one row slice per processor over the one
+  // converted matrix. Results match the reference. A bind on a one-thread
+  // team, as the service worker binds, has the same slices, names and bits:
+  // the binding thread's team does not set the slice count.
   const KernelSelection Sel = serialPicks();
   std::vector<std::pair<FormatKind, CsrMatrix<double>>> Cases;
   Cases.emplace_back(FormatKind::DIA, laplace3d7pt(50, 50, 50));
@@ -458,7 +492,7 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
                      boundedDegreeRandom(50000, 50000, 6, 8, 72));
   for (const auto &[Kind, A] : Cases) {
     SCOPED_TRACE(std::string(formatName(Kind)));
-    ASSERT_GE(A.nnz(), SlicedPlanGrain);
+    ASSERT_GE(A.nnz(), ParallelConvertGrain);
     for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)}) {
       auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed, -1, K);
       std::unique_ptr<FormatOperator<double>> One;
@@ -467,8 +501,8 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
         One = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed, -1, K);
       }
       ASSERT_EQ(Op->kind(), Kind);
-      EXPECT_EQ(Op->numSlices(), detail::teamSize());
-      EXPECT_EQ(One->numSlices(), 1);
+      EXPECT_EQ(Op->numSlices(), detail::planSliceCount());
+      EXPECT_EQ(One->numSlices(), detail::planSliceCount());
       EXPECT_EQ(One->kind(), Kind);
       EXPECT_STREQ(Op->kernelName(), One->kernelName());
       EXPECT_STREQ(Op->spmmKernelName(), One->spmmKernelName());
@@ -476,6 +510,7 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
       EXPECT_EQ(Op->numRows(), A.NumRows);
       EXPECT_EQ(Op->numCols(), A.NumCols);
       expectMatchesRefSpmv(*Op, A, K);
+      EXPECT_TRUE(sameBits(planBits(*Op, K), planBits(*One, K)));
     }
   }
 }
@@ -483,7 +518,8 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
 TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
   // A model that confidently predicts BSR binds the block-diagonal FEM
   // matrix through Smat::tune; the slices start on block rows, and
-  // multiply() runs the column-at-a-time path over the sliced apply().
+  // multiply() runs the column-at-a-time path over the sliced apply(). A
+  // tune on a one-thread team binds the same slices.
   LearningModel Model;
   Model.BsrEnabled = true;
   Model.Rules.DefaultFormat = FormatKind::BSR;
@@ -492,7 +528,7 @@ TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
   Model.refreshRuleMetadata();
   const Smat<double> Tuner(Model);
   CsrMatrix<double> A = blockFem(20000, 4, 0.0, 73);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   TuneOptions Opts;
   Opts.AllowMeasure = false; // The model's answer, no timing override.
 
@@ -503,21 +539,21 @@ TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
     One = Tuner.tune(A, Opts);
   }
   ASSERT_EQ(Op.format(), FormatKind::BSR);
-  EXPECT_EQ(Op.formatOperator().numSlices(), detail::teamSize());
-  EXPECT_EQ(One.formatOperator().numSlices(), 1);
+  EXPECT_EQ(Op.formatOperator().numSlices(), detail::planSliceCount());
+  EXPECT_EQ(One.formatOperator().numSlices(), detail::planSliceCount());
   EXPECT_EQ(Op.kernelName(), One.kernelName());
   EXPECT_STREQ(Op.spmmKernelName(), One.spmmKernelName());
   for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)})
     expectMatchesRefSpmv(Op.formatOperator(), A, K);
 }
 
-TEST(SlicedPlanTest, CsrSlicesInPlaceThreadedAndBasicCsrStayUnsliced) {
-  // A serial CSR pick slices the caller's matrix in place: a borrowed plan
-  // stays zero-copy, an owned one holds one copy. Threaded picks span the
-  // team by themselves, and the basic CSR kernels stay the unsliced serial
+TEST(SlicedPlanTest, CsrSlicesInPlaceAndBasicCsrStaysUnsliced) {
+  // A CSR pick slices the caller's matrix in place: a borrowed plan stays
+  // zero-copy, an owned one holds one copy. Every kernel of the library
+  // runs sliced but the basic CSR ones, which stay the unsliced serial
   // reference, in a plan of their own or in basicCsrOperator.
   CsrMatrix<double> A = boundedDegreeRandom(50000, 50000, 6, 8, 74);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   const KernelTable<double> &Kernels = kernelTable<double>();
   KernelSelection Sel = serialPicks();
   Sel.BestKernel[static_cast<int>(FormatKind::CSR)] =
@@ -528,44 +564,33 @@ TEST(SlicedPlanTest, CsrSlicesInPlaceThreadedAndBasicCsrStayUnsliced) {
 
   auto Borrowed = bindFormatOperator(A, FormatKind::CSR, Sel);
   EXPECT_STREQ(Borrowed->kernelName(), "csr_unroll4");
-  EXPECT_EQ(Borrowed->numSlices(), detail::teamSize());
+  EXPECT_EQ(Borrowed->numSlices(), detail::planSliceCount());
   EXPECT_FALSE(Borrowed->ownsStorage());
   expectMatchesRefSpmv(*Borrowed, A, 1);
 
   auto Owned = bindFormatOperator(A, FormatKind::CSR, Sel, CsrStorage::Owned,
                                   -1, 8);
   EXPECT_STREQ(Owned->spmmKernelName(), "csr_spmm_tiled");
-  EXPECT_EQ(Owned->numSlices(), detail::teamSize());
+  EXPECT_EQ(Owned->numSlices(), detail::planSliceCount());
   EXPECT_TRUE(Owned->ownsStorage());
   expectMatchesRefSpmv(*Owned, A, 1);
   expectMatchesRefSpmv(*Owned, A, 8);
-
-  KernelSelection Threaded = Sel;
-  Threaded.BestKernel[static_cast<int>(FormatKind::CSR)] =
-      kernelIndex(Kernels.Csr, "csr_omp_static");
-  Threaded.BestKernel[static_cast<int>(FormatKind::COO)] =
-      kernelIndex(Kernels.Coo, "coo_omp_rowsplit");
-  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO}) {
-    auto Op = bindFormatOperator(A, Kind, Threaded);
-    ASSERT_EQ(Op->kind(), Kind);
-    EXPECT_EQ(Op->numSlices(), 1) << Op->kernelName();
-    expectMatchesRefSpmv(*Op, A, 1);
-  }
 
   KernelSelection Basic = Sel;
   Basic.BestKernel[static_cast<int>(FormatKind::CSR)] = 0;
   auto BasicPick = bindFormatOperator(A, FormatKind::CSR, Basic);
   EXPECT_STREQ(BasicPick->kernelName(), basicCsrKernel<double>().Name);
   EXPECT_EQ(BasicPick->numSlices(), 1);
-  using CsrOp = BoundOperator<CsrMatrix, double>;
-  EXPECT_FALSE(CsrOp::runsSliced(basicCsrKernel<double>()));
-  EXPECT_FALSE(CsrOp::runsSliced(basicCsrSpmmKernel<double>()));
-  EXPECT_FALSE(CsrOp::runsSliced(
-      Kernels.CsrSpmm[static_cast<std::size_t>(
-          kernelIndex(Kernels.CsrSpmm, "csr_spmm_nnzsplit"))]));
-  EXPECT_TRUE(CsrOp::runsSliced(
-      Kernels.CsrSpmm[static_cast<std::size_t>(
-          kernelIndex(Kernels.CsrSpmm, "csr_spmm_tiled"))]));
+
+  expectSlicedUnlessBasicCsr<CsrMatrix>(Kernels.Csr);
+  expectSlicedUnlessBasicCsr<CsrMatrix>(Kernels.CsrSpmm);
+  expectSlicedUnlessBasicCsr<CooMatrix>(Kernels.Coo);
+  expectSlicedUnlessBasicCsr<CooMatrix>(Kernels.CooSpmm);
+  expectSlicedUnlessBasicCsr<DiaMatrix>(Kernels.Dia);
+  expectSlicedUnlessBasicCsr<DiaMatrix>(Kernels.DiaSpmm);
+  expectSlicedUnlessBasicCsr<EllMatrix>(Kernels.Ell);
+  expectSlicedUnlessBasicCsr<EllMatrix>(Kernels.EllSpmm);
+  expectSlicedUnlessBasicCsr<BsrMatrix>(Kernels.Bsr);
 
   auto BasicOp = basicCsrOperator(A);
   EXPECT_EQ(BasicOp->numSlices(), 1);
@@ -589,7 +614,7 @@ TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
     }
   CsrMatrix<double> A = csrFromTriplets<double>(
       N, N + 4 * PerQuarter, std::move(R), std::move(C), std::move(V));
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   DiaMatrix<double> Dia;
   ASSERT_FALSE(csrToDia(A, Dia));
 
@@ -598,17 +623,18 @@ TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
       kernelIndex(kernelTable<double>().Csr, "csr_unroll4");
   auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);
   EXPECT_EQ(Op->kind(), FormatKind::CSR);
-  EXPECT_EQ(Op->numSlices(), detail::teamSize());
+  EXPECT_EQ(Op->numSlices(), detail::planSliceCount());
   expectMatchesRefSpmv(*Op, A, 1);
 }
 
-TEST(SlicedPlanTest, GrainFollowsTheLiveServiceCount) {
-  // A plan between the two grains slices while the process has one OpenMP
-  // team, binds whole while a TuningService (and its worker's team) lives,
-  // and slices again once the service is gone.
+TEST(SlicedPlanTest, OneGrainWhetherOrNotAServiceLives) {
+  // A plan of 2^15 to 2^18 nonzeros slices at the one grain, before, while
+  // and after a TuningService lives, and on a one-thread team too: the
+  // slice count is a process value, not the binding thread's team size.
   CsrMatrix<double> A = banded(20000, 3);
   ASSERT_GE(A.nnz(), ParallelConvertGrain);
-  ASSERT_LT(A.nnz(), SlicedPlanGrain);
+  ASSERT_LT(A.nnz(), std::int64_t(1) << 18);
+  const index_t Slices = detail::planSliceCount();
   const KernelSelection Sel = serialPicks();
   auto SlicesOfBind = [&] {
     auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);
@@ -616,57 +642,91 @@ TEST(SlicedPlanTest, GrainFollowsTheLiveServiceCount) {
     expectMatchesRefSpmv(*Op, A, 1);
     return Op->numSlices();
   };
-  EXPECT_EQ(slicedPlanGrain(), ParallelConvertGrain);
-  EXPECT_EQ(SlicesOfBind(), detail::teamSize());
+  EXPECT_EQ(SlicesOfBind(), Slices);
   {
     TuningService<double> Service{Smat<double>(LearningModel())};
-    EXPECT_EQ(slicedPlanGrain(), SlicedPlanGrain);
-    EXPECT_EQ(SlicesOfBind(), 1);
+    EXPECT_EQ(SlicesOfBind(), Slices);
   }
-  EXPECT_EQ(slicedPlanGrain(), ParallelConvertGrain);
-  EXPECT_EQ(SlicesOfBind(), detail::teamSize());
+  EXPECT_EQ(SlicesOfBind(), Slices);
+  OmpThreadsScope Serial(1);
+  EXPECT_EQ(SlicesOfBind(), Slices);
 }
 
 namespace {
 
-/// The bits of \p Op's apply() (K = 1) or multiply() on a fixed block.
-std::vector<double> planBits(const FormatOperator<double> &Op, index_t K) {
-  const auto Width = static_cast<std::size_t>(K);
-  auto X = randomVector<double>(
-      static_cast<std::size_t>(Op.numCols()) * Width, 300 + Width);
-  std::vector<double> Y(static_cast<std::size_t>(Op.numRows()) * Width, -1.0);
-  if (K == 1)
-    Op.apply(X.data(), Y.data());
-  else
-    Op.multiply(X.data(), Y.data(), K);
-  return Y;
+/// \p M bound to the picks \p SpmvIdx of \p Spmv and \p SpmmIdx of
+/// \p Spmm (null: no SpMM kernel), each through pickKernel, as the slices
+/// \p Bounds.
+template <template <typename> class MatrixT>
+std::unique_ptr<FormatOperator<double>> bindBounds(
+    MatrixT<double> M,
+    const std::type_identity_t<
+        std::vector<Kernel<RowRangeSpmv<MatrixT<double>, double>>>> &Spmv,
+    int SpmvIdx,
+    const std::type_identity_t<
+        std::vector<Kernel<RowRangeSpmm<MatrixT<double>, double>>>> *Spmm,
+    int SpmmIdx, std::vector<index_t> Bounds) {
+  const auto &V = pickKernel(Spmv, SpmvIdx, M);
+  const auto *S = Spmm ? &pickKernel(*Spmm, SpmmIdx, M) : nullptr;
+  return std::make_unique<BoundOperator<MatrixT, double>>(std::move(M), V, S,
+                                                          std::move(Bounds));
 }
 
-bool sameBits(const std::vector<double> &L, const std::vector<double> &R) {
-  return L.size() == R.size() &&
-         std::memcmp(L.data(), R.data(), L.size() * sizeof(double)) == 0;
+/// \p A converted to \p Kind and bound to the picks \p SpmvIdx and
+/// \p SpmmIdx (BSR: no SpMM kernel) as \p Parts balanced row slices.
+std::unique_ptr<FormatOperator<double>>
+bindParts(const CsrMatrix<double> &A, FormatKind Kind, int SpmvIdx,
+          int SpmmIdx, index_t Parts) {
+  const KernelTable<double> &K = kernelTable<double>();
+  switch (Kind) {
+  case FormatKind::CSR:
+    return bindBounds<CsrMatrix>(A, K.Csr, SpmvIdx, &K.CsrSpmm, SpmmIdx,
+                                 balancedRowBounds(A, Parts));
+  case FormatKind::COO:
+    return bindBounds<CooMatrix>(csrToCoo(A), K.Coo, SpmvIdx, &K.CooSpmm,
+                                 SpmmIdx, balancedRowBounds(A, Parts));
+  case FormatKind::DIA: {
+    DiaMatrix<double> M;
+    EXPECT_TRUE(csrToDia(A, M));
+    return bindBounds<DiaMatrix>(std::move(M), K.Dia, SpmvIdx, &K.DiaSpmm,
+                                 SpmmIdx, balancedRowBounds(A, Parts));
+  }
+  case FormatKind::ELL: {
+    EllMatrix<double> M;
+    EXPECT_TRUE(csrToEll(A, M));
+    return bindBounds<EllMatrix>(std::move(M), K.Ell, SpmvIdx, &K.EllSpmm,
+                                 SpmmIdx, balancedRowBounds(A, Parts));
+  }
+  case FormatKind::BSR: {
+    const index_t Block = chooseBsrBlockSize(A);
+    BsrMatrix<double> M;
+    EXPECT_TRUE(csrToBsr(A, M, Block));
+    return bindBounds<BsrMatrix>(std::move(M), K.Bsr, SpmvIdx, nullptr, 0,
+                                 balancedRowBounds(A, Parts, Block));
+  }
+  }
+  return nullptr;
 }
 
-/// Indices of the serial (non-OptThreads) entries of \p List.
+/// Indices of every entry of \p List.
 template <typename FnT>
-std::vector<int> serialKernels(const std::vector<Kernel<FnT>> &List) {
-  std::vector<int> Out;
+std::vector<int> allKernels(const std::vector<Kernel<FnT>> &List) {
+  std::vector<int> Out(List.size());
   for (std::size_t I = 0; I != List.size(); ++I)
-    if (!(List[I].Flags & OptThreads))
-      Out.push_back(static_cast<int>(I));
+    Out[I] = static_cast<int>(I);
   return Out;
 }
 
 } // namespace
 
 TEST(SlicedPlanTest, EveryThreadCountGivesTheSameBits) {
-  // Every serial SpMV and SpMM pick of every format, bound at 1, 2, 4 and
-  // twice the hardware threads: apply() and multiply() at k = 2 and 8 give
-  // the bits of the one-thread (unsliced) plan, since each row's arithmetic
-  // does not depend on the slice it is computed in.
+  // Every SpMV and SpMM kernel of every format, bound as 1, 2, 4 and twice
+  // the hardware threads' balanced row slices: apply() and multiply() at
+  // k = 2 and 8 give the bits of the one-slice plan, since each row's
+  // arithmetic does not depend on the slice it is computed in.
   const int Hw =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const std::vector<int> Teams = {1, 2, 4, 2 * Hw};
+  const std::vector<index_t> Slices = {1, 2, 4, 2 * Hw};
   const KernelTable<double> &Kernels = kernelTable<double>();
   struct Case {
     FormatKind Kind;
@@ -675,21 +735,19 @@ TEST(SlicedPlanTest, EveryThreadCountGivesTheSameBits) {
   };
   std::vector<Case> Cases;
   Cases.push_back({FormatKind::CSR, boundedDegreeRandom(8000, 8000, 2, 12, 81),
-                   serialKernels(Kernels.Csr), serialKernels(Kernels.CsrSpmm)});
+                   allKernels(Kernels.Csr), allKernels(Kernels.CsrSpmm)});
   Cases.push_back({FormatKind::COO, boundedDegreeRandom(8000, 8000, 2, 12, 82),
-                   serialKernels(Kernels.Coo), serialKernels(Kernels.CooSpmm)});
+                   allKernels(Kernels.Coo), allKernels(Kernels.CooSpmm)});
   Cases.push_back({FormatKind::DIA, laplace3d7pt(20, 20, 20),
-                   serialKernels(Kernels.Dia), serialKernels(Kernels.DiaSpmm)});
+                   allKernels(Kernels.Dia), allKernels(Kernels.DiaSpmm)});
   Cases.push_back({FormatKind::ELL, boundedDegreeRandom(8000, 8000, 2, 12, 83),
-                   serialKernels(Kernels.Ell), serialKernels(Kernels.EllSpmm)});
+                   allKernels(Kernels.Ell), allKernels(Kernels.EllSpmm)});
   Cases.push_back(
-      {FormatKind::BSR, blockFem(2500, 4, 0.0, 84), serialKernels(Kernels.Bsr),
+      {FormatKind::BSR, blockFem(2500, 4, 0.0, 84), allKernels(Kernels.Bsr),
        {}});
   for (Case &C : Cases) {
     SCOPED_TRACE(std::string(formatName(C.Kind)));
-    ASSERT_GE(C.A.nnz(), slicedPlanGrain());
     randomizeValues(C.A, 85);
-    const auto F = static_cast<std::size_t>(C.Kind);
     // (SpMV pick, SpMM pick, width): every SpMV pick at k = 1, every SpMM
     // pick (BSR: every SpMV pick, column by column) at k = 2 and 8.
     std::vector<std::tuple<int, int, index_t>> Binds;
@@ -699,27 +757,21 @@ TEST(SlicedPlanTest, EveryThreadCountGivesTheSameBits) {
       for (int I : C.Spmm.empty() ? C.Spmv : C.Spmm)
         Binds.emplace_back(C.Spmm.empty() ? I : 0, C.Spmm.empty() ? 0 : I, K);
     for (const auto &[SpmvIdx, SpmmIdx, K] : Binds) {
-      KernelSelection Sel;
-      Sel.BestKernel[F] = SpmvIdx;
-      Sel.BestSpmmKernel[F][static_cast<std::size_t>(spmmWidthIndex(K))] =
-          SpmmIdx;
       std::vector<double> One;
-      for (int Team : Teams) {
-        OmpThreadsScope Scope(Team);
-        auto Op = bindFormatOperator(C.A, C.Kind, Sel, CsrStorage::Borrowed,
-                                     -1, K);
+      for (index_t Parts : Slices) {
+        auto Op = bindParts(C.A, C.Kind, SpmvIdx, SpmmIdx, Parts);
         ASSERT_EQ(Op->kind(), C.Kind);
         SCOPED_TRACE(std::string(K > 1 ? Op->spmmKernelName()
                                        : Op->kernelName()) +
-                     " k=" + std::to_string(K) + " team " +
-                     std::to_string(Team));
-        if (Team == 1) {
+                     " k=" + std::to_string(K) + " slices " +
+                     std::to_string(Parts));
+        if (Parts == 1) {
           One = planBits(*Op, K);
           continue;
         }
         if (K == 1 && std::string(Op->kernelName()) !=
                           basicCsrKernel<double>().Name) {
-          EXPECT_EQ(Op->numSlices(), detail::teamSize());
+          EXPECT_EQ(Op->numSlices(), Parts);
         }
         EXPECT_TRUE(sameBits(planBits(*Op, K), One));
       }

@@ -25,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
 
 using namespace smat;
 using namespace smat::test;
@@ -275,44 +277,56 @@ TEST_P(MatrixProperties, ScoreboardPicksValidKernel) {
     EXPECT_LE(Score, BestScore);
 }
 
-// Under a skewed measurement table — the load-balanced kernel clearly ahead
-// of its one-less-strategy partners, as measured on a power-law matrix with
-// long hub rows — the scoreboard must prefer a loadbalance-flagged kernel.
-// The table is synthetic and deterministic so the selection property holds
-// on any runner, including single-core CI where real parallel measurements
-// cannot separate the kernels.
+// Under a skewed measurement table — the sliced ELL kernel, which sweeps
+// each chunk only to its own longest row, clearly ahead of its
+// one-less-strategy partner, as measured on a matrix with a few long hub
+// rows — the scoreboard must prefer a loadbalance-flagged kernel. The table
+// is synthetic and deterministic so the selection property holds on any
+// runner.
 TEST(ScoreboardSkewTest, SkewedTablePrefersLoadBalancedKernel) {
   std::vector<KernelMeasurement> Table = {
-      {"csr_basic", OptNone, 1.00},
-      {"csr_omp_static", OptThreads, 2.10},
-      {"csr_omp_unroll", OptThreads | OptUnroll, 2.25},
-      // Row-split threading leaves the hub-row thread as the critical path;
-      // the nnz-balanced partition does not.
-      {"csr_nnzsplit", OptThreads | OptLoadBalance, 4.80},
+      {"ell_basic", OptNone, 1.00},
+      {"ell_rowmajor", OptInterchange, 0.90},
+      {"ell_unroll2", OptUnroll, 1.15},
+      // The padded width drags every other kernel through the hub rows'
+      // padding columns.
+      {"ell_sliced", OptLoadBalance, 3.10},
   };
   ScoreboardResult R = runScoreboard(Table);
-  EXPECT_GT(R.StrategyScores[7], 0); // loadbalance bit voted helpful.
+  const auto LoadBalanceBit =
+      static_cast<std::size_t>(std::countr_zero(unsigned(OptLoadBalance)));
+  EXPECT_GT(R.StrategyScores[LoadBalanceBit], 0); // Voted helpful.
   ASSERT_GE(R.BestIndex, 0);
   EXPECT_TRUE(Table[static_cast<std::size_t>(R.BestIndex)].Flags &
               OptLoadBalance)
       << "scoreboard picked " << Table[static_cast<std::size_t>(R.BestIndex)].Name;
 }
 
-// The same property through the real measurement path: on a heavily skewed
-// matrix with enough threads for the partition to matter, the skew-pass
-// winner should at least be a valid, runnable kernel; on multi-core hosts it
-// is expected (not asserted — timing) to be a loadbalance variant.
+// The skew pass through the real measurement path: on a heavily skewed
+// matrix every CSR kernel, the skew pass's candidates, runs and records a
+// finite rate at its own index, and so does the sliced ELL kernel on the
+// ELL form of the same matrix.
 TEST(ScoreboardSkewTest, SkewProbeMeasurementsAreFiniteAndAligned) {
   CsrMatrix<double> A = spikedRows(3000, 2, 900, 0.01, 31);
   auto Table = measureKernelTable<double>(kernelTable<double>().Csr, A, 5e-5);
   ASSERT_EQ(Table.size(), kernelTable<double>().Csr.size());
-  bool SawLoadBalance = false;
   for (std::size_t I = 0; I != Table.size(); ++I) {
     EXPECT_EQ(Table[I].Name, kernelTable<double>().Csr[I].Name);
-    EXPECT_GE(Table[I].Gflops, 0.0);
-    if (Table[I].Flags & OptLoadBalance) {
+    EXPECT_TRUE(std::isfinite(Table[I].Gflops));
+    EXPECT_GT(Table[I].Gflops, 0.0) << Table[I].Name << " failed to run";
+  }
+
+  EllMatrix<double> Ell;
+  ASSERT_TRUE(csrToEll(A, Ell, /*MaxFillRatio=*/0.0));
+  auto EllTable =
+      measureKernelTable<double>(kernelTable<double>().Ell, Ell, 5e-5);
+  ASSERT_EQ(EllTable.size(), kernelTable<double>().Ell.size());
+  bool SawLoadBalance = false;
+  for (std::size_t I = 0; I != EllTable.size(); ++I) {
+    EXPECT_EQ(EllTable[I].Name, kernelTable<double>().Ell[I].Name);
+    if (EllTable[I].Flags & OptLoadBalance) {
       SawLoadBalance = true;
-      EXPECT_GT(Table[I].Gflops, 0.0) << "nnz-split kernel failed to run";
+      EXPECT_GT(EllTable[I].Gflops, 0.0) << "sliced ELL kernel failed to run";
     }
   }
   EXPECT_TRUE(SawLoadBalance);

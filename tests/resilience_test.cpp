@@ -343,7 +343,7 @@ namespace {
 /// sites the tune visits, then each site fails on every invocation and the
 /// tune must still bind a working operator with its rung in the report.
 /// With \p CompareOneSlice, each armed tune must also take the rung of the
-/// same tune with a one-thread team, whose plans are unsliced.
+/// same tune on a one-thread team, as the serial service worker runs it.
 void sweepEverySite(const Smat<double> &Tuner, const CsrMatrix<double> &A,
                     const TuneOptions &Opts, bool CompareOneSlice) {
   // Discovery pass: record every site this tune visits.
@@ -401,11 +401,11 @@ TEST(FaultSweepTest, EveryObservedSiteDegradesButNeverFails) {
 TEST(FaultSweepTest, EverySiteAboveTheSliceGrainTakesTheOneSliceRung) {
   if (!fault::CompiledIn)
     GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
-  // Above SlicedPlanGrain the race converts every candidate as row slices;
-  // a fault during a slice conversion takes the rung the unsliced tune
+  // Above the grain the race binds every candidate as row slices; a fault
+  // during a sliced plan's conversion takes the rung the one-thread tune
   // takes, and the bound operator stays correct.
   CsrMatrix<double> A = banded(60000, 2);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   sweepEverySite(Smat<double>(strictModel()), A, fastTune(), true);
 }
 
@@ -415,10 +415,10 @@ TEST(DegradationLadderTest, SliceConversionFaultsTakeTheOneSliceRungs) {
   // The bind of each converted format above the grain, with its conversion
   // allocation, its cap and the bind itself failing in turn: a cap hit is
   // the guard fallback to CSR, a thrown fault the BasicKernel rung —
-  // exactly what the one-thread (unsliced) bind reports.
+  // exactly what the bind on a one-thread team reports.
   const LearningModel Model = strictModel();
   CsrMatrix<double> A = banded(60000, 2);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
   TuneOptions Opts;
   TuningContext<double> Ctx{A, Model, Opts};
 
@@ -431,7 +431,7 @@ TEST(DegradationLadderTest, SliceConversionFaultsTakeTheOneSliceRungs) {
     SCOPED_TRACE(Name);
     BindStageResult<double> Clean = BindStage::run(Ctx, Kind);
     ASSERT_EQ(Clean.BoundFormat, Kind);
-    EXPECT_EQ(Clean.Op->numSlices(), detail::teamSize());
+    EXPECT_EQ(Clean.Op->numSlices(), detail::planSliceCount());
 
     std::vector<std::pair<std::string, DegradationLevel>> Sites = {
         {std::string("convert.") + Name + ".alloc",

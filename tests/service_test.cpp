@@ -28,7 +28,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -92,6 +94,11 @@ std::string tempPath(const std::string &Name) {
 TEST(TuningServiceTest, ServesCorrectResultsFromCallOne) {
   TuningService<double> Service(Smat<double>(strictModel()),
                                 fastServiceOptions());
+  // The worker tunes in submission order, so while it races the formats of
+  // a large band submitted first, the handle under test can only serve its
+  // bootstrap plan. Without it the small band's tune could publish before
+  // the test thread reads call #1's format.
+  AsyncSpmv<double> Busy = Service.tuneAsync(banded(100000, 3));
   CsrMatrix<double> A = banded(400, 2);
   AsyncSpmv<double> Op = Service.tuneAsync(A);
 
@@ -105,22 +112,28 @@ TEST(TuningServiceTest, ServesCorrectResultsFromCallOne) {
   EXPECT_EQ(Op.state(), AsyncTuneState::Tuned);
   expectAsyncSpmvMatches(Op, A, 2);
   EXPECT_GT(Op.report().TuneSeconds, 0.0);
+  EXPECT_TRUE(Busy.tuned());
 
   TuningServiceStats Stats = Service.stats();
-  EXPECT_EQ(Stats.Submitted, 1u);
-  EXPECT_EQ(Stats.Tuned, 1u);
+  EXPECT_EQ(Stats.Submitted, 2u);
+  EXPECT_EQ(Stats.Tuned, 2u);
   EXPECT_EQ(Stats.Failed, 0u);
 }
 
 TEST(TuningServiceTest, SlicedPlanServesCorrectlyUnderOversubscribedTeam) {
-  // A live worker (a second OpenMP team) tunes a matrix above
-  // SlicedPlanGrain to a confidently predicted DIA plan, bound as row
-  // slices, while the caller's team has twice as many threads as the
-  // hardware. Every apply, from call #1 on the bootstrap plan through the
-  // swap to the sliced plan, matches the reference: the slices share x and
-  // write disjoint rows of y.
+  // A live worker tunes matrices above the grain to a confidently predicted
+  // DIA plan while the caller's team has twice as many threads as the
+  // hardware (one under ThreadSanitizer, which cannot see libgomp's
+  // synchronization; stress_test race-checks the slices from std::threads).
+  // The worker runs on one OpenMP thread, yet the plan it publishes has the
+  // process slice count, for a matrix just above the grain too. Every
+  // apply, from call #1 on the bootstrap plan through the swap to the
+  // sliced plan, matches the reference: the slices share x and write
+  // disjoint rows of y.
   OmpThreadsScope Oversubscribed(
-      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+      ThreadSanitized ? 1
+                      : 2 * static_cast<int>(std::max(
+                                1u, std::thread::hardware_concurrency())));
   LearningModel Model;
   Model.Rules.DefaultFormat = FormatKind::DIA;
   Model.Rules.DefaultConfidence = 1.0;
@@ -128,30 +141,91 @@ TEST(TuningServiceTest, SlicedPlanServesCorrectlyUnderOversubscribedTeam) {
   auto Opts = fastServiceOptions();
   Opts.Tune.AllowMeasure = false; // The model's answer, no timing override.
   TuningService<double> Service(Smat<double>(Model), Opts);
-  CsrMatrix<double> A = laplace3d7pt(40, 40, 40);
-  ASSERT_GE(A.nnz(), SlicedPlanGrain);
+  for (const CsrMatrix<double> &A :
+       {laplace3d7pt(40, 40, 40), laplace3d7pt(20, 20, 20)}) {
+    SCOPED_TRACE("nnz " + std::to_string(A.nnz()));
+    ASSERT_GE(A.nnz(), ParallelConvertGrain);
 
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 5);
-  std::vector<double> Expected(static_cast<std::size_t>(A.NumRows));
-  refCsrSpmv(A, X.data(), Expected.data());
+    auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 5);
+    std::vector<double> Expected(static_cast<std::size_t>(A.NumRows));
+    refCsrSpmv(A, X.data(), Expected.data());
 
+    AsyncSpmv<double> Op = Service.tuneAsync(A);
+    ASSERT_TRUE(Op);
+    int Calls = 0;
+    auto ExpectApplyMatches = [&] {
+      SCOPED_TRACE("call " + std::to_string(++Calls));
+      std::vector<double> Y(Expected.size(), -1.0);
+      Op.apply(X.data(), Y.data());
+      expectVectorsNear(Expected, Y, 1e-12);
+    };
+    ExpectApplyMatches();
+    for (WallTimer Clock; !Op.tuned() && Clock.seconds() < WaitSeconds &&
+                          !::testing::Test::HasFailure();)
+      ExpectApplyMatches();
+    ASSERT_TRUE(Op.waitTuned(WaitSeconds)) << Op.error();
+    EXPECT_EQ(Op.format(), FormatKind::DIA);
+    EXPECT_EQ(Op.formatOperator().numSlices(), detail::planSliceCount());
+    for (int I = 0; I != 20 && !::testing::Test::HasFailure(); ++I)
+      ExpectApplyMatches();
+  }
+}
+
+#ifdef __linux__
+namespace {
+
+/// Threads of this process, from /proc/self/task.
+std::size_t processThreads() {
+  std::size_t Count = 0;
+  for ([[maybe_unused]] const auto &Entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++Count;
+  return Count;
+}
+
+/// processThreads() once two reads 50 ms apart agree, so threads that
+/// earlier tests' teams are still retiring do not count.
+std::size_t settledProcessThreads() {
+  std::size_t Last = processThreads();
+  for (int I = 0; I != 100; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::size_t Now = processThreads();
+    if (Now == Last)
+      return Now;
+    Last = Now;
+  }
+  return Last;
+}
+
+} // namespace
+#endif
+
+TEST(TuningServiceTest, WorkerAddsOneThreadAndNoTeam) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads in /proc/self/task";
+#else
+  // The worker's features, conversions, race and never-slower check of a
+  // matrix above the grain run in parallel regions of one thread: the
+  // service adds its worker to the process and no OpenMP team beside the
+  // callers'.
+  CsrMatrix<double> A = laplace3d7pt(20, 20, 20);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
+  {
+    // Warm the caller's team: a sliced plan's apply forks it.
+    KernelSelection Sel;
+    auto Warm = bindFormatOperator(A, FormatKind::DIA, Sel);
+    std::vector<double> X(static_cast<std::size_t>(A.NumCols), 1.0);
+    std::vector<double> Y(static_cast<std::size_t>(A.NumRows));
+    Warm->apply(X.data(), Y.data());
+  }
+  const std::size_t Before = settledProcessThreads();
+  TuningService<double> Service(Smat<double>(strictModel()),
+                                fastServiceOptions());
   AsyncSpmv<double> Op = Service.tuneAsync(A);
-  ASSERT_TRUE(Op);
-  int Calls = 0;
-  auto ExpectApplyMatches = [&] {
-    SCOPED_TRACE("call " + std::to_string(++Calls));
-    std::vector<double> Y(Expected.size(), -1.0);
-    Op.apply(X.data(), Y.data());
-    expectVectorsNear(Expected, Y, 1e-12);
-  };
-  ExpectApplyMatches();
-  for (WallTimer Clock; !Op.tuned() && Clock.seconds() < WaitSeconds &&
-                        !::testing::Test::HasFailure();)
-    ExpectApplyMatches();
   ASSERT_TRUE(Op.waitTuned(WaitSeconds)) << Op.error();
-  EXPECT_EQ(Op.format(), FormatKind::DIA);
-  for (int I = 0; I != 20 && !::testing::Test::HasFailure(); ++I)
-    ExpectApplyMatches();
+  EXPECT_EQ(processThreads(), Before + 1);
+  expectAsyncSpmvMatches(Op, A, 3);
+#endif
 }
 
 TEST(TuningServiceTest, FirstCallIsOrdersOfMagnitudeCheaperThanBlockingTune) {

@@ -204,7 +204,7 @@ TEST(StressTest, ConcurrentTunesUnderRandomFaultsStayCorrect) {
 
 namespace {
 
-/// Checks every serial kernel of \p Kernels on \p M, the conversion of
+/// Checks every kernel of \p Kernels on \p M, the conversion of
 /// \p A, at batch width \p Width (1: the SpMV entry point): one std::thread
 /// per balanced slice (cut on multiples of \p Align rows) runs the kernel on
 /// its rows into one shared y, which must match refCsrSpmv.
@@ -227,7 +227,7 @@ void expectSlicesOnThreadsMatch(const CsrMatrix<double> &A, const MatrixT &M,
       Expected[I * W + J] = Yc[I];
   }
   for (const Kernel<FnT> &K : Kernels) {
-    if ((K.Flags & OptThreads) || !kernelPrecondsHold(K.Preconds, M))
+    if (!kernelPrecondsHold(K.Preconds, M))
       continue;
     SCOPED_TRACE(std::string(K.Name) + " k=" + std::to_string(Width));
     std::vector<double> Y(Rows * W, -1.0);
