@@ -23,7 +23,7 @@
 #                service's worker thread and atomic plan swaps, and the
 #                concurrent tunes through one Smat and PlanCache,
 #                race-checked WHILE the fault sites are armed, so the
-#                failure paths (worker death, snapshot corruption, dropped
+#                failure paths (worker death, failed publish, dropped
 #                stages) run under TSan too
 #   build-perfbench
 #                perfbench/ configured as its own package with

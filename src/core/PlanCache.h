@@ -27,12 +27,6 @@
 /// concurrent tunes of one structure both miss and both measure; the later
 /// insert overwrites the earlier one.
 ///
-/// Persistence: `saveSnapshot` writes a versioned, checksummed snapshot
-/// atomically (temp file + rename) and `loadSnapshot` restores it, so a
-/// fleet warm-starts its plan cache across process restarts. A corrupt,
-/// truncated, or version-mismatched snapshot logs a warning and cold-starts
-/// — it never throws, never crashes, and never half-loads.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMAT_CORE_PLANCACHE_H
@@ -44,7 +38,6 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -74,12 +67,6 @@ struct PlanFingerprint {
   /// under a pruned candidate race are never reused by a tune that raced the
   /// full candidate set (and vice versa).
   std::int16_t ClassBucket = 0;
-  /// Model-generation stamp (TuneOptions::ModelGeneration). Runtime layers
-  /// that hot-reload model files (TuningService) bump a generation counter
-  /// on every reload; plans tuned under an older model then stop matching
-  /// and age out by LRU instead of being served stale. 0 for callers that
-  /// never reload.
-  std::int32_t ModelGeneration = 0;
 
   friend bool operator==(const PlanFingerprint &,
                          const PlanFingerprint &) = default;
@@ -118,24 +105,6 @@ struct PlanCacheStats {
   /// Always 0: the cache has no singleflight wait. Kept so readers of the
   /// stats (the repository benchmark reports it) keep their field.
   std::uint64_t SingleflightWaits = 0;
-  /// Persistence counters: successful snapshot saves and loads, and loads
-  /// that found a corrupt/mismatched snapshot and cold-started instead.
-  std::uint64_t SnapshotSaves = 0;
-  std::uint64_t SnapshotLoads = 0;
-  std::uint64_t SnapshotLoadFailures = 0;
-};
-
-/// Outcome of PlanCache::loadSnapshot.
-enum class SnapshotLoadResult {
-  /// The snapshot parsed, its checksum verified, and every entry was
-  /// inserted.
-  Loaded,
-  /// No snapshot file exists at the path (a normal cold boot; not logged).
-  Missing,
-  /// The file exists but is corrupt, truncated, or version-mismatched: a
-  /// warning was logged, the cache was left untouched, and the caller
-  /// cold-starts.
-  Corrupt,
 };
 
 /// A bounded, thread-safe LRU cache of tuning plans keyed by
@@ -143,9 +112,6 @@ enum class SnapshotLoadResult {
 /// tunes (or across an AMG hierarchy's levels) to amortize tuning cost.
 class PlanCache {
 public:
-  /// Snapshot-file format version tag (first line of every snapshot).
-  static constexpr const char *SnapshotVersion = "smat-plancache-v1";
-
   explicit PlanCache(std::size_t Capacity = 1024);
 
   /// Looks up \p Fp; on a hit copies the plan into \p Plan, refreshes its
@@ -159,27 +125,6 @@ public:
   /// Drops every entry (counters are preserved; they are monotonic).
   void clear();
 
-  /// Writes a versioned, checksummed snapshot of every cached plan to
-  /// \p Path, atomically: the payload goes to a temp file in the same
-  /// directory which is then renamed over \p Path, so a crash mid-write
-  /// leaves either the old snapshot or none — never a torn one. Thread-safe
-  /// against concurrent cache use.
-  /// \returns false with the reason in \p Error (when non-null) on I/O
-  /// failure; the cache itself is unaffected either way.
-  bool saveSnapshot(const std::string &Path, std::string *Error = nullptr) const;
-
-  /// Restores a snapshot written by saveSnapshot, inserting every entry
-  /// (existing entries with the same fingerprint are overwritten; LRU
-  /// eviction applies as usual). The file is fully parsed and its checksum
-  /// verified BEFORE anything is inserted: a corrupt, truncated, or
-  /// version-mismatched snapshot logs one warning to stderr, leaves the
-  /// cache exactly as it was, and returns Corrupt — the process cold-starts
-  /// instead of crashing or loading poisoned plans. A missing file returns
-  /// Missing silently (first boot is not an error).
-  SnapshotLoadResult loadSnapshot(const std::string &Path,
-                                  std::size_t *LoadedCount = nullptr,
-                                  std::string *Warning = nullptr);
-
   PlanCacheStats stats() const;
   std::size_t size() const;
   /// The most entries the cache holds.
@@ -188,9 +133,6 @@ public:
 private:
   using Entry = std::pair<PlanFingerprint, CachedPlan>;
 
-  /// insert() with Mutex already held.
-  void insertLocked(const PlanFingerprint &Fp, const CachedPlan &Plan);
-
   const std::size_t Capacity;
   mutable std::mutex Mutex;
   /// Most recently used at the front.
@@ -198,8 +140,7 @@ private:
   std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
                      PlanFingerprintHash>
       Index;
-  /// Every counter, snapshot ones included (saveSnapshot is const).
-  mutable PlanCacheStats Counters;
+  PlanCacheStats Counters;
 };
 
 } // namespace smat

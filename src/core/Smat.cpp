@@ -214,9 +214,6 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
         HaveCost ? static_cast<std::int16_t>(
                        1 + static_cast<int>(CostDecision.Class))
                  : std::int16_t(0);
-    // Hot-reload invalidation: plans tuned under an older model generation
-    // stop matching once the service bumps the counter (PlanCache.h).
-    Fp.ModelGeneration = static_cast<std::int32_t>(Opts.ModelGeneration);
     CachedPlan Hit;
     if (!Opts.ForceMeasure && Cache->lookup(Fp, Hit)) {
       Chosen = Hit.Format;

@@ -70,31 +70,30 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
         Opts.MeasureMinSeconds);
   }
 
-  // DIA: only when the fill guards admit it.
+  // DIA and ELL: only when the converters' default fill guards, the ones
+  // bindFormatOperator converts under, admit the format.
   {
     DiaMatrix<T> Dia;
-    if (csrToDia(A, Dia, Opts.DiaMaxFillRatio, Opts.DiaMaxDiags))
+    if (csrToDia(A, Dia))
       Gflops[static_cast<int>(FormatKind::DIA)] = measureOne<T>(
           pickKernel(Kernels.Dia, Best(FormatKind::DIA), Dia).Fn, Dia, X, Y,
           Opts.MeasureMinSeconds);
   }
 
-  // ELL: only when the fill guard admits it.
   {
     EllMatrix<T> Ell;
-    if (csrToEll(A, Ell, Opts.EllMaxFillRatio))
+    if (csrToEll(A, Ell))
       Gflops[static_cast<int>(FormatKind::ELL)] = measureOne<T>(
           pickKernel(Kernels.Ell, Best(FormatKind::ELL), Ell).Fn, Ell, X, Y,
           Opts.MeasureMinSeconds);
   }
 
   // BSR: extension format, only when enabled and a block size passes the
-  // fill guard (OSKI-style block-size selection).
+  // default fill guard (OSKI-style block-size selection).
   if (Opts.EnableBsr) {
-    index_t BlockSize =
-        chooseBsrBlockSize(A, {8, 4, 2}, Opts.BsrMaxFillRatio);
+    index_t BlockSize = chooseBsrBlockSize(A);
     BsrMatrix<T> Bsr;
-    if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize, Opts.BsrMaxFillRatio))
+    if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize))
       Gflops[static_cast<int>(FormatKind::BSR)] = measureOne<T>(
           pickKernel(Kernels.Bsr, Best(FormatKind::BSR), Bsr).Fn, Bsr, X, Y,
           Opts.MeasureMinSeconds);

@@ -26,16 +26,10 @@ namespace smat {
 struct TrainingOptions {
   /// Per-kernel measurement floor; larger is more accurate, slower.
   double MeasureMinSeconds = 1e-3;
-  /// DIA/ELL fill guards used when attempting conversions.
-  double DiaMaxFillRatio = DefaultMaxFillRatio;
-  index_t DiaMaxDiags = DefaultMaxDiags;
-  double EllMaxFillRatio = DefaultMaxFillRatio;
   /// The BSR extension format. Off by default so the paper's four-format
   /// experiments reproduce unchanged; the ext_bsr_extension bench turns it
   /// on to demonstrate the framework's extensibility (contribution 3).
   bool EnableBsr = false;
-  /// BSR padding also inflates the flop count, so its guard is strict.
-  double BsrMaxFillRatio = 1.5;
   /// Tree learner configuration.
   TreeConfig Tree;
   /// Rule tailoring tolerance (paper: 1% accuracy gap).

@@ -36,7 +36,6 @@
 #include "features/FeatureExtractor.h"
 #include "support/Timer.h"
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -104,12 +103,6 @@ struct TuneOptions {
   /// supports multiply() at any width regardless of this value; the width
   /// only steers which plan is considered optimal.
   index_t BatchWidth = 1;
-  /// Generation stamp of the learned model that produced this tune, mixed
-  /// into the plan-cache fingerprint. Layers that hot-reload model files at
-  /// runtime (TuningService) bump this on every reload so plans cached
-  /// under the previous model stop matching and age out by LRU instead of
-  /// being served stale. Callers that never reload leave it at 0.
-  std::uint32_t ModelGeneration = 0;
 };
 
 /// Everything the stages read; one per tune() call.

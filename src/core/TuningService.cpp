@@ -54,11 +54,7 @@ template <typename T> std::string AsyncSpmv<T>::error() const {
 
 template <typename T>
 TuningService<T>::TuningService(Smat<T> Tuner, Options OptsIn)
-    : Opts(std::move(OptsIn)),
-      Model(std::make_shared<const Smat<T>>(std::move(Tuner))),
-      Cache(Opts.CacheCapacity) {
-  if (!Opts.SnapshotPath.empty())
-    WarmStart = Cache.loadSnapshot(Opts.SnapshotPath, &WarmStartCount);
+    : Opts(std::move(OptsIn)), Model(std::move(Tuner)) {
   Worker = std::thread([this] { workerLoop(); });
 }
 
@@ -81,8 +77,6 @@ template <typename T> TuningService<T>::~TuningService() {
     NumFailed.fetch_add(1, std::memory_order_relaxed);
     finishJob(*Job, AsyncTuneState::Failed, "tuning service shut down");
   }
-  if (!Opts.SnapshotPath.empty())
-    (void)savePlans(); // best-effort: shutdown must not throw
 }
 
 template <typename T>
@@ -197,10 +191,8 @@ template <typename T> void TuningService<T>::runJob(detail::AsyncJob<T> &Job) {
     TuneOptions JobOpts = Opts.Tune;
     JobOpts.Cache = &Cache;
     JobOpts.CsrMode = CsrStorage::Borrowed;
-    JobOpts.ModelGeneration = Generation.load(std::memory_order_acquire);
-    std::shared_ptr<const Smat<T>> Tuner = loadModel();
 
-    Expected<TunedSpmv<T>> Result = Tuner->tryTune(Job.Matrix, JobOpts);
+    Expected<TunedSpmv<T>> Result = Model.tryTune(Job.Matrix, JobOpts);
     if (!Result.ok()) {
       Error = Result.status().message();
     } else {
@@ -248,48 +240,11 @@ void TuningService<T>::finishJob(detail::AsyncJob<T> &Job,
   Job.DoneCv.notify_all();
 }
 
-template <typename T> void TuningService<T>::reloadModel(Smat<T> Tuner) {
-  auto Fresh = std::make_shared<const Smat<T>>(std::move(Tuner));
-  {
-    std::lock_guard<std::mutex> Lock(ModelMutex);
-    Model.swap(Fresh);
-  }
-  // `Fresh` now holds the outgoing model; it dies here (outside the lock)
-  // unless a worker mid-job still holds a strong reference.
-  // Bumped after the model swap: a worker racing the reload may pair the
-  // new model with the old generation for one job, which only means that
-  // job's plan is cached under the outgoing stamp and ages out — never
-  // that a stale plan is served as fresh.
-  Generation.fetch_add(1, std::memory_order_acq_rel);
-  NumReloads.fetch_add(1, std::memory_order_relaxed);
-}
-
-template <typename T>
-Status TuningService<T>::reloadModelFile(const std::string &Path) {
-  std::string Error;
-  std::optional<Smat<T>> Loaded = Smat<T>::tryFromFile(Path, &Error);
-  if (!Loaded)
-    return Status::error(ErrorCode::ParseError, Error);
-  reloadModel(std::move(*Loaded));
-  return Status::success();
-}
-
-template <typename T> Status TuningService<T>::savePlans() const {
-  if (Opts.SnapshotPath.empty())
-    return Status::success();
-  std::string Error;
-  if (!Cache.saveSnapshot(Opts.SnapshotPath, &Error))
-    return Status::error(ErrorCode::ResourceExhausted,
-                         "plan-cache snapshot save failed: " + Error);
-  return Status::success();
-}
-
 template <typename T> TuningServiceStats TuningService<T>::stats() const {
   TuningServiceStats Out;
   Out.Submitted = NumSubmitted.load(std::memory_order_relaxed);
   Out.Tuned = NumTuned.load(std::memory_order_relaxed);
   Out.Failed = NumFailed.load(std::memory_order_relaxed);
-  Out.ModelReloads = NumReloads.load(std::memory_order_relaxed);
   return Out;
 }
 

@@ -30,13 +30,9 @@
 ///    multiplies finish on the plan they loaded while new calls see the
 ///    tuned plan; the job owns both plans, so neither dies before the
 ///    last handle does.
-///  - Plans persist: the shared PlanCache snapshots to a versioned,
-///    checksummed file (crash-safe temp+rename) so a restarted process
-///    warm-starts — its first tunes of known structure skip measurement.
-///  - Model files hot-reload without restart: `reloadModelFile` atomically
-///    swaps the tuner and bumps a generation counter that is part of the
-///    plan-cache fingerprint, so plans tuned under the old model go stale
-///    by construction instead of being served forever.
+///  - The model is fixed for the service's lifetime: it is set before the
+///    worker starts and never changes, so the worker reads it without a
+///    lock.
 ///  - The worker never forks an OpenMP team: it sets its own thread to one
 ///    OpenMP thread, so its features, conversions, race and never-slower
 ///    check run on one core, and the callers' team is the only one in the
@@ -89,7 +85,6 @@ struct TuningServiceStats {
   std::uint64_t Submitted = 0;   ///< tuneAsync/tryTuneAsync accepted jobs.
   std::uint64_t Tuned = 0;       ///< Jobs whose tuned plan was published.
   std::uint64_t Failed = 0;      ///< Jobs parked on the bootstrap plan.
-  std::uint64_t ModelReloads = 0;///< Successful hot reloads.
 };
 
 namespace detail {
@@ -207,27 +202,19 @@ private:
   std::shared_ptr<detail::AsyncJob<T>> Job;
 };
 
-/// The async tuning service: one background worker thread, a shared
-/// PlanCache with optional disk persistence, and a hot-reloadable
-/// model. One instance serves many matrices; destruction stops the worker
-/// (the running job finishes, queued jobs park on their bootstrap plans)
-/// and snapshots the plan cache when a snapshot path is configured.
+/// The async tuning service: one background worker thread, one model and
+/// a shared PlanCache. One instance serves many matrices; destruction stops
+/// the worker (the running job finishes, queued jobs park on their
+/// bootstrap plans).
 template <typename T> class TuningService {
 public:
   struct Options {
-    /// Per-job tuning options. Cache and ModelGeneration are managed by the
-    /// service (any values set here are overwritten); CsrMode is forced to
-    /// Borrowed against the job's owned matrix copy. The watchdog budgets
-    /// default ON for the service — a background tune that stalls must
-    /// degrade, not wedge the worker — and are inherited by every job.
+    /// Per-job tuning options. Cache is managed by the service (any value
+    /// set here is overwritten); CsrMode is forced to Borrowed against the
+    /// job's owned matrix copy. The watchdog budgets default ON for the
+    /// service — a background tune that stalls must degrade, not wedge the
+    /// worker — and are inherited by every job.
     TuneOptions Tune = defaultTuneOptions();
-    /// Plan-cache capacity in entries.
-    std::size_t CacheCapacity = 1024;
-    /// Snapshot file for plan persistence; empty disables persistence.
-    /// When set, the constructor warm-starts from it (a corrupt or
-    /// version-mismatched file logs a warning and cold-starts) and the
-    /// destructor saves back to it.
-    std::string SnapshotPath;
 
     static TuneOptions defaultTuneOptions() {
       TuneOptions O;
@@ -256,41 +243,15 @@ public:
   Expected<AsyncSpmv<T>> tryTuneAsync(const CsrMatrix<T> &A);
   Expected<AsyncSpmv<T>> tryTuneAsync(CsrMatrix<T> &&A);
 
-  /// Atomically replaces the model with \p Tuner and bumps the model
-  /// generation: in-flight jobs finish under the model they started with,
-  /// later jobs use the new model, and cached plans from earlier
-  /// generations stop matching (their fingerprints carry the old stamp) and
-  /// age out of the LRU. No restart, no draining.
-  void reloadModel(Smat<T> Tuner);
-
-  /// Hot-reloads the model from \p Path. On parse failure the current
-  /// model keeps serving and the error is returned — a bad file on disk
-  /// must never take down a serving process.
-  Status reloadModelFile(const std::string &Path);
-
-  /// Generation counter of the serving model (starts at 0, +1 per reload).
-  std::uint32_t modelGeneration() const {
-    return Generation.load(std::memory_order_acquire);
-  }
-
-  /// Saves the plan cache to the configured snapshot path now (also done
-  /// by the destructor). No-op returning success when persistence is off.
-  Status savePlans() const;
-
   /// The shared plan cache (stats; warm-hit-rate reporting).
   const PlanCache &planCache() const { return Cache; }
 
-  /// How the constructor's warm-start went (Missing when persistence is
-  /// off or the file did not exist), and how many plans it restored.
-  SnapshotLoadResult warmStartResult() const { return WarmStart; }
-  std::size_t warmStartPlans() const { return WarmStartCount; }
-
   TuningServiceStats stats() const;
 
-  /// Aggregated resilience counters of the serving tuner (consistent even
-  /// while the worker is mid-tune; see Smat::resilienceCounters).
+  /// Aggregated resilience counters of the tuner (consistent even while the
+  /// worker is mid-tune; see Smat::resilienceCounters).
   SmatResilienceCounters resilienceCounters() const {
-    return loadModel()->resilienceCounters();
+    return Model.resilienceCounters();
   }
 
 private:
@@ -301,22 +262,10 @@ private:
   static void finishJob(detail::AsyncJob<T> &Job, AsyncTuneState Final,
                         std::string Error);
 
-  /// \returns a strong reference to the serving model. A mutex rather than
-  /// an atomic shared_ptr: the load is once per tune job (never on the
-  /// multiply hot path), and the plain mutex is portable and TSan-clean.
-  std::shared_ptr<const Smat<T>> loadModel() const {
-    std::lock_guard<std::mutex> Lock(ModelMutex);
-    return Model;
-  }
-
   Options Opts;
-  /// Hot-swappable tuner; guarded by ModelMutex, accessed via loadModel().
-  mutable std::mutex ModelMutex;
-  std::shared_ptr<const Smat<T>> Model;
-  std::atomic<std::uint32_t> Generation{0};
+  /// Set before the worker starts and never changed.
+  const Smat<T> Model;
   PlanCache Cache;
-  SnapshotLoadResult WarmStart = SnapshotLoadResult::Missing;
-  std::size_t WarmStartCount = 0;
 
   std::mutex QueueMutex;
   std::condition_variable QueueCv;
@@ -327,7 +276,6 @@ private:
   std::atomic<std::uint64_t> NumSubmitted{0};
   std::atomic<std::uint64_t> NumTuned{0};
   std::atomic<std::uint64_t> NumFailed{0};
-  std::atomic<std::uint64_t> NumReloads{0};
 };
 
 extern template class AsyncSpmv<float>;

@@ -1,14 +1,15 @@
-//===- support/Checksum.h - Content checksums for snapshots -----*- C++ -*-===//
+//===- support/Checksum.h - FNV-1a content checksums ------------*- C++ -*-===//
 //
 // Part of the SMAT reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FNV-1a content hashing for crash-safe snapshot files (PlanCache
-/// persistence). Not cryptographic: the goal is detecting truncation, bit
-/// rot, and partial writes, so a corrupt snapshot cold-starts instead of
-/// poisoning the plan cache.
+/// FNV-1a content hashing, used by the repository benchmark (perfbench):
+/// it records the hash of the model file it tunes with in each result's
+/// environment, and its self-test hashes the structure of the generated
+/// matrices to check that the generators are deterministic. Not
+/// cryptographic.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -618,13 +618,22 @@ TEST(SmatRuntimeTest, BsrNeverChosenWhenDisabled) {
 TEST(SmatRuntimeTest, DiaPredictionOnPerfectDiagonalMatrix) {
   // A pristine multi-diagonal matrix is DIA's home turf: whatever path the
   // tuner takes (confident rule or measurement), DIA should usually win.
-  // We assert the *mechanism*: the decision is either DIA, or measured.
+  // We assert the *mechanism*: the decision is either DIA, or measured —
+  // by the race, or by the never-slower check binding basic CSR over a
+  // confident plan. The Tiny model is trained from 100 us timings, so under
+  // parallel load it can come out confident in COO or ELL here.
   const Smat<double> Tuner(sharedTrainResult().Model);
   CsrMatrix<double> A = multiDiagonal(20000, {-500, -1, 0, 1, 500});
   TunedSpmv<double> Op = Tuner.tune(A);
-  if (Op.format() != FormatKind::DIA)
-    EXPECT_GT(Op.report().MeasureSeconds, 0.0)
-        << "non-DIA choice must come from measurement, not a blind guess";
+  const TuningReport &R = Op.report();
+  if (Op.format() != FormatKind::DIA) {
+    EXPECT_TRUE(R.MeasureSeconds > 0.0 || R.GuardrailEngaged)
+        << "non-DIA choice must come from measurement, not a blind guess: "
+        << formatName(Op.format()) << " (" << Op.kernelName()
+        << "), predicted " << formatName(R.ModelPrediction)
+        << " at confidence " << R.ModelConfidence << ", "
+        << R.MeasuredCandidates.size() << " plans timed";
+  }
 }
 
 TEST(SmatRuntimeTest, DegenerateInputsSurvive) {

@@ -23,7 +23,6 @@
 #include "matrix/MatrixMarket.h"
 #include "matrix/Validate.h"
 #include "ref/RefSpmv.h"
-#include "support/Checksum.h"
 
 #include "TestUtil.h"
 
@@ -32,7 +31,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -900,188 +898,3 @@ std::vector<std::uint64_t> fuzzSeeds() {
 
 INSTANTIATE_TEST_SUITE_P(FuzzSeeds, MalformedInputFuzz,
                          ::testing::ValuesIn(fuzzSeeds()));
-
-//===----------------------------------------------------------------------===//
-// Plan-cache snapshot corruption (DESIGN.md section 16)
-//===----------------------------------------------------------------------===//
-//
-// The persistence trust boundary: whatever is on disk — truncated by a
-// crash, bit-flipped by rot, rewritten by an older/newer build, or plain
-// garbage — loadSnapshot must log one warning and cold-start. Never a
-// crash, never a partial load, never a poisoned plan.
-
-namespace {
-
-std::string snapshotTestPath(const std::string &Name) {
-  return testing::TempDir() + Name;
-}
-
-/// A cache with a handful of distinct plans, saved to \p Path; returns the
-/// snapshot file contents for mutation.
-std::string writeHealthySnapshot(const std::string &Path) {
-  PlanCache Cache(16);
-  for (int I = 0; I < 5; ++I) {
-    PlanFingerprint Fp;
-    Fp.RowsLog2 = static_cast<std::int16_t>(I);
-    Fp.ModelGeneration = I % 2;
-    CachedPlan Plan;
-    Plan.Format = static_cast<FormatKind>(I % static_cast<int>(NumFormats));
-    Plan.CsrSpmvSeconds = 1e-6 * (I + 1);
-    Plan.GuardrailEngaged = I == 3;
-    Cache.insert(Fp, Plan);
-  }
-  std::string Error;
-  EXPECT_TRUE(Cache.saveSnapshot(Path, &Error)) << Error;
-  std::ifstream Is(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << Is.rdbuf();
-  return Buf.str();
-}
-
-/// Writes \p Content to \p Path verbatim.
-void writeRaw(const std::string &Path, const std::string &Content) {
-  std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
-  Os << Content;
-}
-
-/// Loads \p Path into a fresh cache and asserts the cold-start contract:
-/// Corrupt result, a warning naming the file, and an untouched (empty)
-/// cache that still works afterwards.
-void expectColdStart(const std::string &Path, const std::string &Why) {
-  SCOPED_TRACE(Why);
-  PlanCache Cache(16);
-  std::size_t Loaded = 99;
-  std::string Warning;
-  EXPECT_EQ(Cache.loadSnapshot(Path, &Loaded, &Warning),
-            SnapshotLoadResult::Corrupt);
-  EXPECT_EQ(Loaded, 0u) << "a rejected snapshot must load nothing";
-  EXPECT_EQ(Cache.size(), 0u) << "a rejected snapshot must not half-load";
-  EXPECT_NE(Warning.find(Path), std::string::npos)
-      << "the warning must name the offending file: " << Warning;
-  EXPECT_EQ(Cache.stats().SnapshotLoadFailures, 1u);
-  // Not poisoned: the cache still takes inserts and lookups normally.
-  PlanFingerprint Fp;
-  Fp.RowsLog2 = 12;
-  Cache.insert(Fp, CachedPlan{});
-  CachedPlan Out;
-  EXPECT_TRUE(Cache.lookup(Fp, Out));
-}
-
-} // namespace
-
-TEST(SnapshotCorruptionTest, HealthySnapshotRoundTrips) {
-  const std::string Path = snapshotTestPath("snapshot_healthy.txt");
-  writeHealthySnapshot(Path);
-  PlanCache Cache(16);
-  std::size_t Loaded = 0;
-  EXPECT_EQ(Cache.loadSnapshot(Path, &Loaded), SnapshotLoadResult::Loaded);
-  EXPECT_EQ(Loaded, 5u);
-  EXPECT_EQ(Cache.size(), 5u);
-  std::remove(Path.c_str());
-}
-
-TEST(SnapshotCorruptionTest, MissingFileIsSilentlyCold) {
-  PlanCache Cache(16);
-  std::string Warning;
-  EXPECT_EQ(Cache.loadSnapshot(snapshotTestPath("snapshot_never_written.txt"),
-                               nullptr, &Warning),
-            SnapshotLoadResult::Missing);
-  EXPECT_TRUE(Warning.empty()) << "first boot is not an error";
-  EXPECT_EQ(Cache.stats().SnapshotLoadFailures, 0u);
-}
-
-TEST(SnapshotCorruptionTest, VersionMismatchColdStarts) {
-  const std::string Path = snapshotTestPath("snapshot_version.txt");
-  std::string Content = writeHealthySnapshot(Path);
-  std::string Mutated = Content;
-  Mutated.replace(0, Mutated.find('\n'), "smat-plancache-v999");
-  writeRaw(Path, Mutated);
-  expectColdStart(Path, "future version tag");
-  std::remove(Path.c_str());
-}
-
-TEST(SnapshotCorruptionTest, EveryTruncationPointColdStarts) {
-  const std::string Path = snapshotTestPath("snapshot_truncated.txt");
-  std::string Content = writeHealthySnapshot(Path);
-  ASSERT_GT(Content.size(), 16u);
-  // Sweep truncation lengths across the whole file (crash mid-write at any
-  // byte). Length 0 — an empty file — is a corruption too: it exists but
-  // carries no checksummed payload.
-  for (std::size_t Len : {std::size_t(0), std::size_t(1), Content.size() / 4,
-                          Content.size() / 2, Content.size() - 20,
-                          Content.size() - 1}) {
-    writeRaw(Path, Content.substr(0, Len));
-    expectColdStart(Path, "truncated to " + std::to_string(Len) + " bytes");
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(SnapshotCorruptionTest, RandomBitFlipsColdStart) {
-  const std::string Path = snapshotTestPath("snapshot_bitflip.txt");
-  std::string Content = writeHealthySnapshot(Path);
-  Rng Rng(2024);
-  for (int Trial = 0; Trial < 32; ++Trial) {
-    std::string Mutated = Content;
-    std::size_t Offset = static_cast<std::size_t>(
-        Rng.uniform(0.0, static_cast<double>(Mutated.size() - 1)));
-    int Bit = static_cast<int>(Rng.uniform(0.0, 7.99));
-    Mutated[Offset] = static_cast<char>(Mutated[Offset] ^ (1 << Bit));
-    if (Mutated == Content)
-      continue;
-    writeRaw(Path, Mutated);
-    expectColdStart(Path, "bit " + std::to_string(Bit) + " flipped at byte " +
-                              std::to_string(Offset));
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(SnapshotCorruptionTest, GarbageAndStrippedChecksumColdStart) {
-  const std::string Path = snapshotTestPath("snapshot_garbage.txt");
-  writeRaw(Path, "this is not a plan-cache snapshot at all\n");
-  expectColdStart(Path, "arbitrary garbage");
-
-  // A well-formed body whose checksum trailer was stripped.
-  std::string Content = writeHealthySnapshot(Path);
-  std::size_t Trailer = Content.rfind("checksum ");
-  ASSERT_NE(Trailer, std::string::npos);
-  writeRaw(Path, Content.substr(0, Trailer));
-  expectColdStart(Path, "missing checksum trailer");
-  std::remove(Path.c_str());
-}
-
-TEST(SnapshotCorruptionTest, ValidChecksumBadFieldsStillColdStart) {
-  // Craft snapshots that pass the checksum but carry semantically invalid
-  // entries — the parse-then-commit layer must reject them field by field.
-  const std::string Path = snapshotTestPath("snapshot_badfield.txt");
-  auto Sealed = [](const std::string &Body) {
-    char Trailer[32];
-    std::snprintf(Trailer, sizeof(Trailer), "checksum %016llx\n",
-                  static_cast<unsigned long long>(fnv1a64(Body)));
-    return Body + Trailer;
-  };
-  const std::string Header = std::string(PlanCache::SnapshotVersion) + "\n";
-  struct Case {
-    const char *Why;
-    std::string Body;
-  } Cases[] = {
-      {"format index out of range",
-       Header + "entries 1\nplan 0 0 0 0 0 0 0 0 0 0 0 0 0 99 1e-6 0\n"},
-      {"negative seconds",
-       Header + "entries 1\nplan 0 0 0 0 0 0 0 0 0 0 0 0 0 0 -1.0 0\n"},
-      {"non-numeric bucket",
-       Header + "entries 1\nplan x 0 0 0 0 0 0 0 0 0 0 0 0 0 1e-6 0\n"},
-      {"guard flag out of range",
-       Header + "entries 1\nplan 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1e-6 7\n"},
-      {"trailing junk on entry",
-       Header + "entries 1\nplan 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1e-6 0 junk\n"},
-      {"declared count above actual", Header + "entries 3\n"},
-      {"declared count below actual",
-       Header + "entries 0\nplan 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1e-6 0\n"},
-      {"malformed entry header", Header + "entriez 1\n"},
-  };
-  for (const Case &C : Cases) {
-    writeRaw(Path, Sealed(C.Body));
-    expectColdStart(Path, C.Why);
-  }
-  std::remove(Path.c_str());
-}
