@@ -113,16 +113,15 @@ FeatureDatabase getSharedDatabase(const char *Precision) {
   return Db;
 }
 
-/// Steady-state GFLOPS of a tuned operator.
+/// Steady-state GFLOPS of a tuned operator's plan, timed with the tuner's
+/// plan timer (min of \p MinSeconds windows).
 template <typename T>
 double measureTunedGflops(const TunedSpmv<T> &Op, double MinSeconds = 5e-3) {
-  AlignedVector<T> X(static_cast<std::size_t>(Op.numCols()), T(1));
-  AlignedVector<T> Y(static_cast<std::size_t>(Op.numRows()), T(0));
-  for (std::size_t I = 0; I != X.size(); ++I)
-    X[I] = T(0.01) * static_cast<T>(I % 100) - T(0.5);
-  double Seconds = measureSecondsPerCall(
-      [&] { Op.apply(X.data(), Y.data()); }, MinSeconds);
-  return spmvGflops(static_cast<std::uint64_t>(Op.nnz()), Seconds);
+  RobustMeasureOptions Opts;
+  Opts.MinSeconds = MinSeconds;
+  return spmvGflops(
+      static_cast<std::uint64_t>(Op.nnz()),
+      timePlan(Op.formatOperator(), 1, "bench.tuned", Opts).SecondsPerCall);
 }
 
 /// Formats a GFLOPS value ("-" when the format was inadmissible).

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // Google-benchmark sweep over every implementation in the kernel library on
-// format-friendly probe matrices: the raw performance-record table the
-// scoreboard search (paper Section 5.2) consumes. Also prints the
-// scoreboard's strategy scores and selections after the timed runs.
+// format-friendly probe matrices, each kernel called serially on the whole
+// matrix. The kernel search (paper Section 5.2) times the same kernels as
+// bound plans instead, row-sliced above the grain; its selections are
+// printed after the timed runs.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Trainer.h"
 #include "kernels/Scoreboard.h"
 #include "matrix/FormatConvert.h"
 #include "matrix/Generators.h"

@@ -7,7 +7,9 @@
 # across the OpenMP team (src/core/FormatOperator.h), which is the only way
 # a plan uses threads. Fails, printing the offending lines, when a file
 # there includes <omp.h>, calls an omp_ runtime function, or uses an OpenMP
-# construct other than `#pragma omp simd`.
+# construct other than `#pragma omp simd`; or when it includes a project
+# header from outside kernels/, matrix/ and support/ (src/core holds the
+# plan's parallel loop and the kernel search, one layer up).
 #
 # Usage: scripts/check_serial_kernels.sh
 #
@@ -21,8 +23,33 @@ directive='^[[:space:]]*#[[:space:]]*(include[[:space:]]*<omp\.h>|pragma[[:space
 call='(^|[^A-Za-z0-9_])omp_[A-Za-z_]+[[:space:]]*\('
 simd='#[[:space:]]*pragma[[:space:]]+omp[[:space:]]+simd([[:space:]]|$)'
 
+status=0
 if grep -rnE "${directive}|${call}" src/kernels | grep -vE "${simd}"; then
   echo "src/kernels must stay serial: only '#pragma omp simd' is allowed" >&2
+  status=1
+fi
+
+# A quoted include must name kernels/, matrix/ or support/, an angled one
+# may not name another directory of src/, and neither may climb with "..".
+include='^[[:space:]]*#[[:space:]]*include[[:space:]]*'
+others=$(find src -mindepth 1 -maxdepth 1 -type d \
+  ! -name kernels ! -name matrix ! -name support -printf '%f\n' |
+  paste -sd '|')
+outside=$(
+  {
+    grep -rnE "${include}\"" src/kernels |
+      grep -vE ":[0-9]+:${include#^}\"(kernels|matrix|support)/" || true
+    grep -rnE "${include}<(${others})/" src/kernels || true
+    grep -rnE "${include}[\"<][^\">]*\.\./" src/kernels || true
+  } | sort -u
+)
+if [ -n "${outside}" ]; then
+  echo "${outside}"
+  echo "src/kernels may include only kernels/, matrix/ and support/" >&2
+  status=1
+fi
+
+if [ "${status}" -ne 0 ]; then
   exit 1
 fi
 echo "src/kernels: serial"

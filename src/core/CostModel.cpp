@@ -58,7 +58,7 @@ smat::classifyBottleneck(const FeatureVector &F,
   if (F.MaxRd > 0 && F.ErEll >= Thresholds.EllFillMin) {
     D.Class = BottleneckClass::BandwidthBound;
     D.Allowed[static_cast<std::size_t>(FormatKind::ELL)] = true;
-    if (F.ErBsr * 1.5 >= 1.0)
+    if (F.ErBsr * DefaultBsrMaxFillRatio >= 1.0)
       D.Allowed[static_cast<std::size_t>(FormatKind::BSR)] = true;
     return D;
   }
@@ -68,7 +68,7 @@ smat::classifyBottleneck(const FeatureVector &F,
   // racing against CSR.
   D.Class = BottleneckClass::IrregularityBound;
   D.Allowed[static_cast<std::size_t>(FormatKind::COO)] = true;
-  if (F.ErBsr * 1.5 >= 1.0)
+  if (F.ErBsr * DefaultBsrMaxFillRatio >= 1.0)
     D.Allowed[static_cast<std::size_t>(FormatKind::BSR)] = true;
   return D;
 }

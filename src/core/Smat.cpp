@@ -6,7 +6,6 @@
 
 #include "core/Smat.h"
 
-#include "support/FaultInjection.h"
 #include "support/Timer.h"
 
 #include <cmath>
@@ -28,19 +27,12 @@ DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
 /// adds time. ORs the spread check into \p Noisy.
 template <typename T>
 double quickSpmvSeconds(const CsrMatrix<T> &A, bool &Noisy) {
-  std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
-  AlignedVector<T> X(static_cast<std::size_t>(A.NumCols), T(1));
-  AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows), T(0));
   RobustMeasureOptions Opts;
   Opts.MinSeconds = 1e-4;
   Opts.MinReps = 2;
   Opts.MaxRetries = 1;
-  RobustMeasureResult M = robustMeasureSecondsPerCall(
-      [&] {
-        fault::injectKernelFault("measure.baseline");
-        Basic->apply(X.data(), Y.data());
-      },
-      Opts);
+  RobustMeasureResult M =
+      timePlan(*basicCsrOperator(A), 1, "measure.baseline", Opts);
   Noisy = Noisy || M.Noisy;
   return M.SecondsPerCall;
 }
@@ -257,9 +249,9 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     Chosen = Prediction.Prediction;
 
     // Stage 3: execute-and-measure when forced or unconfident. The stage
-    // handles per-candidate failures and budgets itself; this catch only
-    // covers its shared setup (vector allocation). The cost model prunes
-    // the candidate set it races.
+    // handles per-candidate failures and budgets itself; this catch is the
+    // backstop for anything outside a candidate. The cost model prunes the
+    // candidate set it races.
     if (MeasureStage::shouldRun(Opts, Prediction) && TuneRemaining() > 0.0) {
       try {
         MeasureStageResult Measured = MeasureStage::run(

@@ -6,6 +6,8 @@
 
 #include "core/Trainer.h"
 
+#include "core/TuningPipeline.h"
+#include "matrix/Generators.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -14,90 +16,165 @@ using namespace smat;
 
 namespace {
 
-/// Measures one bound kernel on (A-format, X, Y).
-template <typename T, typename MatrixT, typename FnT>
-double measureOne(FnT Fn, const MatrixT &A, const AlignedVector<T> &X,
-                  AlignedVector<T> &Y, double MinSeconds) {
-  double Seconds = measureSecondsPerCall(
-      [&] { Fn(A, X.data(), Y.data()); }, MinSeconds);
-  return spmvGflops(static_cast<std::uint64_t>(A.nnz()), Seconds);
+/// The scoreboard rows of \p Kind's SpMV kernels, or of its SpMM kernels
+/// when \p Spmm (none for BSR), not yet measured.
+template <typename T>
+std::vector<KernelMeasurement> unmeasuredTable(FormatKind Kind, bool Spmm) {
+  const KernelTable<T> &Kernels = kernelTable<T>();
+  std::vector<KernelMeasurement> Table;
+  auto Add = [&Table](const auto &List) {
+    for (const auto &K : List)
+      Table.push_back({K.Name, K.Flags, 0.0});
+  };
+  switch (Kind) {
+  case FormatKind::CSR:
+    Spmm ? Add(Kernels.CsrSpmm) : Add(Kernels.Csr);
+    break;
+  case FormatKind::COO:
+    Spmm ? Add(Kernels.CooSpmm) : Add(Kernels.Coo);
+    break;
+  case FormatKind::DIA:
+    Spmm ? Add(Kernels.DiaSpmm) : Add(Kernels.Dia);
+    break;
+  case FormatKind::ELL:
+    Spmm ? Add(Kernels.EllSpmm) : Add(Kernels.Ell);
+    break;
+  case FormatKind::BSR:
+    if (!Spmm)
+      Add(Kernels.Bsr);
+    break;
+  }
+  return Table;
 }
 
 } // namespace
 
 template <typename T>
+std::vector<KernelMeasurement>
+smat::measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind,
+                         index_t Width, double MinSeconds) {
+  const bool Spmm = Width > 1;
+  std::vector<KernelMeasurement> Table = unmeasuredTable<T>(Kind, Spmm);
+  RobustMeasureOptions Opts;
+  Opts.MinSeconds = MinSeconds;
+  const auto Format = static_cast<std::size_t>(Kind);
+  const auto Slot = static_cast<std::size_t>(spmmWidthIndex(Width));
+  for (std::size_t I = 0; I != Table.size(); ++I) {
+    KernelSelection Sel;
+    if (Spmm)
+      Sel.BestSpmmKernel[Format][Slot] = static_cast<int>(I);
+    else
+      Sel.BestKernel[Format] = static_cast<int>(I);
+    try {
+      std::unique_ptr<FormatOperator<T>> Op = bindFormatOperator(
+          Probe, Kind, Sel, CsrStorage::Borrowed, -1, Width);
+      if (Op->kind() != Kind ||
+          Table[I].Name != (Spmm ? Op->spmmKernelName() : Op->kernelName()))
+        continue;
+      double Seconds =
+          timePlan(*Op, Width, "scoreboard.kernel", Opts).SecondsPerCall;
+      Table[I].Gflops = spmvGflops(static_cast<std::uint64_t>(Probe.nnz()) *
+                                       static_cast<std::uint64_t>(Width),
+                                   Seconds);
+    } catch (...) {
+      // A throwing plan scores zero; the scoreboard will not pick it.
+    }
+  }
+  return Table;
+}
+
+template <typename T>
+KernelSelection smat::searchOptimalKernels(double MinSeconds) {
+  KernelSelection Selection;
+  // Format-friendly probes, indexed by FormatKind and sized to overflow L2 a
+  // little so the memory system participates in the measurement. All but
+  // BSR's are above the grain, so their plans run as row slices.
+  const std::array<CsrMatrix<T>, NumFormats> Probes = {
+      convertValueType<T>(blockFem(120, 24, 4.0, 42)),
+      convertValueType<T>(powerLawGraph(20000, 2.2, 1, 64, 43)),
+      convertValueType<T>(banded(30000, 4)),
+      convertValueType<T>(boundedDegreeRandom(20000, 20000, 6, 6, 44)),
+      convertValueType<T>(blockFem(1500, 4, 0.0, 45))};
+
+  // One scoreboard over the plans of \p Kind's kernels on \p Probe at
+  // \p Width; the winner goes to \p Index and \p Name.
+  auto Pick = [MinSeconds](const CsrMatrix<T> &Probe, FormatKind Kind,
+                           index_t Width, int &Index, std::string &Name) {
+    std::vector<KernelMeasurement> Table =
+        measureKernelPlans(Probe, Kind, Width, MinSeconds);
+    Index = runScoreboard(Table).BestIndex;
+    Name = Table[static_cast<std::size_t>(Index)].Name;
+  };
+
+  for (int K = 0; K < NumFormats; ++K)
+    Pick(Probes[static_cast<std::size_t>(K)], static_cast<FormatKind>(K), 1,
+         Selection.BestKernel[static_cast<std::size_t>(K)],
+         Selection.BestKernelName[static_cast<std::size_t>(K)]);
+
+  // Second CSR pass on a heavily skewed (power-law, row CV > 2) probe: the
+  // CSR kernels rank differently on long rows than on the balanced FEM
+  // probe above, so the skew-bound kernel gets its own scoreboard where long
+  // rows actually exist.
+  Pick(convertValueType<T>(powerLawGraph(30000, 1.8, 1, 3000, 46)),
+       FormatKind::CSR, 1, Selection.BestSkewCsrKernel,
+       Selection.BestSkewCsrKernelName);
+
+  // SpMM pass: one scoreboard per (format, searched width), each family on
+  // its own format's probe. Register-tile payoff is width-dependent (wider
+  // tiles raise arithmetic intensity but also register pressure), so each
+  // width gets its own pick.
+  for (std::size_t W = 0; W != SpmmSearchWidths.size(); ++W)
+    for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
+                            FormatKind::ELL}) {
+      const auto K = static_cast<std::size_t>(Kind);
+      Pick(Probes[K], Kind, SpmmSearchWidths[W],
+           Selection.BestSpmmKernel[K][W], Selection.BestSpmmKernelName[K][W]);
+    }
+  return Selection;
+}
+
+template <typename T>
 std::array<double, NumFormats>
 smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
                         const TrainingOptions &Opts) {
-  const KernelTable<T> &Kernels = kernelTable<T>();
-  AlignedVector<T> X(static_cast<std::size_t>(A.NumCols));
-  AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows), T(0));
-  for (std::size_t I = 0; I != X.size(); ++I)
-    X[I] = T(0.01) * static_cast<T>(I % 100) - T(0.5);
-
+  RobustMeasureOptions MOpts;
+  MOpts.MinSeconds = Opts.MeasureMinSeconds;
   std::array<double, NumFormats> Gflops;
   Gflops.fill(-1.0);
-  auto Best = [&Selection](FormatKind Kind) {
-    return Selection.BestKernel[static_cast<int>(Kind)];
+
+  // Keeps in Gflops[Kind] the faster of what is there and the plan Bind()
+  // builds, timed at Site, when that plan is of format Kind (a conversion
+  // guard may have declined it). A plan whose bind or kernel throws is
+  // dropped, as the race drops it.
+  auto Label = [&](FormatKind Kind, const char *Site, auto Bind) {
+    try {
+      std::unique_ptr<FormatOperator<T>> Op = Bind();
+      if (Op->kind() != Kind)
+        return;
+      double &Rate = Gflops[static_cast<std::size_t>(Kind)];
+      Rate = std::max(
+          Rate, spmvGflops(static_cast<std::uint64_t>(A.nnz()),
+                           timePlan(*Op, 1, Site, MOpts).SecondsPerCall));
+    } catch (...) {
+    }
   };
 
-  // CSR: measured directly on the input. The label must reflect the best
-  // CSR plan the runtime can actually bind — the basic kernel (the
-  // guardrail's plan), the scoreboard's general pick, and the skew-pass
-  // pick are all candidates at run time — so the CSR entry is the max over
-  // them. Labeling with the general pick alone teaches the tree that CSR
-  // loses on matrices where binding a different CSR kernel (or simply not
-  // tuning) wins, which is exactly the powerlaw mispick.
-  {
-    const auto &General = pickKernel(Kernels.Csr, Best(FormatKind::CSR), A);
-    const auto &Basic = basicCsrKernel<T>();
-    double CsrBest = measureOne<T>(General.Fn, A, X, Y, Opts.MeasureMinSeconds);
-    if (&General != &Basic)
-      CsrBest = std::max(CsrBest, measureOne<T>(Basic.Fn, A, X, Y,
-                                                Opts.MeasureMinSeconds));
-    const auto &Skew = pickKernel(Kernels.Csr, Selection.BestSkewCsrKernel, A);
-    if (&Skew != &General && &Skew != &Basic)
-      CsrBest = std::max(CsrBest, measureOne<T>(Skew.Fn, A, X, Y,
-                                                Opts.MeasureMinSeconds));
-    Gflops[static_cast<int>(FormatKind::CSR)] = CsrBest;
+  const int CsrKernel =
+      Selection.csrKernelFor(extractStructureFeatures(A).rowCv());
+  for (int K = 0; K < NumFormats; ++K) {
+    const auto Kind = static_cast<FormatKind>(K);
+    if (Kind == FormatKind::BSR && !Opts.EnableBsr)
+      continue;
+    Label(Kind, MeasureStage::site(Kind), [&] {
+      return bindFormatOperator(A, Kind, Selection, CsrStorage::Borrowed,
+                                CsrKernel);
+    });
   }
-
-  // COO: always representable.
-  {
-    CooMatrix<T> Coo = csrToCoo(A);
-    Gflops[static_cast<int>(FormatKind::COO)] = measureOne<T>(
-        pickKernel(Kernels.Coo, Best(FormatKind::COO), Coo).Fn, Coo, X, Y,
-        Opts.MeasureMinSeconds);
-  }
-
-  // DIA and ELL: only when the converters' default fill guards, the ones
-  // bindFormatOperator converts under, admit the format.
-  {
-    DiaMatrix<T> Dia;
-    if (csrToDia(A, Dia))
-      Gflops[static_cast<int>(FormatKind::DIA)] = measureOne<T>(
-          pickKernel(Kernels.Dia, Best(FormatKind::DIA), Dia).Fn, Dia, X, Y,
-          Opts.MeasureMinSeconds);
-  }
-
-  {
-    EllMatrix<T> Ell;
-    if (csrToEll(A, Ell))
-      Gflops[static_cast<int>(FormatKind::ELL)] = measureOne<T>(
-          pickKernel(Kernels.Ell, Best(FormatKind::ELL), Ell).Fn, Ell, X, Y,
-          Opts.MeasureMinSeconds);
-  }
-
-  // BSR: extension format, only when enabled and a block size passes the
-  // default fill guard (OSKI-style block-size selection).
-  if (Opts.EnableBsr) {
-    index_t BlockSize = chooseBsrBlockSize(A);
-    BsrMatrix<T> Bsr;
-    if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize))
-      Gflops[static_cast<int>(FormatKind::BSR)] = measureOne<T>(
-          pickKernel(Kernels.Bsr, Best(FormatKind::BSR), Bsr).Fn, Bsr, X, Y,
-          Opts.MeasureMinSeconds);
-  }
+  // Basic CSR is a second CSR plan unless the pick already is csr_basic,
+  // which never slices.
+  if (&kernelEntry(kernelTable<T>().Csr, CsrKernel) != &basicCsrKernel<T>())
+    Label(FormatKind::CSR, "measure.baseline",
+          [&] { return basicCsrOperator(A); });
   return Gflops;
 }
 
@@ -171,6 +248,14 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
   return Result;
 }
 
+template std::vector<smat::KernelMeasurement>
+smat::measureKernelPlans(const CsrMatrix<float> &, FormatKind, index_t,
+                         double);
+template std::vector<smat::KernelMeasurement>
+smat::measureKernelPlans(const CsrMatrix<double> &, FormatKind, index_t,
+                         double);
+template smat::KernelSelection smat::searchOptimalKernels<float>(double);
+template smat::KernelSelection smat::searchOptimalKernels<double>(double);
 template std::array<double, smat::NumFormats>
 smat::measureAllFormats(const CsrMatrix<float> &, const KernelSelection &,
                         const TrainingOptions &);

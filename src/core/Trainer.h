@@ -9,6 +9,8 @@
 /// architecture, per-corpus-matrix feature extraction and exhaustive
 /// per-format measurement (labeling "Best_Format"), feature database
 /// assembly, decision-tree learning, and ruleset ordering + tailoring.
+/// The kernel search and the labels time what the runtime binds: each plan
+/// is built by bindFormatOperator and timed with timePlan, the race's timer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +26,8 @@ namespace smat {
 
 /// Knobs of the training pipeline.
 struct TrainingOptions {
-  /// Per-kernel measurement floor; larger is more accurate, slower.
+  /// The plan timer's sample window for the kernel search and the labels;
+  /// larger is more accurate, slower.
   double MeasureMinSeconds = 1e-3;
   /// The BSR extension format. Off by default so the paper's four-format
   /// experiments reproduce unchanged; the ext_bsr_extension bench turns it
@@ -40,9 +43,33 @@ struct TrainingOptions {
   bool SkipKernelSearch = false;
 };
 
-/// Measures the best-kernel GFLOPS of matrix \p A in all four formats
-/// using the kernels chosen in \p Selection. Returns FormatKind-indexed
-/// GFLOPS; formats rejected by the fill guards get -1.
+/// Times every kernel of \p Kind's SpMV list (its SpMM list at \p Width > 1;
+/// BSR has none) as a plan: bound to \p Probe by bindFormatOperator, so it
+/// runs as row slices above the grain, and timed with timePlan at the fault
+/// site "scoreboard.kernel". \returns the scoreboard's performance table,
+/// index-aligned with the kernel list; a kernel whose plan throws, whose
+/// conversion is declined, or whose bind demotes it to another kernel (a
+/// violated precondition) is recorded at zero GFLOPS.
+template <typename T>
+std::vector<KernelMeasurement>
+measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind, index_t Width,
+                   double MinSeconds);
+
+/// The kernel search (paper Section 5.2): on one format-friendly probe per
+/// format, measureKernelPlans and runScoreboard pick each format's SpMV
+/// kernel; a second CSR pass on a power-law probe picks the skew kernel,
+/// and one pass per SpmmSearchWidths width picks each SpMM family's kernel
+/// on its own format's probe. \p MinSeconds is the plan timer's window.
+template <typename T>
+KernelSelection searchOptimalKernels(double MinSeconds = 2e-3);
+
+/// Labels \p A: the GFLOPS of the plan bindFormatOperator builds from
+/// \p Selection in each format (CSR with csrKernelFor(rowCv), the pick the
+/// bind makes), timed with timePlan at the race's fault sites. CSR's label
+/// is the faster of that plan and basicCsrOperator, the plan the
+/// never-slower check binds when basic wins. Returns FormatKind-indexed
+/// GFLOPS; a format whose conversion guard declines, or whose plan throws,
+/// gets -1.
 template <typename T>
 std::array<double, NumFormats>
 measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
@@ -72,6 +99,12 @@ template <typename T>
 TrainResult trainSmat(const std::vector<const CorpusEntry *> &Training,
                       const TrainingOptions &Opts = TrainingOptions());
 
+extern template std::vector<KernelMeasurement>
+measureKernelPlans(const CsrMatrix<float> &, FormatKind, index_t, double);
+extern template std::vector<KernelMeasurement>
+measureKernelPlans(const CsrMatrix<double> &, FormatKind, index_t, double);
+extern template KernelSelection searchOptimalKernels<float>(double);
+extern template KernelSelection searchOptimalKernels<double>(double);
 extern template std::array<double, NumFormats>
 measureAllFormats(const CsrMatrix<float> &, const KernelSelection &,
                   const TrainingOptions &);

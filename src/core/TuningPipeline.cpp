@@ -33,10 +33,8 @@ namespace {
 /// Cheap structural plausibility of a conversion to \p Kind, computed from
 /// the already-extracted features so no conversion is attempted for
 /// hopeless candidates during execute-and-measure. BSR candidacy uses the
-/// 4x4 block fill efficiency with the same strict guard as training
-/// (padding inflates flops).
+/// 4x4 block fill efficiency (padding inflates flops).
 bool conversionPlausible(FormatKind Kind, const FeatureVector &F) {
-  constexpr double BsrMaxFillRatio = 1.5;
   switch (Kind) {
   case FormatKind::DIA:
     return F.Ndiags > 0 && F.Ndiags <= DefaultMaxDiags &&
@@ -44,7 +42,7 @@ bool conversionPlausible(FormatKind Kind, const FeatureVector &F) {
   case FormatKind::ELL:
     return F.MaxRd > 0 && F.ErEll * DefaultMaxFillRatio >= 1.0;
   case FormatKind::BSR:
-    return F.ErBsr * BsrMaxFillRatio >= 1.0;
+    return F.ErBsr * DefaultBsrMaxFillRatio >= 1.0;
   default:
     return true;
   }
@@ -127,9 +125,34 @@ PredictStageResult PredictStage::run(const TuningContext<T> &Ctx,
 
 // --- MeasureStage -----------------------------------------------------------
 
+template <typename T>
+RobustMeasureResult smat::timePlan(const FormatOperator<T> &Op, index_t Width,
+                                   const char *Site,
+                                   const RobustMeasureOptions &Opts) {
+  const auto K = static_cast<std::size_t>(Width);
+  AlignedVector<T> X(static_cast<std::size_t>(Op.numCols()) * K, T(1));
+  AlignedVector<T> Y(static_cast<std::size_t>(Op.numRows()) * K, T(0));
+  return robustMeasureSecondsPerCall(
+      [&] {
+        fault::injectKernelFault(Site);
+        if (Width > 1)
+          Op.multiply(X.data(), Y.data(), Width);
+        else
+          Op.apply(X.data(), Y.data());
+      },
+      Opts);
+}
+
 bool MeasureStage::shouldRun(const TuneOptions &Opts,
                              const PredictStageResult &Prediction) {
   return Opts.ForceMeasure || (!Prediction.Confident && Opts.AllowMeasure);
+}
+
+const char *MeasureStage::site(FormatKind Kind) {
+  static constexpr const char *Sites[NumFormats] = {
+      "measure.kernel.CSR", "measure.kernel.COO", "measure.kernel.DIA",
+      "measure.kernel.ELL", "measure.kernel.BSR"};
+  return Sites[static_cast<int>(Kind)];
 }
 
 template <typename T>
@@ -150,12 +173,6 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
   // block instead, so the format choice reflects batched performance.
   const index_t Width = std::max<index_t>(index_t(1), Ctx.Opts.BatchWidth);
   const bool Batched = Width > 1;
-  AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                         static_cast<std::size_t>(Width),
-                     T(1));
-  AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                         static_cast<std::size_t>(Width),
-                     T(0));
 
   // Seconds of tune budget left; +inf when unlimited.
   auto TuneRemaining = [&]() -> double {
@@ -177,9 +194,6 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
       return false;
     return conversionPlausible(Kind, F);
   };
-  static constexpr const char *Sites[NumFormats] = {
-      "measure.kernel.CSR", "measure.kernel.COO", "measure.kernel.DIA",
-      "measure.kernel.ELL", "measure.kernel.BSR"};
 
   double BestGflops = -1.0;
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
@@ -209,15 +223,7 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
       if (Remaining != std::numeric_limits<double>::infinity() &&
           (MOpts.BudgetSeconds <= 0.0 || Remaining < MOpts.BudgetSeconds))
         MOpts.BudgetSeconds = Remaining;
-      RobustMeasureResult M = robustMeasureSecondsPerCall(
-          [&] {
-            fault::injectKernelFault(Sites[static_cast<int>(Kind)]);
-            if (Batched)
-              Op->multiply(X.data(), Y.data(), Width);
-            else
-              Op->apply(X.data(), Y.data());
-          },
-          MOpts);
+      RobustMeasureResult M = timePlan(*Op, Width, site(Kind), MOpts);
       Result.NoisyTimings = Result.NoisyTimings || M.Noisy;
       Result.BudgetExhausted = Result.BudgetExhausted || M.BudgetHit;
       double Gflops = spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
@@ -374,6 +380,12 @@ template PredictStageResult PredictStage::run(const TuningContext<float> &,
                                               FeatureStageResult &);
 template PredictStageResult PredictStage::run(const TuningContext<double> &,
                                               FeatureStageResult &);
+template RobustMeasureResult timePlan(const FormatOperator<float> &, index_t,
+                                      const char *,
+                                      const RobustMeasureOptions &);
+template RobustMeasureResult timePlan(const FormatOperator<double> &, index_t,
+                                      const char *,
+                                      const RobustMeasureOptions &);
 template MeasureStageResult MeasureStage::run(const TuningContext<float> &,
                                               const FeatureStageResult &,
                                               FormatKind,

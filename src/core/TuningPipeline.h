@@ -198,12 +198,27 @@ public:
                                 FeatureStageResult &Features);
 };
 
+/// The plan timer: times \p Op at width \p Width >= 1 (apply() at 1,
+/// multiply() over a Width-column block above) with
+/// robustMeasureSecondsPerCall under \p Opts, injecting a kernel fault at
+/// \p Site before every call. The race, the overhead unit, training's
+/// labels and the kernel search all time plans through it; only
+/// CheckStage's alternating pairs time a plan another way.
+template <typename T>
+RobustMeasureResult timePlan(const FormatOperator<T> &Op, index_t Width,
+                             const char *Site,
+                             const RobustMeasureOptions &Opts);
+
 /// Stage 3: execute-and-measure over the plausible candidates.
 class MeasureStage {
 public:
   /// The Figure-7 gate: forced, or unconfident with measurement allowed.
   static bool shouldRun(const TuneOptions &Opts,
                         const PredictStageResult &Prediction);
+
+  /// The fault site a plan of \p Kind is timed under, in the race and in
+  /// training: "measure.kernel.<FORMAT>".
+  static const char *site(FormatKind Kind);
 
   /// Builds each candidate that passes its structural plausibility guard
   /// with bindFormatOperator — the operator a win would bind — and times its
@@ -289,6 +304,12 @@ extern template PredictStageResult
 PredictStage::run(const TuningContext<float> &, FeatureStageResult &);
 extern template PredictStageResult
 PredictStage::run(const TuningContext<double> &, FeatureStageResult &);
+extern template RobustMeasureResult
+timePlan(const FormatOperator<float> &, index_t, const char *,
+         const RobustMeasureOptions &);
+extern template RobustMeasureResult
+timePlan(const FormatOperator<double> &, index_t, const char *,
+         const RobustMeasureOptions &);
 extern template MeasureStageResult
 MeasureStage::run(const TuningContext<float> &, const FeatureStageResult &,
                   FormatKind, const CostModelDecision *);

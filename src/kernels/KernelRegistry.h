@@ -7,9 +7,9 @@
 /// \file
 /// The SpMV kernel library (paper Figure 4, "Kernel Library"). Every format
 /// has multiple implementations, each tagged with the set of optimization
-/// strategies it applies. The scoreboard search (Scoreboard.h) scores the
-/// strategies on the target architecture and picks the per-format optimal
-/// kernel.
+/// strategies it applies. The kernel search (core/Trainer.h) times each
+/// kernel's plan and the scoreboard (Scoreboard.h) scores the strategies on
+/// the target architecture and picks the per-format optimal kernel.
 ///
 /// Kernel semantics: every kernel is written once over a row range. Called
 /// as (A, RowBegin, RowEnd, x, y) it computes rows [RowBegin, RowEnd) of
@@ -57,7 +57,7 @@ inline constexpr unsigned NumOptStrategies = 6;
 
 /// Structural preconditions a kernel demands of its input beyond the
 /// format's base invariants. Declared at registration so the binding layer
-/// (and the scoreboard) can check them instead of trusting an assert.
+/// can check them instead of trusting an assert.
 enum KernelPrecond : unsigned {
   PrecondNone = 0,
   /// ELL storage must carry the optional per-row length sidecar

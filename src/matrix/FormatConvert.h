@@ -36,6 +36,9 @@ namespace smat {
 /// DefaultMaxDiags diagonals.
 inline constexpr double DefaultMaxFillRatio = 20.0;
 inline constexpr index_t DefaultMaxDiags = 1024;
+/// BSR's default fill guard: much stricter than DIA's and ELL's, because
+/// its padding bloats the flop count, not just storage.
+inline constexpr double DefaultBsrMaxFillRatio = 1.5;
 
 /// Absolute ceiling on the padded element count any conversion may
 /// allocate, applied even when the relative fill guards are disabled: a
@@ -414,7 +417,7 @@ template <typename T>
 index_t chooseBsrBlockSize(const CsrMatrix<T> &A,
                            std::initializer_list<index_t> Candidates = {8, 4,
                                                                         2},
-                           double MaxFillRatio = 1.5) {
+                           double MaxFillRatio = DefaultBsrMaxFillRatio) {
   if (A.nnz() == 0)
     return 0;
   index_t Best = 0;
@@ -451,13 +454,11 @@ bool bsrGuardsPass(const CsrMatrix<T> &A, std::int64_t Blocks,
 /// CSR -> BSR with the given block size.
 ///
 /// \param MaxFillRatio reject when padded storage exceeds this multiple of
-/// nnz (values <= 0 disable the guard). BSR's guard default is much
-/// stricter than DIA/ELL's because its padding also bloats the *flop*
-/// count, not just storage.
+/// nnz (values <= 0 disable the guard).
 /// \returns true and fills \p B on success; false when the guard rejects.
 template <typename T>
 bool csrToBsr(const CsrMatrix<T> &A, BsrMatrix<T> &B, index_t BlockSize,
-              double MaxFillRatio = 1.5) {
+              double MaxFillRatio = DefaultBsrMaxFillRatio) {
   if (BlockSize < 1 || !A.isValid())
     return false;
   std::int64_t Blocks = countOccupiedBlocks(A, BlockSize);

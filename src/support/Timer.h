@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timer and a repetition-controlled measurement helper used by
-/// the scoreboard search, the trainer, and all benchmark harnesses.
+/// Wall-clock timer and the repetition-controlled measurement helpers
+/// behind the plan timer (core/TuningPipeline.h) and the benchmark
+/// harnesses.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -97,6 +97,74 @@ TEST(FeatureDatabaseTest, FormatDistributionCounts) {
   EXPECT_EQ(Dist[static_cast<int>(FormatKind::COO)], 2u);
 }
 
+// --- Kernel search (paper Section 5.2) -------------------------------------------
+
+TEST(KernelSearchTest, KernelPlansRecordFiniteRatesAtTheirIndices) {
+  const KernelTable<double> &T = kernelTable<double>();
+  auto Check = [](const std::vector<KernelMeasurement> &Table,
+                  const auto &List) {
+    ASSERT_EQ(Table.size(), List.size());
+    for (std::size_t I = 0; I != Table.size(); ++I) {
+      EXPECT_EQ(Table[I].Name, List[I].Name);
+      EXPECT_GT(Table[I].Gflops, 0.0) << Table[I].Name;
+      EXPECT_LT(Table[I].Gflops, 1000.0) << Table[I].Name;
+    }
+  };
+  // One slice below the grain, row slices above it.
+  for (const CsrMatrix<double> &A :
+       {randomCsr(200, 200, 0.05, 8), banded(20000, 2)}) {
+    SCOPED_TRACE("nnz " + std::to_string(A.nnz()));
+    Check(measureKernelPlans(A, FormatKind::CSR, 1, 1e-4), T.Csr);
+    Check(measureKernelPlans(A, FormatKind::CSR, 8, 1e-4), T.CsrSpmm);
+  }
+}
+
+TEST(KernelSearchTest, DeclinedConversionLeavesBasicSelected) {
+  // DIA's fill guard declines a power-law graph: no DIA plan is timed, every
+  // entry stays at zero GFLOPS and the scoreboard keeps the basic kernel.
+  auto Table = measureKernelPlans(powerLawGraph(3000, 2.0, 1, 400, 3),
+                                  FormatKind::DIA, 1, 1e-5);
+  ASSERT_EQ(Table.size(), kernelTable<double>().Dia.size());
+  for (const KernelMeasurement &Row : Table)
+    EXPECT_EQ(Row.Gflops, 0.0) << Row.Name;
+  EXPECT_EQ(runScoreboard(Table).BestIndex, 0);
+}
+
+TEST(KernelSearchTest, SearchOptimalKernelsReturnsValidIndices) {
+  KernelSelection S = searchOptimalKernels<double>(/*MinSeconds=*/2e-4);
+  const auto &T = kernelTable<double>();
+  EXPECT_LT(S.BestKernel[static_cast<int>(FormatKind::CSR)],
+            static_cast<int>(T.Csr.size()));
+  EXPECT_LT(S.BestKernel[static_cast<int>(FormatKind::COO)],
+            static_cast<int>(T.Coo.size()));
+  EXPECT_LT(S.BestKernel[static_cast<int>(FormatKind::DIA)],
+            static_cast<int>(T.Dia.size()));
+  EXPECT_LT(S.BestKernel[static_cast<int>(FormatKind::ELL)],
+            static_cast<int>(T.Ell.size()));
+  for (int K = 0; K < NumFormats; ++K) {
+    EXPECT_GE(S.BestKernel[static_cast<std::size_t>(K)], 0);
+    EXPECT_FALSE(S.BestKernelName[static_cast<std::size_t>(K)].empty());
+  }
+  // The skewed-CSR pass always runs.
+  EXPECT_GE(S.BestSkewCsrKernel, 0);
+  EXPECT_LT(S.BestSkewCsrKernel, static_cast<int>(T.Csr.size()));
+  EXPECT_FALSE(S.BestSkewCsrKernelName.empty());
+  // csrKernelFor routes by row CV: below the threshold the general pick,
+  // above it the skew pick.
+  EXPECT_EQ(S.csrKernelFor(0.0), S.BestKernel[static_cast<int>(FormatKind::CSR)]);
+  EXPECT_EQ(S.csrKernelFor(SkewRowCvThreshold + 1.0), S.BestSkewCsrKernel);
+  // Every SpMM family is searched at every width; BSR has none.
+  for (int K = 0; K < NumFormats; ++K)
+    for (int W = 0; W < NumSpmmWidths; ++W) {
+      const int Pick = S.BestSpmmKernel[static_cast<std::size_t>(K)]
+                                       [static_cast<std::size_t>(W)];
+      if (static_cast<FormatKind>(K) == FormatKind::BSR)
+        EXPECT_EQ(Pick, -1);
+      else
+        EXPECT_GE(Pick, 0) << formatName(static_cast<FormatKind>(K));
+    }
+}
+
 // --- Trainer ---------------------------------------------------------------------
 
 TEST(TrainerTest, MeasureAllFormatsRespectsGuards) {
@@ -627,12 +695,25 @@ TEST(SmatRuntimeTest, DiaPredictionOnPerfectDiagonalMatrix) {
   TunedSpmv<double> Op = Tuner.tune(A);
   const TuningReport &R = Op.report();
   if (Op.format() != FormatKind::DIA) {
+    // Every plan timed: the race's candidates, and both sides of the
+    // never-slower check when it ran (its basic side is the IsBaseline
+    // entry).
+    bool Checked = false;
+    std::string Timed;
+    for (const MeasuredCandidate &C : R.MeasuredCandidates) {
+      Checked = Checked || C.IsBaseline;
+      Timed += formatString(" %s%s %s at %.3f GFLOPS;",
+                            C.IsBaseline ? "check's basic side " : "",
+                            std::string(formatName(C.Format)).c_str(),
+                            C.Kernel.c_str(), C.Gflops);
+    }
     EXPECT_TRUE(R.MeasureSeconds > 0.0 || R.GuardrailEngaged)
         << "non-DIA choice must come from measurement, not a blind guess: "
         << formatName(Op.format()) << " (" << Op.kernelName()
         << "), predicted " << formatName(R.ModelPrediction)
-        << " at confidence " << R.ModelConfidence << ", "
-        << R.MeasuredCandidates.size() << " plans timed";
+        << " at confidence " << R.ModelConfidence << ", cost-model class "
+        << bottleneckClassName(R.Bottleneck) << ", never-slower check "
+        << (Checked ? "ran;" : "did not run;") << Timed;
   }
 }
 

@@ -387,26 +387,29 @@ TEST(KernelPrecondTest, PrecondsHoldChecksRowLengths) {
 }
 
 TEST(KernelPrecondTest, ScoreboardNeverRunsKernelOnViolatedPrecond) {
-  // An ELL probe without the RowLen sidecar: the sliced kernel must be
-  // recorded at zero GFLOPS (table stays index-aligned) instead of being
-  // executed, since it would read past RowLen.data().
-  EllMatrix<double> Ell;
-  ASSERT_TRUE(csrToEll(randomCsr(30, 30, 0.2, 7), Ell, /*MaxFillRatio=*/0.0));
-  Ell.RowLen.clear();
-  ASSERT_FALSE(Ell.hasRowLengths());
-
+  // The kernel search times only plans bindFormatOperator builds. Their ELL
+  // conversion carries the RowLen sidecar, so the sliced kernel's
+  // precondition holds and it is measured at its own index; on an ELL
+  // matrix without the sidecar, the bind's pickKernel demotes it to the
+  // basic kernel, so no plan runs it there.
+  CsrMatrix<double> A = randomCsr(30, 30, 0.2, 7);
   const auto &Kernels = kernelTable<double>().Ell;
-  auto Table = measureKernelTable<double>(Kernels, Ell, 1e-5);
+  auto Table = measureKernelPlans(A, FormatKind::ELL, 1, 1e-5);
   ASSERT_EQ(Table.size(), Kernels.size());
+  EllMatrix<double> Bare;
+  ASSERT_TRUE(csrToEll(A, Bare));
+  Bare.RowLen.clear();
+  ASSERT_FALSE(Bare.hasRowLengths());
   int Gated = 0;
   for (std::size_t I = 0; I != Kernels.size(); ++I) {
     EXPECT_EQ(Table[I].Name, Kernels[I].Name);
+    EXPECT_GT(Table[I].Gflops, 0.0) << Kernels[I].Name;
     if (Kernels[I].Preconds & PrecondRowLengths) {
       ++Gated;
-      EXPECT_EQ(Table[I].Gflops, 0.0)
-          << Kernels[I].Name << " ran on input violating its precondition";
-    } else {
-      EXPECT_GT(Table[I].Gflops, 0.0) << Kernels[I].Name;
+      EXPECT_EQ(&pickKernel(Kernels, static_cast<int>(I), Bare),
+                &Kernels.front())
+          << Kernels[I].Name << " would run on input violating its "
+          << "precondition";
     }
   }
   EXPECT_GE(Gated, 1) << "ell_sliced declares PrecondRowLengths";

@@ -23,6 +23,7 @@
 
 #include "core/CostModel.h"
 #include "core/Smat.h"
+#include "core/Trainer.h"
 #include "core/TuningPipeline.h"
 #include "core/TuningService.h"
 #include "kernels/KernelRegistry.h"
@@ -626,20 +627,26 @@ TEST(NeverSlowerFaultTest, BaselineFaultDisablesGuardrailButNotTheTune) {
 TEST(NeverSlowerFaultTest, WhollyFaultedScoreboardKeepsBasicSelected) {
   if (!fault::CompiledIn)
     GTEST_SKIP() << "fault-injection hooks not compiled in";
-  // Regression for the scoreboard tie-break bug: with every measurement
-  // faulted the table is all zero GFLOPS, and score inflation from reduced
-  // pairs that never ran must not promote an unmeasured kernel over basic.
-  CsrMatrix<double> A = banded(600, 2);
+  // Regression for the scoreboard tie-break bug: with every plan the kernel
+  // search times faulted, every table is all zero GFLOPS, and score
+  // inflation from reduced pairs that never ran must not promote an
+  // unmeasured kernel over basic, for any format, pass or width.
   fault::FaultConfig Cfg;
   Cfg.AlwaysSites = {"scoreboard.kernel"};
   FaultScope Scope(Cfg);
 
-  std::vector<KernelMeasurement> Table =
-      measureKernelTable<double>(kernelTable<double>().Csr, A, 1e-4);
-  ASSERT_FALSE(Table.empty());
-  for (const KernelMeasurement &Row : Table)
-    EXPECT_DOUBLE_EQ(Row.Gflops, 0.0);
-  ScoreboardResult Result = runScoreboard(Table);
-  EXPECT_EQ(Result.BestIndex, 0)
-      << "an unmeasured table must keep the basic kernel selected";
+  KernelSelection S = searchOptimalKernels<double>(1e-5);
+  for (int K = 0; K < NumFormats; ++K) {
+    const auto F = static_cast<std::size_t>(K);
+    EXPECT_EQ(S.BestKernel[F], 0)
+        << formatName(static_cast<FormatKind>(K))
+        << ": an unmeasured table must keep the basic kernel selected";
+    if (static_cast<FormatKind>(K) == FormatKind::BSR)
+      continue;
+    for (int W = 0; W < NumSpmmWidths; ++W)
+      EXPECT_EQ(S.BestSpmmKernel[F][static_cast<std::size_t>(W)], 0)
+          << formatName(static_cast<FormatKind>(K)) << " SpMM at width "
+          << SpmmSearchWidths[static_cast<std::size_t>(W)];
+  }
+  EXPECT_EQ(S.BestSkewCsrKernel, 0);
 }

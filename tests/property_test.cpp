@@ -12,6 +12,7 @@
 #include "amg/SpGemm.h"
 #include "core/FormatOperator.h"
 #include "core/Smat.h"
+#include "core/Trainer.h"
 #include "features/FeatureExtractor.h"
 #include "kernels/KernelRegistry.h"
 #include "kernels/Scoreboard.h"
@@ -182,7 +183,7 @@ TEST(BatchedTuneTest, TunedMultiplyMatchesIndependentSpmv) {
   LearningModel Model;
   Model.ConfidenceThreshold = 2.0; // Never confident: measurement decides.
   Model.refreshRuleMetadata();
-  // Give the width buckets register-tiled picks, as a scoreboard search
+  // Give the width buckets register-tiled picks, as the kernel search
   // would (searchOptimalKernels is too slow for a unit test).
   for (int F = 0; F < NumFormats; ++F)
     for (int W = 0; W < NumSpmmWidths; ++W)
@@ -268,7 +269,7 @@ TEST_P(MatrixProperties, ScoreboardPicksValidKernel) {
   CsrMatrix<double> A = seededMatrix(GetParam());
   if (A.nnz() == 0)
     GTEST_SKIP() << "degenerate empty matrix";
-  auto Table = measureKernelTable<double>(kernelTable<double>().Csr, A, 5e-5);
+  auto Table = measureKernelPlans(A, FormatKind::CSR, 1, 5e-5);
   ScoreboardResult R = runScoreboard(Table);
   ASSERT_GE(R.BestIndex, 0);
   ASSERT_LT(static_cast<std::size_t>(R.BestIndex), Table.size());
@@ -303,12 +304,12 @@ TEST(ScoreboardSkewTest, SkewedTablePrefersLoadBalancedKernel) {
 }
 
 // The skew pass through the real measurement path: on a heavily skewed
-// matrix every CSR kernel, the skew pass's candidates, runs and records a
-// finite rate at its own index, and so does the sliced ELL kernel on the
-// ELL form of the same matrix.
+// matrix every CSR kernel's plan, the skew pass's candidates, runs and
+// records a finite rate at its own index, and so does the sliced ELL
+// kernel's plan on a milder skew that ELL's fill guard admits.
 TEST(ScoreboardSkewTest, SkewProbeMeasurementsAreFiniteAndAligned) {
   CsrMatrix<double> A = spikedRows(3000, 2, 900, 0.01, 31);
-  auto Table = measureKernelTable<double>(kernelTable<double>().Csr, A, 5e-5);
+  auto Table = measureKernelPlans(A, FormatKind::CSR, 1, 5e-5);
   ASSERT_EQ(Table.size(), kernelTable<double>().Csr.size());
   for (std::size_t I = 0; I != Table.size(); ++I) {
     EXPECT_EQ(Table[I].Name, kernelTable<double>().Csr[I].Name);
@@ -316,10 +317,8 @@ TEST(ScoreboardSkewTest, SkewProbeMeasurementsAreFiniteAndAligned) {
     EXPECT_GT(Table[I].Gflops, 0.0) << Table[I].Name << " failed to run";
   }
 
-  EllMatrix<double> Ell;
-  ASSERT_TRUE(csrToEll(A, Ell, /*MaxFillRatio=*/0.0));
-  auto EllTable =
-      measureKernelTable<double>(kernelTable<double>().Ell, Ell, 5e-5);
+  auto EllTable = measureKernelPlans(spikedRows(3000, 2, 30, 0.01, 31),
+                                     FormatKind::ELL, 1, 5e-5);
   ASSERT_EQ(EllTable.size(), kernelTable<double>().Ell.size());
   bool SawLoadBalance = false;
   for (std::size_t I = 0; I != EllTable.size(); ++I) {

@@ -17,6 +17,7 @@
 
 #include "amg/AmgSolver.h"
 #include "core/Smat.h"
+#include "core/Trainer.h"
 #include "core/TuningPipeline.h"
 #include "matrix/Generators.h"
 #include "ref/RefSpmv.h"
@@ -241,6 +242,25 @@ TEST(DegradationLadderTest, CandidateDroppedRung) {
   SmatResilienceCounters C = Tuner.resilienceCounters();
   EXPECT_EQ(C.Tunes, 1u);
   EXPECT_GT(C.CandidatesDropped, 0u);
+}
+
+TEST(DegradationLadderTest, TrainingDropsAFaultedFormat) {
+  if (!fault::CompiledIn)
+    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  // Training labels time the plans the race would bind, at the race's fault
+  // sites: a DIA plan whose kernel throws every time is dropped (-1), and
+  // the other formats are still labelled.
+  fault::FaultConfig Cfg;
+  Cfg.AlwaysSites = {"measure.kernel.DIA"};
+  FaultScope Scope(Cfg);
+
+  TrainingOptions Opts;
+  Opts.MeasureMinSeconds = 1e-4;
+  auto Gflops = measureAllFormats(banded(2000, 2), KernelSelection(), Opts);
+  EXPECT_LT(Gflops[static_cast<std::size_t>(FormatKind::DIA)], 0.0);
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::ELL})
+    EXPECT_GT(Gflops[static_cast<std::size_t>(Kind)], 0.0)
+        << formatName(Kind);
 }
 
 TEST(DegradationLadderTest, BasicKernelRung) {
