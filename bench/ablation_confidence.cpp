@@ -64,7 +64,8 @@ int main() {
       TunedSpmv<double> Op = Tuner.tune(Evaluation[I]->Matrix);
       Correct += Op.format() == Truth[I] ? 1 : 0;
       Measured += Op.report().MeasureSeconds > 0.0 ? 1 : 0;
-      Overheads.push_back(Op.report().overheadRatio());
+      Overheads.push_back(Op.report().TuneSeconds /
+                          quickSpmvSeconds(Evaluation[I]->Matrix));
     }
     Table.addRow(
         {formatString("%.3f", Threshold),

@@ -66,6 +66,8 @@ int main() {
 
     TunedSpmv<double> Op = Tuner.tune(Entry.Matrix);
     const TuningReport &Report = Op.report();
+    // The overhead unit: one basic CSR SpMV on this matrix.
+    const double UnitSeconds = quickSpmvSeconds(Entry.Matrix);
 
     // Amortization (the paper's acceptability argument: the overhead "is
     // acceptable when an application executes an SpMV kernel hundreds of
@@ -75,7 +77,7 @@ int main() {
     double TunedSeconds =
         2.0 * static_cast<double>(Entry.Matrix.nnz()) * 1e-9 /
         std::max(1e-12, TunedGflops);
-    double PerIterGain = Report.CsrSpmvSeconds - TunedSeconds;
+    double PerIterGain = UnitSeconds - TunedSeconds;
     std::string BreakEven =
         PerIterGain > 1e-12
             ? formatString("%.0f", Report.TuneSeconds / PerIterGain)
@@ -102,7 +104,8 @@ int main() {
                   Execution, std::string(formatName(Op.format())),
                   std::string(formatName(Truth.BestFormat)),
                   Correct ? "R" : "W",
-                  formatString("%.2f", Report.overheadRatio()), BreakEven});
+                  formatString("%.2f", Report.TuneSeconds / UnitSeconds),
+                  BreakEven});
   }
   Table.print();
   std::printf("\n16-matrix accuracy: %d/16 (paper Table 3: 14/16 right, "

@@ -59,7 +59,8 @@ void explain(const CorpusEntry &Entry, const Smat<double> &Tuner,
               Report.ModelConfidence,
               Report.ModelConfident ? "" : ", below threshold -> measured",
               std::string(formatName(Op.format())).c_str(),
-              Op.kernelName().c_str(), Report.overheadRatio());
+              Op.kernelName().c_str(),
+              Report.TuneSeconds / quickSpmvSeconds(A));
 }
 
 } // namespace

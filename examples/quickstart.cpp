@@ -80,7 +80,7 @@ int main(int argc, char **argv) {
               std::string(formatName(Op.format())).c_str(),
               Op.kernelName().c_str());
   std::printf("  tuning overhead %.1fx one CSR SpMV\n",
-              Report.overheadRatio());
+              Report.TuneSeconds / quickSpmvSeconds(A));
 
   // 4. Use the tuned operator like any SpMV: y = A*x.
   std::vector<double> X(static_cast<std::size_t>(A.NumCols), 1.0);

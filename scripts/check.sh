@@ -30,7 +30,8 @@
 #                SMAT_NATIVE_ARCH=OFF: builds perfbench and perfbench_selftest
 #                and runs the self-test, so a library API change the
 #                benchmark compiles against fails here, not in a benchmark
-#                run
+#                run; then runs every workload for one second
+#                (scripts/perfbench_smoke.sh), failing on a failed operation
 #
 # Usage: scripts/check.sh [--fuzz-only]
 #   --fuzz-only   restrict the default and ASan passes to the fuzz-labelled
@@ -77,5 +78,6 @@ echo "=== build: build-perfbench ==="
 cmake --build build-perfbench -j "$(nproc)" --target perfbench perfbench_selftest
 echo "=== self-test: build-perfbench ==="
 ./build-perfbench/perfbench_selftest
+scripts/perfbench_smoke.sh build-perfbench
 
 echo "=== check.sh: all seven passes green ==="

@@ -79,10 +79,8 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
   // One plan cache for the whole hierarchy: operators on neighbouring
   // levels repeat structure, so tuning a class once covers its recurrences.
   // The caller's tuning knobs (budgets, measurement floors, ...) are
-  // forwarded per operator; the bindings borrow the hierarchy's matrices,
-  // so CsrMode stays Borrowed regardless of what the caller set.
+  // forwarded per operator; the bindings borrow the hierarchy's matrices.
   TuneOptions TuneOpts = Options.Tune;
-  TuneOpts.CsrMode = CsrStorage::Borrowed;
   if (Options.Backend == SpmvBackendKind::Smat) {
     if (!TuneOpts.Cache)
       TuneOpts.Cache = Options.Cache;

@@ -53,8 +53,8 @@ struct AmgOptions {
   /// Tuning knobs forwarded to every per-operator tune (Smat backend only):
   /// measurement floors, the resilience budgets, ForceMeasure, ... . The
   /// cache is resolved separately — Tune.Cache wins when set, then Cache,
-  /// then the solver-owned cache — and CsrMode is forced to Borrowed (the
-  /// hierarchy owns its operators and outlives the bindings).
+  /// then the solver-owned cache. The bindings borrow the hierarchy's
+  /// operators, which outlive them.
   TuneOptions Tune;
 };
 

@@ -22,8 +22,8 @@
 /// The classification prunes the candidate set MeasureStage races when the
 /// ruleset is unconfident: most tunes then measure one or two formats
 /// instead of the full menu. It is a pre-filter, not an oracle — the
-/// never-slower guardrail (basic CSR as a first-class race candidate)
-/// bounds the cost of a misclassification.
+/// never-slower check (CheckStage), which times the bound plan against
+/// basic CSR, bounds the cost of a misclassification.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,14 +11,14 @@
 /// scoreboard-selected SpMV kernel and, for every format with an SpMM family,
 /// the per-width SpMM kernel. `bindFormatOperator` is the one place that
 /// turns a `FormatKind` into a conversion plus kernel picks; the
-/// execute-and-measure race times the operators it builds, so the race
-/// measures exactly what a win binds. Adding a format (paper contribution 3)
+/// execute-and-measure race times the operators it builds, and the tune
+/// binds the winner it timed. Adding a format (paper contribution 3)
 /// means adding its matrix type, converter and one case there.
 ///
-/// CSR is special: because it is the unified input format, the operator can
-/// either borrow the caller's matrix (zero-copy, the tune-once/apply-in-loop
-/// pattern) or own a copy when the caller cannot guarantee the input
-/// outlives the operator. See `CsrStorage`.
+/// CSR is special: because it is the unified input format, a CSR plan
+/// borrows the caller's matrix (zero-copy, the tune-once/apply-in-loop
+/// pattern), which must outlive the operator; every other format owns its
+/// converted copy.
 ///
 /// Threads reach a plan only here: every kernel is serial, and a plan of
 /// ParallelConvertGrain nonzeros or more runs as row slices, one per
@@ -47,16 +47,6 @@
 #endif
 
 namespace smat {
-
-/// How a CSR-bound operator holds the input matrix.
-enum class CsrStorage {
-  /// Reference the caller's matrix; it must outlive the operator. This is
-  /// the default (zero conversion cost, zero memory cost) and matches the
-  /// paper's usage pattern.
-  Borrowed,
-  /// Copy the matrix into the operator, which is then self-contained.
-  Owned,
-};
 
 /// A tuned SpMV operator bound to one (format, kernel) pair: `apply`
 /// computes y := A*x and `multiply` computes the batched Y := A*X over a
@@ -247,17 +237,14 @@ std::vector<index_t> planRowBounds(const CsrMatrix<T> &A, index_t Align) {
       Align);
 }
 
-/// Binds the CSR kernels \p K and \p M to \p A, borrowed or, per
-/// \p Storage, copied into the operator, as planRowBounds slices.
+/// Binds the CSR kernels \p K and \p M to the borrowed \p A as
+/// planRowBounds slices.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
-            const Kernel<CsrSpmmFn<T>> &M, CsrStorage Storage) {
-  using Op = BoundOperator<CsrMatrix, T>;
-  std::vector<index_t> Bounds = planRowBounds(A, 1);
-  if (Storage == CsrStorage::Borrowed)
-    return std::make_unique<Op>(A, K, &M, std::move(Bounds));
-  return std::make_unique<Op>(CsrMatrix<T>(A), K, &M, std::move(Bounds));
+            const Kernel<CsrSpmmFn<T>> &M) {
+  return std::make_unique<BoundOperator<CsrMatrix, T>>(A, K, &M,
+                                                       planRowBounds(A, 1));
 }
 
 /// Converts \p A with \p Convert and binds the picks \p SpmvIdx of
@@ -286,22 +273,20 @@ std::unique_ptr<FormatOperator<T>> bindConverted(
 
 } // namespace detail
 
-/// The untuned plan: \p A bound to the basic (strategy-free) CSR SpMV and
-/// SpMM kernels, with no conversion and no model lookup. Serves the async
-/// service's bootstrap, the never-slower guardrail's forced bind and the
+/// The untuned plan: the borrowed \p A bound to the basic (strategy-free)
+/// CSR SpMV and SpMM kernels, with no conversion and no model lookup. Serves
+/// the async service's bootstrap, the never-slower check's basic side (which
+/// an engaged guardrail binds), the cached guardrail's replay and the
 /// degradation ladder's BasicKernel rung.
 template <typename T>
-std::unique_ptr<FormatOperator<T>>
-basicCsrOperator(const CsrMatrix<T> &A,
-                 CsrStorage Storage = CsrStorage::Borrowed) {
-  return detail::csrOperator(A, basicCsrKernel<T>(), basicCsrSpmmKernel<T>(),
-                             Storage);
+std::unique_ptr<FormatOperator<T>> basicCsrOperator(const CsrMatrix<T> &A) {
+  return detail::csrOperator(A, basicCsrKernel<T>(), basicCsrSpmmKernel<T>());
 }
 
 /// Converts \p A to \p Requested and binds the scoreboard-selected kernels
 /// from \p Sel, each passed through pickKernel. A DIA/ELL/BSR conversion can
 /// be rejected by its fill guards even when the model predicted the format
-/// confidently; the fallback is always CSR (honoring \p Storage).
+/// confidently; the fallback is always CSR.
 /// \p CsrKernelOverride, when non-negative, replaces the
 /// scoreboard's general CSR pick — the skew-aware bind path passes
 /// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the kernel
@@ -312,14 +297,13 @@ basicCsrOperator(const CsrMatrix<T> &A,
 ///
 /// A plan of any format is cut into row slices when \p A has at least
 /// ParallelConvertGrain nonzeros, and each of its kernels runs sliced unless
-/// it is a basic CSR kernel (BoundOperator::runsSliced). A borrowed CSR plan
-/// stays zero-copy; basicCsrOperator never slices.
+/// it is a basic CSR kernel (BoundOperator::runsSliced). A CSR plan stays
+/// zero-copy; basicCsrOperator never slices.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
-                   const KernelSelection &Sel,
-                   CsrStorage Storage = CsrStorage::Borrowed,
-                   int CsrKernelOverride = -1, index_t BatchWidth = 1) {
+                   const KernelSelection &Sel, int CsrKernelOverride = -1,
+                   index_t BatchWidth = 1) {
   const KernelTable<T> &Kernels = kernelTable<T>();
   auto Spmv = [&Sel](FormatKind Kind) {
     return Sel.BestKernel[static_cast<int>(Kind)];
@@ -378,7 +362,7 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
       CsrKernelOverride >= 0 ? CsrKernelOverride : Spmv(FormatKind::CSR);
   return detail::csrOperator(
       A, pickKernel(Kernels.Csr, CsrIdx, A),
-      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A), Storage);
+      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A));
 }
 
 } // namespace smat

@@ -87,9 +87,6 @@ struct CachedPlan {
   /// The format the pipeline actually bound (post conversion-guard
   /// fallback), not merely predicted.
   FormatKind Format = FormatKind::CSR;
-  /// The overhead baseline (seconds of one basic CSR SpMV) measured when
-  /// the class was first tuned; reused so warm tunes skip re-measuring it.
-  double CsrSpmvSeconds = 0.0;
   /// The never-slower guardrail fired when this class was tuned: the plan
   /// IS the basic-CSR baseline. Warm hits replay the guarded bind (basic
   /// kernel, no conversion) instead of re-deriving it.

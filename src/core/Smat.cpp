@@ -21,23 +21,16 @@ DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
   return static_cast<int>(A) >= static_cast<int>(B) ? A : B;
 }
 
-/// Table 3's overhead unit: seconds per call of one basic CSR SpMV on \p A,
-/// where the never-slower check takes no k=1 basic sample. Min-of-k quick
-/// sampling, not a single shot: the minimum is robust — interference only
-/// adds time. ORs the spread check into \p Noisy.
-template <typename T>
-double quickSpmvSeconds(const CsrMatrix<T> &A, bool &Noisy) {
+} // namespace
+
+template <typename T> double smat::quickSpmvSeconds(const CsrMatrix<T> &A) {
   RobustMeasureOptions Opts;
   Opts.MinSeconds = 1e-4;
   Opts.MinReps = 2;
   Opts.MaxRetries = 1;
-  RobustMeasureResult M =
-      timePlan(*basicCsrOperator(A), 1, "measure.baseline", Opts);
-  Noisy = Noisy || M.Noisy;
-  return M.SecondsPerCall;
+  return timePlan(*basicCsrOperator(A), 1, "measure.baseline", Opts)
+      .SecondsPerCall;
 }
-
-} // namespace
 
 template <typename T> Smat<T> Smat<T>::fromFile(const std::string &Path) {
   LearningModel Model;
@@ -209,7 +202,6 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     CachedPlan Hit;
     if (!Opts.ForceMeasure && Cache->lookup(Fp, Hit)) {
       Chosen = Hit.Format;
-      Report.CsrSpmvSeconds = Hit.CsrSpmvSeconds;
       Report.PlanCacheHit = true;
       // A cached guardrail engagement replays the guarded bind: the class
       // was already shown to be fastest untuned, so the warm tune binds the
@@ -220,16 +212,19 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     }
   }
 
-  // The basic side of the never-slower check and the overhead unit are
-  // excluded from TuneSeconds (the unit is Table 3's metric, not part of
-  // tuning); track their wall clock so it can be subtracted at the end.
-  double BaselineSeconds = 0.0;
-
   // The check is a measurement: with AllowMeasure false (and no
   // ForceMeasure) the caller asked for the model's deterministic answer,
   // and a timing-dependent override would break that contract.
   const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
   const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
+
+  // Binds a plan this tune already built and timed: the race's winner, or
+  // the basic plan of an engaged guardrail.
+  auto BindTimed = [&](std::unique_ptr<FormatOperator<T>> Plan) {
+    Report.ChosenFormat = Plan->kind();
+    Report.KernelName = Plan->kernelName();
+    Op.Op = std::move(Plan);
+  };
 
   if (!Decided) {
     // Stage 2: confidence-gated prediction. A throwing predictor is dropped;
@@ -251,10 +246,11 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     // Stage 3: execute-and-measure when forced or unconfident. The stage
     // handles per-candidate failures and budgets itself; this catch is the
     // backstop for anything outside a candidate. The cost model prunes the
-    // candidate set it races.
+    // candidate set it races. The winner's operator is bound as it was
+    // timed.
     if (MeasureStage::shouldRun(Opts, Prediction) && TuneRemaining() > 0.0) {
       try {
-        MeasureStageResult Measured = MeasureStage::run(
+        MeasureStageResult<T> Measured = MeasureStage::run(
             Ctx, Features, Prediction.Prediction,
             HaveCost ? &CostDecision : nullptr);
         Report.MeasuredCandidates = std::move(Measured.Candidates);
@@ -263,6 +259,8 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
         Report.BudgetExhausted = Measured.BudgetExhausted;
         Report.DroppedCandidates += Measured.DroppedCandidates;
         Chosen = Measured.Best;
+        if (Measured.Op)
+          BindTimed(std::move(Measured.Op));
       } catch (...) {
         ++Report.DroppedCandidates;
       }
@@ -271,21 +269,25 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     }
   }
 
-  // Stage 4: conversion + kernel binding through the degradation ladder —
-  // full bind, then the basic CSR kernel, then the CSR reference plan. The
-  // stage cannot fail; it reports the rung it had to take. The long-standing
-  // conversion-guard fallback to CSR inside the full bind stays rung 0: the
-  // report and the cache both record what was actually bound.
-  // Features (when extraction survived) make the bind skew-aware: the CSR
-  // kernel choice follows the row-length CV even on a plan-cache hit, since
-  // the cache stores only the format and the kernel is re-bound per tune.
-  BindStageResult<T> Bound = BindStage::run(
-      Ctx, Chosen, HaveFeatures ? &Features.Features : nullptr, ForceBasic);
-  Report.ChosenFormat = Bound.BoundFormat;
-  Report.KernelName = std::move(Bound.KernelName);
-  Report.BindSeconds = Bound.Seconds;
-  Report.Degradation = Bound.Degradation;
-  Op.Op = std::move(Bound.Op);
+  // Stage 4: the bind of a plan nothing has built yet (a confident
+  // prediction, a cache hit, a race with no survivor) through the
+  // degradation ladder — full bind, then the basic CSR kernel, then the CSR
+  // reference plan. The stage cannot fail; it reports the rung it had to
+  // take. The long-standing conversion-guard fallback to CSR inside the
+  // full bind stays rung 0: the report and the cache both record what was
+  // actually bound. Features (when extraction survived) make the bind
+  // skew-aware: the CSR kernel choice follows the row-length CV even on a
+  // plan-cache hit, since the cache stores only the format and the kernel
+  // is re-bound per tune.
+  if (!Op.Op) {
+    BindStageResult<T> Bound = BindStage::run(
+        Ctx, Chosen, HaveFeatures ? &Features.Features : nullptr, ForceBasic);
+    Report.ChosenFormat = Bound.BoundFormat;
+    Report.KernelName = std::move(Bound.KernelName);
+    Report.BindSeconds = Bound.Seconds;
+    Report.Degradation = Bound.Degradation;
+    Op.Op = std::move(Bound.Op);
+  }
 
   // Stage 5: the never-slower check, on every race winner and on every
   // confident plan the cost model does not endorse. When the ruleset and
@@ -307,15 +309,13 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     if (GuardrailActive && !Endorsed && !AlreadyBasic) {
       if (TuneRemaining() > 0.0) {
         try {
-          CheckStageResult Check =
-              CheckStage::run(*basicCsrOperator(A), *Op.Op, Width);
-          BaselineSeconds += Check.BasicSeconds;
+          std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
+          CheckStageResult Check = CheckStage::run(*Basic, *Op.Op, Width);
+          Report.BaselineSeconds = Check.BasicSeconds;
           Report.GuardrailSeconds = Check.BoundSeconds;
           const std::uint64_t Flnnz = static_cast<std::uint64_t>(Op.Nnz) *
                                       static_cast<std::uint64_t>(Width);
           Report.BaselineGflops = spmvGflops(Flnnz, Check.BasicSecondsPerCall);
-          if (Width == 1)
-            Report.CsrSpmvSeconds = Check.BasicSecondsPerCall;
           // A race already recorded the plan it bound.
           if (Report.MeasuredCandidates.empty())
             Report.MeasuredCandidates.push_back(
@@ -323,40 +323,16 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
                  spmvGflops(Flnnz, Check.BoundSecondsPerCall), false});
           Report.MeasuredCandidates.push_back(
               {FormatKind::CSR, BasicKernel, Report.BaselineGflops, true});
+          // An engaged guardrail binds the basic plan the check just timed.
           if (Check.BasicWins) {
             Report.GuardrailEngaged = true;
-            BindStageResult<T> Guarded = BindStage::run(
-                Ctx, FormatKind::CSR,
-                HaveFeatures ? &Features.Features : nullptr, true);
-            Report.ChosenFormat = Guarded.BoundFormat;
-            Report.KernelName = std::move(Guarded.KernelName);
-            Report.BindSeconds += Guarded.Seconds;
-            Report.Degradation =
-                maxLevel(Report.Degradation, Guarded.Degradation);
-            Op.Op = std::move(Guarded.Op);
+            BindTimed(std::move(Basic));
           }
         } catch (...) {
           // A faulted check leaves the bound plan in place: the guardrail
           // refines the decision, it must never break a good bind.
           ++Report.DroppedCandidates;
         }
-      } else {
-        Report.BudgetExhausted = true;
-      }
-    }
-    // Table 3's overhead unit, one basic CSR SpMV on this matrix, timed on
-    // its own where the check took no k=1 basic sample. Skipped when the
-    // tune budget is spent; the report then has no overhead unit
-    // (overheadRatio() returns 0).
-    if (Report.CsrSpmvSeconds == 0.0) {
-      if (TuneRemaining() > 0.0) {
-        WallTimer UnitTimer;
-        try {
-          Report.CsrSpmvSeconds = quickSpmvSeconds(A, Report.NoisyTimings);
-        } catch (...) {
-          ++Report.DroppedCandidates;
-        }
-        BaselineSeconds += UnitTimer.seconds();
       } else {
         Report.BudgetExhausted = true;
       }
@@ -368,15 +344,14 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
         maxLevel(Report.Degradation, DegradationLevel::CandidateDropped);
 
   if (Cache && !Report.PlanCacheHit)
-    Cache->insert(Fp, CachedPlan{Report.ChosenFormat, Report.CsrSpmvSeconds,
-                                 Report.GuardrailEngaged});
+    Cache->insert(Fp,
+                  CachedPlan{Report.ChosenFormat, Report.GuardrailEngaged});
 
   Report.Features = Features.Features;
-  // The baseline timings are nested inside the tune wall clock, so the
+  // The check's basic side is nested inside the tune wall clock, so the
   // difference cannot go negative; reporting BaselineSeconds separately
   // (instead of clamping) keeps budget overruns during the baseline visible.
-  Report.BaselineSeconds = BaselineSeconds;
-  Report.TuneSeconds = TuneTimer.seconds() - BaselineSeconds;
+  Report.TuneSeconds = TuneTimer.seconds() - Report.BaselineSeconds;
 
   // The whole delta lands under one lock, so a concurrent
   // resilienceCounters() (a monitor sampling while the service worker tunes)
@@ -482,6 +457,8 @@ ErrorCode smat::SMAT_sCSR_SpMM_try(const Smat<float> &Tuner,
 }
 
 namespace smat {
+template double quickSpmvSeconds(const CsrMatrix<float> &);
+template double quickSpmvSeconds(const CsrMatrix<double> &);
 template class TunedSpmv<float>;
 template class TunedSpmv<double>;
 template class Smat<float>;

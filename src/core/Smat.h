@@ -25,11 +25,6 @@
 ///   Opts.Cache = &Cache;
 ///   for (const auto &M : Matrices)
 ///     Ops.push_back(Tuner.tune(M, Opts));       // warm tunes skip measure
-///
-///   // Input cannot outlive the operator? Request an owning CSR bind,
-///   // which copies the matrix (tuning a temporary does not compile):
-///   Opts.CsrMode = smat::CsrStorage::Owned;
-///   smat::TunedSpmv<double> SelfContained = Tuner.tune(ShortLived, Opts);
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -72,7 +67,7 @@ struct TuningReport {
   std::vector<MeasuredCandidate> MeasuredCandidates;
   /// The never-slower guardrail fired: the check found basic CSR faster
   /// than the bound plan by more than GuardrailNoiseFloor, so the untuned
-  /// basic CSR plan was bound instead.
+  /// basic CSR plan the check timed was bound instead.
   bool GuardrailEngaged = false;
   /// Analytic bottleneck classification (CostModel.h) of this matrix; only
   /// meaningful when CostModelApplied is set (features survived and the
@@ -85,23 +80,23 @@ struct TuningReport {
   /// True when the decision was reused from a PlanCache fingerprint hit
   /// (PredictStage, MeasureStage and the never-slower check were skipped).
   bool PlanCacheHit = false;
-  /// Overhead accounting: total tuning seconds and the equivalent number of
-  /// basic CSR-SpMV executions (the paper's "times of CSR-SpMV" metric).
-  /// TuneSeconds excludes the basic-CSR timings: the check's basic side and
-  /// the separate overhead-unit timing. BaselineSeconds reports their wall
-  /// clock instead of hiding it in a clamped subtraction, so budget overruns
-  /// there stay visible. CsrSpmvSeconds is the per-call time of one basic
-  /// CSR SpMV: the check's k=1 basic samples, else its own timing.
+  /// Overhead accounting. TuneSeconds is the tune's wall clock without the
+  /// never-slower check's basic side. BaselineSeconds reports that side's
+  /// wall clock instead of hiding it in a clamped subtraction, so budget
+  /// overruns there stay visible; it is 0 when the check did not run. Paper
+  /// Table 3 states the overhead in basic CSR SpMVs: TuneSeconds divided by
+  /// quickSpmvSeconds of the same matrix.
   double TuneSeconds = 0.0;
   double BaselineSeconds = 0.0;
-  double CsrSpmvSeconds = 0.0;
   /// Throughput of the check's basic-CSR side: basic CSR SpMV for
   /// single-vector tunes, basic CSR SpMM at the requested width for batched
   /// tunes. 0 when the check did not run (skipped, or faulted).
   double BaselineGflops = 0.0;
   /// Per-stage wall-clock accounting. FeatureSeconds covers extraction
   /// step 1; a lazily triggered step 2 (power-law R) is included in
-  /// PredictSeconds, which demanded it.
+  /// PredictSeconds, which demanded it. BindSeconds is BindStage's; it is 0
+  /// when the tune bound the race's winner, whose conversion MeasureSeconds
+  /// covers.
   double FeatureSeconds = 0.0;
   double PredictSeconds = 0.0;
   double MeasureSeconds = 0.0;
@@ -120,11 +115,13 @@ struct TuningReport {
   /// A MeasureBudgetSeconds/TuneBudgetSeconds budget expired mid-tune and
   /// the remaining work was skipped.
   bool BudgetExhausted = false;
-
-  double overheadRatio() const {
-    return CsrSpmvSeconds > 0 ? TuneSeconds / CsrSpmvSeconds : 0.0;
-  }
 };
+
+/// Paper Table 3's overhead unit: seconds per call of one basic CSR SpMV on
+/// \p A, a min-of-k quick timing through timePlan (the minimum is robust:
+/// interference only adds time). No tune times it; a caller that reports a
+/// tune's overhead in CSR SpMVs divides TuningReport::TuneSeconds by it.
+template <typename T> double quickSpmvSeconds(const CsrMatrix<T> &A);
 
 /// Snapshot of one Smat instance's monotonic resilience counters, aggregated
 /// across every tune it has run (thread-safe; see Smat::resilienceCounters).
@@ -143,12 +140,11 @@ struct SmatResilienceCounters {
 ///
 /// Dispatch goes through the polymorphic `FormatOperator`, which owns the
 /// converted COO/DIA/ELL/BSR storage. When the chosen format is CSR the
-/// default (`CsrStorage::Borrowed`) operator references the caller's matrix
-/// instead of copying it, so the input CsrMatrix must outlive the TunedSpmv
-/// (the usual pattern: tune once, apply in a solver loop, drop both
-/// together); `ownsStorage()` reports whether that constraint applies.
-/// Request `TuneOptions::CsrMode = CsrStorage::Owned` for a self-contained
-/// operator; tuning a temporary matrix does not compile.
+/// operator references the caller's matrix instead of copying it, so the
+/// input CsrMatrix must outlive the TunedSpmv (the usual pattern: tune once,
+/// apply in a solver loop, drop both together); `ownsStorage()` reports
+/// whether that constraint applies. Tuning a temporary matrix does not
+/// compile.
 template <typename T> class TunedSpmv {
 public:
   /// \returns the chosen storage format.
@@ -251,17 +247,16 @@ public:
 
   const LearningModel &model() const { return Model; }
 
-  /// Tunes SpMV for \p A: the staged pipeline of paper Figure 7. With the
-  /// default `CsrStorage::Borrowed`, \p A must outlive the returned operator
-  /// (see TunedSpmv). \p A is validated up front; a structurally invalid
-  /// matrix throws std::invalid_argument carrying the diagnostic (which row,
-  /// which invariant). Callers that must not throw use tryTune.
+  /// Tunes SpMV for \p A: the staged pipeline of paper Figure 7. \p A must
+  /// outlive the returned operator when it binds CSR (see TunedSpmv). \p A
+  /// is validated up front; a structurally invalid matrix throws
+  /// std::invalid_argument carrying the diagnostic (which row, which
+  /// invariant). Callers that must not throw use tryTune.
   TunedSpmv<T> tune(const CsrMatrix<T> &A,
                     const TuneOptions &Opts = TuneOptions()) const;
 
-  /// Tuning a temporary is rejected: the default operator borrows the
-  /// matrix, which would die under it. Keep the matrix alive, or tune a
-  /// named one with `CsrMode = CsrStorage::Owned`, which copies it.
+  /// Tuning a temporary is rejected: a CSR operator borrows the matrix,
+  /// which would die under it. Keep the matrix alive.
   TunedSpmv<T> tune(CsrMatrix<T> &&A,
                     const TuneOptions &Opts = TuneOptions()) const = delete;
 
@@ -309,6 +304,8 @@ private:
   std::unique_ptr<ResilienceState> Resilience;
 };
 
+extern template double quickSpmvSeconds(const CsrMatrix<float> &);
+extern template double quickSpmvSeconds(const CsrMatrix<double> &);
 extern template class TunedSpmv<float>;
 extern template class TunedSpmv<double>;
 extern template class Smat<float>;
@@ -316,7 +313,7 @@ extern template class Smat<double>;
 
 /// The paper's unified C-style interface (Figure 5): one call, CSR in,
 /// tuned SpMV out. 'd'/'s' select double/single precision. The optional
-/// \p Opts carries the production knobs (plan cache, CSR ownership).
+/// \p Opts carries the production knobs (plan cache, budgets).
 /// Malformed input throws std::invalid_argument with the diagnostic; the
 /// _try variants below report the same failures as error codes instead.
 /// Every entry point rejects a temporary matrix, as Smat::tune does.

@@ -66,8 +66,8 @@ smat::measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind,
     else
       Sel.BestKernel[Format] = static_cast<int>(I);
     try {
-      std::unique_ptr<FormatOperator<T>> Op = bindFormatOperator(
-          Probe, Kind, Sel, CsrStorage::Borrowed, -1, Width);
+      std::unique_ptr<FormatOperator<T>> Op =
+          bindFormatOperator(Probe, Kind, Sel, -1, Width);
       if (Op->kind() != Kind ||
           Table[I].Name != (Spmm ? Op->spmmKernelName() : Op->kernelName()))
         continue;
@@ -166,8 +166,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
     if (Kind == FormatKind::BSR && !Opts.EnableBsr)
       continue;
     Label(Kind, MeasureStage::site(Kind), [&] {
-      return bindFormatOperator(A, Kind, Selection, CsrStorage::Borrowed,
-                                CsrKernel);
+      return bindFormatOperator(A, Kind, Selection, CsrKernel);
     });
   }
   // Basic CSR is a second CSR plan unless the pick already is csr_basic,

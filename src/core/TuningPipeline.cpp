@@ -156,15 +156,15 @@ const char *MeasureStage::site(FormatKind Kind) {
 }
 
 template <typename T>
-MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
-                                     const FeatureStageResult &Features,
-                                     FormatKind Fallback,
-                                     const CostModelDecision *Allowed) {
+MeasureStageResult<T> MeasureStage::run(const TuningContext<T> &Ctx,
+                                        const FeatureStageResult &Features,
+                                        FormatKind Fallback,
+                                        const CostModelDecision *Allowed) {
   WallTimer Timer;
   const CsrMatrix<T> &A = Ctx.A;
   const LearningModel &Model = Ctx.Model;
   const FeatureVector &F = Features.Features;
-  MeasureStageResult Result;
+  MeasureStageResult<T> Result;
   Result.Best = Fallback;
 
   // Execute-and-measure over the plausible candidates (paper Figure 7's
@@ -203,12 +203,12 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
     // Measurement watchdog around one candidate: robust (min-of-k, spread
     // checked, backoff-retried) timing under the tighter of the
     // per-candidate and remaining whole-tune budgets. A candidate whose
-    // conversion or kernel throws is dropped and the sweep continues; the
-    // operator (and its converted storage) is freed before the next
-    // candidate converts.
+    // conversion or kernel throws is dropped and the sweep continues. A
+    // loser's operator (and its converted storage) is freed before the next
+    // candidate converts; the best so far is kept for the bind.
     try {
       std::unique_ptr<FormatOperator<T>> Op =
-          bindFormatOperator(A, Kind, Model.Kernels, CsrStorage::Borrowed,
+          bindFormatOperator(A, Kind, Model.Kernels,
                              Model.Kernels.csrKernelFor(F.rowCv()), Width);
       if (Op->kind() != Kind)
         continue; // A conversion guard rejected the format.
@@ -235,6 +235,7 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
       if (Gflops > BestGflops) {
         BestGflops = Gflops;
         Result.Best = Kind;
+        Result.Op = std::move(Op);
       }
     } catch (...) {
       ++Result.DroppedCandidates;
@@ -268,8 +269,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
     try {
       fault::injectKernelFault("bind.operator");
       Result.Op = bindFormatOperator(Ctx.A, Requested, Ctx.Model.Kernels,
-                                     Ctx.Opts.CsrMode, CsrOverride,
-                                     Ctx.Opts.BatchWidth);
+                                     CsrOverride, Ctx.Opts.BatchWidth);
     } catch (...) {
       Result.Op = nullptr;
     }
@@ -282,7 +282,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
       Result.Degradation = DegradationLevel::BasicKernel;
     try {
       fault::injectKernelFault("bind.basic_csr");
-      Result.Op = basicCsrOperator(Ctx.A, Ctx.Opts.CsrMode);
+      Result.Op = basicCsrOperator(Ctx.A);
     } catch (...) {
       Result.Op = nullptr;
     }
@@ -290,9 +290,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
 
   // Final rung: CSR bound to the fixed-interface reference kernel
   // (ref/RefSpmv.h) — no conversion, no kernel table, no scoreboard
-  // selection. Once the node exists nothing can fail. It always borrows: if
-  // Owned was requested but its copy failed above, borrowing is the honest
-  // remainder, and ownsStorage() reports it.
+  // selection. Once the node exists nothing can fail.
   if (!Result.Op) {
     Result.Degradation = DegradationLevel::ReferenceCsr;
     const Kernel<CsrKernelFn<T>> Reference{"csr_reference", OptNone,
@@ -386,14 +384,12 @@ template RobustMeasureResult timePlan(const FormatOperator<float> &, index_t,
 template RobustMeasureResult timePlan(const FormatOperator<double> &, index_t,
                                       const char *,
                                       const RobustMeasureOptions &);
-template MeasureStageResult MeasureStage::run(const TuningContext<float> &,
-                                              const FeatureStageResult &,
-                                              FormatKind,
-                                              const CostModelDecision *);
-template MeasureStageResult MeasureStage::run(const TuningContext<double> &,
-                                              const FeatureStageResult &,
-                                              FormatKind,
-                                              const CostModelDecision *);
+template MeasureStageResult<float>
+MeasureStage::run(const TuningContext<float> &, const FeatureStageResult &,
+                  FormatKind, const CostModelDecision *);
+template MeasureStageResult<double>
+MeasureStage::run(const TuningContext<double> &, const FeatureStageResult &,
+                  FormatKind, const CostModelDecision *);
 template BindStageResult<float>
 BindStage::run(const TuningContext<float> &, FormatKind,
                const FeatureVector *, bool);

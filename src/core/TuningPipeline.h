@@ -14,9 +14,10 @@
 ///   PredictStage  — confidence-gated rule-group walk over the trained
 ///                   ruleset;
 ///   MeasureStage  — execute-and-measure fallback over the plausible
-///                   candidate formats;
+///                   candidate formats, keeping the winner's operator;
 ///   BindStage     — format conversion (with guard fallback to CSR) and
-///                   optimal-kernel binding through `FormatOperator`;
+///                   optimal-kernel binding through `FormatOperator`, for
+///                   plans the race did not build;
 ///   CheckStage    — the never-slower check: the bound plan against basic
 ///                   CSR, timed in alternating pairs.
 ///
@@ -77,9 +78,6 @@ struct TuneOptions {
   bool ForceMeasure = false;
   /// Measurement floor per candidate during execute-and-measure.
   double MeasureMinSeconds = 5e-4;
-  /// Whether a CSR-bound operator borrows the caller's matrix (default) or
-  /// owns a copy.
-  CsrStorage CsrMode = CsrStorage::Borrowed;
   /// Optional plan cache shared across tune() calls. A fingerprint hit
   /// skips PredictStage, MeasureStage and CheckStage entirely; a miss
   /// inserts the bound plan afterwards. Concurrent tunes of one structure
@@ -147,12 +145,15 @@ struct MeasuredCandidate {
 };
 
 /// Result of MeasureStage.
-struct MeasureStageResult {
+template <typename T> struct MeasureStageResult {
   /// The race in measurement order, with the kernel each candidate operator
   /// ran.
   std::vector<MeasuredCandidate> Candidates;
   /// The measured winner (or the fallback passed in when nothing ran).
   FormatKind Best = FormatKind::CSR;
+  /// The winner's operator, exactly as it was timed; null when nothing was
+  /// measured. The tune binds it instead of converting Best again.
+  std::unique_ptr<FormatOperator<T>> Op;
   double Seconds = 0.0;
   /// Some candidate's timing samples disagreed beyond the robust-measure
   /// spread threshold even after backoff retries.
@@ -201,9 +202,10 @@ public:
 /// The plan timer: times \p Op at width \p Width >= 1 (apply() at 1,
 /// multiply() over a Width-column block above) with
 /// robustMeasureSecondsPerCall under \p Opts, injecting a kernel fault at
-/// \p Site before every call. The race, the overhead unit, training's
-/// labels and the kernel search all time plans through it; only
-/// CheckStage's alternating pairs time a plan another way.
+/// \p Site before every call. The race, Table 3's overhead unit
+/// (quickSpmvSeconds), training's labels and the kernel search all time
+/// plans through it; only CheckStage's alternating pairs time a plan another
+/// way.
 template <typename T>
 RobustMeasureResult timePlan(const FormatOperator<T> &Op, index_t Width,
                              const char *Site,
@@ -221,20 +223,24 @@ public:
   static const char *site(FormatKind Kind);
 
   /// Builds each candidate that passes its structural plausibility guard
-  /// with bindFormatOperator — the operator a win would bind — and times its
-  /// apply() (multiply() at BatchWidth > 1); \p Fallback is returned as
-  /// Best when nothing is measured. \p Allowed, when non-null, restricts
-  /// the race to the cost model's candidate mask (CSR is always raced). The
-  /// race has no baseline candidate: CheckStage judges the bound winner
-  /// against basic CSR.
+  /// with bindFormatOperator and times its apply() (multiply() at
+  /// BatchWidth > 1). The best operator so far is kept and returned as Op,
+  /// the operator the tune binds; every other one is freed before the next
+  /// candidate converts. \p Fallback is returned as Best, with no Op, when
+  /// nothing is measured. \p Allowed, when non-null, restricts the race to
+  /// the cost model's candidate mask (CSR is always raced). The race has no
+  /// baseline candidate: CheckStage judges the winner against basic CSR.
   template <typename T>
-  static MeasureStageResult run(const TuningContext<T> &Ctx,
-                                const FeatureStageResult &Features,
-                                FormatKind Fallback,
-                                const CostModelDecision *Allowed = nullptr);
+  static MeasureStageResult<T> run(const TuningContext<T> &Ctx,
+                                   const FeatureStageResult &Features,
+                                   FormatKind Fallback,
+                                   const CostModelDecision *Allowed = nullptr);
 };
 
-/// Stage 4: conversion + kernel binding through the operator layer.
+/// Stage 4: conversion + kernel binding through the operator layer, for a
+/// plan nothing has built yet: a confident prediction, a plan-cache hit or
+/// a race with no survivor. A race winner and an engaged guardrail's basic
+/// plan are bound as they were timed, without this stage.
 class BindStage {
 public:
   /// \p Features, when non-null, enables skew-aware CSR kernel selection:
@@ -243,8 +249,8 @@ public:
   /// general CSR kernel. Null keeps the historical behavior.
   /// \p ForceBasicCsr binds the untuned plan directly — the basic
   /// (strategy-free) CSR SpMV and SpMM kernels with no conversion — used
-  /// when the never-slower guardrail decided tuning does not pay. It is a
-  /// deliberate decision, not a failure: Degradation stays None.
+  /// when a cached plan records an engaged guardrail. It is a deliberate
+  /// decision, not a failure: Degradation stays None.
   template <typename T>
   static BindStageResult<T> run(const TuningContext<T> &Ctx,
                                 FormatKind Requested,
@@ -310,10 +316,10 @@ timePlan(const FormatOperator<float> &, index_t, const char *,
 extern template RobustMeasureResult
 timePlan(const FormatOperator<double> &, index_t, const char *,
          const RobustMeasureOptions &);
-extern template MeasureStageResult
+extern template MeasureStageResult<float>
 MeasureStage::run(const TuningContext<float> &, const FeatureStageResult &,
                   FormatKind, const CostModelDecision *);
-extern template MeasureStageResult
+extern template MeasureStageResult<double>
 MeasureStage::run(const TuningContext<double> &, const FeatureStageResult &,
                   FormatKind, const CostModelDecision *);
 extern template BindStageResult<float>

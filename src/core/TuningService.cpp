@@ -190,7 +190,6 @@ template <typename T> void TuningService<T>::runJob(detail::AsyncJob<T> &Job) {
 
     TuneOptions JobOpts = Opts.Tune;
     JobOpts.Cache = &Cache;
-    JobOpts.CsrMode = CsrStorage::Borrowed;
 
     Expected<TunedSpmv<T>> Result = Model.tryTune(Job.Matrix, JobOpts);
     if (!Result.ok()) {

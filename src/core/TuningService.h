@@ -210,10 +210,10 @@ template <typename T> class TuningService {
 public:
   struct Options {
     /// Per-job tuning options. Cache is managed by the service (any value
-    /// set here is overwritten); CsrMode is forced to Borrowed against the
-    /// job's owned matrix copy. The watchdog budgets default ON for the
-    /// service — a background tune that stalls must degrade, not wedge the
-    /// worker — and are inherited by every job.
+    /// set here is overwritten); a CSR plan borrows the job's owned matrix
+    /// copy. The watchdog budgets default ON for the service — a background
+    /// tune that stalls must degrade, not wedge the worker — and are
+    /// inherited by every job.
     TuneOptions Tune = defaultTuneOptions();
 
     static TuneOptions defaultTuneOptions() {

@@ -31,8 +31,7 @@ void zeroOut(T *SMAT_RESTRICT Y, index_t RowBegin, index_t RowEnd,
 
 /// The entries [First, Last) of rows [RowBegin, RowEnd). The whole matrix
 /// takes every entry, in any order; a partial range finds its entries by
-/// binary search, so it needs the monotone row indices every COO matrix the
-/// library builds has (csrToCoo, sortCooRowMajor).
+/// binary search, so it needs monotone row indices, which csrToCoo builds.
 template <typename T>
 std::pair<std::int64_t, std::int64_t>
 cooEntries(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd) {

@@ -147,34 +147,6 @@ tryCsrFromTriplets(index_t NumRows, index_t NumCols, std::vector<index_t> Rows,
                             std::move(Vals));
 }
 
-/// Sorts \p A into canonical row-major order in place (stable within equal
-/// coordinates). Establishes the threaded kernels' precondition for COO that
-/// arrived from outside the library's own builders.
-template <typename T> void sortCooRowMajor(CooMatrix<T> &A) {
-  if (A.isSortedRowMajor())
-    return;
-  std::vector<std::size_t> Order(A.Values.size());
-  std::iota(Order.begin(), Order.end(), std::size_t{0});
-  std::stable_sort(Order.begin(), Order.end(),
-                   [&A](std::size_t I, std::size_t J) {
-                     if (A.Rows[I] != A.Rows[J])
-                       return A.Rows[I] < A.Rows[J];
-                     return A.Cols[I] < A.Cols[J];
-                   });
-  CooMatrix<T> Sorted;
-  Sorted.NumRows = A.NumRows;
-  Sorted.NumCols = A.NumCols;
-  Sorted.Rows.reserve(Order.size());
-  Sorted.Cols.reserve(Order.size());
-  Sorted.Values.reserve(Order.size());
-  for (std::size_t K : Order) {
-    Sorted.Rows.push_back(A.Rows[K]);
-    Sorted.Cols.push_back(A.Cols[K]);
-    Sorted.Values.push_back(A.Values[K]);
-  }
-  A = std::move(Sorted);
-}
-
 namespace detail {
 
 /// Flags the occupied diagonals of \p A, indexed by Col - Row + (NumRows - 1)

@@ -7,6 +7,8 @@
 #ifndef SMAT_TESTS_TESTUTIL_H
 #define SMAT_TESTS_TESTUTIL_H
 
+#include "core/LearningModel.h"
+#include "core/TuningPipeline.h"
 #include "matrix/FormatConvert.h"
 #include "matrix/Generators.h"
 #include "support/Rng.h"
@@ -59,6 +61,24 @@ inline constexpr bool ThreadSanitized = true;
 #else
 inline constexpr bool ThreadSanitized = false;
 #endif
+
+/// A model that is never confident (threshold above any group confidence),
+/// so every tune that allows measurement races, and every winner that is not
+/// basic CSR is checked. Cheap to build: no training, the default ruleset
+/// and basic kernels are enough to drive the full pipeline.
+inline LearningModel strictModel() {
+  LearningModel Model;
+  Model.ConfidenceThreshold = 2.0;
+  Model.refreshRuleMetadata();
+  return Model;
+}
+
+/// Tune options with a short measurement floor, for test latency.
+inline TuneOptions fastTune() {
+  TuneOptions Opts;
+  Opts.MeasureMinSeconds = 1e-4;
+  return Opts;
+}
 
 /// One matrix of the pinned corpus.
 struct CorpusCase {

@@ -63,12 +63,6 @@ const Smat<double> &sharedTuner() {
   return Tuner;
 }
 
-TuneOptions fastTune() {
-  TuneOptions Opts;
-  Opts.MeasureMinSeconds = 1e-4;
-  return Opts;
-}
-
 /// Measurement-free options: the decision is the (deterministic) model
 /// prediction, so repeated tunes of the same matrix must agree exactly.
 TuneOptions deterministicTune() {

@@ -50,21 +50,6 @@ using namespace smat::test;
 
 namespace {
 
-/// A model that is never confident, so every tune that allows measurement
-/// races and every winner that is not basic CSR is checked.
-LearningModel strictModel() {
-  LearningModel Model;
-  Model.ConfidenceThreshold = 2.0;
-  Model.refreshRuleMetadata();
-  return Model;
-}
-
-TuneOptions fastTune() {
-  TuneOptions Opts;
-  Opts.MeasureMinSeconds = 1e-4;
-  return Opts;
-}
-
 /// Asserts that \p Op computes y = A*x correctly against the dense
 /// reference; works for TunedSpmv and bare FormatOperators alike.
 template <typename OpT>
@@ -180,7 +165,8 @@ TuningReport expectNeverSlower(const Smat<double> &Tuner,
       medianTimingPair(Flnnz, Timing, Basic, Tuned);
   std::printf("%-14s k=%d  tuned/basic %6.3f  overhead %7.1f CSR SpMVs\n",
               Case.Name.c_str(), static_cast<int>(K),
-              TunedGflops / BasicGflops, Op.report().overheadRatio());
+              TunedGflops / BasicGflops,
+              Op.report().TuneSeconds / quickSpmvSeconds(A));
   EXPECT_GE(TunedGflops, BasicGflops * Timing.Floor)
       << Case.Name << ": tuned " << TunedGflops << " GFLOPS vs "
       << (K > 1 ? "basic_x8 " : "basic ") << BasicGflops
@@ -352,7 +338,7 @@ TEST(GuardrailRaceTest, CostModelMaskRestrictsTheRaceToCsr) {
   CostModelDecision CsrOnly;
   CsrOnly.Class = BottleneckClass::ImbalanceBound;
   CsrOnly.Allowed[static_cast<std::size_t>(FormatKind::CSR)] = true;
-  MeasureStageResult M =
+  MeasureStageResult<double> M =
       MeasureStage::run(Ctx, F, FormatKind::CSR, &CsrOnly);
   ASSERT_FALSE(M.Candidates.empty());
   for (const MeasuredCandidate &C : M.Candidates)
@@ -390,8 +376,6 @@ TEST(GuardrailReportTest, ColdRaceRecordsBaselineAndCandidates) {
   for (const CorpusCase &Case : Corpus) {
     TunedSpmv<double> Op = Tuner.tune(Case.A, fastTune());
     const TuningReport &R = Op.report();
-    EXPECT_GT(R.BaselineSeconds, 0.0) << Case.Name;
-    EXPECT_GT(R.CsrSpmvSeconds, 0.0) << Case.Name;
     EXPECT_GE(R.TuneSeconds, 0.0) << Case.Name;
     int Baselines = 0, Raced = 0;
     for (const MeasuredCandidate &C : R.MeasuredCandidates) {
@@ -409,6 +393,8 @@ TEST(GuardrailReportTest, ColdRaceRecordsBaselineAndCandidates) {
         << "winner is already basic (" << formatName(R.ChosenFormat) << ", "
         << R.KernelName << ")";
     EXPECT_EQ(R.BaselineGflops > 0.0, Baselines == 1) << Case.Name;
+    EXPECT_EQ(R.BaselineSeconds > 0.0, Baselines == 1)
+        << Case.Name << ": only the check times basic CSR";
     if (R.GuardrailEngaged) {
       EXPECT_EQ(R.ChosenFormat, FormatKind::CSR) << Case.Name;
       EXPECT_EQ(R.KernelName, kernelTable<double>().Csr[0].Name) << Case.Name;
@@ -447,21 +433,63 @@ TEST(GuardrailReportTest, BatchedCsrPlanWithTunedSpmmIsChecked) {
   EXPECT_GT(R.GuardrailSeconds, 0.0);
 }
 
+namespace {
+
+/// Tunes \p A under a RecordSites pass (a no-op without the fault hooks)
+/// and checks that a tune whose never-slower check did not run times no
+/// basic CSR: it reports no baseline and never reaches the check's basic
+/// side.
+TuningReport expectNoBasicCsrTimed(const Smat<double> &Tuner,
+                                   const CsrMatrix<double> &A,
+                                   const TuneOptions &Opts) {
+  fault::FaultConfig Record;
+  Record.RecordSites = true;
+  FaultScope Scope(Record);
+  TuningReport R = Tuner.tune(A, Opts).report();
+  EXPECT_EQ(R.BaselineSeconds, 0.0);
+  EXPECT_DOUBLE_EQ(R.BaselineGflops, 0.0);
+  const std::vector<std::string> Sites = fault::observedSites();
+  EXPECT_EQ(fault::CompiledIn, !Sites.empty());
+  EXPECT_EQ(std::count(Sites.begin(), Sites.end(), "measure.baseline"), 0);
+  return R;
+}
+
+} // namespace
+
 TEST(GuardrailReportTest, NoMeasureTuneKeepsGuardrailInactive) {
   // The guardrail is a measurement; AllowMeasure=false tunes stay fully
-  // deterministic, so it must not run there.
+  // deterministic, so it must not run there, and nothing else times basic
+  // CSR either.
   CsrMatrix<double> A = powerLawGraph(800, 2.0, 1, 80, 5);
   Smat<double> Tuner(strictModel());
   TuneOptions Opts = fastTune();
   Opts.AllowMeasure = false;
 
-  TunedSpmv<double> First = Tuner.tune(A, Opts);
+  TuningReport First = expectNoBasicCsrTimed(Tuner, A, Opts);
   TunedSpmv<double> Second = Tuner.tune(A, Opts);
-  EXPECT_DOUBLE_EQ(First.report().BaselineGflops, 0.0);
-  EXPECT_FALSE(First.report().GuardrailEngaged);
-  EXPECT_TRUE(First.report().MeasuredCandidates.empty());
-  EXPECT_EQ(First.report().ChosenFormat, Second.report().ChosenFormat);
-  EXPECT_EQ(First.report().KernelName, Second.report().KernelName);
+  EXPECT_FALSE(First.GuardrailEngaged);
+  EXPECT_TRUE(First.MeasuredCandidates.empty());
+  EXPECT_EQ(First.ChosenFormat, Second.report().ChosenFormat);
+  EXPECT_EQ(First.KernelName, Second.report().KernelName);
+}
+
+TEST(GuardrailReportTest, EndorsedConfidentPlanTimesNoBasicCsr) {
+  // The committed model is confident on every pinned matrix and the cost
+  // model endorses each plan, so the check is skipped and the tune times
+  // no basic CSR at either width.
+  std::string Error;
+  std::optional<Smat<double>> Tuner =
+      Smat<double>::tryFromFile(SMAT_TEST_MODEL_PATH, &Error);
+  ASSERT_TRUE(Tuner) << Error;
+  for (const CorpusCase &Case : smokeCorpus())
+    for (index_t K : {index_t(1), index_t(8)}) {
+      SCOPED_TRACE(Case.Name + " k=" + std::to_string(K));
+      TuneOptions Opts;
+      Opts.BatchWidth = K;
+      TuningReport R = expectNoBasicCsrTimed(*Tuner, Case.A, Opts);
+      EXPECT_TRUE(R.ModelConfident);
+      EXPECT_TRUE(R.MeasuredCandidates.empty()) << "the check was skipped";
+    }
 }
 
 TEST(GuardrailReportTest, EngagementCounterMatchesTheReports) {
@@ -512,11 +540,11 @@ void expectCommittedModelGates(index_t K) {
   const NeverSlowerTiming Gate{7, 2e-3, 1.0 - GuardrailNoiseFloor};
   for (const CorpusCase &Case : smokeCorpus()) {
     TuningReport R = expectNeverSlower(*Tuner, Case, TuneOptions(), K, Gate);
-    ASSERT_GT(R.CsrSpmvSeconds, 0.0)
-        << Case.Name << ": the tune measured no overhead unit";
-    EXPECT_LE(R.overheadRatio(), MaxOverheadCsrSpmvs)
+    const double Unit = quickSpmvSeconds(Case.A);
+    ASSERT_GT(Unit, 0.0) << Case.Name << ": no overhead unit measured";
+    EXPECT_LE(R.TuneSeconds / Unit, MaxOverheadCsrSpmvs)
         << Case.Name << " k=" << K << ": tune " << R.TuneSeconds * 1e3
-        << " ms vs one basic CSR SpMV " << R.CsrSpmvSeconds * 1e6 << " us";
+        << " ms vs one basic CSR SpMV " << Unit * 1e6 << " us";
   }
 }
 
@@ -600,7 +628,10 @@ TEST(NeverSlowerFaultTest, RaceSurvivesCooCandidateFault) {
   EXPECT_NE(Op.format(), FormatKind::COO)
       << "a candidate whose measurement faults must not be selected";
   EXPECT_GT(Op.report().DroppedCandidates, 0);
-  EXPECT_GT(Op.report().CsrSpmvSeconds, 0.0)
+  bool CsrTimed = false;
+  for (const MeasuredCandidate &C : Op.report().MeasuredCandidates)
+    CsrTimed = CsrTimed || (C.Format == FormatKind::CSR && C.Gflops > 0.0);
+  EXPECT_TRUE(CsrTimed)
       << "basic CSR timing survives an unrelated candidate fault";
   expectSpmvMatches(Op, A);
 }

@@ -166,8 +166,8 @@ TEST_P(MatrixProperties, BatchedMultiplyMatchesRepeatedApply) {
                         [static_cast<std::size_t>(W)] = 1;
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
                           FormatKind::ELL, FormatKind::BSR}) {
-    auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
-                                 /*CsrKernelOverride=*/-1, /*BatchWidth=*/8);
+    auto Op = bindFormatOperator(A, Kind, Sel, /*CsrKernelOverride=*/-1,
+                                 /*BatchWidth=*/8);
     ASSERT_TRUE(Op);
     SCOPED_TRACE(std::string("requested format ") +
                  std::string(formatName(Kind)) + ", bound " +

@@ -39,23 +39,6 @@ using namespace smat::test;
 
 namespace {
 
-/// A model that is never confident (threshold above any group confidence),
-/// so every tune that allows measurement actually measures. Cheap to build:
-/// no training, the default ruleset and basic kernels are enough to drive
-/// the full pipeline.
-LearningModel strictModel() {
-  LearningModel Model;
-  Model.ConfidenceThreshold = 2.0;
-  Model.refreshRuleMetadata();
-  return Model;
-}
-
-TuneOptions fastTune() {
-  TuneOptions Opts;
-  Opts.MeasureMinSeconds = 1e-4;
-  return Opts;
-}
-
 /// Asserts that \p Op computes y = A*x correctly against the dense
 /// reference — the end-to-end check every degradation rung must pass.
 void expectSpmvMatches(const TunedSpmv<double> &Op, const CsrMatrix<double> &A,
@@ -263,9 +246,13 @@ TEST(DegradationLadderTest, TrainingDropsAFaultedFormat) {
         << formatName(Kind);
 }
 
-TEST(DegradationLadderTest, BasicKernelRung) {
+TEST(DegradationLadderTest, RaceWinnerIsBoundAsTimed) {
   if (!fault::CompiledIn)
     GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  // The race hands its winner to the tune, which binds it as it was timed:
+  // with the full bind failing every time, a racing tune still binds the
+  // winner and takes no rung. An engaged guardrail binds the basic plan its
+  // check timed instead.
   fault::FaultConfig Cfg;
   Cfg.AlwaysSites = {"bind.operator"};
   FaultScope Scope(Cfg);
@@ -273,6 +260,34 @@ TEST(DegradationLadderTest, BasicKernelRung) {
   Smat<double> Tuner(strictModel());
   CsrMatrix<double> A = banded(400, 2);
   auto Result = Tuner.tryTune(A, fastTune());
+  ASSERT_TRUE(Result.ok()) << Result.status().message();
+  const TuningReport &R = Result->report();
+  EXPECT_EQ(R.Degradation, DegradationLevel::None);
+  const MeasuredCandidate *Winner = nullptr;
+  for (const MeasuredCandidate &C : R.MeasuredCandidates)
+    if (C.IsBaseline == R.GuardrailEngaged &&
+        (!Winner || C.Gflops > Winner->Gflops))
+      Winner = &C;
+  ASSERT_NE(Winner, nullptr);
+  EXPECT_EQ(R.ChosenFormat, Winner->Format);
+  EXPECT_EQ(R.KernelName, Winner->Kernel);
+  expectSpmvMatches(*Result, A);
+}
+
+TEST(DegradationLadderTest, BasicKernelRung) {
+  if (!fault::CompiledIn)
+    GTEST_SKIP() << "build with -DSMAT_FAULT_INJECTION=ON";
+  fault::FaultConfig Cfg;
+  Cfg.AlwaysSites = {"bind.operator"};
+  FaultScope Scope(Cfg);
+
+  // Without measurement the unconfident prediction is a plan nothing has
+  // built yet, so it goes down the bind's ladder.
+  Smat<double> Tuner(strictModel());
+  CsrMatrix<double> A = banded(400, 2);
+  TuneOptions Opts = fastTune();
+  Opts.AllowMeasure = false;
+  auto Result = Tuner.tryTune(A, Opts);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   EXPECT_EQ(Result->report().Degradation, DegradationLevel::BasicKernel);
   EXPECT_EQ(Result->format(), FormatKind::CSR)
@@ -296,7 +311,9 @@ TEST(DegradationLadderTest, ReferenceCsrRung) {
 
   Smat<double> Tuner(strictModel());
   CsrMatrix<double> A = banded(400, 2);
-  auto Result = Tuner.tryTune(A, fastTune());
+  TuneOptions Opts = fastTune();
+  Opts.AllowMeasure = false; // Reach the ladder, as in BasicKernelRung.
+  auto Result = Tuner.tryTune(A, Opts);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   EXPECT_EQ(Result->report().Degradation, DegradationLevel::ReferenceCsr);
   EXPECT_EQ(Result->format(), FormatKind::CSR);
@@ -377,7 +394,7 @@ void sweepEverySite(const Smat<double> &Tuner, const CsrMatrix<double> &A,
     Sites = fault::observedSites();
   }
   ASSERT_GE(Sites.size(), 6u) << "the strict-model tune visits at least "
-                                 "feature/predict/measure/bind sites";
+                                 "feature/predict/measure sites";
   // "bind.basic_csr" only executes once "bind.operator" has failed, so the
   // discovery pass cannot see it; cover the rung anyway.
   if (std::find(Sites.begin(), Sites.end(), "bind.basic_csr") == Sites.end())

@@ -39,15 +39,6 @@ using namespace smat::test;
 
 namespace {
 
-/// A model that is never confident, so every cold tune in these tests runs
-/// the full measurement pipeline off-thread (the interesting path).
-LearningModel strictModel() {
-  LearningModel Model;
-  Model.ConfidenceThreshold = 2.0;
-  Model.refreshRuleMetadata();
-  return Model;
-}
-
 /// Service options tuned for test latency: tight (but not degenerate)
 /// measurement floors and watchdog budgets.
 typename TuningService<double>::Options fastServiceOptions() {
@@ -426,7 +417,6 @@ TEST(PlanCacheConcurrencyTest, LookupInsertRacesLruEviction) {
           HitsSeen.fetch_add(1, std::memory_order_relaxed);
         } else if (I % 7 != 0) { // else a tune that cached nothing
           Plan.Format = FormatKind::ELL;
-          Plan.CsrSpmvSeconds = 1e-6;
           Cache.insert(Fp, Plan);
         }
       }

@@ -46,15 +46,6 @@ namespace {
 
 constexpr int NumThreads = 8;
 
-/// Never-confident model: every cache miss pays the full execute-and-measure
-/// path, the longest a tune holds its matrix and the cache apart.
-LearningModel strictModel() {
-  LearningModel Model;
-  Model.ConfidenceThreshold = 2.0;
-  Model.refreshRuleMetadata();
-  return Model;
-}
-
 void expectSpmvMatches(const TunedSpmv<double> &Op, const CsrMatrix<double> &A,
                        std::uint64_t Seed) {
   auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), Seed);
