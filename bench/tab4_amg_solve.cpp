@@ -121,9 +121,11 @@ int main() {
               "numerics are identical); SMAT's solve phase is faster because\n"
               "fine-level stencil operators run in DIA/ELL instead of CSR.\n"
               "Paper speedups: 1.22x (cljp 7pt) and 1.29x (rugeL 9pt) on a\n"
-              "12-core Xeon, parallel Hypre against parallel SMAT. Here the\n"
-              "fixed-CSR backend runs the serial basic kernel, while SMAT's\n"
-              "large level operators run as row slices across the OpenMP\n"
-              "team, so the speedup includes threading (EXPERIMENTS.md).\n");
+              "12-core Xeon, parallel Hypre against parallel SMAT. Here both\n"
+              "backends run the solver's vector work on each level's row\n"
+              "slices across the OpenMP team; the fixed-CSR backend's SpMV\n"
+              "stays the serial basic kernel (csr_basic), while SMAT's large\n"
+              "level operators run as row slices, so the speedup includes\n"
+              "threading the SpMV (EXPERIMENTS.md).\n");
   return 0;
 }

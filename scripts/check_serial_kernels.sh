@@ -4,12 +4,14 @@
 # Part of the SMAT reproduction project.
 #
 # Every kernel under src/kernels is serial: a plan runs it as row slices
-# across the OpenMP team (src/core/FormatOperator.h), which is the only way
-# a plan uses threads. Fails, printing the offending lines, when a file
-# there includes <omp.h>, calls an omp_ runtime function, or uses an OpenMP
-# construct other than `#pragma omp simd`; or when it includes a project
-# header from outside kernels/, matrix/ and support/ (src/core holds the
-# plan's parallel loop and the kernel search, one layer up).
+# through the slice runner (src/support/Slices.h), which is the only way a
+# plan uses threads, and the AMG solver under src/amg reaches threads only
+# through the same runner. Fails, printing the offending lines, when a file
+# under src/kernels includes <omp.h>, calls an omp_ runtime function, or
+# uses an OpenMP construct other than `#pragma omp simd`; when a file under
+# src/amg does any of these, `omp simd` included; or when a file under
+# src/kernels includes a project header from outside kernels/, matrix/ and
+# support/ (src/core holds the plans and the kernel search, one layer up).
 #
 # Usage: scripts/check_serial_kernels.sh
 #
@@ -26,6 +28,10 @@ simd='#[[:space:]]*pragma[[:space:]]+omp[[:space:]]+simd([[:space:]]|$)'
 status=0
 if grep -rnE "${directive}|${call}" src/kernels | grep -vE "${simd}"; then
   echo "src/kernels must stay serial: only '#pragma omp simd' is allowed" >&2
+  status=1
+fi
+if grep -rnE "${directive}|${call}" src/amg; then
+  echo "src/amg runs threads only through runSlices (support/Slices.h)" >&2
   status=1
 fi
 
@@ -52,4 +58,4 @@ fi
 if [ "${status}" -ne 0 ]; then
   exit 1
 fi
-echo "src/kernels: serial"
+echo "src/kernels: serial; src/amg: threads through the slice runner"

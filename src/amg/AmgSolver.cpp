@@ -8,28 +8,45 @@
 
 #include "kernels/KernelRegistry.h"
 #include "matrix/Validate.h"
+#include "support/Slices.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 using namespace smat;
 
 namespace {
 
-double norm2(const double *X, std::size_t N) {
-  double Sum = 0.0;
-  for (std::size_t I = 0; I != N; ++I)
-    Sum += X[I] * X[I];
-  return std::sqrt(Sum);
+using Bounds = std::vector<index_t>;
+
+/// X . Y as per-slice partial sums added in slice order.
+double dot(const Bounds &Slices, const double *X, const double *Y) {
+  return sumSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    double Sum = 0.0;
+    for (index_t I = Begin; I < End; ++I)
+      Sum += X[I] * Y[I];
+    return Sum;
+  });
 }
 
-double dot(const double *X, const double *Y, std::size_t N) {
-  double Sum = 0.0;
-  for (std::size_t I = 0; I != N; ++I)
-    Sum += X[I] * Y[I];
-  return Sum;
+double norm2(const Bounds &Slices, const double *X) {
+  return std::sqrt(dot(Slices, X, X));
+}
+
+/// Y := X on every slice.
+void copySlices(const Bounds &Slices, const double *X, double *Y) {
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    std::copy(X + Begin, X + End, Y + Begin);
+  });
+}
+
+/// X := 0 on every slice.
+void zeroSlices(const Bounds &Slices, double *X) {
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    std::fill(X + Begin, X + End, 0.0);
+  });
 }
 
 /// The FixedCsr backend's operator application: the basic CSR kernel, which
@@ -126,6 +143,7 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
     Bound.InvDiag.resize(Diag.size());
     for (std::size_t I = 0; I != Diag.size(); ++I)
       Bound.InvDiag[I] = Diag[I] != 0.0 ? 1.0 / Diag[I] : 0.0;
+    Bound.Slices = detail::planRowBounds(Level.A, 1);
     std::size_t N = static_cast<std::size_t>(Level.A.NumRows);
     Bound.X.assign(N, 0.0);
     Bound.B.assign(N, 0.0);
@@ -143,46 +161,47 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
 
 void AmgSolver::runVcycle(std::size_t L, const double *B, double *X) const {
   const LevelOps &Bound = Ops[L];
-  const AmgLevel &Level = Hier.level(L);
-  index_t N = Level.A.NumRows;
+  const Bounds &Slices = Bound.Slices;
+  double *Scratch = Bound.Scratch.data();
 
   if (L + 1 == Hier.numLevels()) {
     if (UseCoarseLu) {
-      std::memcpy(X, B, sizeof(double) * static_cast<std::size_t>(N));
+      copySlices(Slices, B, X);
       CoarseLu.solve(X);
     } else {
       // Fall back to heavy smoothing on an oversized coarsest grid.
-      std::memset(X, 0, sizeof(double) * static_cast<std::size_t>(N));
+      zeroSlices(Slices, X);
       for (int Sweep = 0; Sweep < 50; ++Sweep)
-        jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X,
-                    Bound.Scratch.data(), N, Options.JacobiOmega);
+        jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
+                    Options.JacobiOmega);
     }
     return;
   }
 
   // Pre-smoothing.
   for (int Sweep = 0; Sweep < Options.PreSweeps; ++Sweep)
-    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Bound.Scratch.data(), N,
+    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
                 Options.JacobiOmega);
 
   // Restrict the residual.
-  residual(Bound.ApplyA, B, X, Bound.Scratch.data(), N);
+  residual(Bound.ApplyA, B, X, Scratch, Slices);
   const LevelOps &CoarseOps = Ops[L + 1];
-  Bound.ApplyR(Bound.Scratch.data(), CoarseOps.B.data());
+  Bound.ApplyR(Scratch, CoarseOps.B.data());
 
   // Coarse-grid correction.
-  std::memset(CoarseOps.X.data(), 0,
-              sizeof(double) * CoarseOps.X.size());
+  zeroSlices(CoarseOps.Slices, CoarseOps.X.data());
   runVcycle(L + 1, CoarseOps.B.data(), CoarseOps.X.data());
 
   // Prolongate and correct. ApplyP writes a full fine-level vector.
-  Bound.ApplyP(CoarseOps.X.data(), Bound.Scratch.data());
-  for (index_t I = 0; I < N; ++I)
-    X[I] += Bound.Scratch[I];
+  Bound.ApplyP(CoarseOps.X.data(), Scratch);
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    for (index_t I = Begin; I < End; ++I)
+      X[I] += Scratch[I];
+  });
 
   // Post-smoothing.
   for (int Sweep = 0; Sweep < Options.PostSweeps; ++Sweep)
-    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Bound.Scratch.data(), N,
+    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
                 Options.JacobiOmega);
 }
 
@@ -193,9 +212,10 @@ SolveStats AmgSolver::solve(const std::vector<double> &B,
   Stats.SetupSeconds = SetupTime;
   WallTimer Timer;
 
+  const Bounds &Slices = Ops[0].Slices;
   std::size_t N = B.size();
   X.resize(N, 0.0);
-  double BNorm = norm2(B.data(), N);
+  double BNorm = norm2(Slices, B.data());
   if (BNorm == 0.0)
     BNorm = 1.0;
 
@@ -203,9 +223,8 @@ SolveStats AmgSolver::solve(const std::vector<double> &B,
   for (int Iter = 0; Iter < Options.MaxIterations; ++Iter) {
     runVcycle(0, B.data(), X.data());
     ++Stats.Iterations;
-    residual(Ops[0].ApplyA, B.data(), X.data(), R.data(),
-             static_cast<index_t>(N));
-    Stats.RelResidual = norm2(R.data(), N) / BNorm;
+    residual(Ops[0].ApplyA, B.data(), X.data(), R.data(), Slices);
+    Stats.RelResidual = norm2(Slices, R.data()) / BNorm;
     if (Stats.RelResidual <= Options.RelTol) {
       Stats.Converged = true;
       break;
@@ -222,44 +241,63 @@ SolveStats AmgSolver::solvePcg(const std::vector<double> &B,
   Stats.SetupSeconds = SetupTime;
   WallTimer Timer;
 
+  const Bounds &Slices = Ops[0].Slices;
   std::size_t N = B.size();
-  index_t Ni = static_cast<index_t>(N);
   X.assign(N, 0.0);
-  double BNorm = norm2(B.data(), N);
+  double BNorm = norm2(Slices, B.data());
   if (BNorm == 0.0)
     BNorm = 1.0;
 
-  std::vector<double> R(B), Z(N, 0.0), P(N), Ap(N);
+  // X starts at zero, so the first residual is B: a solve that starts
+  // within RelTol (a zero B) takes no iteration.
+  std::vector<double> R(N), Z(N, 0.0), P(N), Ap(N);
+  copySlices(Slices, B.data(), R.data());
+  Stats.RelResidual = norm2(Slices, R.data()) / BNorm;
+  if (Stats.RelResidual <= Options.RelTol) {
+    Stats.Converged = true;
+    Stats.SolveSeconds = Timer.seconds();
+    return Stats;
+  }
+
   // z = M^-1 r via one V-cycle from a zero guess.
   runVcycle(0, R.data(), Z.data());
-  P = Z;
-  double RzOld = dot(R.data(), Z.data(), N);
+  copySlices(Slices, Z.data(), P.data());
+  double RzOld = dot(Slices, R.data(), Z.data());
 
+  double *Xp = X.data(), *Rp = R.data(), *Zp = Z.data(), *Pp = P.data();
+  const double *App = Ap.data();
   for (int Iter = 0; Iter < Options.MaxIterations; ++Iter) {
-    Ops[0].ApplyA(P.data(), Ap.data());
-    double PAp = dot(P.data(), Ap.data(), N);
+    Ops[0].ApplyA(Pp, Ap.data());
+    double PAp = dot(Slices, Pp, App);
     if (PAp == 0.0)
       break;
     double Alpha = RzOld / PAp;
-    for (std::size_t I = 0; I != N; ++I) {
-      X[I] += Alpha * P[I];
-      R[I] -= Alpha * Ap[I];
-    }
+    // x += alpha p and r -= alpha Ap, with |r|^2 summed on the same pass.
+    double RR = sumSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+      double Sum = 0.0;
+      for (index_t I = Begin; I < End; ++I) {
+        Xp[I] += Alpha * Pp[I];
+        Rp[I] -= Alpha * App[I];
+        Sum += Rp[I] * Rp[I];
+      }
+      return Sum;
+    });
     ++Stats.Iterations;
-    Stats.RelResidual = norm2(R.data(), N) / BNorm;
+    Stats.RelResidual = std::sqrt(RR) / BNorm;
     if (Stats.RelResidual <= Options.RelTol) {
       Stats.Converged = true;
       break;
     }
-    std::fill(Z.begin(), Z.end(), 0.0);
-    runVcycle(0, R.data(), Z.data());
-    double RzNew = dot(R.data(), Z.data(), N);
+    zeroSlices(Slices, Zp);
+    runVcycle(0, Rp, Zp);
+    double RzNew = dot(Slices, Rp, Zp);
     double Beta = RzNew / RzOld;
     RzOld = RzNew;
-    for (std::size_t I = 0; I != N; ++I)
-      P[I] = Z[I] + Beta * P[I];
+    runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+      for (index_t I = Begin; I < End; ++I)
+        Pp[I] = Zp[I] + Beta * Pp[I];
+    });
   }
-  (void)Ni;
   Stats.SolveSeconds = Timer.seconds();
   return Stats;
 }

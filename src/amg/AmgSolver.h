@@ -82,6 +82,13 @@ struct LevelFormatInfo {
 
 /// Algebraic multigrid solver (V-cycle; also usable as a PCG
 /// preconditioner through solvePcg).
+///
+/// One solver runs one solve at a time: solve() and solvePcg() are const,
+/// but they write the levels' work vectors, so two threads that solve at
+/// once need a solver each. A solve's vector loops run on the row slices of
+/// the level's plan, and its dot products and norms add per-slice partial
+/// sums in slice order, so its result, bit for bit, and its iteration count
+/// do not depend on the OpenMP team size.
 class AmgSolver {
 public:
   /// Builds the hierarchy from \p A and binds the SpMV backend. \p A is
@@ -126,6 +133,10 @@ private:
   struct LevelOps {
     SpmvFn ApplyA, ApplyP, ApplyR;
     std::vector<double> InvDiag;
+    /// The row bounds a plan of the level's A runs (detail::planRowBounds):
+    /// every vector loop over this level's rows runs on these slices, in
+    /// both backends.
+    std::vector<index_t> Slices;
     // Work vectors sized for this level.
     mutable std::vector<double> X, B, Scratch;
   };

@@ -7,6 +7,7 @@
 #include "amg/Relax.h"
 
 #include "support/Compiler.h"
+#include "support/Slices.h"
 
 #include <cmath>
 
@@ -22,11 +23,14 @@ std::vector<double> smat::extractDiagonal(const CsrMatrix<double> &A) {
 }
 
 void smat::jacobiSweep(const SpmvFn &Spmv, const std::vector<double> &InvDiag,
-                       const double *B, double *X, double *Scratch, index_t N,
-                       double Omega) {
+                       const double *B, double *X, double *Scratch,
+                       const std::vector<index_t> &Slices, double Omega) {
   Spmv(X, Scratch); // Scratch = A*X
-  for (index_t I = 0; I < N; ++I)
-    X[I] += Omega * InvDiag[static_cast<std::size_t>(I)] * (B[I] - Scratch[I]);
+  const double *D = InvDiag.data();
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    for (index_t I = Begin; I < End; ++I)
+      X[I] += Omega * D[I] * (B[I] - Scratch[I]);
+  });
 }
 
 void smat::gaussSeidelSweep(const CsrMatrix<double> &A, const double *B,
@@ -47,10 +51,12 @@ void smat::gaussSeidelSweep(const CsrMatrix<double> &A, const double *B,
 }
 
 void smat::residual(const SpmvFn &Spmv, const double *B, const double *X,
-                    double *R, index_t N) {
+                    double *R, const std::vector<index_t> &Slices) {
   Spmv(X, R); // R = A*X
-  for (index_t I = 0; I < N; ++I)
-    R[I] = B[I] - R[I];
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    for (index_t I = Begin; I < End; ++I)
+      R[I] = B[I] - R[I];
+  });
 }
 
 void DenseLu::factor(const CsrMatrix<double> &A) {

@@ -31,18 +31,21 @@ using SpmvFn = std::function<void(const double *X, double *Y)>;
 std::vector<double> extractDiagonal(const CsrMatrix<double> &A);
 
 /// One weighted-Jacobi sweep: X += Omega * D^-1 * (B - A*X), with the A*X
-/// product supplied by \p Spmv and \p Scratch an N-sized work array.
+/// product supplied by \p Spmv and \p Scratch a work array of A's rows.
+/// The update runs on the row slices \p Slices (0, the cuts, NumRows) side
+/// by side (support/Slices.h).
 void jacobiSweep(const SpmvFn &Spmv, const std::vector<double> &InvDiag,
-                 const double *B, double *X, double *Scratch, index_t N,
-                 double Omega);
+                 const double *B, double *X, double *Scratch,
+                 const std::vector<index_t> &Slices, double Omega);
 
 /// One forward Gauss–Seidel sweep on \p A (used for comparison smoothing;
 /// inherently sequential, no SpMV involved).
 void gaussSeidelSweep(const CsrMatrix<double> &A, const double *B, double *X);
 
-/// Residual R = B - A*X via \p Spmv.
+/// Residual R = B - A*X via \p Spmv, the subtraction running on the row
+/// slices \p Slices side by side.
 void residual(const SpmvFn &Spmv, const double *B, const double *X, double *R,
-              index_t N);
+              const std::vector<index_t> &Slices);
 
 /// Dense LU solver for the coarsest grid.
 class DenseLu {

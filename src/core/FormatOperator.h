@@ -23,8 +23,10 @@
 /// Threads reach a plan only here: every kernel is serial, and a plan of
 /// ParallelConvertGrain nonzeros or more runs as row slices, one per
 /// processor: the one matrix plus nonzero-balanced row bounds, each slice
-/// running the pick's row-range kernel on its rows side by side in one
-/// OpenMP loop; see `bindFormatOperator`.
+/// running the pick's row-range kernel on its rows side by side through the
+/// slice runner (support/Slices.h); see `bindFormatOperator`. The AMG
+/// solver runs its vector loops through the same runner, on the bounds of
+/// each level's plan (`planRowBounds`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,7 @@
 #include "kernels/KernelRegistry.h"
 #include "kernels/Scoreboard.h"
 #include "matrix/FormatConvert.h"
+#include "support/Slices.h"
 
 #include <algorithm>
 #include <cstring>
@@ -94,10 +97,10 @@ public:
 ///
 /// The operator also holds row bounds that cut the matrix into slices (one
 /// slice by default). apply() and multiply() run their kernel on every slice
-/// in one OpenMP parallel loop, each slice writing only its own rows of y,
-/// when the kernel runs sliced (runsSliced); otherwise they make one
-/// whole-matrix call. Either way the matrix is the same one: a slice is a
-/// row range, never a copy.
+/// through runSlices, each slice writing only its own rows of y, when the
+/// kernel runs sliced (runsSliced); otherwise they make one whole-matrix
+/// call. Either way the matrix is the same one: a slice is a row range,
+/// never a copy.
 template <template <typename> class MatrixT, typename T>
 class BoundOperator final : public FormatOperator<T> {
 public:
@@ -130,10 +133,9 @@ public:
       Spmv(*A, X, Y);
       return;
     }
-    const auto N = static_cast<index_t>(Bounds.size() - 1);
-#pragma omp parallel for schedule(static)
-    for (index_t S = 0; S < N; ++S)
-      Spmv(*A, Bounds[S], Bounds[S + 1], X, Y);
+    runSlices(Bounds, [this, X, Y](index_t, index_t Begin, index_t End) {
+      Spmv(*A, Begin, End, X, Y);
+    });
   }
 
   void multiply(const T *X, T *Y, index_t K) const override {
@@ -142,10 +144,9 @@ public:
         Spmm(*A, X, Y, K);
         return;
       }
-      const auto N = static_cast<index_t>(Bounds.size() - 1);
-#pragma omp parallel for schedule(static)
-      for (index_t S = 0; S < N; ++S)
-        Spmm(*A, Bounds[S], Bounds[S + 1], X, Y, K);
+      runSlices(Bounds, [this, X, Y, K](index_t, index_t Begin, index_t End) {
+        Spmm(*A, Begin, End, X, Y, K);
+      });
       return;
     }
     if (K == 1) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace smat;
 using namespace smat::test;
@@ -231,15 +232,16 @@ TEST(RelaxTest, JacobiReducesResidual) {
   };
   std::size_t N = static_cast<std::size_t>(A.NumRows);
   std::vector<double> B(N, 1.0), X(N, 0.0), Scratch(N), R(N);
+  const std::vector<index_t> Slices = {0, 37, A.NumRows};
 
-  residual(Apply, B.data(), X.data(), R.data(), A.NumRows);
+  residual(Apply, B.data(), X.data(), R.data(), Slices);
   double R0 = 0;
   for (double V : R)
     R0 += V * V;
   for (int Sweep = 0; Sweep < 20; ++Sweep)
-    jacobiSweep(Apply, InvDiag, B.data(), X.data(), Scratch.data(), A.NumRows,
+    jacobiSweep(Apply, InvDiag, B.data(), X.data(), Scratch.data(), Slices,
                 2.0 / 3.0);
-  residual(Apply, B.data(), X.data(), R.data(), A.NumRows);
+  residual(Apply, B.data(), X.data(), R.data(), Slices);
   double R1 = 0;
   for (double V : R)
     R1 += V * V;
@@ -253,13 +255,14 @@ TEST(RelaxTest, GaussSeidelReducesResidual) {
   SpmvFn Apply = [&A](const double *Xv, double *Yv) {
     kernelTable<double>().Csr.front().Fn(A, Xv, Yv);
   };
-  residual(Apply, B.data(), X.data(), R.data(), A.NumRows);
+  const std::vector<index_t> Slices = {0, A.NumRows};
+  residual(Apply, B.data(), X.data(), R.data(), Slices);
   double R0 = 0;
   for (double V : R)
     R0 += V * V;
   for (int Sweep = 0; Sweep < 10; ++Sweep)
     gaussSeidelSweep(A, B.data(), X.data());
-  residual(Apply, B.data(), X.data(), R.data(), A.NumRows);
+  residual(Apply, B.data(), X.data(), R.data(), Slices);
   double R1 = 0;
   for (double V : R)
     R1 += V * V;
@@ -420,6 +423,16 @@ TEST(AmgSolverTest, ZeroRhsConvergesImmediately) {
   EXPECT_TRUE(Stats.Converged);
   for (double V : X)
     EXPECT_NEAR(V, 0.0, 1e-10);
+
+  // PCG starts from X = 0, which already solves a zero B.
+  std::vector<double> Xp(3, 1.0);
+  SolveStats Pcg = Solver.solvePcg(B, Xp);
+  EXPECT_TRUE(Pcg.Converged);
+  EXPECT_EQ(Pcg.Iterations, 0);
+  EXPECT_EQ(Pcg.RelResidual, 0.0);
+  ASSERT_EQ(Xp.size(), B.size());
+  for (double V : Xp)
+    EXPECT_EQ(V, 0.0);
 }
 
 TEST(AmgSolverTest, AnisotropicProblemStillConverges) {
@@ -487,9 +500,12 @@ TEST(HierarchyTest, GalerkinDropToleranceSparsifies) {
 }
 
 TEST(AmgSolverTest, SmatBackendSlicedFineLevelKeepsIterationCount) {
-  // The fine operator (860k nonzeros) binds DIA as row slices; a setup on a
-  // one-thread team, as the serial service worker binds, gives the same
-  // slices, and the PCG solve takes as many iterations with either.
+  // The fine operator (860k nonzeros) runs as row slices: under the Smat
+  // backend it binds DIA as a sliced plan, and under either backend the
+  // solver's vector loops run on its slices with slice-ordered dot
+  // products. A setup and solve on a one-thread team, as the serial service
+  // worker binds, gives the same slices, so the PCG solve takes as many
+  // iterations and returns the same bits as on the default team.
   LearningModel Model;
   Model.Rules.DefaultFormat = FormatKind::DIA;
   Model.Rules.DefaultConfidence = 1.0;
@@ -497,29 +513,43 @@ TEST(AmgSolverTest, SmatBackendSlicedFineLevelKeepsIterationCount) {
   const Smat<double> Tuner(Model);
   CsrMatrix<double> A = laplace3d7pt(50, 50, 50);
   ASSERT_GE(A.nnz(), ParallelConvertGrain);
-  AmgOptions Opts;
-  Opts.Hierarchy.Coarsening = CoarsenKind::Cljp;
-  Opts.Backend = SpmvBackendKind::Smat;
-  Opts.Tuner = &Tuner;
-  Opts.Tune.AllowMeasure = false; // The model's answer, no timing override.
   auto B = randomVector<double>(static_cast<std::size_t>(A.NumRows), 29);
 
-  auto SetupAndSolve = [&] {
-    AmgSolver Solver;
-    Solver.setup(A, Opts);
-    EXPECT_EQ(Solver.formatDecisions().front().Format, FormatKind::DIA);
-    std::vector<double> X;
-    return Solver.solvePcg(B, X);
-  };
-  SolveStats Sliced = SetupAndSolve();
-  SolveStats One;
-  {
-    OmpThreadsScope Serial(1);
-    One = SetupAndSolve();
+  for (SpmvBackendKind Backend :
+       {SpmvBackendKind::Smat, SpmvBackendKind::FixedCsr}) {
+    SCOPED_TRACE(Backend == SpmvBackendKind::Smat ? "Smat" : "FixedCsr");
+    AmgOptions Opts;
+    Opts.Hierarchy.Coarsening = CoarsenKind::Cljp;
+    Opts.Backend = Backend;
+    if (Backend == SpmvBackendKind::Smat) {
+      Opts.Tuner = &Tuner;
+      Opts.Tune.AllowMeasure = false; // The model's answer, no timing.
+    }
+    auto SetupAndSolve = [&](std::vector<double> &X) {
+      AmgSolver Solver;
+      Solver.setup(A, Opts);
+      EXPECT_EQ(Solver.formatDecisions().front().Format,
+                Backend == SpmvBackendKind::Smat ? FormatKind::DIA
+                                                 : FormatKind::CSR);
+      return Solver.solvePcg(B, X);
+    };
+    std::vector<double> XSliced, XOne;
+    SolveStats Sliced = SetupAndSolve(XSliced);
+    SolveStats One;
+    {
+      OmpThreadsScope Serial(1);
+      One = SetupAndSolve(XOne);
+    }
+    ASSERT_TRUE(Sliced.Converged);
+    ASSERT_TRUE(One.Converged);
+    EXPECT_EQ(Sliced.Iterations, One.Iterations);
+    EXPECT_EQ(Sliced.RelResidual, One.RelResidual);
+    ASSERT_EQ(XSliced.size(), XOne.size());
+    EXPECT_EQ(std::memcmp(XSliced.data(), XOne.data(),
+                          XSliced.size() * sizeof(double)),
+              0)
+        << "the solution's bits depend on the team size";
   }
-  ASSERT_TRUE(Sliced.Converged);
-  ASSERT_TRUE(One.Converged);
-  EXPECT_EQ(Sliced.Iterations, One.Iterations);
 }
 
 TEST(AmgSolverTest, FormatDecisionsRecorded) {

@@ -6,16 +6,20 @@
 
 #include "support/AlignedAlloc.h"
 #include "support/Rng.h"
+#include "support/Slices.h"
 #include "support/Stats.h"
 #include "support/Str.h"
 #include "support/Table.h"
 #include "support/Timer.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -248,6 +252,44 @@ TEST(TimerTest, SpmvGflopsFormula) {
   // 1e9 nonzeros in 2 seconds = 1 GFLOP/s (2 flops per nonzero).
   EXPECT_DOUBLE_EQ(spmvGflops(1000000000ull, 2.0), 1.0);
   EXPECT_DOUBLE_EQ(spmvGflops(100, 0.0), 0.0);
+}
+
+// --- Slices ------------------------------------------------------------------
+
+TEST(SlicesTest, RunsEverySliceOnce) {
+  const std::vector<int> Bounds = {0, 3, 7, 10, 16};
+  std::vector<int> Hits(16, 0), Seen(4, -1);
+  runSlices(Bounds, [&](int S, int Begin, int End) {
+    Seen[static_cast<std::size_t>(S)] = Begin;
+    for (int I = Begin; I < End; ++I)
+      ++Hits[static_cast<std::size_t>(I)];
+  });
+  EXPECT_EQ(Seen, std::vector<int>({0, 3, 7, 10}));
+  EXPECT_EQ(Hits, std::vector<int>(16, 1));
+}
+
+TEST(SlicesTest, OneSliceRunsOnTheCallingThread) {
+  std::thread::id Ran;
+  runSlices(std::vector<int>{0, 5},
+            [&](int, int, int) { Ran = std::this_thread::get_id(); });
+  EXPECT_EQ(Ran, std::this_thread::get_id());
+}
+
+TEST(SlicesTest, SumAddsPartialsInSliceOrderOnAnyTeam) {
+  // Partials whose floating-point sum depends on the order they are added.
+  const std::vector<double> Partials = {1e16, 1.0, -1e16, 1.0};
+  const std::vector<int> Bounds = {0, 1, 2, 3, 4};
+  auto Sum = [&] {
+    return sumSlices(Bounds, [&](int S, int, int) {
+      return Partials[static_cast<std::size_t>(S)];
+    });
+  };
+  volatile double Acc = 0.0;
+  for (double P : Partials)
+    Acc = Acc + P;
+  EXPECT_EQ(Sum(), Acc);
+  test::OmpThreadsScope Serial(1);
+  EXPECT_EQ(Sum(), Acc);
 }
 
 // --- AsciiTable --------------------------------------------------------------
