@@ -148,7 +148,7 @@ void measure(const char *Title, std::vector<Point> &Points, int Calls) {
 
 int main(int Argc, char **Argv) {
   const int Calls = Argc > 1 ? std::max(1, std::atoi(Argv[1])) : 200;
-  const index_t Parts = detail::planSliceCount();
+  const index_t Parts = planSliceCount();
   std::printf("micro_slice_grain: %d calls per point, %d slices, grain %lld "
               "nonzeros\n",
               Calls, static_cast<int>(Parts),

@@ -3,9 +3,11 @@
 #
 # Part of the SMAT reproduction project.
 #
-# Checks that the kernels stay serial (scripts/check_serial_kernels.sh),
-# runs the tier-1 test suite across five build configurations, then builds
-# and self-tests the repository benchmark:
+# Checks that the kernels stay serial and that the AMG solver, feature
+# extraction and the format conversions reach threads only through the
+# slice runner (scripts/check_serial_kernels.sh), runs the tier-1 test suite
+# across five build configurations, then builds and self-tests the
+# repository benchmark:
 #
 #   build        default flags, full tier-1 suite
 #   build-asan   SMAT_SANITIZE=ON (ASan + UBSan), full tier-1 suite — the
@@ -62,7 +64,7 @@ run_pass() {
    ctest --output-on-failure -j "$(nproc)" -L "${label}")
 }
 
-echo "=== check: src/kernels stay serial ==="
+echo "=== check: src/kernels stay serial, threads only through the runner ==="
 scripts/check_serial_kernels.sh
 
 run_pass build "${TIER1_LABEL}"

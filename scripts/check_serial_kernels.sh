@@ -5,13 +5,15 @@
 #
 # Every kernel under src/kernels is serial: a plan runs it as row slices
 # through the slice runner (src/support/Slices.h), which is the only way a
-# plan uses threads, and the AMG solver under src/amg reaches threads only
+# plan uses threads, and the AMG solver (src/amg), feature extraction
+# (src/features) and the format conversions (src/matrix) reach threads only
 # through the same runner. Fails, printing the offending lines, when a file
 # under src/kernels includes <omp.h>, calls an omp_ runtime function, or
 # uses an OpenMP construct other than `#pragma omp simd`; when a file under
-# src/amg does any of these, `omp simd` included; or when a file under
-# src/kernels includes a project header from outside kernels/, matrix/ and
-# support/ (src/core holds the plans and the kernel search, one layer up).
+# src/amg, src/features or src/matrix does any of these, `omp simd`
+# included; or when a file under src/kernels includes a project header from
+# outside kernels/, matrix/ and support/ (src/core holds the plans and the
+# kernel search, one layer up).
 #
 # Usage: scripts/check_serial_kernels.sh
 #
@@ -30,8 +32,9 @@ if grep -rnE "${directive}|${call}" src/kernels | grep -vE "${simd}"; then
   echo "src/kernels must stay serial: only '#pragma omp simd' is allowed" >&2
   status=1
 fi
-if grep -rnE "${directive}|${call}" src/amg; then
-  echo "src/amg runs threads only through runSlices (support/Slices.h)" >&2
+if grep -rnE "${directive}|${call}" src/amg src/features src/matrix; then
+  echo "src/amg, src/features and src/matrix run threads only through" \
+    "runSlices (support/Slices.h)" >&2
   status=1
 fi
 
@@ -58,4 +61,5 @@ fi
 if [ "${status}" -ne 0 ]; then
   exit 1
 fi
-echo "src/kernels: serial; src/amg: threads through the slice runner"
+echo "src/kernels: serial; src/amg, src/features, src/matrix: threads" \
+  "through the slice runner"

@@ -143,7 +143,7 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
     Bound.InvDiag.resize(Diag.size());
     for (std::size_t I = 0; I != Diag.size(); ++I)
       Bound.InvDiag[I] = Diag[I] != 0.0 ? 1.0 / Diag[I] : 0.0;
-    Bound.Slices = detail::planRowBounds(Level.A, 1);
+    Bound.Slices = planRowBounds(Level.A, 1);
     std::size_t N = static_cast<std::size_t>(Level.A.NumRows);
     Bound.X.assign(N, 0.0);
     Bound.B.assign(N, 0.0);
@@ -159,10 +159,28 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
   SetupTime = Timer.seconds();
 }
 
-void AmgSolver::runVcycle(std::size_t L, const double *B, double *X) const {
+void AmgSolver::runVcycle(std::size_t L, const double *B, double *X,
+                          bool ZeroGuess) const {
   const LevelOps &Bound = Ops[L];
   const Bounds &Slices = Bound.Slices;
   double *Scratch = Bound.Scratch.data();
+  const double Omega = Options.JacobiOmega;
+
+  // Smooths Sweeps times from X, or from zero when ZeroGuess: the first
+  // sweep from zero skips the product A*0.
+  auto Smooth = [&](int Sweeps) {
+    int Sweep = 0;
+    if (ZeroGuess) {
+      if (Sweeps == 0) {
+        zeroSlices(Slices, X);
+        return;
+      }
+      jacobiSweepFromZero(Bound.InvDiag, B, X, Slices, Omega);
+      Sweep = 1;
+    }
+    for (; Sweep < Sweeps; ++Sweep)
+      jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices, Omega);
+  };
 
   if (L + 1 == Hier.numLevels()) {
     if (UseCoarseLu) {
@@ -170,27 +188,21 @@ void AmgSolver::runVcycle(std::size_t L, const double *B, double *X) const {
       CoarseLu.solve(X);
     } else {
       // Fall back to heavy smoothing on an oversized coarsest grid.
-      zeroSlices(Slices, X);
-      for (int Sweep = 0; Sweep < 50; ++Sweep)
-        jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
-                    Options.JacobiOmega);
+      Smooth(50);
     }
     return;
   }
 
   // Pre-smoothing.
-  for (int Sweep = 0; Sweep < Options.PreSweeps; ++Sweep)
-    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
-                Options.JacobiOmega);
+  Smooth(Options.PreSweeps);
 
   // Restrict the residual.
   residual(Bound.ApplyA, B, X, Scratch, Slices);
   const LevelOps &CoarseOps = Ops[L + 1];
   Bound.ApplyR(Scratch, CoarseOps.B.data());
 
-  // Coarse-grid correction.
-  zeroSlices(CoarseOps.Slices, CoarseOps.X.data());
-  runVcycle(L + 1, CoarseOps.B.data(), CoarseOps.X.data());
+  // Coarse-grid correction from a zero guess.
+  runVcycle(L + 1, CoarseOps.B.data(), CoarseOps.X.data(), true);
 
   // Prolongate and correct. ApplyP writes a full fine-level vector.
   Bound.ApplyP(CoarseOps.X.data(), Scratch);
@@ -201,8 +213,7 @@ void AmgSolver::runVcycle(std::size_t L, const double *B, double *X) const {
 
   // Post-smoothing.
   for (int Sweep = 0; Sweep < Options.PostSweeps; ++Sweep)
-    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
-                Options.JacobiOmega);
+    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices, Omega);
 }
 
 SolveStats AmgSolver::solve(const std::vector<double> &B,
@@ -221,7 +232,7 @@ SolveStats AmgSolver::solve(const std::vector<double> &B,
 
   std::vector<double> R(N);
   for (int Iter = 0; Iter < Options.MaxIterations; ++Iter) {
-    runVcycle(0, B.data(), X.data());
+    runVcycle(0, B.data(), X.data(), false);
     ++Stats.Iterations;
     residual(Ops[0].ApplyA, B.data(), X.data(), R.data(), Slices);
     Stats.RelResidual = norm2(Slices, R.data()) / BNorm;
@@ -250,7 +261,7 @@ SolveStats AmgSolver::solvePcg(const std::vector<double> &B,
 
   // X starts at zero, so the first residual is B: a solve that starts
   // within RelTol (a zero B) takes no iteration.
-  std::vector<double> R(N), Z(N, 0.0), P(N), Ap(N);
+  std::vector<double> R(N), Z(N), P(N), Ap(N);
   copySlices(Slices, B.data(), R.data());
   Stats.RelResidual = norm2(Slices, R.data()) / BNorm;
   if (Stats.RelResidual <= Options.RelTol) {
@@ -260,7 +271,7 @@ SolveStats AmgSolver::solvePcg(const std::vector<double> &B,
   }
 
   // z = M^-1 r via one V-cycle from a zero guess.
-  runVcycle(0, R.data(), Z.data());
+  runVcycle(0, R.data(), Z.data(), true);
   copySlices(Slices, Z.data(), P.data());
   double RzOld = dot(Slices, R.data(), Z.data());
 
@@ -288,8 +299,7 @@ SolveStats AmgSolver::solvePcg(const std::vector<double> &B,
       Stats.Converged = true;
       break;
     }
-    zeroSlices(Slices, Zp);
-    runVcycle(0, Rp, Zp);
+    runVcycle(0, Rp, Zp, true);
     double RzNew = dot(Slices, Rp, Zp);
     double Beta = RzNew / RzOld;
     RzOld = RzNew;

@@ -133,7 +133,7 @@ private:
   struct LevelOps {
     SpmvFn ApplyA, ApplyP, ApplyR;
     std::vector<double> InvDiag;
-    /// The row bounds a plan of the level's A runs (detail::planRowBounds):
+    /// The row bounds a plan of the level's A runs (planRowBounds):
     /// every vector loop over this level's rows runs on these slices, in
     /// both backends.
     std::vector<index_t> Slices;
@@ -144,7 +144,11 @@ private:
   /// The build behind the validated boundary; assumes well-formed input.
   void setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts);
 
-  void runVcycle(std::size_t L, const double *B, double *X) const;
+  /// One V-cycle on level \p L for A*X = B. \p X holds the initial guess,
+  /// or, when \p ZeroGuess, is treated as zero: its first smoothing sweep
+  /// then skips the product A*0 (jacobiSweepFromZero).
+  void runVcycle(std::size_t L, const double *B, double *X,
+                 bool ZeroGuess) const;
 
   AmgHierarchy Hier;
   AmgOptions Options;

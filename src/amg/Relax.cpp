@@ -33,6 +33,17 @@ void smat::jacobiSweep(const SpmvFn &Spmv, const std::vector<double> &InvDiag,
   });
 }
 
+void smat::jacobiSweepFromZero(const std::vector<double> &InvDiag,
+                               const double *B, double *X,
+                               const std::vector<index_t> &Slices,
+                               double Omega) {
+  const double *D = InvDiag.data();
+  runSlices(Slices, [=](index_t, index_t Begin, index_t End) {
+    for (index_t I = Begin; I < End; ++I)
+      X[I] = 0.0 + Omega * D[I] * (B[I] - 0.0);
+  });
+}
+
 void smat::gaussSeidelSweep(const CsrMatrix<double> &A, const double *B,
                             double *X) {
   for (index_t Row = 0; Row < A.NumRows; ++Row) {

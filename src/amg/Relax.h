@@ -38,6 +38,14 @@ void jacobiSweep(const SpmvFn &Spmv, const std::vector<double> &InvDiag,
                  const double *B, double *X, double *Scratch,
                  const std::vector<index_t> &Slices, double Omega);
 
+/// The weighted-Jacobi sweep from X = 0: X = Omega * D^-1 * B, written
+/// with jacobiSweep's expression for X = 0 and A*X = 0, so X holds the bits
+/// jacobiSweep gives from a zeroed X, without the product. \p X's contents
+/// are ignored.
+void jacobiSweepFromZero(const std::vector<double> &InvDiag, const double *B,
+                         double *X, const std::vector<index_t> &Slices,
+                         double Omega);
+
 /// One forward Gauss–Seidel sweep on \p A (used for comparison smoothing;
 /// inherently sequential, no SpMV involved).
 void gaussSeidelSweep(const CsrMatrix<double> &A, const double *B, double *X);

@@ -26,7 +26,9 @@
 /// running the pick's row-range kernel on its rows side by side through the
 /// slice runner (support/Slices.h); see `bindFormatOperator`. The AMG
 /// solver runs its vector loops through the same runner, on the bounds of
-/// each level's plan (`planRowBounds`).
+/// each level's plan, and feature extraction and the conversions run on it
+/// too; all of them cut their slices with `planRowBounds`
+/// (matrix/FormatConvert.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +46,6 @@
 #include <optional>
 #include <utility>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace smat {
 
@@ -215,28 +213,6 @@ private:
 };
 
 namespace detail {
-
-/// \returns how many row slices a plan above the grain runs as: one per
-/// processor the process may use, whichever thread binds it, so a plan the
-/// serial tuning-service worker binds slices for its callers too. 1 without
-/// OpenMP.
-inline index_t planSliceCount() {
-#ifdef _OPENMP
-  return static_cast<index_t>(omp_get_num_procs());
-#else
-  return 1;
-#endif
-}
-
-/// The slice bounds a plan of \p A runs as: planSliceCount() slices of
-/// near-equal nonzero counts, cut on multiples of \p Align rows, once \p A
-/// has ParallelConvertGrain nonzeros; one slice below that.
-template <typename T>
-std::vector<index_t> planRowBounds(const CsrMatrix<T> &A, index_t Align) {
-  return balancedRowBounds(
-      A, A.nnz() >= ParallelConvertGrain ? planSliceCount() : index_t(1),
-      Align);
-}
 
 /// Binds the CSR kernels \p K and \p M to the borrowed \p A as
 /// planRowBounds slices.

@@ -6,14 +6,14 @@
 
 #include "features/FeatureExtractor.h"
 
-#include "support/Compiler.h"
 #include "matrix/FormatConvert.h"
+#include "support/Compiler.h"
+#include "support/Slices.h"
 #include "support/Stats.h"
 #include "support/Str.h"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 using namespace smat;
 
@@ -67,66 +67,36 @@ FeatureVector smat::extractStructureFeatures(const CsrMatrix<T> &A) {
     return F;
   }
 
-  // Single pass: per-row degrees and the per-diagonal occupancy histogram
-  // (the paper counts diagonals and nonzero distribution together to avoid
-  // a second traversal). Matrices below ParallelConvertGrain take the serial
-  // path so small-matrix features (and the plan-cache fingerprints derived
-  // from them) stay bit-identical to the historical serial extraction.
-  std::vector<index_t> DiagCount(
-      static_cast<std::size_t>(A.NumRows) + static_cast<std::size_t>(A.NumCols),
-      0);
-  double SumDeg = 0, MaxDeg = 0;
-  if (A.nnz() <= ParallelConvertGrain) {
-    for (index_t Row = 0; Row < A.NumRows; ++Row) {
-      index_t Deg = A.rowDegree(Row);
-      SumDeg += Deg;
-      MaxDeg = std::max(MaxDeg, static_cast<double>(Deg));
-      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
-        ++DiagCount[static_cast<std::size_t>(A.ColIdx[I]) - Row + A.NumRows -
-                    1];
+  // Nonzero distribution, from RowPtr. The degrees sum to NNZ; the
+  // variance runs on the planRowBounds slices and adds their partials in
+  // slice order, so it does not depend on the team size, and a matrix below
+  // the grain (one slice) sums its rows in row order.
+  F.AverRd = F.Nnz / F.M;
+  F.MaxRd = static_cast<double>(maxRowDegree(A));
+  const double AverRd = F.AverRd;
+  auto SquaredDeviations = [&A, AverRd](index_t, index_t Begin, index_t End) {
+    double Sum = 0;
+    for (index_t Row = Begin; Row < End; ++Row) {
+      double Delta = static_cast<double>(A.rowDegree(Row)) - AverRd;
+      Sum += Delta * Delta;
     }
-  } else {
-    // Degree sums are integer-valued doubles (exact in any order); the
-    // histogram slots take atomic increments since distinct rows can share a
-    // diagonal.
-#pragma omp parallel for schedule(static)                                      \
-    reduction(+ : SumDeg) reduction(max : MaxDeg)
-    for (index_t Row = 0; Row < A.NumRows; ++Row) {
-      index_t Deg = A.rowDegree(Row);
-      SumDeg += Deg;
-      MaxDeg = std::max(MaxDeg, static_cast<double>(Deg));
-      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-        std::size_t Slot =
-            static_cast<std::size_t>(A.ColIdx[I]) - Row + A.NumRows - 1;
-#pragma omp atomic
-        ++DiagCount[Slot];
-      }
-    }
-  }
-  F.AverRd = SumDeg / F.M;
-  F.MaxRd = MaxDeg;
-
-  double VarSum = 0;
-#pragma omp parallel for schedule(static) reduction(+ : VarSum)                \
-    if (A.nnz() > ParallelConvertGrain)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    double Delta = static_cast<double>(A.rowDegree(Row)) - F.AverRd;
-    VarSum += Delta * Delta;
-  }
-  F.VarRd = VarSum / F.M;
+    return Sum;
+  };
+  F.VarRd = sumSlices(planRowBounds(A, 1), SquaredDeviations) / F.M;
 
   // Diagonal situation: Ndiags and the "true diagonal" ratio. A diagonal is
   // "true" when it is mostly occupied (>= TrueDiagOccupancy of its length).
+  // The per-diagonal counts are csrToDia's (per-slice partials).
+  const DiagonalCounts Diags = countDiagonals(A);
   index_t Ndiags = 0, TrueDiags = 0;
-  for (std::size_t Slot = 0; Slot != DiagCount.size(); ++Slot) {
-    if (DiagCount[Slot] == 0)
+  for (std::size_t I = 0; I != Diags.Counts.size(); ++I) {
+    if (Diags.Counts[I] == 0)
       continue;
     ++Ndiags;
-    index_t Offset =
-        static_cast<index_t>(Slot) - (A.NumRows - 1);
+    index_t Offset = Diags.First + static_cast<index_t>(I);
     index_t Length = std::min(A.NumRows, A.NumCols - Offset) -
                      std::max(index_t(0), -Offset);
-    if (Length > 0 && static_cast<double>(DiagCount[Slot]) >=
+    if (Length > 0 && static_cast<double>(Diags.Counts[I]) >=
                           TrueDiagOccupancy * static_cast<double>(Length))
       ++TrueDiags;
   }
@@ -154,25 +124,28 @@ void smat::extractPowerLawFeature(const CsrMatrix<T> &A,
   if (A.NumRows == 0 || A.nnz() == 0)
     return;
 
-  // Degree histogram P(k): count of rows with degree k (k >= 1).
-  std::map<index_t, double> Histogram;
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    index_t Deg = A.rowDegree(Row);
-    if (Deg >= 1)
-      ++Histogram[Deg];
+  // Degree histogram P(k): Count[k] rows of degree k (no degree exceeds
+  // max_RD, which is at most NNZ).
+  std::vector<index_t> Count(static_cast<std::size_t>(maxRowDegree(A)) + 1,
+                             0);
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    ++Count[static_cast<std::size_t>(A.rowDegree(Row))];
+
+  // The (k, P(k)) pairs for k >= 1, in ascending k.
+  std::vector<double> LogK, LogP;
+  double Rows = static_cast<double>(A.NumRows);
+  for (std::size_t Deg = 1; Deg < Count.size(); ++Deg) {
+    if (Count[Deg] == 0)
+      continue;
+    LogK.push_back(std::log(static_cast<double>(Deg)));
+    LogP.push_back(std::log(static_cast<double>(Count[Deg]) / Rows));
   }
   // A power law needs a spread of degrees; near-regular matrices have no
   // scale-free structure at all -> "inf", exactly like the paper's t2d_q9
   // training record.
-  if (Histogram.size() < 3)
+  if (LogK.size() < 3)
     return;
 
-  std::vector<double> LogK, LogP;
-  double Rows = static_cast<double>(A.NumRows);
-  for (const auto &[Deg, Count] : Histogram) {
-    LogK.push_back(std::log(static_cast<double>(Deg)));
-    LogP.push_back(std::log(Count / Rows));
-  }
   double Slope = 0, Intercept = 0;
   if (!leastSquaresFit(LogK, LogP, Slope, Intercept))
     return;

@@ -8,11 +8,15 @@
 /// Extraction of the 11 sparse-structure feature parameters of paper
 /// Table 2. Per paper Section 6, extraction is split into two independent
 /// steps so the runtime can stop early:
-///   step 1 — one pass over the matrix computing the DIA/ELL/CSR parameters
-///            (dimensions, nonzero distribution, diagonal situation, fill
-///            ratios);
+///   step 1 — the DIA/ELL/CSR parameters (dimensions, nonzero distribution,
+///            diagonal situation, fill ratios), from RowPtr and the
+///            per-diagonal counts csrToDia uses (countDiagonals);
 ///   step 2 — the power-law exponent R for COO, computed lazily because the
 ///            degree-distribution fit is comparatively expensive.
+/// Above the grain step 1 runs on the planRowBounds row slices through the
+/// slice runner (support/Slices.h), each reduction adding its slice
+/// partials in slice order, so the features do not depend on the team size;
+/// below it, it runs on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,8 +96,9 @@ struct FeatureVector {
 /// (paper Section 4: "occupied mostly with non-zeros").
 inline constexpr double TrueDiagOccupancy = 0.6;
 
-/// Step 1: extracts every parameter except R in one matrix traversal.
-/// R is left at FeatureInf.
+/// Step 1: extracts every parameter except R. R is left at FeatureInf. Its
+/// partials are allocated on the calling thread, so an allocation failure
+/// throws here, never inside a parallel region.
 template <typename T>
 FeatureVector extractStructureFeatures(const CsrMatrix<T> &A);
 

@@ -23,6 +23,7 @@
 #include "matrix/EllMatrix.h"
 #include "matrix/Validate.h"
 #include "support/FaultInjection.h"
+#include "support/Slices.h"
 
 #include <algorithm>
 #include <limits>
@@ -47,15 +48,58 @@ inline constexpr double DefaultBsrMaxFillRatio = 1.5;
 /// attempting a multi-terabyte allocation.
 inline constexpr std::int64_t MaxConvertedElements = std::int64_t(1) << 31;
 
-/// The grain: the nonzero count below which nothing forks an OpenMP team.
-/// The converters stay serial below it (forking a team for a matrix this
-/// small costs more than the scan itself, and the serial path keeps
-/// small-matrix conversions bit-for-bit reproducible across thread counts;
-/// plan-cache fingerprints hash converted features), and a plan runs as row
-/// slices from it on (core/FormatOperator.h). With one team in the process
+/// The grain: the nonzero count from which work on a matrix runs as row
+/// slices side by side (planRowBounds). Below it every sliced path is one
+/// slice, run inline on the calling thread, so nothing forks an OpenMP team
+/// (forking a team for a matrix this small costs more than the work). A
+/// plan runs as row slices from it on (core/FormatOperator.h), and so do
+/// feature extraction and the conversions. With one team in the process
 /// slicing wins from 8k-16k nonzeros (DESIGN.md section 10), so the grain
 /// sits above the crossover.
 inline constexpr std::int64_t ParallelConvertGrain = std::int64_t(1) << 15;
+
+// --- Row slices -------------------------------------------------------------
+//
+// A row-sliced plan (core/FormatOperator.h) is one matrix plus row bounds:
+// every kernel runs over a row range, so no slice is ever copied. Feature
+// extraction and the conversions run on the same bounds.
+
+/// Splits the rows of \p A into at most \p Parts contiguous slices of
+/// near-equal nonzero counts. \returns the slice bounds: 0, the interior
+/// cuts, each rounded down to a multiple of \p Align (a BSR block row must
+/// not straddle two slices), and NumRows. A cut that would leave a slice
+/// empty is dropped, so few rows or one dense row yield fewer slices.
+template <typename T>
+std::vector<index_t> balancedRowBounds(const CsrMatrix<T> &A, index_t Parts,
+                                       index_t Align = 1) {
+  assert(Parts >= 1 && Align >= 1 && "slice count and alignment must be >= 1");
+  std::vector<index_t> Bounds{0};
+  for (index_t P = 1; P < Parts; ++P) {
+    // The first row that starts at or after the P-th share of the entries.
+    std::int64_t Target = A.nnz() * P / Parts;
+    auto Row = static_cast<index_t>(
+        std::lower_bound(A.RowPtr.begin(), A.RowPtr.end(), Target) -
+        A.RowPtr.begin());
+    Row -= Row % Align;
+    if (Row > Bounds.back() && Row < A.NumRows)
+      Bounds.push_back(Row);
+  }
+  Bounds.push_back(A.NumRows);
+  return Bounds;
+}
+
+/// The slice bounds work on \p A runs as: planSliceCount() slices of
+/// near-equal nonzero counts, cut on multiples of \p Align rows, once \p A
+/// has ParallelConvertGrain nonzeros; one slice below that. The one place
+/// the grain is applied: plans, the AMG solve's vector loops, feature
+/// extraction and the conversions all cut their slices here.
+template <typename T>
+std::vector<index_t> planRowBounds(const CsrMatrix<T> &A, index_t Align) {
+  return balancedRowBounds(
+      A, A.nnz() >= ParallelConvertGrain ? index_t(planSliceCount())
+                                         : index_t(1),
+      Align);
+}
 
 /// Builds a CSR matrix from (possibly unsorted, possibly duplicated)
 /// triplets. Duplicate coordinates are summed, matching MatrixMarket
@@ -147,41 +191,110 @@ tryCsrFromTriplets(index_t NumRows, index_t NumCols, std::vector<index_t> Rows,
                             std::move(Vals));
 }
 
+/// How many entries of a matrix lie on each of its diagonals: Counts[I]
+/// entries lie on the diagonal of offset Col - Row = First + I. The first
+/// and the last count are nonzero; a matrix without entries has no counts.
+struct DiagonalCounts {
+  index_t First = 0;
+  std::vector<index_t> Counts;
+
+  /// \returns how many diagonals hold an entry.
+  index_t numOccupied() const {
+    return static_cast<index_t>(
+        Counts.size() -
+        static_cast<std::size_t>(std::count(Counts.begin(), Counts.end(), 0)));
+  }
+};
+
 namespace detail {
 
-/// Flags the occupied diagonals of \p A, indexed by Col - Row + (NumRows - 1)
-/// in [0, NumRows + NumCols - 2]. Threads may mark the same diagonal; the
-/// atomic accesses keep the racing stores of the same value well-defined,
-/// and a flag is read before it is written, so the few cache lines of a
-/// banded matrix's flags are stored once rather than bounced between cores
-/// on every entry.
-template <typename T>
-std::vector<char> occupiedDiagonals(const CsrMatrix<T> &A) {
-  std::vector<char> Occupied(
-      static_cast<std::size_t>(A.NumRows) + A.NumCols, 0);
-  if (A.nnz() <= ParallelConvertGrain) {
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
-        Occupied[static_cast<std::size_t>(A.ColIdx[I]) - Row + A.NumRows - 1] =
-            1;
-  } else {
-#pragma omp parallel for schedule(static)
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-        char &Flag =
-            Occupied[static_cast<std::size_t>(A.ColIdx[I]) - Row + A.NumRows -
-                     1];
-        char Seen;
-#pragma omp atomic read
-        Seen = Flag;
-        if (!Seen) {
-#pragma omp atomic write
-          Flag = 1;
-        }
-      }
-  }
-  return Occupied;
+/// \returns the index of offset \p Offset in counts that start at \p First.
+inline std::size_t diagonalSlot(index_t Offset, index_t First) {
+  return static_cast<std::size_t>(static_cast<std::int64_t>(Offset) - First);
 }
+
+} // namespace detail
+
+/// Counts the entries of \p A on each diagonal (feature step 1's diagonal
+/// situation and csrToDia's occupied diagonals). The rows run as
+/// planRowBounds slices: each slice counts into a partial spanning only the
+/// offsets its own entries reach (rows may be unsorted), and the partials
+/// are added in slice order. Every partial is allocated on the calling
+/// thread before the slices run, so an allocation failure throws here,
+/// never inside a parallel region; a slice fills its own partial. Slices
+/// that each reach every diagonal take planSliceCount() * (NumRows +
+/// NumCols) partial counts.
+template <typename T> DiagonalCounts countDiagonals(const CsrMatrix<T> &A) {
+  const std::vector<index_t> Bounds = planRowBounds(A, 1);
+  const std::size_t NumSlices = Bounds.size() - 1;
+  // The offsets each slice's entries reach; Lo > Hi for a slice without
+  // entries.
+  std::vector<index_t> Lo(NumSlices, std::numeric_limits<index_t>::max());
+  std::vector<index_t> Hi(NumSlices, std::numeric_limits<index_t>::min());
+  runSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    index_t L = Lo[static_cast<std::size_t>(S)];
+    index_t H = Hi[static_cast<std::size_t>(S)];
+    for (index_t Row = Begin; Row < End; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        L = std::min(L, A.ColIdx[I] - Row);
+        H = std::max(H, A.ColIdx[I] - Row);
+      }
+    Lo[static_cast<std::size_t>(S)] = L;
+    Hi[static_cast<std::size_t>(S)] = H;
+  });
+
+  std::vector<DiagonalCounts> Partials(NumSlices);
+  for (std::size_t S = 0; S != NumSlices; ++S)
+    if (Lo[S] <= Hi[S]) {
+      Partials[S].First = Lo[S];
+      Partials[S].Counts.reserve(detail::diagonalSlot(Hi[S], Lo[S]) + 1);
+    }
+  runSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    const auto Slice = static_cast<std::size_t>(S);
+    if (Lo[Slice] > Hi[Slice])
+      return;
+    DiagonalCounts &P = Partials[Slice];
+    // Within the capacity reserved above: no allocation in the slice.
+    P.Counts.assign(detail::diagonalSlot(Hi[Slice], Lo[Slice]) + 1, 0);
+    for (index_t Row = Begin; Row < End; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
+        ++P.Counts[detail::diagonalSlot(A.ColIdx[I] - Row, P.First)];
+  });
+  if (NumSlices == 1)
+    return std::move(Partials.front());
+
+  DiagonalCounts Sum;
+  const index_t L = *std::min_element(Lo.begin(), Lo.end());
+  const index_t H = *std::max_element(Hi.begin(), Hi.end());
+  if (L > H)
+    return Sum;
+  Sum.First = L;
+  Sum.Counts.assign(detail::diagonalSlot(H, L) + 1, 0);
+  for (const DiagonalCounts &P : Partials) {
+    if (P.Counts.empty())
+      continue;
+    index_t *Dst = Sum.Counts.data() + detail::diagonalSlot(P.First, L);
+    for (std::size_t I = 0; I != P.Counts.size(); ++I)
+      Dst[I] += P.Counts[I];
+  }
+  return Sum;
+}
+
+/// \returns the largest row degree of \p A (the ELL width), its rows run as
+/// planRowBounds slices.
+template <typename T> index_t maxRowDegree(const CsrMatrix<T> &A) {
+  const std::vector<index_t> Bounds = planRowBounds(A, 1);
+  std::vector<index_t> Widths(Bounds.size() - 1, 0);
+  runSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    index_t Width = 0;
+    for (index_t Row = Begin; Row < End; ++Row)
+      Width = std::max(Width, A.rowDegree(Row));
+    Widths[static_cast<std::size_t>(S)] = Width;
+  });
+  return *std::max_element(Widths.begin(), Widths.end());
+}
+
+namespace detail {
 
 /// Whether storing \p Stored padded elements for \p A stays within
 /// MaxConvertedElements and \p MaxFillRatio * nnz (values <= 0 disable the
@@ -205,16 +318,6 @@ bool diaGuardsPass(const CsrMatrix<T> &A, index_t NumDiags,
                      MaxFillRatio);
 }
 
-/// \returns the largest row degree of \p A (the ELL width).
-template <typename T> index_t maxRowDegree(const CsrMatrix<T> &A) {
-  index_t Width = 0;
-#pragma omp parallel for schedule(static) reduction(max : Width)             \
-    if (A.nnz() > ParallelConvertGrain)
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    Width = std::max(Width, A.rowDegree(Row));
-  return Width;
-}
-
 } // namespace detail
 
 /// CSR -> DIA.
@@ -230,10 +333,8 @@ bool csrToDia(const CsrMatrix<T> &A, DiaMatrix<T> &B,
               index_t MaxDiags = DefaultMaxDiags) {
   if (!A.isValid())
     return false;
-  std::vector<char> Occupied = detail::occupiedDiagonals(A);
-  index_t NumDiags = 0;
-  for (char Flag : Occupied)
-    NumDiags += Flag;
+  const DiagonalCounts Diags = countDiagonals(A);
+  const index_t NumDiags = Diags.numOccupied();
   if (!detail::diaGuardsPass(A, NumDiags, MaxFillRatio, MaxDiags))
     return false;
   if (fault::injectFailure("convert.dia.cap"))
@@ -246,25 +347,26 @@ bool csrToDia(const CsrMatrix<T> &A, DiaMatrix<T> &B,
   B.TrueNnz = A.nnz();
   B.Offsets.reserve(NumDiags);
   // Map offset index -> dense diagonal slot.
-  std::vector<index_t> Slot(Occupied.size(), -1);
-  for (std::size_t I = 0; I != Occupied.size(); ++I) {
-    if (!Occupied[I])
+  std::vector<index_t> Slot(Diags.Counts.size(), -1);
+  for (std::size_t I = 0; I != Diags.Counts.size(); ++I) {
+    if (Diags.Counts[I] == 0)
       continue;
     Slot[I] = B.numDiags();
-    B.Offsets.push_back(static_cast<index_t>(I) - (A.NumRows - 1));
+    B.Offsets.push_back(Diags.First + static_cast<index_t>(I));
   }
   B.Data.assign(static_cast<std::size_t>(NumDiags) *
                     static_cast<std::size_t>(A.NumRows),
                 T(0));
-  // Scatter fill: each entry owns a distinct (diagonal, row) slot, so rows
-  // can be processed concurrently without synchronization.
-#pragma omp parallel for schedule(static) if (A.nnz() > ParallelConvertGrain)
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-      index_t D = Slot[static_cast<std::size_t>(A.ColIdx[I]) - Row +
-                       A.NumRows - 1];
-      B.Data[static_cast<std::size_t>(D) * A.NumRows + Row] = A.Values[I];
-    }
+  // Scatter fill: each entry owns a distinct (diagonal, row) slot, so the
+  // row slices fill side by side without synchronization.
+  runSlices(planRowBounds(A, 1), [&](index_t, index_t Begin, index_t End) {
+    for (index_t Row = Begin; Row < End; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        index_t D =
+            Slot[detail::diagonalSlot(A.ColIdx[I] - Row, Diags.First)];
+        B.Data[static_cast<std::size_t>(D) * A.NumRows + Row] = A.Values[I];
+      }
+  });
   return true;
 }
 
@@ -278,7 +380,7 @@ bool csrToEll(const CsrMatrix<T> &A, EllMatrix<T> &B,
               double MaxFillRatio = DefaultMaxFillRatio) {
   if (!A.isValid())
     return false;
-  index_t Width = detail::maxRowDegree(A);
+  index_t Width = maxRowDegree(A);
   if (!detail::paddingFits(A, static_cast<std::int64_t>(Width) * A.NumRows,
                            MaxFillRatio))
     return false;
@@ -296,19 +398,19 @@ bool csrToEll(const CsrMatrix<T> &A, EllMatrix<T> &B,
   B.Indices.assign(Elements, 0);
   B.Data.assign(Elements, T(0));
   B.RowLen.resize(static_cast<std::size_t>(A.NumRows));
-  // Rows write disjoint column-major slots, so the packing loop is safely
-  // row-parallel.
-#pragma omp parallel for schedule(static) if (A.nnz() > ParallelConvertGrain)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    B.RowLen[static_cast<std::size_t>(Row)] = A.rowDegree(Row);
-    index_t Packed = 0;
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I, ++Packed) {
-      std::size_t Dst =
-          static_cast<std::size_t>(Packed) * A.NumRows + Row;
-      B.Indices[Dst] = A.ColIdx[I];
-      B.Data[Dst] = A.Values[I];
+  // Rows write disjoint column-major slots, so the row slices pack side by
+  // side.
+  runSlices(planRowBounds(A, 1), [&](index_t, index_t Begin, index_t End) {
+    for (index_t Row = Begin; Row < End; ++Row) {
+      B.RowLen[static_cast<std::size_t>(Row)] = A.rowDegree(Row);
+      index_t Packed = 0;
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I, ++Packed) {
+        std::size_t Dst = static_cast<std::size_t>(Packed) * A.NumRows + Row;
+        B.Indices[Dst] = A.ColIdx[I];
+        B.Data[Dst] = A.Values[I];
+      }
     }
-  }
+  });
   return true;
 }
 
@@ -357,28 +459,31 @@ template <typename T> CsrMatrix<T> ellToCsr(const EllMatrix<T> &A) {
 template <typename T>
 std::int64_t countOccupiedBlocks(const CsrMatrix<T> &A, index_t BlockSize) {
   assert(BlockSize >= 1 && "block size must be positive");
-  index_t BlockCols = (A.NumCols + BlockSize - 1) / BlockSize;
-  index_t BlockRows = (A.NumRows + BlockSize - 1) / BlockSize;
-  std::int64_t Occupied = 0;
-  // Block rows are independent, so each thread dedups with a private marker
-  // array (stamped with the block row id) and the counts reduce at the end.
-#pragma omp parallel if (A.nnz() > ParallelConvertGrain)
-  {
-    std::vector<index_t> Stamp(static_cast<std::size_t>(BlockCols), -1);
-#pragma omp for schedule(static) reduction(+ : Occupied)
-    for (index_t Br = 0; Br < BlockRows; ++Br) {
-      index_t RowEnd = std::min(A.NumRows, (Br + 1) * BlockSize);
-      for (index_t Row = Br * BlockSize; Row < RowEnd; ++Row)
-        for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-          index_t Bc = A.ColIdx[I] / BlockSize;
-          if (Stamp[static_cast<std::size_t>(Bc)] != Br) {
-            Stamp[static_cast<std::size_t>(Bc)] = Br;
-            ++Occupied;
-          }
+  const auto BlockCols =
+      static_cast<std::size_t>((A.NumCols + BlockSize - 1) / BlockSize);
+  // Block rows are independent, so each slice of whole block rows dedups
+  // with a marker array of its own (stamped with the block row id),
+  // allocated here and filled in the slice; the counts add in slice order.
+  const std::vector<index_t> Bounds = planRowBounds(A, BlockSize);
+  std::vector<std::vector<index_t>> Stamps(Bounds.size() - 1);
+  for (std::vector<index_t> &Stamp : Stamps)
+    Stamp.reserve(BlockCols);
+  return sumSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    std::vector<index_t> &Stamp = Stamps[static_cast<std::size_t>(S)];
+    Stamp.assign(BlockCols, -1);
+    std::int64_t Occupied = 0;
+    for (index_t Row = Begin; Row < End; ++Row) {
+      const index_t Br = Row / BlockSize;
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        index_t Bc = A.ColIdx[I] / BlockSize;
+        if (Stamp[static_cast<std::size_t>(Bc)] != Br) {
+          Stamp[static_cast<std::size_t>(Bc)] = Br;
+          ++Occupied;
         }
+      }
     }
-  }
-  return Occupied;
+    return Occupied;
+  });
 }
 
 /// OSKI-style block-size selection: among \p Candidates, picks the block
@@ -475,31 +580,30 @@ bool csrToBsr(const CsrMatrix<T> &A, BsrMatrix<T> &B, index_t BlockSize,
     B.RowPtr[Br + 1] = static_cast<index_t>(B.ColIdx.size());
   }
 
-  // Pass 2 (parallel): scatter the values. A block row's blocks occupy a
-  // disjoint Values slice, so block rows fill concurrently; the dense block
-  // of an entry is found by binary search in the sorted per-row pattern.
-#pragma omp parallel for schedule(dynamic, 64)                               \
-    if (A.nnz() > ParallelConvertGrain)
-  for (index_t Br = 0; Br < BlockRows; ++Br) {
-    const index_t *First = B.ColIdx.data() + B.RowPtr[Br];
-    const index_t *Last = B.ColIdx.data() + B.RowPtr[Br + 1];
-    index_t RowEnd = std::min(A.NumRows, (Br + 1) * BlockSize);
-    for (index_t Row = Br * BlockSize; Row < RowEnd; ++Row) {
+  // Pass 2: scatter the values. A block row's blocks occupy a disjoint
+  // Values slice, so slices of whole block rows fill side by side; the
+  // dense block of an entry is found by binary search in the sorted
+  // per-row pattern.
+  runSlices(planRowBounds(A, BlockSize), [&](index_t, index_t Begin,
+                                             index_t End) {
+    for (index_t Row = Begin; Row < End; ++Row) {
+      const index_t Br = Row / BlockSize;
+      const index_t *First = B.ColIdx.data() + B.RowPtr[Br];
+      const index_t *Last = B.ColIdx.data() + B.RowPtr[Br + 1];
       index_t LocalRow = Row - Br * BlockSize;
       for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
         index_t Bc = A.ColIdx[I] / BlockSize;
         const index_t *It = std::lower_bound(First, Last, Bc);
         assert(It != Last && *It == Bc && "pattern mismatch");
-        std::size_t Block =
-            static_cast<std::size_t>(B.RowPtr[Br]) +
-            static_cast<std::size_t>(It - First);
+        std::size_t Block = static_cast<std::size_t>(B.RowPtr[Br]) +
+                            static_cast<std::size_t>(It - First);
         index_t LocalCol = A.ColIdx[I] - Bc * BlockSize;
         B.Values[Block * BlockSize * BlockSize +
                  static_cast<std::size_t>(LocalRow) * BlockSize + LocalCol] =
             A.Values[I];
       }
     }
-  }
+  });
   return true;
 }
 
@@ -528,35 +632,6 @@ template <typename T> CsrMatrix<T> bsrToCsr(const BsrMatrix<T> &A) {
     }
   return csrFromTriplets<T>(A.NumRows, A.NumCols, std::move(Rows),
                             std::move(Cols), std::move(Vals));
-}
-
-// --- Row slices -------------------------------------------------------------
-//
-// A row-sliced plan (core/FormatOperator.h) is one matrix plus row bounds:
-// every kernel runs over a row range, so no slice is ever copied.
-
-/// Splits the rows of \p A into at most \p Parts contiguous slices of
-/// near-equal nonzero counts. \returns the slice bounds: 0, the interior
-/// cuts, each rounded down to a multiple of \p Align (a BSR block row must
-/// not straddle two slices), and NumRows. A cut that would leave a slice
-/// empty is dropped, so few rows or one dense row yield fewer slices.
-template <typename T>
-std::vector<index_t> balancedRowBounds(const CsrMatrix<T> &A, index_t Parts,
-                                       index_t Align = 1) {
-  assert(Parts >= 1 && Align >= 1 && "slice count and alignment must be >= 1");
-  std::vector<index_t> Bounds{0};
-  for (index_t P = 1; P < Parts; ++P) {
-    // The first row that starts at or after the P-th share of the entries.
-    std::int64_t Target = A.nnz() * P / Parts;
-    auto Row = static_cast<index_t>(
-        std::lower_bound(A.RowPtr.begin(), A.RowPtr.end(), Target) -
-        A.RowPtr.begin());
-    Row -= Row % Align;
-    if (Row > Bounds.back() && Row < A.NumRows)
-      Bounds.push_back(Row);
-  }
-  Bounds.push_back(A.NumRows);
-  return Bounds;
 }
 
 /// \returns A^T in CSR format (used by AMG's Galerkin product and by the

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,18 @@ inline CsrMatrix<double> randomCsr(index_t Rows, index_t Cols, double Density,
       }
   return csrFromTriplets<double>(Rows, Cols, std::move(R), std::move(C),
                                  std::move(V));
+}
+
+/// \p A with the entries of every row in reverse column order: unsorted
+/// rows, which validateCsr admits.
+inline CsrMatrix<double> reverseRows(CsrMatrix<double> A) {
+  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+    std::reverse(A.ColIdx.begin() + A.RowPtr[Row],
+                 A.ColIdx.begin() + A.RowPtr[Row + 1]);
+    std::reverse(A.Values.begin() + A.RowPtr[Row],
+                 A.Values.begin() + A.RowPtr[Row + 1]);
+  }
+  return A;
 }
 
 /// Element-wise near-equality with a relative+absolute mixed tolerance.

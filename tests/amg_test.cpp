@@ -248,6 +248,52 @@ TEST(RelaxTest, JacobiReducesResidual) {
   EXPECT_LT(R1, R0 * 0.5);
 }
 
+TEST(RelaxTest, SweepFromZeroMatchesJacobiFromZeroedX) {
+  // A V-cycle level's first sweep from a zero guess skips the product A*0:
+  // it must leave the bits jacobiSweep leaves from a zeroed X, under the
+  // FixedCsr backend's basic CSR operator and under a sliced tuned plan of
+  // the Smat backend, whose products of zero may carry either sign.
+  CsrMatrix<double> A = laplace3d7pt(20, 20, 20);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
+  std::vector<double> Diag = extractDiagonal(A);
+  std::vector<double> InvDiag(Diag.size());
+  for (std::size_t I = 0; I != Diag.size(); ++I)
+    InvDiag[I] = 1.0 / Diag[I];
+  const std::size_t N = static_cast<std::size_t>(A.NumRows);
+  std::vector<double> B = randomVector<double>(N, 51);
+  B[0] = 0.0;
+  B[1] = -0.0;
+  const std::vector<index_t> Slices = planRowBounds(A, 1);
+  const double Omega = 2.0 / 3.0;
+
+  LearningModel Model;
+  Model.Rules.DefaultFormat = FormatKind::DIA;
+  Model.Rules.DefaultConfidence = 1.0;
+  Model.refreshRuleMetadata();
+  const Smat<double> Tuner(Model);
+  TuneOptions Opts;
+  Opts.AllowMeasure = false; // The model's answer, no timing.
+  TunedSpmv<double> Tuned = Tuner.tune(A, Opts);
+  EXPECT_EQ(Tuned.format(), FormatKind::DIA);
+  EXPECT_EQ(Tuned.formatOperator().numSlices(), planSliceCount());
+
+  std::vector<double> FromZero(N, 1.0); // Its contents are ignored.
+  jacobiSweepFromZero(InvDiag, B.data(), FromZero.data(), Slices, Omega);
+  const std::pair<const char *, SpmvFn> Backends[] = {
+      {"FixedCsr",
+       [&A](const double *X, double *Y) {
+         kernelTable<double>().Csr.front().Fn(A, X, Y);
+       }},
+      {"Smat", [&Tuned](const double *X, double *Y) { Tuned.apply(X, Y); }}};
+  for (const auto &[Name, Apply] : Backends) {
+    SCOPED_TRACE(Name);
+    std::vector<double> X(N, 0.0), Scratch(N);
+    jacobiSweep(Apply, InvDiag, B.data(), X.data(), Scratch.data(), Slices,
+                Omega);
+    EXPECT_EQ(std::memcmp(X.data(), FromZero.data(), N * sizeof(double)), 0);
+  }
+}
+
 TEST(RelaxTest, GaussSeidelReducesResidual) {
   CsrMatrix<double> A = laplace2d5pt(10, 10);
   std::size_t N = static_cast<std::size_t>(A.NumRows);

@@ -12,6 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iomanip>
+#include <map>
+#include <set>
+#include <thread>
+#include <utility>
+
 using namespace smat;
 using namespace smat::test;
 
@@ -215,3 +223,101 @@ TEST_P(FeatureInvariants, StructuralInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FeatureInvariants,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// --- Step 1 on row slices ---------------------------------------------------
+
+namespace {
+
+/// Matrices above the grain, so step 1 runs on several slices, of every
+/// shape whose slices reach the diagonals differently.
+std::vector<std::pair<std::string, CsrMatrix<double>>> slicedCases() {
+  std::vector<std::pair<std::string, CsrMatrix<double>>> Cases;
+  Cases.emplace_back("band", banded(20000, 3));
+  Cases.emplace_back("power_law", powerLawGraph(30000, 1.9, 1, 1500, 41));
+  Cases.emplace_back("wide", boundedDegreeRandom(400, 200000, 80, 120, 42));
+  Cases.emplace_back("tall", boundedDegreeRandom(100000, 300, 1, 3, 43));
+  Cases.emplace_back("unsorted",
+                     reverseRows(boundedDegreeRandom(20000, 20000, 2, 12, 44)));
+  return Cases;
+}
+
+/// Step 1's integer-derived fields, from a serial loop over the entries.
+FeatureVector referenceStepOne(const CsrMatrix<double> &A) {
+  std::map<index_t, index_t> Diagonals; // Offset -> entries.
+  std::set<std::pair<index_t, index_t>> Blocks;
+  index_t MaxRd = 0;
+  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+    MaxRd = std::max(MaxRd, A.RowPtr[Row + 1] - A.RowPtr[Row]);
+    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+      ++Diagonals[A.ColIdx[I] - Row];
+      Blocks.insert({Row / 4, A.ColIdx[I] / 4});
+    }
+  }
+  index_t TrueDiags = 0;
+  for (const auto &[Offset, Count] : Diagonals) {
+    index_t Length = std::min(A.NumRows, A.NumCols - Offset) -
+                     std::max(index_t(0), -Offset);
+    if (static_cast<double>(Count) >=
+        TrueDiagOccupancy * static_cast<double>(Length))
+      ++TrueDiags;
+  }
+  FeatureVector F;
+  F.M = A.NumRows;
+  F.N = A.NumCols;
+  F.Nnz = static_cast<double>(A.nnz());
+  F.Ndiags = static_cast<double>(Diagonals.size());
+  F.NTdiagsRatio = static_cast<double>(TrueDiags) / F.Ndiags;
+  F.MaxRd = MaxRd;
+  F.AverRd = F.Nnz / F.M;
+  F.ErDia = F.Nnz / (F.Ndiags * F.M);
+  F.ErEll = F.Nnz / (F.MaxRd * F.M);
+  F.ErBsr = F.Nnz / (static_cast<double>(Blocks.size()) * 16.0);
+  return F;
+}
+
+} // namespace
+
+TEST(FeatureTest, StepOneIsTheSameAtEveryTeamSize) {
+  // The slices come from the processor count, not the team size, and every
+  // reduction adds its slice partials in slice order, so the features keep
+  // their bits however many threads run the slices.
+  const int Hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const auto &[Name, A] : slicedCases()) {
+    SCOPED_TRACE(Name);
+    ASSERT_GE(A.nnz(), ParallelConvertGrain);
+    FeatureVector One;
+    {
+      OmpThreadsScope Serial(1);
+      One = extractStructureFeatures(A);
+    }
+    const auto Expected = One.values();
+    for (int Threads : {2, 4, 2 * Hw}) {
+      OmpThreadsScope Team(Threads);
+      const auto Actual = extractStructureFeatures(A).values();
+      for (int I = 0; I != NumFeatures; ++I)
+        EXPECT_EQ(std::memcmp(&Actual[I], &Expected[I], sizeof(double)), 0)
+            << featureName(I) << " at " << Threads
+            << " threads: " << std::setprecision(17) << Actual[I] << " vs "
+            << Expected[I] << " at 1";
+    }
+  }
+}
+
+TEST(FeatureTest, StepOneMatchesASerialReference) {
+  for (const auto &[Name, A] : slicedCases()) {
+    SCOPED_TRACE(Name);
+    const FeatureVector F = extractStructureFeatures(A);
+    const FeatureVector Ref = referenceStepOne(A);
+    EXPECT_EQ(F.M, Ref.M);
+    EXPECT_EQ(F.N, Ref.N);
+    EXPECT_EQ(F.Nnz, Ref.Nnz);
+    EXPECT_EQ(F.Ndiags, Ref.Ndiags);
+    EXPECT_EQ(F.NTdiagsRatio, Ref.NTdiagsRatio);
+    EXPECT_EQ(F.MaxRd, Ref.MaxRd);
+    EXPECT_EQ(F.AverRd, Ref.AverRd);
+    EXPECT_EQ(F.ErDia, Ref.ErDia);
+    EXPECT_EQ(F.ErEll, Ref.ErEll);
+    EXPECT_EQ(F.ErBsr, Ref.ErBsr);
+  }
+}

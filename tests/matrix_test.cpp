@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 using namespace smat;
 using namespace smat::test;
 
@@ -266,6 +269,79 @@ TEST(BsrTest, ChooseBlockSizePrefersLowestFill) {
 TEST(BsrTest, ChooseBlockSizeEight) {
   CsrMatrix<double> A = blockFem(12, 8, 0.0, 17);
   EXPECT_EQ(chooseBsrBlockSize(A), 8);
+}
+
+// --- Sliced conversions ----------------------------------------------------
+
+namespace {
+
+/// The arrays the sliced conversions write, for one team size.
+struct Converted {
+  DiaMatrix<double> Dia, UnsortedDia;
+  EllMatrix<double> Ell;
+  BsrMatrix<double> Bsr;
+  std::vector<std::int64_t> Blocks;
+};
+
+} // namespace
+
+TEST(SlicedConvertTest, ArraysAreTheSameAtEveryTeamSize) {
+  // Above the grain every conversion runs on row slices; what it writes
+  // does not depend on how many threads run them, and a DIA conversion of
+  // unsorted rows writes what the sorted rows give.
+  CsrMatrix<double> Band = banded(20000, 3);
+  CsrMatrix<double> Fem = blockFem(5000, 4, 0.0, 61);
+  CsrMatrix<double> Random = boundedDegreeRandom(20000, 20000, 2, 12, 62);
+  randomizeValues(Band, 63);
+  randomizeValues(Fem, 64);
+  for (const CsrMatrix<double> *A : {&Band, &Fem, &Random})
+    ASSERT_GE(A->nnz(), ParallelConvertGrain);
+  const CsrMatrix<double> Unsorted = reverseRows(Band);
+
+  auto Convert = [&] {
+    Converted Out;
+    EXPECT_TRUE(csrToDia(Band, Out.Dia));
+    EXPECT_TRUE(csrToDia(Unsorted, Out.UnsortedDia));
+    EXPECT_TRUE(csrToEll(Band, Out.Ell));
+    EXPECT_TRUE(csrToBsr(Fem, Out.Bsr, 4));
+    for (const CsrMatrix<double> *A : {&Band, &Fem, &Random})
+      for (index_t Size : {2, 4, 8})
+        Out.Blocks.push_back(countOccupiedBlocks(*A, Size));
+    return Out;
+  };
+  Converted One;
+  {
+    OmpThreadsScope Serial(1);
+    One = Convert();
+  }
+  EXPECT_EQ(std::vector<index_t>(One.Dia.Offsets.begin(),
+                                 One.Dia.Offsets.end()),
+            std::vector<index_t>({-3, -2, -1, 0, 1, 2, 3}));
+  EXPECT_EQ(One.UnsortedDia.Offsets, One.Dia.Offsets);
+  EXPECT_EQ(One.UnsortedDia.Data, One.Dia.Data);
+  const CsrMatrix<double> Back = bsrToCsr(One.Bsr);
+  EXPECT_EQ(Back.RowPtr, Fem.RowPtr);
+  EXPECT_EQ(Back.ColIdx, Fem.ColIdx);
+  EXPECT_EQ(Back.Values, Fem.Values);
+
+  const int Hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (int Threads : {2, 4, 2 * Hw}) {
+    SCOPED_TRACE(Threads);
+    OmpThreadsScope Team(Threads);
+    const Converted Out = Convert();
+    EXPECT_EQ(Out.Dia.Offsets, One.Dia.Offsets);
+    EXPECT_EQ(Out.Dia.Data, One.Dia.Data);
+    EXPECT_EQ(Out.UnsortedDia.Data, One.Dia.Data);
+    EXPECT_EQ(Out.Ell.Width, One.Ell.Width);
+    EXPECT_EQ(Out.Ell.Indices, One.Ell.Indices);
+    EXPECT_EQ(Out.Ell.Data, One.Ell.Data);
+    EXPECT_EQ(Out.Ell.RowLen, One.Ell.RowLen);
+    EXPECT_EQ(Out.Bsr.RowPtr, One.Bsr.RowPtr);
+    EXPECT_EQ(Out.Bsr.ColIdx, One.Bsr.ColIdx);
+    EXPECT_EQ(Out.Bsr.Values, One.Bsr.Values);
+    EXPECT_EQ(Out.Blocks, One.Blocks);
+  }
 }
 
 // --- Transpose / value conversion --------------------------------------------

@@ -466,8 +466,8 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
         One = bindFormatOperator(A, Kind, Sel, -1, K);
       }
       ASSERT_EQ(Op->kind(), Kind);
-      EXPECT_EQ(Op->numSlices(), detail::planSliceCount());
-      EXPECT_EQ(One->numSlices(), detail::planSliceCount());
+      EXPECT_EQ(Op->numSlices(), planSliceCount());
+      EXPECT_EQ(One->numSlices(), planSliceCount());
       EXPECT_EQ(One->kind(), Kind);
       EXPECT_STREQ(Op->kernelName(), One->kernelName());
       EXPECT_STREQ(Op->spmmKernelName(), One->spmmKernelName());
@@ -504,8 +504,8 @@ TEST(SlicedPlanTest, BsrEnabledModelBindsSlicesOnBlockRows) {
     One = Tuner.tune(A, Opts);
   }
   ASSERT_EQ(Op.format(), FormatKind::BSR);
-  EXPECT_EQ(Op.formatOperator().numSlices(), detail::planSliceCount());
-  EXPECT_EQ(One.formatOperator().numSlices(), detail::planSliceCount());
+  EXPECT_EQ(Op.formatOperator().numSlices(), planSliceCount());
+  EXPECT_EQ(One.formatOperator().numSlices(), planSliceCount());
   EXPECT_EQ(Op.kernelName(), One.kernelName());
   EXPECT_STREQ(Op.spmmKernelName(), One.spmmKernelName());
   for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)})
@@ -529,13 +529,13 @@ TEST(SlicedPlanTest, CsrSlicesInPlaceAndBasicCsrStaysUnsliced) {
 
   auto Borrowed = bindFormatOperator(A, FormatKind::CSR, Sel);
   EXPECT_STREQ(Borrowed->kernelName(), "csr_unroll4");
-  EXPECT_EQ(Borrowed->numSlices(), detail::planSliceCount());
+  EXPECT_EQ(Borrowed->numSlices(), planSliceCount());
   EXPECT_FALSE(Borrowed->ownsStorage());
   expectMatchesRefSpmv(*Borrowed, A, 1);
 
   auto Batched = bindFormatOperator(A, FormatKind::CSR, Sel, -1, 8);
   EXPECT_STREQ(Batched->spmmKernelName(), "csr_spmm_tiled");
-  EXPECT_EQ(Batched->numSlices(), detail::planSliceCount());
+  EXPECT_EQ(Batched->numSlices(), planSliceCount());
   EXPECT_FALSE(Batched->ownsStorage());
   expectMatchesRefSpmv(*Batched, A, 1);
   expectMatchesRefSpmv(*Batched, A, 8);
@@ -587,7 +587,7 @@ TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
       kernelIndex(kernelTable<double>().Csr, "csr_unroll4");
   auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);
   EXPECT_EQ(Op->kind(), FormatKind::CSR);
-  EXPECT_EQ(Op->numSlices(), detail::planSliceCount());
+  EXPECT_EQ(Op->numSlices(), planSliceCount());
   expectMatchesRefSpmv(*Op, A, 1);
 }
 
@@ -598,7 +598,7 @@ TEST(SlicedPlanTest, OneGrainWhetherOrNotAServiceLives) {
   CsrMatrix<double> A = banded(20000, 3);
   ASSERT_GE(A.nnz(), ParallelConvertGrain);
   ASSERT_LT(A.nnz(), std::int64_t(1) << 18);
-  const index_t Slices = detail::planSliceCount();
+  const index_t Slices = planSliceCount();
   const KernelSelection Sel = serialPicks();
   auto SlicesOfBind = [&] {
     auto Op = bindFormatOperator(A, FormatKind::DIA, Sel);

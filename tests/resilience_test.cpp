@@ -468,7 +468,7 @@ TEST(DegradationLadderTest, SliceConversionFaultsTakeTheOneSliceRungs) {
     SCOPED_TRACE(Name);
     BindStageResult<double> Clean = BindStage::run(Ctx, Kind);
     ASSERT_EQ(Clean.BoundFormat, Kind);
-    EXPECT_EQ(Clean.Op->numSlices(), detail::planSliceCount());
+    EXPECT_EQ(Clean.Op->numSlices(), planSliceCount());
 
     std::vector<std::pair<std::string, DegradationLevel>> Sites = {
         {std::string("convert.") + Name + ".alloc",

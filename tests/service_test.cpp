@@ -149,7 +149,7 @@ TEST(TuningServiceTest, SlicedPlanServesCorrectlyUnderOversubscribedTeam) {
       ExpectApplyMatches();
     ASSERT_TRUE(Op.waitTuned(WaitSeconds)) << Op.error();
     EXPECT_EQ(Op.format(), FormatKind::DIA);
-    EXPECT_EQ(Op.formatOperator().numSlices(), detail::planSliceCount());
+    EXPECT_EQ(Op.formatOperator().numSlices(), planSliceCount());
     for (int I = 0; I != 20 && !::testing::Test::HasFailure(); ++I)
       ExpectApplyMatches();
   }
