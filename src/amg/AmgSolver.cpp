@@ -139,11 +139,13 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
       Bound.ApplyP = Bind(Level.P, L, "P");
       Bound.ApplyR = Bind(Level.R, L, "R");
     }
-    std::vector<double> Diag = extractDiagonal(Level.A);
-    Bound.InvDiag.resize(Diag.size());
-    for (std::size_t I = 0; I != Diag.size(); ++I)
-      Bound.InvDiag[I] = Diag[I] != 0.0 ? 1.0 / Diag[I] : 0.0;
     Bound.Slices = planRowBounds(Level.A, 1);
+    Bound.InvDiag = extractDiagonal(Level.A);
+    double *InvDiag = Bound.InvDiag.data();
+    runSlices(Bound.Slices, [=](index_t, index_t Begin, index_t End) {
+      for (index_t I = Begin; I < End; ++I)
+        InvDiag[I] = InvDiag[I] != 0.0 ? 1.0 / InvDiag[I] : 0.0;
+    });
     std::size_t N = static_cast<std::size_t>(Level.A.NumRows);
     Bound.X.assign(N, 0.0);
     Bound.B.assign(N, 0.0);

@@ -7,11 +7,17 @@
 /// \file
 /// The two coarsening algorithms the paper's Table 4 exercises:
 ///  - "rugeL": classical Ruge–Stüben first-pass greedy coarsening driven by
-///    the number of points each point strongly influences;
+///    the number of points each point strongly influences. The next C point
+///    comes off an indexed max-heap ordered by (measure, point), the larger
+///    index first among equal measures, whose keys grow in place as F points
+///    bump their influencers; it is serial;
 ///  - "cljp": a CLJP/PMIS-style parallel independent-set coarsening with
-///    randomized tie-breaking measures.
+///    randomized tie-breaking measures. Each sweep's local-maximum test runs
+///    on row slices of S (support/Slices.h), and the new C points are
+///    applied in slice order, which is the serial sweep's order.
 /// Both are followed by a second pass guaranteeing every F point keeps at
-/// least one strong C neighbour (required by direct interpolation).
+/// least one strong C neighbour (required by direct interpolation). Neither
+/// split depends on the slices or the team size.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,11 @@
 /// strength -> coarsening -> direct interpolation -> Galerkin product.
 /// These are exactly the "two series of sparse matrices [that] dynamically
 /// show different sparse features from the original input matrix A" that
-/// motivate SMAT's use inside AMG (paper Section 7.4 / Figure 1).
+/// motivate SMAT's use inside AMG (paper Section 7.4 / Figure 1). The row
+/// passes (strength, interpolation, the transposes, both Galerkin products)
+/// and CLJP's local-maximum test run on row slices through the slice
+/// runner; every level's A, P and R is the same, bit for bit, at any team
+/// size.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,6 +6,9 @@
 
 #include "amg/Interp.h"
 
+#include "amg/CsrBySlices.h"
+#include "matrix/FormatConvert.h"
+
 #include <cmath>
 
 using namespace smat;
@@ -24,24 +27,20 @@ CsrMatrix<double> smat::directInterpolation(const CsrMatrix<double> &A,
     if (Split[static_cast<std::size_t>(I)] == CfPoint::C)
       CoarseId[static_cast<std::size_t>(I)] = NumCoarse++;
 
-  CsrMatrix<double> P(N, NumCoarse);
-
-  // Mark the strong C columns of the current row for O(1) membership tests.
-  std::vector<index_t> StrongCMark(static_cast<std::size_t>(N), -1);
-
-  for (index_t Row = 0; Row < N; ++Row) {
+  // Calls Entry(CoarseCol, Weight) for each entry of P's row Row: a C
+  // point injects; an F point interpolates from its strong C neighbours,
+  // found through StrongCMark, which marks them with the row id.
+  auto ForEachEntry = [&](index_t Row, index_t *StrongCMark, auto &&Entry) {
     if (Split[static_cast<std::size_t>(Row)] == CfPoint::C) {
-      P.ColIdx.push_back(CoarseId[static_cast<std::size_t>(Row)]);
-      P.Values.push_back(1.0);
-      ++P.RowPtr[Row + 1];
-      continue;
+      Entry(CoarseId[static_cast<std::size_t>(Row)], 1.0);
+      return;
     }
 
     // Strong C neighbours of this F row.
     for (index_t J = S.RowPtr[Row]; J < S.RowPtr[Row + 1]; ++J) {
       index_t Col = S.ColIdx[J];
       if (Split[static_cast<std::size_t>(Col)] == CfPoint::C)
-        StrongCMark[static_cast<std::size_t>(Col)] = Row;
+        StrongCMark[Col] = Row;
     }
 
     double Diag = 0.0, OffDiagSum = 0.0, StrongCSum = 0.0;
@@ -53,29 +52,48 @@ CsrMatrix<double> smat::directInterpolation(const CsrMatrix<double> &A,
         continue;
       }
       OffDiagSum += Val;
-      if (StrongCMark[static_cast<std::size_t>(Col)] == Row)
+      if (StrongCMark[Col] == Row)
         StrongCSum += Val;
     }
 
     // Truly isolated F row (enforceInterpolationCover guarantees donors for
     // every connected F point): contributes no coarse correction.
     if (StrongCSum == 0.0 || Diag == 0.0)
-      continue;
+      return;
 
     double Alpha = OffDiagSum / StrongCSum;
     for (index_t J = A.RowPtr[Row]; J < A.RowPtr[Row + 1]; ++J) {
       index_t Col = A.ColIdx[J];
-      if (Col == Row || StrongCMark[static_cast<std::size_t>(Col)] != Row)
+      if (Col == Row || StrongCMark[Col] != Row)
         continue;
       double Weight = -Alpha * A.Values[J] / Diag;
       if (Weight == 0.0)
         continue;
-      P.ColIdx.push_back(CoarseId[static_cast<std::size_t>(Col)]);
-      P.Values.push_back(Weight);
-      ++P.RowPtr[Row + 1];
+      Entry(CoarseId[static_cast<std::size_t>(Col)], Weight);
     }
-  }
-  for (index_t Row = 0; Row < N; ++Row)
-    P.RowPtr[Row + 1] += P.RowPtr[Row];
-  return P;
+  };
+
+  // One mark array per slice, allocated here. Both passes mark the same
+  // columns of a row with its id, so the fill pass may find the count
+  // pass's marks and reads the same set.
+  const std::vector<index_t> Bounds = planRowBounds(A, 1);
+  std::vector<std::vector<index_t>> Marks(
+      Bounds.size() - 1, std::vector<index_t>(static_cast<std::size_t>(N), -1));
+  return csrBySlices<double>(
+      N, NumCoarse, Bounds,
+      [&](index_t Slice, index_t Row) {
+        index_t Len = 0;
+        ForEachEntry(Row, Marks[static_cast<std::size_t>(Slice)].data(),
+                     [&](index_t, double) { ++Len; });
+        return Len;
+      },
+      [&](index_t Slice, index_t Row, index_t *Cols, double *Vals) {
+        index_t Len = 0;
+        ForEachEntry(Row, Marks[static_cast<std::size_t>(Slice)].data(),
+                     [&](index_t Col, double Weight) {
+                       Cols[Len] = Col;
+                       Vals[Len++] = Weight;
+                     });
+        return Len;
+      });
 }

@@ -21,7 +21,8 @@
 namespace smat {
 
 /// Builds the prolongation operator P (NumRows x NumCoarse) from operator
-/// \p A, strength graph \p S and splitting \p Split.
+/// \p A, strength graph \p S and splitting \p Split. The rows run as row
+/// slices of \p A (amg/CsrBySlices.h).
 CsrMatrix<double> directInterpolation(const CsrMatrix<double> &A,
                                       const CsrMatrix<double> &S,
                                       const std::vector<CfPoint> &Split);

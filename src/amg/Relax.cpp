@@ -6,6 +6,7 @@
 
 #include "amg/Relax.h"
 
+#include "matrix/FormatConvert.h"
 #include "support/Compiler.h"
 #include "support/Slices.h"
 
@@ -15,10 +16,13 @@ using namespace smat;
 
 std::vector<double> smat::extractDiagonal(const CsrMatrix<double> &A) {
   std::vector<double> Diag(static_cast<std::size_t>(A.NumRows), 0.0);
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
-      if (A.ColIdx[I] == Row)
-        Diag[static_cast<std::size_t>(Row)] = A.Values[I];
+  double *D = Diag.data();
+  runSlices(planRowBounds(A, 1), [&](index_t, index_t Begin, index_t End) {
+    for (index_t Row = Begin; Row < End; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
+        if (A.ColIdx[I] == Row)
+          D[Row] = A.Values[I];
+  });
   return Diag;
 }
 

@@ -27,7 +27,8 @@ namespace smat {
 /// kernel).
 using SpmvFn = std::function<void(const double *X, double *Y)>;
 
-/// Extracts the diagonal of \p A (zeros where absent).
+/// Extracts the diagonal of \p A (zeros where absent), its rows run as
+/// planRowBounds slices.
 std::vector<double> extractDiagonal(const CsrMatrix<double> &A);
 
 /// One weighted-Jacobi sweep: X += Omega * D^-1 * (B - A*X), with the A*X

@@ -6,50 +6,79 @@
 
 #include "amg/SpGemm.h"
 
+#include "amg/CsrBySlices.h"
 #include "matrix/FormatConvert.h"
 
 #include <algorithm>
 
 using namespace smat;
 
+namespace {
+
+/// One slice's Gustavson scratch, each array one entry per column of the
+/// product, reused across the slice's rows: a row-stamped marker per pass
+/// (the marker makes exact mid-row cancellation harmless) and the fill
+/// pass's dense accumulator.
+template <typename T> struct GustavsonScratch {
+  std::vector<index_t> Counted, Filled;
+  std::vector<T> Accumulator;
+};
+
+} // namespace
+
 template <typename T>
 CsrMatrix<T> smat::spgemm(const CsrMatrix<T> &A, const CsrMatrix<T> &B) {
   assert(A.NumCols == B.NumRows && "spgemm shape mismatch");
-  CsrMatrix<T> C(A.NumRows, B.NumCols);
+  const std::vector<index_t> Bounds = planRowBounds(A, 1);
+  const auto Cols = static_cast<std::size_t>(B.NumCols);
+  std::vector<GustavsonScratch<T>> Scratch(Bounds.size() - 1);
+  for (GustavsonScratch<T> &W : Scratch) {
+    W.Counted.assign(Cols, -1);
+    W.Filled.assign(Cols, -1);
+    W.Accumulator.assign(Cols, T(0));
+  }
 
-  // Gustavson with a dense accumulator and row-stamped marker, both reused
-  // across rows (the marker makes exact mid-row cancellation harmless).
-  std::vector<T> Accumulator(static_cast<std::size_t>(B.NumCols), T(0));
-  std::vector<index_t> Marker(static_cast<std::size_t>(B.NumCols), -1);
-  std::vector<index_t> Pattern; // Touched columns of the current row.
-
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    Pattern.clear();
+  auto Count = [&](index_t S, index_t Row) {
+    index_t *Marker = Scratch[static_cast<std::size_t>(S)].Counted.data();
+    index_t Len = 0;
+    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+      index_t K = A.ColIdx[I];
+      for (index_t J = B.RowPtr[K]; J < B.RowPtr[K + 1]; ++J)
+        if (Marker[B.ColIdx[J]] != Row) {
+          Marker[B.ColIdx[J]] = Row;
+          ++Len;
+        }
+    }
+    return Len;
+  };
+  // Collects the row's columns in first-touch order, sorts them and reads
+  // their sums off the accumulator.
+  auto Fill = [&](index_t S, index_t Row, index_t *RowCols, T *RowVals) {
+    GustavsonScratch<T> &W = Scratch[static_cast<std::size_t>(S)];
+    index_t *Marker = W.Filled.data();
+    T *Accumulator = W.Accumulator.data();
+    index_t Len = 0;
     for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
       index_t K = A.ColIdx[I];
       T AVal = A.Values[I];
       for (index_t J = B.RowPtr[K]; J < B.RowPtr[K + 1]; ++J) {
         index_t Col = B.ColIdx[J];
-        if (Marker[static_cast<std::size_t>(Col)] != Row) {
-          Marker[static_cast<std::size_t>(Col)] = Row;
-          Pattern.push_back(Col);
-          Accumulator[static_cast<std::size_t>(Col)] = AVal * B.Values[J];
+        if (Marker[Col] != Row) {
+          Marker[Col] = Row;
+          RowCols[Len++] = Col;
+          Accumulator[Col] = AVal * B.Values[J];
         } else {
-          Accumulator[static_cast<std::size_t>(Col)] += AVal * B.Values[J];
+          Accumulator[Col] =
+              spgemmAccumulate(Accumulator[Col], AVal, B.Values[J]);
         }
       }
     }
-    std::sort(Pattern.begin(), Pattern.end());
-    for (index_t Col : Pattern) {
-      T Val = Accumulator[static_cast<std::size_t>(Col)];
-      C.ColIdx.push_back(Col);
-      C.Values.push_back(Val);
-      ++C.RowPtr[Row + 1];
-    }
-  }
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    C.RowPtr[Row + 1] += C.RowPtr[Row];
-  return C;
+    std::sort(RowCols, RowCols + Len);
+    for (index_t I = 0; I < Len; ++I)
+      RowVals[I] = Accumulator[RowCols[I]];
+    return Len;
+  };
+  return csrBySlices<T>(A.NumRows, B.NumCols, Bounds, Count, Fill);
 }
 
 template <typename T>
@@ -60,20 +89,27 @@ CsrMatrix<T> smat::galerkinProduct(const CsrMatrix<T> &R, const CsrMatrix<T> &A,
 
 template <typename T>
 CsrMatrix<T> smat::dropSmallEntries(const CsrMatrix<T> &A, T Threshold) {
-  CsrMatrix<T> B(A.NumRows, A.NumCols);
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-      T Val = A.Values[I];
-      if (A.ColIdx[I] != Row && std::abs(Val) <= Threshold)
-        continue;
-      B.ColIdx.push_back(A.ColIdx[I]);
-      B.Values.push_back(Val);
-      ++B.RowPtr[Row + 1];
-    }
-  }
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    B.RowPtr[Row + 1] += B.RowPtr[Row];
-  return B;
+  // Written as "not small" so that a NaN entry is kept, not dropped.
+  auto Keep = [&](index_t Row, index_t I) {
+    return A.ColIdx[I] == Row || !(std::abs(A.Values[I]) <= Threshold);
+  };
+  return csrBySlices<T>(
+      A.NumRows, A.NumCols, planRowBounds(A, 1),
+      [&](index_t, index_t Row) {
+        index_t Len = 0;
+        for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
+          Len += Keep(Row, I) ? 1 : 0;
+        return Len;
+      },
+      [&](index_t, index_t Row, index_t *RowCols, T *RowVals) {
+        index_t Len = 0;
+        for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
+          if (Keep(Row, I)) {
+            RowCols[Len] = A.ColIdx[I];
+            RowVals[Len++] = A.Values[I];
+          }
+        return Len;
+      });
 }
 
 template CsrMatrix<float> smat::spgemm(const CsrMatrix<float> &,

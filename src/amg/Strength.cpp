@@ -6,6 +6,10 @@
 
 #include "amg/Strength.h"
 
+#include "amg/CsrBySlices.h"
+#include "matrix/FormatConvert.h"
+
+#include <algorithm>
 #include <cmath>
 
 using namespace smat;
@@ -13,9 +17,8 @@ using namespace smat;
 CsrMatrix<double> smat::strengthGraph(const CsrMatrix<double> &A,
                                       double Theta) {
   assert(A.NumRows == A.NumCols && "strength graph needs a square operator");
-  CsrMatrix<double> S(A.NumRows, A.NumCols);
-
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+  // Calls Strong(Col) for each strong connection of Row, in entry order.
+  auto ForEachStrong = [&](index_t Row, auto &&Strong) {
     double MaxOffDiag = 0.0;
     for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
       if (A.ColIdx[I] != Row)
@@ -25,12 +28,22 @@ CsrMatrix<double> smat::strengthGraph(const CsrMatrix<double> &A,
       index_t Col = A.ColIdx[I];
       if (Col == Row || std::abs(A.Values[I]) < Bar || MaxOffDiag == 0.0)
         continue;
-      S.ColIdx.push_back(Col);
-      S.Values.push_back(1.0);
-      ++S.RowPtr[Row + 1];
+      Strong(Col);
     }
-  }
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    S.RowPtr[Row + 1] += S.RowPtr[Row];
-  return S;
+  };
+  return csrBySlices<double>(
+      A.NumRows, A.NumCols, planRowBounds(A, 1),
+      [&](index_t, index_t Row) {
+        index_t Len = 0;
+        ForEachStrong(Row, [&](index_t) { ++Len; });
+        return Len;
+      },
+      [&](index_t, index_t Row, index_t *Cols, double *Vals) {
+        index_t Len = 0;
+        ForEachStrong(Row, [&](index_t Col) {
+          Cols[Len] = Col;
+          Vals[Len++] = 1.0;
+        });
+        return Len;
+      });
 }

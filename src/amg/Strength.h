@@ -20,7 +20,9 @@ namespace smat {
 
 /// The strength pattern S of \p A: a CSR boolean pattern (values all 1.0)
 /// with one row per variable and the strong off-diagonal connections as
-/// entries. \p Theta is the classical strength threshold (0.25 default).
+/// entries, in \p A's entry order. \p Theta is the classical strength
+/// threshold (0.25 default). The rows run as row slices of \p A
+/// (amg/CsrBySlices.h).
 CsrMatrix<double> strengthGraph(const CsrMatrix<double> &A,
                                 double Theta = 0.25);
 

@@ -634,25 +634,49 @@ template <typename T> CsrMatrix<T> bsrToCsr(const BsrMatrix<T> &A) {
                             std::move(Cols), std::move(Vals));
 }
 
-/// \returns A^T in CSR format (used by AMG's Galerkin product and by the
-/// rectangular corpus generators).
+/// \returns A^T in CSR format (used by AMG's Galerkin product and
+/// coarsening, and by the rectangular corpus generators). Each output row
+/// lists its entries in ascending source-row order. The source rows run as
+/// planRowBounds slices: each slice counts its entries per column, the
+/// counts are prefixed over (column, slice) on the calling thread, so a
+/// column's entries from slice 0 come first, and each slice then scatters
+/// its rows in order into its own offsets. The per-slice counts
+/// (planSliceCount() * NumCols above the grain) are allocated before the
+/// slices run.
 template <typename T> CsrMatrix<T> transposeCsr(const CsrMatrix<T> &A) {
   CsrMatrix<T> B(A.NumCols, A.NumRows);
-  std::size_t Nnz = static_cast<std::size_t>(A.nnz());
-  B.ColIdx.resize(Nnz);
-  B.Values.resize(Nnz);
-  // Count per-column entries.
-  for (index_t Col : A.ColIdx)
-    ++B.RowPtr[Col + 1];
-  for (index_t Col = 0; Col < A.NumCols; ++Col)
-    B.RowPtr[Col + 1] += B.RowPtr[Col];
-  std::vector<index_t> Cursor(B.RowPtr.begin(), B.RowPtr.end() - 1);
-  for (index_t Row = 0; Row < A.NumRows; ++Row)
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-      index_t Dst = Cursor[A.ColIdx[I]]++;
-      B.ColIdx[Dst] = Row;
-      B.Values[Dst] = A.Values[I];
+  const std::vector<index_t> Bounds = planRowBounds(A, 1);
+  const std::size_t NumSlices = Bounds.size() - 1;
+  const auto Cols = static_cast<std::size_t>(A.NumCols);
+  // Cursor[S * Cols + Col]: first slice S's entry count in column Col,
+  // then where its next entry in that column goes.
+  std::vector<index_t> Cursor(NumSlices * Cols, 0);
+  runSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    index_t *Count = Cursor.data() + static_cast<std::size_t>(S) * Cols;
+    for (index_t I = A.RowPtr[Begin]; I < A.RowPtr[End]; ++I)
+      ++Count[A.ColIdx[I]];
+  });
+  index_t Next = 0;
+  for (std::size_t Col = 0; Col != Cols; ++Col) {
+    for (std::size_t S = 0; S != NumSlices; ++S) {
+      index_t &Slot = Cursor[S * Cols + Col];
+      const index_t Count = Slot;
+      Slot = Next;
+      Next += Count;
     }
+    B.RowPtr[Col + 1] = Next;
+  }
+  B.ColIdx.resize(static_cast<std::size_t>(A.nnz()));
+  B.Values.resize(static_cast<std::size_t>(A.nnz()));
+  runSlices(Bounds, [&](index_t S, index_t Begin, index_t End) {
+    index_t *Dst = Cursor.data() + static_cast<std::size_t>(S) * Cols;
+    for (index_t Row = Begin; Row < End; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        const index_t At = Dst[A.ColIdx[I]]++;
+        B.ColIdx[At] = Row;
+        B.Values[At] = A.Values[I];
+      }
+  });
   return B;
 }
 

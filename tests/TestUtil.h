@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,22 @@ inline CsrMatrix<double> reverseRows(CsrMatrix<double> A) {
                  A.Values.begin() + A.RowPtr[Row + 1]);
   }
   return A;
+}
+
+/// Expects \p Actual to equal \p Expected in shape, pattern and value bits.
+inline void expectSameCsr(const CsrMatrix<double> &Expected,
+                          const CsrMatrix<double> &Actual) {
+  EXPECT_EQ(Actual.NumRows, Expected.NumRows);
+  EXPECT_EQ(Actual.NumCols, Expected.NumCols);
+  EXPECT_EQ(Actual.RowPtr, Expected.RowPtr);
+  EXPECT_EQ(Actual.ColIdx, Expected.ColIdx);
+  ASSERT_EQ(Actual.Values.size(), Expected.Values.size());
+  if (Actual.Values.empty())
+    return; // memcmp may not be passed the null data() of an empty vector.
+  EXPECT_EQ(std::memcmp(Actual.Values.data(), Expected.Values.data(),
+                        Actual.Values.size() * sizeof(double)),
+            0)
+      << "the values differ in their bits";
 }
 
 /// Element-wise near-equality with a relative+absolute mixed tolerance.

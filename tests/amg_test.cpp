@@ -19,6 +19,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <queue>
+#include <thread>
 
 using namespace smat;
 using namespace smat::test;
@@ -43,6 +45,184 @@ std::vector<double> denseMatMul(const CsrMatrix<double> &A,
             Av * Db[static_cast<std::size_t>(K) * B.NumCols + J];
     }
   return C;
+}
+
+/// spgemm's Gustavson loop as one serial pass over the rows: a dense
+/// accumulator and a row-stamped marker, each row's columns sorted, the
+/// accumulate written with the library's update expression.
+CsrMatrix<double> serialGustavson(const CsrMatrix<double> &A,
+                                  const CsrMatrix<double> &B) {
+  CsrMatrix<double> C(A.NumRows, B.NumCols);
+  std::vector<double> Accumulator(static_cast<std::size_t>(B.NumCols), 0.0);
+  std::vector<index_t> Marker(static_cast<std::size_t>(B.NumCols), -1);
+  std::vector<index_t> Pattern;
+  for (index_t Row = 0; Row < A.NumRows; ++Row) {
+    Pattern.clear();
+    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
+      for (index_t J = B.RowPtr[A.ColIdx[I]]; J < B.RowPtr[A.ColIdx[I] + 1];
+           ++J) {
+        const auto Col = static_cast<std::size_t>(B.ColIdx[J]);
+        if (Marker[Col] != Row) {
+          Marker[Col] = Row;
+          Pattern.push_back(B.ColIdx[J]);
+          Accumulator[Col] = A.Values[I] * B.Values[J];
+        } else {
+          Accumulator[Col] =
+              spgemmAccumulate(Accumulator[Col], A.Values[I], B.Values[J]);
+        }
+      }
+    std::sort(Pattern.begin(), Pattern.end());
+    for (index_t Col : Pattern) {
+      C.ColIdx.push_back(Col);
+      C.Values.push_back(Accumulator[static_cast<std::size_t>(Col)]);
+    }
+    C.RowPtr[Row + 1] = static_cast<index_t>(C.ColIdx.size());
+  }
+  return C;
+}
+
+/// \p A with every value scaled by a random factor in [0.75, 1.25): the
+/// same signs and strong connections as a stencil, with values whose sums
+/// depend on their order.
+CsrMatrix<double> perturbed(CsrMatrix<double> A, std::uint64_t Seed) {
+  Rng Rng(Seed);
+  for (double &V : A.Values)
+    V *= Rng.uniform(0.75, 1.25);
+  return A;
+}
+
+/// \p A with the rows whose index is a multiple of \p Every emptied.
+CsrMatrix<double> withEmptyRows(const CsrMatrix<double> &A, index_t Every) {
+  std::vector<index_t> R, C;
+  std::vector<double> V;
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    if (Row % Every != 0)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        R.push_back(Row);
+        C.push_back(A.ColIdx[I]);
+        V.push_back(A.Values[I]);
+      }
+  return csrFromTriplets<double>(A.NumRows, A.NumCols, std::move(R),
+                                 std::move(C), std::move(V));
+}
+
+/// A 5-point operator on an Nx x Ny grid coupled strongly along x and with
+/// weight \p Eps along y.
+CsrMatrix<double> anisotropicLaplacian(index_t Nx, index_t Ny, double Eps) {
+  std::vector<index_t> R, C;
+  std::vector<double> V;
+  auto Add = [&](index_t Row, index_t Col, double Val) {
+    R.push_back(Row);
+    C.push_back(Col);
+    V.push_back(Val);
+  };
+  for (index_t Y = 0; Y < Ny; ++Y)
+    for (index_t X = 0; X < Nx; ++X) {
+      index_t Row = Y * Nx + X;
+      Add(Row, Row, 2.0 + 2.0 * Eps);
+      if (X > 0)
+        Add(Row, Row - 1, -1.0);
+      if (X + 1 < Nx)
+        Add(Row, Row + 1, -1.0);
+      if (Y > 0)
+        Add(Row, Row - Nx, -Eps);
+      if (Y + 1 < Ny)
+        Add(Row, Row + Nx, -Eps);
+    }
+  return csrFromTriplets<double>(Nx * Ny, Nx * Ny, std::move(R), std::move(C),
+                                 std::move(V));
+}
+
+/// A strength pattern on \p N points: each point not a multiple of
+/// \p IsolatedEvery strongly depends on \p Out random others of the same
+/// kind (and, when \p Symmetric, they on it); the multiples of
+/// \p IsolatedEvery connect to nothing either way (0: none isolated).
+CsrMatrix<double> randomStrength(index_t N, index_t Out, bool Symmetric,
+                                 index_t IsolatedEvery, std::uint64_t Seed) {
+  auto Isolated = [&](index_t P) {
+    return IsolatedEvery > 0 && P % IsolatedEvery == 0;
+  };
+  Rng Rng(Seed);
+  std::vector<index_t> R, C;
+  for (index_t P = 0; P < N; ++P) {
+    if (Isolated(P))
+      continue;
+    for (index_t K = 0; K < Out; ++K) {
+      auto Q = static_cast<index_t>(Rng.uniform() * static_cast<double>(N));
+      if (Q == P || Q >= N || Isolated(Q))
+        continue;
+      R.push_back(P);
+      C.push_back(Q);
+      if (Symmetric) {
+        R.push_back(Q);
+        C.push_back(P);
+      }
+    }
+  }
+  std::vector<double> V(R.size(), 1.0);
+  CsrMatrix<double> S = csrFromTriplets<double>(N, N, std::move(R),
+                                                std::move(C), std::move(V));
+  // Repeated picks summed; a strength pattern holds ones.
+  std::fill(S.Values.begin(), S.Values.end(), 1.0);
+  return S;
+}
+
+/// Ruge–Stüben coarsening as a lazy std::priority_queue of (measure, point)
+/// pairs, stale entries skipped on pop, then the interpolation cover pass:
+/// the split coarsen(S, CoarsenKind::RugeL) has to reproduce.
+std::vector<CfPoint> lazyQueueRugeL(const CsrMatrix<double> &S) {
+  const CsrMatrix<double> St = transposeCsr(S);
+  const index_t N = S.NumRows;
+  constexpr std::uint8_t Unassigned = 2, F = 0, C = 1;
+  std::vector<std::uint8_t> State(static_cast<std::size_t>(N), Unassigned);
+  std::vector<double> Measure(static_cast<std::size_t>(N));
+  std::priority_queue<std::pair<double, index_t>> Queue;
+  for (index_t I = 0; I < N; ++I) {
+    Measure[static_cast<std::size_t>(I)] =
+        static_cast<double>(St.rowDegree(I));
+    Queue.push({Measure[static_cast<std::size_t>(I)], I});
+  }
+  while (!Queue.empty()) {
+    auto [Priority, Point] = Queue.top();
+    Queue.pop();
+    const auto P = static_cast<std::size_t>(Point);
+    if (State[P] != Unassigned || Priority != Measure[P])
+      continue;
+    if (Priority <= 0.0) {
+      State[P] = F;
+      continue;
+    }
+    State[P] = C;
+    for (index_t I = St.RowPtr[Point]; I < St.RowPtr[Point + 1]; ++I) {
+      const auto D = static_cast<std::size_t>(St.ColIdx[I]);
+      if (State[D] != Unassigned)
+        continue;
+      State[D] = F;
+      for (index_t J = S.RowPtr[St.ColIdx[I]]; J < S.RowPtr[St.ColIdx[I] + 1];
+           ++J) {
+        const auto Infl = static_cast<std::size_t>(S.ColIdx[J]);
+        if (State[Infl] != Unassigned)
+          continue;
+        Measure[Infl] += 1.0;
+        Queue.push({Measure[Infl], S.ColIdx[J]});
+      }
+    }
+  }
+  std::vector<CfPoint> Split(static_cast<std::size_t>(N));
+  for (std::size_t I = 0; I != Split.size(); ++I)
+    Split[I] = State[I] == C ? CfPoint::C : CfPoint::F;
+  // Every F point with a strong connection keeps a strong C neighbour.
+  for (index_t I = 0; I < N; ++I) {
+    if (Split[static_cast<std::size_t>(I)] == CfPoint::C ||
+        S.rowDegree(I) == 0)
+      continue;
+    bool HasDonor = false;
+    for (index_t J = S.RowPtr[I]; J < S.RowPtr[I + 1] && !HasDonor; ++J)
+      HasDonor = Split[static_cast<std::size_t>(S.ColIdx[J])] == CfPoint::C;
+    if (!HasDonor)
+      Split[static_cast<std::size_t>(I)] = CfPoint::C;
+  }
+  return Split;
 }
 
 } // namespace
@@ -92,6 +272,31 @@ TEST(SpGemmTest, DropSmallEntriesKeepsDiagonal) {
   EXPECT_DOUBLE_EQ(B.at(0, 0), 1e-12) << "diagonal is never dropped";
   EXPECT_DOUBLE_EQ(B.at(0, 1), 5.0);
   EXPECT_EQ(B.nnz(), 3) << "only the (1,1) diagonal and kept entries remain";
+}
+
+TEST(SpGemmTest, SlicedMatchesSerialReference) {
+  // Above the grain spgemm runs on row slices of its left operand; each
+  // row is written as the serial loop writes it, bit for bit.
+  const CsrMatrix<double> Stencil = perturbed(laplace3d7pt(30, 30, 30), 41);
+  const CsrMatrix<double> Wide = randomCsr(300, 4000, 0.03, 42);
+  const CsrMatrix<double> Narrow = randomCsr(4000, 700, 0.01, 43);
+  const CsrMatrix<double> Holes = withEmptyRows(randomCsr(2000, 2000, 0.02, 44), 3);
+  const CsrMatrix<double> Unsorted = reverseRows(Stencil);
+  struct Case {
+    const char *Name;
+    const CsrMatrix<double> &A, &B;
+  };
+  for (const Case &C : {Case{"square", Stencil, Stencil},
+                        Case{"rectangular", Wide, Narrow},
+                        Case{"empty rows", Holes, Holes},
+                        Case{"unsorted rows", Unsorted, Unsorted}}) {
+    SCOPED_TRACE(C.Name);
+    ASSERT_GE(C.A.nnz(), ParallelConvertGrain);
+    CsrMatrix<double> Product = spgemm(C.A, C.B);
+    EXPECT_TRUE(Product.isValid());
+    EXPECT_TRUE(Product.hasSortedRows());
+    expectSameCsr(serialGustavson(C.A, C.B), Product);
+  }
 }
 
 // --- Strength ----------------------------------------------------------------
@@ -170,6 +375,29 @@ TEST(CoarsenTest, CljpNoAdjacentCoarsePairsDominates) {
   // enforceInterpolationCover may promote a handful, but the bulk must be
   // independent.
   EXPECT_LT(AdjacentPairs, 10);
+}
+
+TEST(CoarsenTest, RugeLMatchesTheLazyQueue) {
+  // The indexed heap picks the next point in the order the lazy pair queue
+  // popped them (largest measure first, the larger index among equals), so
+  // the split is the same; the pattern graphs are full of equal measures.
+  struct Case {
+    const char *Name;
+    CsrMatrix<double> S;
+  };
+  const Case Cases[] = {
+      {"9-point Laplacian", strengthGraph(laplace2d9pt(60, 60))},
+      {"anisotropic", strengthGraph(anisotropicLaplacian(50, 40, 0.01))},
+      {"random symmetric", randomStrength(3000, 2, true, 0, 45)},
+      {"isolated points", randomStrength(3000, 3, false, 4, 46)}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    const std::vector<CfPoint> Split = coarsen(C.S, CoarsenKind::RugeL);
+    const std::vector<CfPoint> Expected = lazyQueueRugeL(C.S);
+    EXPECT_GT(countCoarse(Expected), 0);
+    EXPECT_TRUE(Split == Expected)
+        << countCoarse(Split) << " C points against " << countCoarse(Expected);
+  }
 }
 
 // --- Interpolation ---------------------------------------------------------------
@@ -374,6 +602,47 @@ TEST(HierarchyTest, OperatorComplexityBounded) {
   EXPECT_LT(H.operatorComplexity(), 5.0);
 }
 
+TEST(HierarchyTest, SameAtEveryTeamSize) {
+  // Every setup pass cuts its slices from the processor count, not the
+  // team size, and writes its rows, counts and lists as a serial loop
+  // would, so every level keeps its bits however many threads run them.
+  const int Hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  struct Case {
+    const char *Name;
+    CoarsenKind Kind;
+    CsrMatrix<double> A;
+  };
+  const Case Cases[] = {
+      {"cljp_7pt", CoarsenKind::Cljp, perturbed(laplace3d7pt(30, 30, 30), 47)},
+      {"rugeL_9pt", CoarsenKind::RugeL, perturbed(laplace2d9pt(120, 120), 48)}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ASSERT_GE(C.A.nnz(), ParallelConvertGrain);
+    HierarchyOptions Opts;
+    Opts.Coarsening = C.Kind;
+    AmgHierarchy One;
+    {
+      OmpThreadsScope Serial(1);
+      One.build(C.A, Opts);
+    }
+    ASSERT_GE(One.numLevels(), 3u);
+    for (int Threads : {2, 4, 2 * Hw}) {
+      SCOPED_TRACE(testing::Message() << Threads << " threads");
+      OmpThreadsScope Team(Threads);
+      AmgHierarchy H;
+      H.build(C.A, Opts);
+      ASSERT_EQ(H.numLevels(), One.numLevels());
+      for (std::size_t L = 0; L != H.numLevels(); ++L) {
+        SCOPED_TRACE(testing::Message() << "level " << L);
+        expectSameCsr(One.level(L).A, H.level(L).A);
+        expectSameCsr(One.level(L).P, H.level(L).P);
+        expectSameCsr(One.level(L).R, H.level(L).R);
+      }
+    }
+  }
+}
+
 // --- Full solver -----------------------------------------------------------------
 
 TEST(AmgSolverTest, SolvesPoisson2D) {
@@ -484,40 +753,7 @@ TEST(AmgSolverTest, ZeroRhsConvergesImmediately) {
 TEST(AmgSolverTest, AnisotropicProblemStillConverges) {
   // Strong x-direction coupling: a classic AMG stress test for strength
   // thresholds and semicoarsening behaviour.
-  index_t Nx = 30, Ny = 30;
-  std::vector<index_t> R, C;
-  std::vector<double> V;
-  double Eps = 0.01; // Weak y-coupling.
-  for (index_t Y = 0; Y < Ny; ++Y)
-    for (index_t X = 0; X < Nx; ++X) {
-      index_t Row = Y * Nx + X;
-      R.push_back(Row);
-      C.push_back(Row);
-      V.push_back(2.0 + 2.0 * Eps);
-      if (X > 0) {
-        R.push_back(Row);
-        C.push_back(Row - 1);
-        V.push_back(-1.0);
-      }
-      if (X + 1 < Nx) {
-        R.push_back(Row);
-        C.push_back(Row + 1);
-        V.push_back(-1.0);
-      }
-      if (Y > 0) {
-        R.push_back(Row);
-        C.push_back(Row - Nx);
-        V.push_back(-Eps);
-      }
-      if (Y + 1 < Ny) {
-        R.push_back(Row);
-        C.push_back(Row + Nx);
-        V.push_back(-Eps);
-      }
-    }
-  CsrMatrix<double> A = csrFromTriplets<double>(Nx * Ny, Nx * Ny,
-                                                std::move(R), std::move(C),
-                                                std::move(V));
+  CsrMatrix<double> A = anisotropicLaplacian(30, 30, 0.01);
   AmgSolver Solver;
   AmgOptions Opts;
   Opts.MaxIterations = 200;

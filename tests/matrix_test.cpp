@@ -362,6 +362,36 @@ TEST(TransposeTest, TransposeSwapsIndices) {
       EXPECT_DOUBLE_EQ(A.at(Row, Col), At.at(Col, Row));
 }
 
+TEST(TransposeTest, SlicedMatchesSerialCountingSort) {
+  // Above the grain the source rows run as slices, each scattering into
+  // its own offsets; every output row still lists its source rows in
+  // ascending order, as one counting sort over all rows does.
+  auto CountingSort = [](const CsrMatrix<double> &A) {
+    CsrMatrix<double> B(A.NumCols, A.NumRows);
+    for (index_t Col : A.ColIdx)
+      ++B.RowPtr[Col + 1];
+    for (index_t Col = 0; Col < A.NumCols; ++Col)
+      B.RowPtr[Col + 1] += B.RowPtr[Col];
+    std::vector<index_t> Next(B.RowPtr.begin(), B.RowPtr.end() - 1);
+    B.ColIdx.resize(A.ColIdx.size());
+    B.Values.resize(A.Values.size());
+    for (index_t Row = 0; Row < A.NumRows; ++Row)
+      for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
+        index_t Dst = Next[static_cast<std::size_t>(A.ColIdx[I])]++;
+        B.ColIdx[Dst] = Row;
+        B.Values[Dst] = A.Values[I];
+      }
+    return B;
+  };
+  const CsrMatrix<double> Wide = randomCsr(200, 20000, 0.01, 71);
+  const CsrMatrix<double> Tall = randomCsr(20000, 300, 0.01, 72);
+  const CsrMatrix<double> Unsorted = reverseRows(Tall);
+  for (const CsrMatrix<double> *A : {&Wide, &Tall, &Unsorted}) {
+    ASSERT_GE(A->nnz(), ParallelConvertGrain);
+    expectSameCsr(CountingSort(*A), transposeCsr(*A));
+  }
+}
+
 TEST(ConvertValueTest, DoubleToFloatAndBack) {
   CsrMatrix<double> A = paperExample();
   CsrMatrix<float> F = convertValueType<float>(A);
