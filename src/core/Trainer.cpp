@@ -207,17 +207,7 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
   // Stage 1: kernel search (paper Section 5.2). The scoreboard quantizes
   // the architecture through kernel performance, so the learning stage
   // below trains against the kernels that will actually run.
-  if (Opts.SkipKernelSearch) {
-    Result.Model.Kernels = KernelSelection();
-    const KernelTable<T> &Kernels = kernelTable<T>();
-    Result.Model.Kernels.BestKernelName = {
-        Kernels.Csr.front().Name, Kernels.Coo.front().Name,
-        Kernels.Dia.front().Name, Kernels.Ell.front().Name,
-        Kernels.Bsr.front().Name};
-  } else {
-    Result.Model.Kernels =
-        searchOptimalKernels<T>(Opts.MeasureMinSeconds);
-  }
+  Result.Model.Kernels = searchOptimalKernels<T>(Opts.MeasureMinSeconds);
 
   // Stage 2: feature database (paper Section 4).
   Result.Database.Records.reserve(Training.size());
@@ -228,7 +218,7 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
   // Stage 3: data mining (paper Section 5.1).
   Dataset Data = Result.Database.toDataset();
   DecisionTree Tree;
-  Tree.build(Data, Opts.Tree);
+  Tree.build(Data);
   Result.TreeAccuracy = Tree.accuracy(Data);
 
   RuleSet Rules = RuleSet::fromTree(Tree, Data);
@@ -236,8 +226,9 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
   Result.FullRules = Rules;
   Result.FullRuleAccuracy = Rules.accuracy(Data);
 
-  // Stage 4: rule tailoring and grouping (paper Section 6).
-  Result.Model.Rules = Rules.tailored(Data, Opts.TailorAccuracyLoss);
+  // Stage 4: rule tailoring and grouping (paper Section 6), within the
+  // paper's 1% accuracy loss (tailored's default).
+  Result.Model.Rules = Rules.tailored(Data);
   Result.TailoredRuleAccuracy = Result.Model.Rules.accuracy(Data);
   Result.Model.ConfidenceThreshold = Opts.ConfidenceThreshold;
   Result.Model.BsrEnabled = Opts.EnableBsr;

@@ -33,14 +33,8 @@ struct TrainingOptions {
   /// experiments reproduce unchanged; the ext_bsr_extension bench turns it
   /// on to demonstrate the framework's extensibility (contribution 3).
   bool EnableBsr = false;
-  /// Tree learner configuration.
-  TreeConfig Tree;
-  /// Rule tailoring tolerance (paper: 1% accuracy gap).
-  double TailorAccuracyLoss = 0.01;
   /// Runtime confidence threshold stored into the model.
   double ConfidenceThreshold = DefaultConfidenceThreshold;
-  /// Skip the scoreboard (use basic kernels); for fast unit tests.
-  bool SkipKernelSearch = false;
 };
 
 /// Times every kernel of \p Kind's SpMV list (its SpMM list at \p Width > 1;

@@ -129,66 +129,6 @@ void bsrUnrolled(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   }
 }
 
-/// SIMD-annotated block rows (vectorizes the inner block multiply).
-template <typename T>
-void bsrSimd(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-             const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
-  for (index_t Br = First; Br < Last; ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-#pragma omp simd reduction(+ : Sum)
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
-}
-
-/// Generic loop with software prefetch of the next blocks' values and X
-/// slices.
-template <typename T>
-void bsrPrefetch(const BsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  std::int64_t Blocks = A.numBlocks();
-  const auto [First, Last] = blockRows(A, RowBegin, RowEnd);
-  for (index_t Br = First; Br < Last; ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      if (I + 2 < Blocks) {
-        __builtin_prefetch(
-            A.Values.data() + static_cast<std::size_t>(I + 2) * B * B, 0, 0);
-        __builtin_prefetch(&X[A.ColIdx[I + 2] * B], 0, 0);
-      }
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
-}
-
 } // namespace
 } // namespace smat
 
@@ -197,8 +137,6 @@ std::vector<smat::Kernel<smat::BsrKernelFn<T>>> smat::makeBsrKernels() {
   return {
       {"bsr_basic", OptNone, &bsrBasic<T>},
       {"bsr_unrolled", OptUnroll, &bsrUnrolled<T>},
-      {"bsr_simd", OptSimd, &bsrSimd<T>},
-      {"bsr_prefetch", OptPrefetch, &bsrPrefetch<T>},
   };
 }
 

@@ -55,25 +55,6 @@ void cooBasic(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
     Y[Rows[I]] += Val[I] * X[Cols[I]];
 }
 
-template <typename T>
-void cooUnroll4(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  zeroOut(Y, RowBegin, RowEnd);
-  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
-  const index_t *SMAT_RESTRICT Rows = A.Rows.data();
-  const index_t *SMAT_RESTRICT Cols = A.Cols.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  std::int64_t I = First;
-  for (; I + 3 < Last; I += 4) {
-    Y[Rows[I + 0]] += Val[I + 0] * X[Cols[I + 0]];
-    Y[Rows[I + 1]] += Val[I + 1] * X[Cols[I + 1]];
-    Y[Rows[I + 2]] += Val[I + 2] * X[Cols[I + 2]];
-    Y[Rows[I + 3]] += Val[I + 3] * X[Cols[I + 3]];
-  }
-  for (; I < Last; ++I)
-    Y[Rows[I]] += Val[I] * X[Cols[I]];
-}
-
 /// Defers the store until the row index changes: turns the per-nonzero
 /// read-modify-write of Y into one store per row run (branch optimization).
 template <typename T>
@@ -98,23 +79,6 @@ void cooSegmented(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
     Sum += Val[I] * X[Cols[I]];
   }
   Y[Current] += Sum;
-}
-
-/// Prefetches the X gather stream.
-template <typename T>
-void cooPrefetch(const CooMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  zeroOut(Y, RowBegin, RowEnd);
-  const auto [First, Last] = cooEntries(A, RowBegin, RowEnd);
-  constexpr std::int64_t Distance = 64;
-  const index_t *SMAT_RESTRICT Rows = A.Rows.data();
-  const index_t *SMAT_RESTRICT Cols = A.Cols.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  for (std::int64_t I = First; I < Last; ++I) {
-    if (I + Distance < Last)
-      __builtin_prefetch(&X[Cols[I + Distance]], 0, 0);
-    Y[Rows[I]] += Val[I] * X[Cols[I]];
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -201,9 +165,7 @@ template <typename T>
 std::vector<smat::Kernel<smat::CooKernelFn<T>>> smat::makeCooKernels() {
   return {
       {"coo_basic", OptNone, &cooBasic<T>},
-      {"coo_unroll4", OptUnroll, &cooUnroll4<T>},
       {"coo_segmented", OptBranchFree, &cooSegmented<T>},
-      {"coo_prefetch", OptPrefetch, &cooPrefetch<T>},
   };
 }
 

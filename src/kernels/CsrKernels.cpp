@@ -12,7 +12,6 @@
 #include "kernels/KernelRegistry.h"
 #include "support/Compiler.h"
 
-#include <algorithm>
 #include <type_traits>
 #include <vector>
 
@@ -52,34 +51,6 @@ void csrUnroll4(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
     for (; I < E; ++I)
       S0 += Val[I] * X[Col[I]];
     Y[Row] = (S0 + S1) + (S2 + S3);
-  }
-}
-
-/// Software-prefetches the column/value streams a fixed distance ahead.
-/// Entries at I >= Nnz - Distance have no in-bounds prefetch target, so each
-/// row is split at that point into a prefetching main loop and a plain tail
-/// instead of paying a bounds check on every nonzero.
-template <typename T>
-void csrPrefetch(const CsrMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  constexpr index_t Distance = 64;
-  const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  index_t Nnz = static_cast<index_t>(A.nnz());
-  const index_t PrefetchEnd = Nnz > Distance ? Nnz - Distance : 0;
-  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
-    T Sum = T(0);
-    index_t I = A.RowPtr[Row];
-    const index_t E = A.RowPtr[Row + 1];
-    for (index_t P = std::min(E, PrefetchEnd); I < P; ++I) {
-      __builtin_prefetch(&Val[I + Distance], 0, 0);
-      __builtin_prefetch(&Col[I + Distance], 0, 0);
-      __builtin_prefetch(&X[Col[I + Distance]], 0, 0);
-      Sum += Val[I] * X[Col[I]];
-    }
-    for (; I < E; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
   }
 }
 
@@ -272,7 +243,6 @@ std::vector<smat::Kernel<smat::CsrKernelFn<T>>> smat::makeCsrKernels() {
       {"csr_basic", OptNone, &csrBasic<T>},
       {"csr_unroll4", OptUnroll, &csrUnroll4<T>},
       {"csr_simd", OptSimd, &csrSimd<T>},
-      {"csr_prefetch", OptPrefetch, &csrPrefetch<T>},
   };
 #if defined(__AVX2__)
   if constexpr (std::is_same_v<T, double>)

@@ -97,33 +97,6 @@ void diaDiagonalMajor(const DiaMatrix<T> &A, index_t RowBegin,
   }
 }
 
-/// Prefetches the diagonal data and X streams a fixed distance ahead.
-template <typename T>
-void diaPrefetch(const DiaMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  diaZero(Y, RowBegin, RowEnd);
-  constexpr index_t Distance = 64;
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    auto [Lo, Hi] = diagonalRows(A, K, RowBegin, RowEnd);
-    if (Lo >= Hi)
-      continue;
-    const index_t N = Hi - Lo;
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + Lo;
-    const T *SMAT_RESTRICT Xs = X + (Lo + K);
-    T *SMAT_RESTRICT Ys = Y + Lo;
-    for (index_t I = 0; I < N; ++I) {
-      if (I + Distance < N) {
-        __builtin_prefetch(&Data[I + Distance], 0, 0);
-        __builtin_prefetch(&Xs[I + Distance], 0, 0);
-      }
-      Ys[I] += Data[I] * Xs[I];
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // SpMM (multi-RHS) kernels: X row-major NumCols x K, Y row-major NumRows x K.
 //===----------------------------------------------------------------------===//
@@ -221,10 +194,8 @@ template <typename T>
 std::vector<smat::Kernel<smat::DiaKernelFn<T>>> smat::makeDiaKernels() {
   return {
       {"dia_basic", OptNone, &diaDiagonalMajor<T, 1, false>},
-      {"dia_simd", OptSimd, &diaDiagonalMajor<T, 1, true>},
       {"dia_unroll2", OptUnroll, &diaDiagonalMajor<T, 2, false>},
       {"dia_simd_unroll2", OptSimd | OptUnroll, &diaDiagonalMajor<T, 2, true>},
-      {"dia_prefetch", OptPrefetch, &diaPrefetch<T>},
   };
 }
 

@@ -29,10 +29,12 @@ void ellZero(T *SMAT_RESTRICT Y, index_t RowBegin, index_t RowEnd,
 
 /// Column-major pass: for each packed column, the rows of the range.
 /// \p Columns is 1 (the paper's loop) or 2 (two packed columns per sweep,
-/// halving Y traffic); \p Simd adds the explicit vectorization request.
+/// halving Y traffic); \p Simd adds the explicit vectorization request to
+/// the one-column sweep.
 template <typename T, int Columns, bool Simd>
 void ellColumnMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
                     const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
+  static_assert(Columns == 1 || !Simd, "the two-column sweep has no simd form");
   ellZero(Y, RowBegin, RowEnd);
   index_t C = 0;
   if constexpr (Columns == 2)
@@ -43,14 +45,8 @@ void ellColumnMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
       const index_t *SMAT_RESTRICT Idx0 =
           A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
       const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
-      if constexpr (Simd) {
-#pragma omp simd
-        for (index_t Row = RowBegin; Row < RowEnd; ++Row)
-          Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-      } else {
-        for (index_t Row = RowBegin; Row < RowEnd; ++Row)
-          Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-      }
+      for (index_t Row = RowBegin; Row < RowEnd; ++Row)
+        Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
     }
   for (; C < A.Width; ++C) {
     const T *SMAT_RESTRICT Data =
@@ -65,21 +61,6 @@ void ellColumnMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
       for (index_t Row = RowBegin; Row < RowEnd; ++Row)
         Y[Row] += Data[Row] * X[Idx[Row]];
     }
-  }
-}
-
-/// Loop interchange: per-row accumulation (one Y store per row, strided
-/// loads from the packed matrix).
-template <typename T>
-void ellRowMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
-    T Sum = T(0);
-    for (index_t C = 0; C < A.Width; ++C) {
-      std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
-      Sum += A.Data[I] * X[A.Indices[I]];
-    }
-    Y[Row] = Sum;
   }
 }
 
@@ -126,25 +107,6 @@ void ellSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
   for (index_t C = First; C < Last; ++C)
     ellSlicedChunk(A, std::max(RowBegin, C * EllSliceRows),
                    std::min(RowEnd, (C + 1) * EllSliceRows), X, Y);
-}
-
-/// Column-major pass with gather prefetch on the X stream.
-template <typename T>
-void ellPrefetch(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
-                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y) {
-  ellZero(Y, RowBegin, RowEnd);
-  constexpr index_t Distance = 64;
-  for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = RowBegin; Row < RowEnd; ++Row) {
-      if (Row + Distance < RowEnd)
-        __builtin_prefetch(&X[Idx[Row + Distance]], 0, 0);
-      Y[Row] += Data[Row] * X[Idx[Row]];
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,10 +227,7 @@ std::vector<smat::Kernel<smat::EllKernelFn<T>>> smat::makeEllKernels() {
   return {
       {"ell_basic", OptNone, &ellColumnMajor<T, 1, false>},
       {"ell_simd", OptSimd, &ellColumnMajor<T, 1, true>},
-      {"ell_rowmajor", OptInterchange, &ellRowMajor<T>},
       {"ell_unroll2", OptUnroll, &ellColumnMajor<T, 2, false>},
-      {"ell_simd_unroll2", OptSimd | OptUnroll, &ellColumnMajor<T, 2, true>},
-      {"ell_prefetch", OptPrefetch, &ellPrefetch<T>},
       {"ell_sliced", OptLoadBalance, &ellSliced<T>, PrecondRowLengths},
   };
 }

@@ -17,12 +17,10 @@ const char *smat::optStrategyName(unsigned Bit) {
   case 1:
     return "simd";
   case 2:
-    return "prefetch";
-  case 3:
     return "branchfree";
-  case 4:
+  case 3:
     return "interchange";
-  case 5:
+  case 4:
     return "loadbalance";
   }
   smatUnreachable("invalid optimization strategy bit");

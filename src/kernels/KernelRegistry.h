@@ -36,24 +36,26 @@
 namespace smat {
 
 /// Optimization strategies the kernel library explores (paper Section 5.2:
-/// blocking/unrolling, SIMDization, software prefetching, branch
-/// optimization). The paper's multi-threading and thread scheduling are not
-/// kernel strategies here: every kernel is serial, and a plan runs its kernel
-/// as balanced row slices across the OpenMP team once the matrix reaches the
-/// grain (core/FormatOperator.h).
+/// blocking/unrolling, SIMDization, branch optimization). Section 5.2's
+/// software prefetching is not among them: on no corpus matrix did a
+/// prefetch kernel's plan beat every kernel that stays by more than the
+/// noise floor (DESIGN.md sections 7 and 17). The paper's multi-threading
+/// and thread scheduling are not kernel strategies here either: every
+/// kernel is serial, and a plan runs its kernel as balanced row slices
+/// across the OpenMP team once the matrix reaches the grain
+/// (core/FormatOperator.h).
 enum OptStrategy : unsigned {
   OptNone = 0,
   OptUnroll = 1u << 0,      ///< Inner-loop unrolling / multiple accumulators.
   OptSimd = 1u << 1,        ///< Explicit or pragma-driven vectorization.
-  OptPrefetch = 1u << 2,    ///< Software prefetching of index/value streams.
-  OptBranchFree = 1u << 3,  ///< Branch elimination / store deferral.
-  OptInterchange = 1u << 4, ///< Loop-order interchange (ELL row-major).
-  OptLoadBalance = 1u << 5, ///< Work bounded by each row's own length
+  OptBranchFree = 1u << 2,  ///< Branch elimination / store deferral.
+  OptInterchange = 1u << 3, ///< Loop-order interchange (row-major SpMM tiles).
+  OptLoadBalance = 1u << 4, ///< Work bounded by each row's own length
                             ///< (sliced ELL) for skewed row lengths.
 };
 
 /// Number of distinct strategy bits above.
-inline constexpr unsigned NumOptStrategies = 6;
+inline constexpr unsigned NumOptStrategies = 5;
 
 /// Structural preconditions a kernel demands of its input beyond the
 /// format's base invariants. Declared at registration so the binding layer

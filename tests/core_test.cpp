@@ -254,16 +254,15 @@ TEST(LearningModelTest, SkewKernelLineRoundTripsAndStaysOptional) {
   // With the skew pick set, serialize/parse preserves it without disturbing
   // the ruleset.
   LearningModel Model = sharedTrainResult().Model;
-  const int Prefetch = kernelIndexNamed(kernelTable<double>().Csr,
-                                        "csr_prefetch");
-  ASSERT_GT(Prefetch, 0);
-  Model.Kernels.BestSkewCsrKernel = Prefetch;
-  Model.Kernels.BestSkewCsrKernelName = "csr_prefetch";
+  const int Simd = kernelIndexNamed(kernelTable<double>().Csr, "csr_simd");
+  ASSERT_GT(Simd, 0);
+  Model.Kernels.BestSkewCsrKernel = Simd;
+  Model.Kernels.BestSkewCsrKernelName = "csr_simd";
   LearningModel Parsed;
   std::string Error;
   ASSERT_TRUE(parseModel(serializeModel(Model), Parsed, Error)) << Error;
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Prefetch);
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernelName, "csr_prefetch");
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Simd);
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernelName, "csr_simd");
   EXPECT_EQ(Parsed.Rules.size(), Model.Rules.size());
 
   // A pre-skew model text (no kernel_skew line) must parse with the field
@@ -399,7 +398,7 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   Model.Kernels.BestKernel[Dia] = 3;
   Model.Kernels.BestKernelName[Dia] = "dia_of_another_build";
   Model.Kernels.BestSkewCsrKernel = 0;
-  Model.Kernels.BestSkewCsrKernelName = "csr_prefetch";
+  Model.Kernels.BestSkewCsrKernelName = "csr_simd";
   Model.Kernels.BestSpmmKernel[Csr][2] = 0;
   Model.Kernels.BestSpmmKernelName[Csr][2] = "csr_spmm_tiled";
   Model.Kernels.BestSpmmKernel[Ell][0] = 1;
@@ -410,7 +409,7 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   EXPECT_EQ(Parsed.Kernels.BestKernel[Csr], Index(K.Csr, "csr_unroll4"));
   EXPECT_EQ(Parsed.Kernels.BestKernel[Dia], 0);
   EXPECT_EQ(Parsed.Kernels.BestKernelName[Dia], "dia_of_another_build");
-  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_prefetch"));
+  EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_simd"));
   EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Csr][2],
             Index(K.CsrSpmm, "csr_spmm_tiled"));
   EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Ell][0], 0);
@@ -757,29 +756,6 @@ TEST(SmatRuntimeTest, DegenerateInputsSurvive) {
     for (double V : Y)
       EXPECT_DOUBLE_EQ(V, 0.0);
   }
-}
-
-TEST(TrainerTest2, SkipKernelSearchUsesBasicKernels) {
-  auto Corpus = buildCorpus(CorpusScale::Tiny);
-  std::vector<const CorpusEntry *> Training, Evaluation;
-  splitCorpus(Corpus, Training, Evaluation);
-  TrainingOptions Opts = fastOptions();
-  Opts.SkipKernelSearch = true;
-  TrainResult Result = trainSmat<double>(Training, Opts);
-  for (int K = 0; K < NumFormats; ++K)
-    EXPECT_EQ(Result.Model.Kernels.BestKernel[static_cast<std::size_t>(K)],
-              0);
-  EXPECT_EQ(
-      Result.Model.Kernels.BestKernelName[static_cast<int>(FormatKind::CSR)],
-      "csr_basic");
-  // The model must still work end-to-end.
-  const Smat<double> Tuner(Result.Model);
-  CsrMatrix<double> A = tridiagonal(500);
-  TunedSpmv<double> Op = Tuner.tune(A);
-  auto X = randomVector<double>(500, 73);
-  std::vector<double> Y(500);
-  Op.apply(X.data(), Y.data());
-  expectVectorsNear(denseSpmv(A, X), Y, 1e-12);
 }
 
 TEST(SmatRuntimeTest, RectangularMatrixTunes) {

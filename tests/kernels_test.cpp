@@ -15,6 +15,7 @@
 
 #include <array>
 #include <set>
+#include <type_traits>
 
 using namespace smat;
 using namespace smat::test;
@@ -91,115 +92,129 @@ std::vector<std::pair<std::string, CsrMatrix<double>>> testMatrices() {
 
 class KernelCorrectness : public ::testing::TestWithParam<int> {};
 
-TEST_P(KernelCorrectness, CsrKernelsMatchReference) {
-  int MatIdx = GetParam();
-  auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 100);
-  auto Expected = denseSpmv(A, X);
+namespace {
 
-  for (const auto &K : kernelTable<double>().Csr) {
-    std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-    K.Fn(A, X.data(), Y.data());
-    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-12);
+/// Calls \p Check with a value of each type the library instantiates, so
+/// each per-family test checks the family's double and float kernels.
+template <typename CheckFn> void forEachValueType(CheckFn Check) {
+  {
+    SCOPED_TRACE("double");
+    Check(double());
   }
+  {
+    SCOPED_TRACE("float");
+    Check(float());
+  }
+}
+
+/// Tolerance of a kernel's result in \p T against the dense reference.
+template <typename T> constexpr double refTolerance() {
+  return std::is_same_v<T, float> ? 1e-4 : 1e-12;
+}
+
+} // namespace
+
+TEST_P(KernelCorrectness, CsrKernelsMatchReference) {
+  auto Mats = testMatrices();
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols), 100);
+    auto Expected = denseSpmv(A, X);
+    for (const auto &K : kernelTable<T>().Csr) {
+      std::vector<T> Y(static_cast<std::size_t>(A.NumRows), T(-7));
+      K.Fn(A, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, refTolerance<T>());
+    }
+  });
 }
 
 TEST_P(KernelCorrectness, CooKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  CooMatrix<double> Coo = csrToCoo(A);
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 101);
-  auto Expected = denseSpmv(A, X);
-
-  for (const auto &K : kernelTable<double>().Coo) {
-    std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-    K.Fn(Coo, X.data(), Y.data());
-    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-12);
-  }
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    CooMatrix<T> Coo = csrToCoo(A);
+    auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols), 101);
+    auto Expected = denseSpmv(A, X);
+    for (const auto &K : kernelTable<T>().Coo) {
+      std::vector<T> Y(static_cast<std::size_t>(A.NumRows), T(-7));
+      K.Fn(Coo, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, refTolerance<T>());
+    }
+  });
 }
 
 TEST_P(KernelCorrectness, DiaKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  DiaMatrix<double> Dia;
-  if (!csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0))
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  DiaMatrix<double> Probe;
+  if (!csrToDia(Ad, Probe, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0))
     GTEST_SKIP() << "not DIA-representable";
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 102);
-  auto Expected = denseSpmv(A, X);
-
-  for (const auto &K : kernelTable<double>().Dia) {
-    std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-    K.Fn(Dia, X.data(), Y.data());
-    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-12);
-  }
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    DiaMatrix<T> Dia;
+    ASSERT_TRUE(csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0));
+    auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols), 102);
+    auto Expected = denseSpmv(A, X);
+    for (const auto &K : kernelTable<T>().Dia) {
+      std::vector<T> Y(static_cast<std::size_t>(A.NumRows), T(-7));
+      K.Fn(Dia, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, refTolerance<T>());
+    }
+  });
 }
 
 TEST_P(KernelCorrectness, EllKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  EllMatrix<double> Ell;
-  if (!csrToEll(A, Ell, /*MaxFillRatio=*/0.0))
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  EllMatrix<double> Probe;
+  if (!csrToEll(Ad, Probe, /*MaxFillRatio=*/0.0))
     GTEST_SKIP() << "not ELL-representable";
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 103);
-  auto Expected = denseSpmv(A, X);
-
-  for (const auto &K : kernelTable<double>().Ell) {
-    std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-    K.Fn(Ell, X.data(), Y.data());
-    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-12);
-  }
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    EllMatrix<T> Ell;
+    ASSERT_TRUE(csrToEll(A, Ell, /*MaxFillRatio=*/0.0));
+    auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols), 103);
+    auto Expected = denseSpmv(A, X);
+    for (const auto &K : kernelTable<T>().Ell) {
+      std::vector<T> Y(static_cast<std::size_t>(A.NumRows), T(-7));
+      K.Fn(Ell, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, refTolerance<T>());
+    }
+  });
 }
 
 TEST_P(KernelCorrectness, BsrKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  auto X = randomVector<double>(static_cast<std::size_t>(A.NumCols), 105);
-  auto Expected = denseSpmv(A, X);
-
-  // Every supported block size, including ragged-edge cases.
-  for (index_t BlockSize : {2, 3, 4, 8}) {
-    BsrMatrix<double> Bsr;
-    if (!csrToBsr(A, Bsr, BlockSize, /*MaxFillRatio=*/0.0))
-      continue;
-    for (const auto &K : kernelTable<double>().Bsr) {
-      std::vector<double> Y(static_cast<std::size_t>(A.NumRows), -7.0);
-      K.Fn(Bsr, X.data(), Y.data());
-      SCOPED_TRACE(std::string(K.Name) + " b=" + std::to_string(BlockSize) +
-                   " on " + Name);
-      expectVectorsNear(Expected, Y, 1e-12);
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols), 105);
+    auto Expected = denseSpmv(A, X);
+    // Every supported block size, including ragged-edge cases.
+    for (index_t BlockSize : {2, 3, 4, 8}) {
+      BsrMatrix<T> Bsr;
+      if (!csrToBsr(A, Bsr, BlockSize, /*MaxFillRatio=*/0.0))
+        continue;
+      for (const auto &K : kernelTable<T>().Bsr) {
+        std::vector<T> Y(static_cast<std::size_t>(A.NumRows), T(-7));
+        K.Fn(Bsr, X.data(), Y.data());
+        SCOPED_TRACE(std::string(K.Name) + " b=" + std::to_string(BlockSize) +
+                     " on " + Name);
+        expectVectorsNear(Expected, Y, refTolerance<T>());
+      }
     }
-  }
-}
-
-TEST_P(KernelCorrectness, FloatKernelsMatchReference) {
-  int MatIdx = GetParam();
-  auto Mats = testMatrices();
-  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(MatIdx)];
-  CsrMatrix<float> A = convertValueType<float>(Ad);
-  auto X = randomVector<float>(static_cast<std::size_t>(A.NumCols), 104);
-  std::vector<float> Expected = denseSpmv(A, X);
-
-  for (const auto &K : kernelTable<float>().Csr) {
-    std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
-    K.Fn(A, X.data(), Y.data());
-    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-4);
-  }
-  CooMatrix<float> Coo = csrToCoo(A);
-  for (const auto &K : kernelTable<float>().Coo) {
-    std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
-    K.Fn(Coo, X.data(), Y.data());
-    expectVectorsNear(Expected, Y, 1e-4);
-  }
+  });
 }
 
 // --- Batched (SpMM) kernels: every family member against a column-by-column
@@ -212,17 +227,18 @@ constexpr std::array<index_t, 7> SpmmTestWidths = {1, 2, 3, 4, 5, 8, 16};
 
 /// Row-major NumRows x K reference block: column J of the result is one
 /// dense SpMV of column J of X.
-std::vector<double> denseSpmmBlock(const CsrMatrix<double> &A,
-                                   const std::vector<double> &X, index_t K) {
-  std::vector<double> Y(
-      static_cast<std::size_t>(A.NumRows) * static_cast<std::size_t>(K), 0.0);
-  std::vector<double> Xc(static_cast<std::size_t>(A.NumCols));
+template <typename T>
+std::vector<T> denseSpmmBlock(const CsrMatrix<T> &A, const std::vector<T> &X,
+                              index_t K) {
+  std::vector<T> Y(
+      static_cast<std::size_t>(A.NumRows) * static_cast<std::size_t>(K), T(0));
+  std::vector<T> Xc(static_cast<std::size_t>(A.NumCols));
   for (index_t J = 0; J < K; ++J) {
     for (index_t C = 0; C < A.NumCols; ++C)
       Xc[static_cast<std::size_t>(C)] =
           X[static_cast<std::size_t>(C) * static_cast<std::size_t>(K) +
             static_cast<std::size_t>(J)];
-    std::vector<double> Yc = denseSpmv(A, Xc);
+    std::vector<T> Yc = denseSpmv(A, Xc);
     for (index_t R = 0; R < A.NumRows; ++R)
       Y[static_cast<std::size_t>(R) * static_cast<std::size_t>(K) +
         static_cast<std::size_t>(J)] = Yc[static_cast<std::size_t>(R)];
@@ -230,121 +246,79 @@ std::vector<double> denseSpmmBlock(const CsrMatrix<double> &A,
   return Y;
 }
 
+/// Checks every kernel of one SpMM family, bound to \p M (the format of
+/// \p A), against the dense reference at every test width.
+template <typename T, typename MatrixT, typename ListT>
+void checkSpmmFamily(const std::string &Name, const CsrMatrix<T> &A,
+                     const MatrixT &M, const ListT &Family,
+                     std::uint64_t Seed) {
+  for (index_t K : SpmmTestWidths) {
+    auto X = randomVector<T>(
+        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
+        Seed + static_cast<std::uint64_t>(K));
+    auto Expected = denseSpmmBlock(A, X, K);
+    for (const auto &Kernel : Family) {
+      if (!kernelPrecondsHold(Kernel.Preconds, M))
+        continue; // Sliced kernels need the RowLen sidecar.
+      std::vector<T> Y(Expected.size(), T(-7));
+      Kernel.Fn(M, X.data(), Y.data(), K);
+      SCOPED_TRACE(std::string(Kernel.Name) + " k=" + std::to_string(K) +
+                   " on " + Name);
+      expectVectorsNear(Expected, Y, refTolerance<T>());
+    }
+  }
+}
+
 } // namespace
 
 TEST_P(KernelCorrectness, CsrSpmmKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  for (index_t K : SpmmTestWidths) {
-    auto X = randomVector<double>(
-        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
-        200 + static_cast<std::uint64_t>(K));
-    auto Expected = denseSpmmBlock(A, X, K);
-    for (const auto &M : kernelTable<double>().CsrSpmm) {
-      std::vector<double> Y(Expected.size(), -7.0);
-      M.Fn(A, X.data(), Y.data(), K);
-      SCOPED_TRACE(std::string(M.Name) + " k=" + std::to_string(K) + " on " +
-                   Name);
-      expectVectorsNear(Expected, Y, 1e-12);
-    }
-  }
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    checkSpmmFamily(Name, A, A, kernelTable<T>().CsrSpmm, 200);
+  });
 }
 
 TEST_P(KernelCorrectness, CooSpmmKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  CooMatrix<double> Coo = csrToCoo(A);
-  for (index_t K : SpmmTestWidths) {
-    auto X = randomVector<double>(
-        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
-        210 + static_cast<std::uint64_t>(K));
-    auto Expected = denseSpmmBlock(A, X, K);
-    for (const auto &M : kernelTable<double>().CooSpmm) {
-      std::vector<double> Y(Expected.size(), -7.0);
-      M.Fn(Coo, X.data(), Y.data(), K);
-      SCOPED_TRACE(std::string(M.Name) + " k=" + std::to_string(K) + " on " +
-                   Name);
-      expectVectorsNear(Expected, Y, 1e-12);
-    }
-  }
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    checkSpmmFamily(Name, A, csrToCoo(A), kernelTable<T>().CooSpmm, 210);
+  });
 }
 
 TEST_P(KernelCorrectness, DiaSpmmKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  DiaMatrix<double> Dia;
-  if (!csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0))
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  DiaMatrix<double> Probe;
+  if (!csrToDia(Ad, Probe, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0))
     GTEST_SKIP() << "not DIA-representable";
-  for (index_t K : SpmmTestWidths) {
-    auto X = randomVector<double>(
-        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
-        220 + static_cast<std::uint64_t>(K));
-    auto Expected = denseSpmmBlock(A, X, K);
-    for (const auto &M : kernelTable<double>().DiaSpmm) {
-      std::vector<double> Y(Expected.size(), -7.0);
-      M.Fn(Dia, X.data(), Y.data(), K);
-      SCOPED_TRACE(std::string(M.Name) + " k=" + std::to_string(K) + " on " +
-                   Name);
-      expectVectorsNear(Expected, Y, 1e-12);
-    }
-  }
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    DiaMatrix<T> Dia;
+    ASSERT_TRUE(csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0));
+    checkSpmmFamily(Name, A, Dia, kernelTable<T>().DiaSpmm, 220);
+  });
 }
 
 TEST_P(KernelCorrectness, EllSpmmKernelsMatchReference) {
-  int MatIdx = GetParam();
   auto Mats = testMatrices();
-  const auto &[Name, A] = Mats[static_cast<std::size_t>(MatIdx)];
-  EllMatrix<double> Ell;
-  if (!csrToEll(A, Ell, /*MaxFillRatio=*/0.0))
+  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(GetParam())];
+  EllMatrix<double> Probe;
+  if (!csrToEll(Ad, Probe, /*MaxFillRatio=*/0.0))
     GTEST_SKIP() << "not ELL-representable";
-  for (index_t K : SpmmTestWidths) {
-    auto X = randomVector<double>(
-        static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K),
-        230 + static_cast<std::uint64_t>(K));
-    auto Expected = denseSpmmBlock(A, X, K);
-    for (const auto &M : kernelTable<double>().EllSpmm) {
-      if (!kernelPrecondsHold(M.Preconds, Ell))
-        continue; // Sliced kernels need the RowLen sidecar.
-      std::vector<double> Y(Expected.size(), -7.0);
-      M.Fn(Ell, X.data(), Y.data(), K);
-      SCOPED_TRACE(std::string(M.Name) + " k=" + std::to_string(K) + " on " +
-                   Name);
-      expectVectorsNear(Expected, Y, 1e-12);
-    }
-  }
-}
-
-TEST_P(KernelCorrectness, FloatSpmmKernelsMatchReference) {
-  int MatIdx = GetParam();
-  auto Mats = testMatrices();
-  const auto &[Name, Ad] = Mats[static_cast<std::size_t>(MatIdx)];
-  CsrMatrix<float> A = convertValueType<float>(Ad);
-  const index_t K = 8;
-  auto X = randomVector<float>(
-      static_cast<std::size_t>(A.NumCols) * static_cast<std::size_t>(K), 240);
-  // Per-column float reference.
-  std::vector<float> Expected(
-      static_cast<std::size_t>(A.NumRows) * static_cast<std::size_t>(K), 0.0f);
-  {
-    std::vector<float> Xc(static_cast<std::size_t>(A.NumCols));
-    for (index_t J = 0; J < K; ++J) {
-      for (index_t C = 0; C < A.NumCols; ++C)
-        Xc[static_cast<std::size_t>(C)] = X[static_cast<std::size_t>(C * K + J)];
-      std::vector<float> Yc = denseSpmv(A, Xc);
-      for (index_t R = 0; R < A.NumRows; ++R)
-        Expected[static_cast<std::size_t>(R * K + J)] =
-            Yc[static_cast<std::size_t>(R)];
-    }
-  }
-  for (const auto &M : kernelTable<float>().CsrSpmm) {
-    std::vector<float> Y(Expected.size(), -7.0f);
-    M.Fn(A, X.data(), Y.data(), K);
-    SCOPED_TRACE(std::string(M.Name) + " on " + Name);
-    expectVectorsNear(Expected, Y, 1e-4f);
-  }
+  forEachValueType([&](auto Zero) {
+    using T = decltype(Zero);
+    const CsrMatrix<T> A = convertValueType<T>(Ad);
+    EllMatrix<T> Ell;
+    ASSERT_TRUE(csrToEll(A, Ell, /*MaxFillRatio=*/0.0));
+    checkSpmmFamily(Name, A, Ell, kernelTable<T>().EllSpmm, 230);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShapes, KernelCorrectness, ::testing::Range(0, 13),
@@ -549,17 +523,17 @@ TEST(LoadBalanceTest, SlicedEllKernelsDeclareRowLengthPrecond) {
 // --- Scoreboard (paper Section 5.2) --------------------------------------------
 
 TEST(ScoreboardTest, SingleStrategyVotes) {
-  // unroll helps (+1), simd hurts (-1), prefetch below gap (neglected).
+  // unroll helps (+1), simd hurts (-1), branchfree below gap (neglected).
   std::vector<KernelMeasurement> Table = {
       {"basic", OptNone, 1.00},
       {"unroll", OptUnroll, 1.50},
       {"simd", OptSimd, 0.60},
-      {"prefetch", OptPrefetch, 1.005},
+      {"branchfree", OptBranchFree, 1.005},
   };
   ScoreboardResult R = runScoreboard(Table);
   EXPECT_EQ(R.StrategyScores[0], 1);  // unroll bit.
   EXPECT_EQ(R.StrategyScores[1], -1); // simd bit.
-  EXPECT_EQ(R.StrategyScores[2], 0);  // prefetch bit.
+  EXPECT_EQ(R.StrategyScores[2], 0);  // branchfree bit.
   EXPECT_TRUE(R.Neglected[2]);
   EXPECT_FALSE(R.Neglected[0]);
   EXPECT_EQ(R.BestIndex, 1);
@@ -633,7 +607,7 @@ TEST(ScoreboardTest, UnmeasuredKernelCannotWinOnStrategyScores) {
       {"basic", OptNone, 1.0},
       {"a", OptUnroll, 1.5},
       {"b", OptSimd, 1.4},
-      {"abc", OptUnroll | OptSimd | OptPrefetch, 0.0},
+      {"abc", OptUnroll | OptSimd | OptBranchFree, 0.0},
   };
   ScoreboardResult R = runScoreboard(Table);
   EXPECT_EQ(R.KernelScores[3], 2) << "the synthetic table must reproduce the "

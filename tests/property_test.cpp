@@ -287,7 +287,7 @@ TEST_P(MatrixProperties, ScoreboardPicksValidKernel) {
 TEST(ScoreboardSkewTest, SkewedTablePrefersLoadBalancedKernel) {
   std::vector<KernelMeasurement> Table = {
       {"ell_basic", OptNone, 1.00},
-      {"ell_rowmajor", OptInterchange, 0.90},
+      {"ell_simd", OptSimd, 0.90},
       {"ell_unroll2", OptUnroll, 1.15},
       // The padded width drags every other kernel through the hub rows'
       // padding columns.
