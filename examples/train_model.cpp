@@ -55,7 +55,6 @@ int runTraining(const std::string &ModelPath, const std::string &DbPath,
 
   TrainingOptions Opts;
   Opts.EnableBsr = EnableBsr;
-  Opts.ConfidenceThreshold = Threshold;
   std::printf("training on %zu matrices (%zu held out)...\n", Training.size(),
               Evaluation.size());
   TrainResult Result = trainSmat<T>(Training, Opts);
@@ -84,6 +83,7 @@ int runTraining(const std::string &ModelPath, const std::string &DbPath,
                 Dist[static_cast<std::size_t>(K)]);
   std::printf("\n");
 
+  Result.Model.ConfidenceThreshold = Threshold;
   if (!saveModelFile(ModelPath, Result.Model)) {
     std::fprintf(stderr, "error: cannot write model to %s\n",
                  ModelPath.c_str());

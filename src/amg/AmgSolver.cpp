@@ -21,6 +21,12 @@ namespace {
 
 using Bounds = std::vector<index_t>;
 
+/// The weighted-Jacobi smoother's omega.
+constexpr double JacobiOmega = 2.0 / 3.0;
+/// Coarsest grids at or below this size use a dense LU solve; larger
+/// coarsest grids fall back to repeated smoothing.
+constexpr index_t DenseCoarseLimit = 512;
+
 /// X . Y as per-slice partial sums added in slice order.
 double dot(const Bounds &Slices, const double *X, const double *Y) {
   return sumSlices(Slices, [=](index_t, index_t Begin, index_t End) {
@@ -99,13 +105,9 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
   // forwarded per operator; the bindings borrow the hierarchy's matrices.
   TuneOptions TuneOpts = Options.Tune;
   if (Options.Backend == SpmvBackendKind::Smat) {
-    if (!TuneOpts.Cache)
-      TuneOpts.Cache = Options.Cache;
-    if (!TuneOpts.Cache) {
-      if (!OwnedCache)
-        OwnedCache = std::make_unique<PlanCache>();
-      TuneOpts.Cache = OwnedCache.get();
-    }
+    if (!Options.Cache && !OwnedCache)
+      OwnedCache = std::make_unique<PlanCache>();
+    TuneOpts.Cache = Options.Cache ? Options.Cache : OwnedCache.get();
   }
 
   auto Bind = [&](const CsrMatrix<double> &M, std::size_t Level,
@@ -154,7 +156,7 @@ void AmgSolver::setupImpl(const CsrMatrix<double> &A, const AmgOptions &Opts) {
 
   // Coarsest-level solver.
   const CsrMatrix<double> &Coarsest = Hier.level(NumLevels - 1).A;
-  UseCoarseLu = Coarsest.NumRows <= Options.DenseCoarseLimit;
+  UseCoarseLu = Coarsest.NumRows <= DenseCoarseLimit;
   if (UseCoarseLu)
     CoarseLu.factor(Coarsest);
 
@@ -166,7 +168,6 @@ void AmgSolver::runVcycle(std::size_t L, const double *B, double *X,
   const LevelOps &Bound = Ops[L];
   const Bounds &Slices = Bound.Slices;
   double *Scratch = Bound.Scratch.data();
-  const double Omega = Options.JacobiOmega;
 
   // Smooths Sweeps times from X, or from zero when ZeroGuess: the first
   // sweep from zero skips the product A*0.
@@ -177,11 +178,12 @@ void AmgSolver::runVcycle(std::size_t L, const double *B, double *X,
         zeroSlices(Slices, X);
         return;
       }
-      jacobiSweepFromZero(Bound.InvDiag, B, X, Slices, Omega);
+      jacobiSweepFromZero(Bound.InvDiag, B, X, Slices, JacobiOmega);
       Sweep = 1;
     }
     for (; Sweep < Sweeps; ++Sweep)
-      jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices, Omega);
+      jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
+                  JacobiOmega);
   };
 
   if (L + 1 == Hier.numLevels()) {
@@ -215,7 +217,8 @@ void AmgSolver::runVcycle(std::size_t L, const double *B, double *X,
 
   // Post-smoothing.
   for (int Sweep = 0; Sweep < Options.PostSweeps; ++Sweep)
-    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices, Omega);
+    jacobiSweep(Bound.ApplyA, Bound.InvDiag, B, X, Scratch, Slices,
+                JacobiOmega);
 }
 
 SolveStats AmgSolver::solve(const std::vector<double> &B,

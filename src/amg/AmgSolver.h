@@ -31,17 +31,15 @@ enum class SpmvBackendKind {
   Smat,     ///< SMAT-tuned format + kernel per operator.
 };
 
-/// Solver configuration.
+/// Solver configuration. The smoother is weighted Jacobi with omega 2/3,
+/// and a coarsest grid of at most 512 rows is solved by dense LU (a larger
+/// one by 50 smoothing sweeps).
 struct AmgOptions {
   HierarchyOptions Hierarchy;
   int PreSweeps = 1;
   int PostSweeps = 1;
-  double JacobiOmega = 2.0 / 3.0;
   double RelTol = 1e-8;
   int MaxIterations = 100;
-  /// Coarsest grids at or below this size use a dense LU solve; larger
-  /// coarsest grids fall back to repeated smoothing.
-  index_t DenseCoarseLimit = 512;
   SpmvBackendKind Backend = SpmvBackendKind::FixedCsr;
   /// Required when Backend == Smat.
   const Smat<double> *Tuner = nullptr;
@@ -51,10 +49,9 @@ struct AmgOptions {
   /// class. When null the solver creates and owns a private cache.
   PlanCache *Cache = nullptr;
   /// Tuning knobs forwarded to every per-operator tune (Smat backend only):
-  /// measurement floors, the resilience budgets, ForceMeasure, ... . The
-  /// cache is resolved separately — Tune.Cache wins when set, then Cache,
-  /// then the solver-owned cache. The bindings borrow the hierarchy's
-  /// operators, which outlive them.
+  /// measurement floors, the resilience budgets, AllowMeasure, ... . Its
+  /// Cache is overwritten with the cache above (or the solver-owned one).
+  /// The bindings borrow the hierarchy's operators, which outlive them.
   TuneOptions Tune;
 };
 
@@ -120,12 +117,11 @@ public:
 
   double setupSeconds() const { return SetupTime; }
 
-  /// The plan cache the Smat backend tuned through (the caller's from
-  /// AmgOptions::Tune.Cache or AmgOptions::Cache, or the solver-owned one);
-  /// null for the FixedCsr backend or before setup().
+  /// The plan cache the Smat backend tuned through (AmgOptions::Cache, or
+  /// the solver-owned one); null for the FixedCsr backend or before setup().
   const PlanCache *planCache() const {
-    if (Options.Tune.Cache)
-      return Options.Tune.Cache;
+    if (Options.Backend != SpmvBackendKind::Smat)
+      return nullptr;
     return Options.Cache ? Options.Cache : OwnedCache.get();
   }
 

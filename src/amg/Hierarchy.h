@@ -35,17 +35,12 @@ struct AmgLevel {
   CsrMatrix<double> R;
 };
 
-/// Setup-phase knobs.
+/// Setup-phase knobs. The rest of the setup is fixed: strength threshold
+/// 0.25, at most 25 levels, no coarsening of a level of 64 rows or fewer,
+/// a stop once a level keeps more than 90% of its rows as coarse points,
+/// and coarsening seed 7 plus the level index.
 struct HierarchyOptions {
-  double StrengthTheta = 0.25;
   CoarsenKind Coarsening = CoarsenKind::RugeL;
-  int MaxLevels = 25;
-  index_t MinCoarseSize = 64; ///< Stop when a level has this few rows.
-  /// Stop when coarsening stalls (coarse size > ratio * fine size).
-  double MaxCoarseningRatio = 0.9;
-  /// Drop Galerkin entries below this magnitude to bound operator growth.
-  double GalerkinDropTol = 0.0;
-  std::uint64_t Seed = 7;
 };
 
 /// The built hierarchy.

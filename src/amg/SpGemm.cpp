@@ -87,31 +87,6 @@ CsrMatrix<T> smat::galerkinProduct(const CsrMatrix<T> &R, const CsrMatrix<T> &A,
   return spgemm(spgemm(R, A), P);
 }
 
-template <typename T>
-CsrMatrix<T> smat::dropSmallEntries(const CsrMatrix<T> &A, T Threshold) {
-  // Written as "not small" so that a NaN entry is kept, not dropped.
-  auto Keep = [&](index_t Row, index_t I) {
-    return A.ColIdx[I] == Row || !(std::abs(A.Values[I]) <= Threshold);
-  };
-  return csrBySlices<T>(
-      A.NumRows, A.NumCols, planRowBounds(A, 1),
-      [&](index_t, index_t Row) {
-        index_t Len = 0;
-        for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
-          Len += Keep(Row, I) ? 1 : 0;
-        return Len;
-      },
-      [&](index_t, index_t Row, index_t *RowCols, T *RowVals) {
-        index_t Len = 0;
-        for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I)
-          if (Keep(Row, I)) {
-            RowCols[Len] = A.ColIdx[I];
-            RowVals[Len++] = A.Values[I];
-          }
-        return Len;
-      });
-}
-
 template CsrMatrix<float> smat::spgemm(const CsrMatrix<float> &,
                                        const CsrMatrix<float> &);
 template CsrMatrix<double> smat::spgemm(const CsrMatrix<double> &,
@@ -122,7 +97,3 @@ template CsrMatrix<float> smat::galerkinProduct(const CsrMatrix<float> &,
 template CsrMatrix<double> smat::galerkinProduct(const CsrMatrix<double> &,
                                                  const CsrMatrix<double> &,
                                                  const CsrMatrix<double> &);
-template CsrMatrix<float> smat::dropSmallEntries(const CsrMatrix<float> &,
-                                                 float);
-template CsrMatrix<double> smat::dropSmallEntries(const CsrMatrix<double> &,
-                                                  double);

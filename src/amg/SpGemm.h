@@ -48,11 +48,6 @@ template <typename T>
 CsrMatrix<T> galerkinProduct(const CsrMatrix<T> &R, const CsrMatrix<T> &A,
                              const CsrMatrix<T> &P);
 
-/// Drops entries with |value| <= Threshold (never the diagonal); used to
-/// keep coarse operators from densifying. Runs on row slices as spgemm.
-template <typename T>
-CsrMatrix<T> dropSmallEntries(const CsrMatrix<T> &A, T Threshold);
-
 extern template CsrMatrix<float> spgemm(const CsrMatrix<float> &,
                                         const CsrMatrix<float> &);
 extern template CsrMatrix<double> spgemm(const CsrMatrix<double> &,
@@ -63,10 +58,6 @@ extern template CsrMatrix<float> galerkinProduct(const CsrMatrix<float> &,
 extern template CsrMatrix<double> galerkinProduct(const CsrMatrix<double> &,
                                                   const CsrMatrix<double> &,
                                                   const CsrMatrix<double> &);
-extern template CsrMatrix<float> dropSmallEntries(const CsrMatrix<float> &,
-                                                  float);
-extern template CsrMatrix<double> dropSmallEntries(const CsrMatrix<double> &,
-                                                   double);
 
 } // namespace smat
 

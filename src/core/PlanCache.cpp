@@ -99,12 +99,6 @@ void PlanCache::insert(const PlanFingerprint &Fp, const CachedPlan &Plan) {
   ++Counters.Inserts;
 }
 
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Lru.clear();
-  Index.clear();
-}
-
 PlanCacheStats PlanCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Counters;

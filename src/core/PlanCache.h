@@ -62,10 +62,9 @@ struct PlanFingerprint {
   /// can legitimately bind different formats and kernels, so the buckets
   /// must not collide.
   std::int16_t WidthBucket = 0;
-  /// Analytic bottleneck class the cost model assigned (1 + BottleneckClass)
-  /// or 0 when the cost model did not run. Part of the key so plans tuned
-  /// under a pruned candidate race are never reused by a tune that raced the
-  /// full candidate set (and vice versa).
+  /// Analytic bottleneck class the cost model assigned (1 + BottleneckClass).
+  /// Part of the key because the class decides which candidates race, so a
+  /// plan raced under one class is never reused by a tune of another.
   std::int16_t ClassBucket = 0;
 
   friend bool operator==(const PlanFingerprint &,
@@ -118,9 +117,6 @@ public:
   /// Inserts or overwrites the plan for \p Fp, evicting the least recently
   /// used entry when at capacity.
   void insert(const PlanFingerprint &Fp, const CachedPlan &Plan);
-
-  /// Drops every entry (counters are preserved; they are monotonic).
-  void clear();
 
   PlanCacheStats stats() const;
   std::size_t size() const;

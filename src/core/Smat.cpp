@@ -160,21 +160,17 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
   // Analytic bottleneck classification (CostModel.h): computed from step-1
   // features only, so it is available before the cache probe (the class is
   // part of the fingerprint) and costs no extra matrix traversal. Pruning is
-  // only applied to the execute-and-measure race, and never under
-  // ForceMeasure (the caller asked for ground truth over the full set).
+  // only applied to the execute-and-measure race.
   CostModelDecision CostDecision;
-  bool HaveCost = false;
   if (HaveFeatures) {
     CostDecision = classifyBottleneck(Features.Features, Model.Cost);
     Report.Bottleneck = CostDecision.Class;
-    HaveCost = !Opts.ForceMeasure;
-    Report.CostModelApplied = HaveCost;
+    Report.CostModelApplied = true;
   }
 
   // Plan-cache probe. The fingerprint needs only step-1 features, so a hit
   // costs one extraction + one hash lookup and skips everything up to the
-  // bind. ForceMeasure bypasses the lookup (the caller wants ground truth)
-  // but the freshly tuned plan is still inserted below.
+  // bind.
   FormatKind Chosen = FormatKind::CSR;
   bool Decided = !HaveFeatures;
   // Bind the untuned basic-CSR plan: set when the cached plan recorded an
@@ -188,19 +184,16 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     // stamped onto the fingerprint here rather than in fingerprintFeatures:
     // the same structure tuned at k=1 and k=8 may bind different plans, and
     // a warm tune at a new width must miss only the width bucket. The
-    // bottleneck class is stamped for the same reason in reverse: it changes
-    // which candidates raced, so plans from pruned and unpruned tunes must
-    // not alias.
+    // bottleneck class is stamped because it decides which candidates race,
+    // so a plan raced under one class is never reused under another.
     Fp.WidthBucket =
         Opts.BatchWidth > 1
             ? static_cast<std::int16_t>(1 + spmmWidthIndex(Opts.BatchWidth))
             : std::int16_t(0);
     Fp.ClassBucket =
-        HaveCost ? static_cast<std::int16_t>(
-                       1 + static_cast<int>(CostDecision.Class))
-                 : std::int16_t(0);
+        static_cast<std::int16_t>(1 + static_cast<int>(CostDecision.Class));
     CachedPlan Hit;
-    if (!Opts.ForceMeasure && Cache->lookup(Fp, Hit)) {
+    if (Cache->lookup(Fp, Hit)) {
       Chosen = Hit.Format;
       Report.PlanCacheHit = true;
       // A cached guardrail engagement replays the guarded bind: the class
@@ -212,10 +205,6 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     }
   }
 
-  // The check is a measurement: with AllowMeasure false (and no
-  // ForceMeasure) the caller asked for the model's deterministic answer,
-  // and a timing-dependent override would break that contract.
-  const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
   const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
 
   // Binds a plan this tune already built and timed: the race's winner, or
@@ -243,16 +232,15 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     Report.PredictSeconds = Prediction.Seconds;
     Chosen = Prediction.Prediction;
 
-    // Stage 3: execute-and-measure when forced or unconfident. The stage
-    // handles per-candidate failures and budgets itself; this catch is the
-    // backstop for anything outside a candidate. The cost model prunes the
-    // candidate set it races. The winner's operator is bound as it was
-    // timed.
+    // Stage 3: execute-and-measure when unconfident. The stage handles
+    // per-candidate failures and budgets itself; this catch is the backstop
+    // for anything outside a candidate. The cost model prunes the candidate
+    // set it races (features exist: the tune is undecided). The winner's
+    // operator is bound as it was timed.
     if (MeasureStage::shouldRun(Opts, Prediction) && TuneRemaining() > 0.0) {
       try {
         MeasureStageResult<T> Measured = MeasureStage::run(
-            Ctx, Features, Prediction.Prediction,
-            HaveCost ? &CostDecision : nullptr);
+            Ctx, Features, Prediction.Prediction, &CostDecision);
         Report.MeasuredCandidates = std::move(Measured.Candidates);
         Report.MeasureSeconds = Measured.Seconds;
         Report.NoisyTimings = Report.NoisyTimings || Measured.NoisyTimings;
@@ -295,18 +283,20 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
   // agree, the agreement is the certificate, and skipping the check keeps
   // AMG's small coarse operators on one plan from setup to setup (DESIGN.md
   // section 15.2). The other skips: the plan already is basic CSR at the
-  // tune width; the budget is spent.
+  // tune width; the budget is spent; AllowMeasure is false, because the
+  // check is a measurement and that caller asked for the model's
+  // deterministic answer.
   if (!Decided) {
     // The kernels the check times: SpMV at k=1, SpMM above.
     const std::string BasicKernel = Width > 1 ? basicCsrSpmmKernel<T>().Name
                                               : basicCsrKernel<T>().Name;
     const std::string BoundKernel =
         Width > 1 ? Op.Op->spmmKernelName() : Op.Op->kernelName();
-    const bool Endorsed = Report.ModelConfident && HaveCost &&
-                          CostDecision.allows(Report.ChosenFormat);
+    const bool Endorsed =
+        Report.ModelConfident && CostDecision.allows(Report.ChosenFormat);
     const bool AlreadyBasic =
         Report.ChosenFormat == FormatKind::CSR && BoundKernel == BasicKernel;
-    if (GuardrailActive && !Endorsed && !AlreadyBasic) {
+    if (Opts.AllowMeasure && !Endorsed && !AlreadyBasic) {
       if (TuneRemaining() > 0.0) {
         try {
           std::unique_ptr<FormatOperator<T>> Basic = basicCsrOperator(A);
@@ -376,84 +366,6 @@ template <typename T>
 SmatResilienceCounters Smat<T>::resilienceCounters() const {
   std::lock_guard<std::mutex> Lock(Resilience->Lock);
   return Resilience->Counters;
-}
-
-TunedSpmv<double> smat::SMAT_dCSR_SpMV(const Smat<double> &Tuner,
-                                       const CsrMatrix<double> &A,
-                                       const TuneOptions &Opts) {
-  return Tuner.tune(A, Opts);
-}
-
-TunedSpmv<float> smat::SMAT_sCSR_SpMV(const Smat<float> &Tuner,
-                                      const CsrMatrix<float> &A,
-                                      const TuneOptions &Opts) {
-  return Tuner.tune(A, Opts);
-}
-
-TunedSpmv<double> smat::SMAT_dCSR_SpMM(const Smat<double> &Tuner,
-                                       const CsrMatrix<double> &A,
-                                       index_t BatchWidth, TuneOptions Opts) {
-  Opts.BatchWidth = BatchWidth;
-  return Tuner.tune(A, Opts);
-}
-
-TunedSpmv<float> smat::SMAT_sCSR_SpMM(const Smat<float> &Tuner,
-                                      const CsrMatrix<float> &A,
-                                      index_t BatchWidth, TuneOptions Opts) {
-  Opts.BatchWidth = BatchWidth;
-  return Tuner.tune(A, Opts);
-}
-
-namespace {
-
-template <typename T>
-ErrorCode trySpmvEntry(const Smat<T> &Tuner, const CsrMatrix<T> &A,
-                       TunedSpmv<T> &Out, std::string *ErrorMessage,
-                       const TuneOptions &Opts) {
-  Expected<TunedSpmv<T>> Result = Tuner.tryTune(A, Opts);
-  if (!Result.ok()) {
-    if (ErrorMessage)
-      *ErrorMessage = Result.status().message();
-    return Result.status().code();
-  }
-  Out = std::move(*Result);
-  return ErrorCode::Ok;
-}
-
-} // namespace
-
-ErrorCode smat::SMAT_dCSR_SpMV_try(const Smat<double> &Tuner,
-                                   const CsrMatrix<double> &A,
-                                   TunedSpmv<double> &Out,
-                                   std::string *ErrorMessage,
-                                   const TuneOptions &Opts) {
-  return trySpmvEntry(Tuner, A, Out, ErrorMessage, Opts);
-}
-
-ErrorCode smat::SMAT_sCSR_SpMV_try(const Smat<float> &Tuner,
-                                   const CsrMatrix<float> &A,
-                                   TunedSpmv<float> &Out,
-                                   std::string *ErrorMessage,
-                                   const TuneOptions &Opts) {
-  return trySpmvEntry(Tuner, A, Out, ErrorMessage, Opts);
-}
-
-ErrorCode smat::SMAT_dCSR_SpMM_try(const Smat<double> &Tuner,
-                                   const CsrMatrix<double> &A,
-                                   index_t BatchWidth, TunedSpmv<double> &Out,
-                                   std::string *ErrorMessage,
-                                   TuneOptions Opts) {
-  Opts.BatchWidth = BatchWidth;
-  return trySpmvEntry(Tuner, A, Out, ErrorMessage, Opts);
-}
-
-ErrorCode smat::SMAT_sCSR_SpMM_try(const Smat<float> &Tuner,
-                                   const CsrMatrix<float> &A,
-                                   index_t BatchWidth, TunedSpmv<float> &Out,
-                                   std::string *ErrorMessage,
-                                   TuneOptions Opts) {
-  Opts.BatchWidth = BatchWidth;
-  return trySpmvEntry(Tuner, A, Out, ErrorMessage, Opts);
 }
 
 namespace smat {

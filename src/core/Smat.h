@@ -311,75 +311,48 @@ extern template class TunedSpmv<double>;
 extern template class Smat<float>;
 extern template class Smat<double>;
 
-/// The paper's unified C-style interface (Figure 5): one call, CSR in,
-/// tuned SpMV out. 'd'/'s' select double/single precision. The optional
-/// \p Opts carries the production knobs (plan cache, budgets).
-/// Malformed input throws std::invalid_argument with the diagnostic; the
-/// _try variants below report the same failures as error codes instead.
-/// Every entry point rejects a temporary matrix, as Smat::tune does.
-TunedSpmv<double> SMAT_dCSR_SpMV(const Smat<double> &Tuner,
-                                 const CsrMatrix<double> &A,
-                                 const TuneOptions &Opts = TuneOptions());
-TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &Tuner,
-                                const CsrMatrix<float> &A,
-                                const TuneOptions &Opts = TuneOptions());
+/// The paper's unified interface (Figure 5): one call, CSR in, tuned SpMV
+/// out; 'd'/'s' select double/single precision. Each is Smat::tune: \p Opts
+/// carries the production knobs (plan cache, budgets), malformed input
+/// throws std::invalid_argument with the diagnostic (Smat::tryTune returns
+/// it instead), and a temporary matrix is rejected.
+inline TunedSpmv<double> SMAT_dCSR_SpMV(const Smat<double> &Tuner,
+                                        const CsrMatrix<double> &A,
+                                        const TuneOptions &Opts = {}) {
+  return Tuner.tune(A, Opts);
+}
+inline TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &Tuner,
+                                       const CsrMatrix<float> &A,
+                                       const TuneOptions &Opts = {}) {
+  return Tuner.tune(A, Opts);
+}
 TunedSpmv<double> SMAT_dCSR_SpMV(const Smat<double> &, CsrMatrix<double> &&,
-                                 const TuneOptions & = TuneOptions()) = delete;
+                                 const TuneOptions & = {}) = delete;
 TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &, CsrMatrix<float> &&,
-                                const TuneOptions & = TuneOptions()) = delete;
+                                const TuneOptions & = {}) = delete;
 
 /// Batched (multi-RHS) variants: tune for \p BatchWidth right-hand sides
 /// and return an operator whose multiply(X, Y, K) runs the register-tiled
 /// SpMM kernel the scoreboard picked for that width bucket. \p BatchWidth
 /// overrides Opts.BatchWidth; everything else in \p Opts applies as usual.
-TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &Tuner,
-                                 const CsrMatrix<double> &A,
-                                 index_t BatchWidth,
-                                 TuneOptions Opts = TuneOptions());
-TunedSpmv<float> SMAT_sCSR_SpMM(const Smat<float> &Tuner,
-                                const CsrMatrix<float> &A, index_t BatchWidth,
-                                TuneOptions Opts = TuneOptions());
+inline TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &Tuner,
+                                        const CsrMatrix<double> &A,
+                                        index_t BatchWidth,
+                                        TuneOptions Opts = {}) {
+  Opts.BatchWidth = BatchWidth;
+  return Tuner.tune(A, Opts);
+}
+inline TunedSpmv<float> SMAT_sCSR_SpMM(const Smat<float> &Tuner,
+                                       const CsrMatrix<float> &A,
+                                       index_t BatchWidth,
+                                       TuneOptions Opts = {}) {
+  Opts.BatchWidth = BatchWidth;
+  return Tuner.tune(A, Opts);
+}
 TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &, CsrMatrix<double> &&,
-                                 index_t, TuneOptions = TuneOptions()) = delete;
+                                 index_t, TuneOptions = {}) = delete;
 TunedSpmv<float> SMAT_sCSR_SpMM(const Smat<float> &, CsrMatrix<float> &&,
-                                index_t, TuneOptions = TuneOptions()) = delete;
-
-/// Error-code variants of the unified interface for callers that cannot
-/// unwind: validates \p A, fills \p Out on success, and \returns
-/// ErrorCode::Ok — or the failure code, with the full diagnostic copied to
-/// \p ErrorMessage when non-null. \p Out is untouched on failure.
-ErrorCode SMAT_dCSR_SpMV_try(const Smat<double> &Tuner,
-                             const CsrMatrix<double> &A,
-                             TunedSpmv<double> &Out,
-                             std::string *ErrorMessage = nullptr,
-                             const TuneOptions &Opts = TuneOptions());
-ErrorCode SMAT_sCSR_SpMV_try(const Smat<float> &Tuner,
-                             const CsrMatrix<float> &A, TunedSpmv<float> &Out,
-                             std::string *ErrorMessage = nullptr,
-                             const TuneOptions &Opts = TuneOptions());
-ErrorCode SMAT_dCSR_SpMM_try(const Smat<double> &Tuner,
-                             const CsrMatrix<double> &A, index_t BatchWidth,
-                             TunedSpmv<double> &Out,
-                             std::string *ErrorMessage = nullptr,
-                             TuneOptions Opts = TuneOptions());
-ErrorCode SMAT_sCSR_SpMM_try(const Smat<float> &Tuner,
-                             const CsrMatrix<float> &A, index_t BatchWidth,
-                             TunedSpmv<float> &Out,
-                             std::string *ErrorMessage = nullptr,
-                             TuneOptions Opts = TuneOptions());
-ErrorCode SMAT_dCSR_SpMV_try(const Smat<double> &, CsrMatrix<double> &&,
-                             TunedSpmv<double> &, std::string * = nullptr,
-                             const TuneOptions & = TuneOptions()) = delete;
-ErrorCode SMAT_sCSR_SpMV_try(const Smat<float> &, CsrMatrix<float> &&,
-                             TunedSpmv<float> &, std::string * = nullptr,
-                             const TuneOptions & = TuneOptions()) = delete;
-ErrorCode SMAT_dCSR_SpMM_try(const Smat<double> &, CsrMatrix<double> &&,
-                             index_t, TunedSpmv<double> &,
-                             std::string * = nullptr,
-                             TuneOptions = TuneOptions()) = delete;
-ErrorCode SMAT_sCSR_SpMM_try(const Smat<float> &, CsrMatrix<float> &&, index_t,
-                             TunedSpmv<float> &, std::string * = nullptr,
-                             TuneOptions = TuneOptions()) = delete;
+                                index_t, TuneOptions = {}) = delete;
 
 } // namespace smat
 

@@ -230,7 +230,6 @@ TrainResult smat::trainSmat(const std::vector<const CorpusEntry *> &Training,
   // paper's 1% accuracy loss (tailored's default).
   Result.Model.Rules = Rules.tailored(Data);
   Result.TailoredRuleAccuracy = Result.Model.Rules.accuracy(Data);
-  Result.Model.ConfidenceThreshold = Opts.ConfidenceThreshold;
   Result.Model.BsrEnabled = Opts.EnableBsr;
   Result.Model.refreshRuleMetadata();
 

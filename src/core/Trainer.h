@@ -33,8 +33,6 @@ struct TrainingOptions {
   /// experiments reproduce unchanged; the ext_bsr_extension bench turns it
   /// on to demonstrate the framework's extensibility (contribution 3).
   bool EnableBsr = false;
-  /// Runtime confidence threshold stored into the model.
-  double ConfidenceThreshold = DefaultConfidenceThreshold;
 };
 
 /// Times every kernel of \p Kind's SpMV list (its SpMM list at \p Width > 1;

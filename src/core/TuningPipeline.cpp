@@ -145,7 +145,7 @@ RobustMeasureResult smat::timePlan(const FormatOperator<T> &Op, index_t Width,
 
 bool MeasureStage::shouldRun(const TuneOptions &Opts,
                              const PredictStageResult &Prediction) {
-  return Opts.ForceMeasure || (!Prediction.Confident && Opts.AllowMeasure);
+  return !Prediction.Confident && Opts.AllowMeasure;
 }
 
 const char *MeasureStage::site(FormatKind Kind) {

@@ -71,11 +71,6 @@ struct TuneOptions {
   /// "< threshold" path). When false, low-confidence predictions are used
   /// as-is.
   bool AllowMeasure = true;
-  /// Force execute-and-measure even for confident predictions (used by the
-  /// accuracy analysis to recover the ground-truth best format). Also
-  /// bypasses PlanCache lookups: forced measurement means the caller wants
-  /// fresh ground truth, not a reused plan.
-  bool ForceMeasure = false;
   /// Measurement floor per candidate during execute-and-measure.
   double MeasureMinSeconds = 5e-4;
   /// Optional plan cache shared across tune() calls. A fingerprint hit
@@ -214,7 +209,7 @@ RobustMeasureResult timePlan(const FormatOperator<T> &Op, index_t Width,
 /// Stage 3: execute-and-measure over the plausible candidates.
 class MeasureStage {
 public:
-  /// The Figure-7 gate: forced, or unconfident with measurement allowed.
+  /// The Figure-7 gate: unconfident with measurement allowed.
   static bool shouldRun(const TuneOptions &Opts,
                         const PredictStageResult &Prediction);
 

@@ -154,11 +154,6 @@ Expected<AsyncSpmv<T>> TuningService<T>::tryTuneAsync(const CsrMatrix<T> &A) {
   return submit(CsrMatrix<T>(A));
 }
 
-template <typename T>
-Expected<AsyncSpmv<T>> TuningService<T>::tryTuneAsync(CsrMatrix<T> &&A) {
-  return submit(std::move(A));
-}
-
 template <typename T> void TuningService<T>::workerLoop() {
 #ifdef _OPENMP
   // One OpenMP thread for this thread only: the worker's parallel regions
@@ -253,13 +248,3 @@ template class AsyncSpmv<double>;
 template class TuningService<float>;
 template class TuningService<double>;
 } // namespace smat
-
-AsyncSpmv<double> smat::SMAT_dCSR_SpMV_async(TuningService<double> &Service,
-                                             const CsrMatrix<double> &A) {
-  return Service.tuneAsync(A);
-}
-
-AsyncSpmv<float> smat::SMAT_sCSR_SpMV_async(TuningService<float> &Service,
-                                            const CsrMatrix<float> &A) {
-  return Service.tuneAsync(A);
-}

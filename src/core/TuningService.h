@@ -239,9 +239,8 @@ public:
   /// Rvalue overload: moves the matrix into the service instead of copying.
   AsyncSpmv<T> tuneAsync(CsrMatrix<T> &&A);
 
-  /// Non-throwing variants.
+  /// Non-throwing variant: the same validation, returned as a Status.
   Expected<AsyncSpmv<T>> tryTuneAsync(const CsrMatrix<T> &A);
-  Expected<AsyncSpmv<T>> tryTuneAsync(CsrMatrix<T> &&A);
 
   /// The shared plan cache (stats; warm-hit-rate reporting).
   const PlanCache &planCache() const { return Cache; }
@@ -282,13 +281,6 @@ extern template class AsyncSpmv<float>;
 extern template class AsyncSpmv<double>;
 extern template class TuningService<float>;
 extern template class TuningService<double>;
-
-/// Unified-interface spellings of the async entry points (paper Figure 5
-/// naming, async flavor): CSR in, instantly servable handle out.
-AsyncSpmv<double> SMAT_dCSR_SpMV_async(TuningService<double> &Service,
-                                       const CsrMatrix<double> &A);
-AsyncSpmv<float> SMAT_sCSR_SpMV_async(TuningService<float> &Service,
-                                      const CsrMatrix<float> &A);
 
 } // namespace smat
 

@@ -83,12 +83,6 @@ inline bool kernelPrecondsHold(unsigned Preconds, const EllMatrix<T> &A) {
   return true;
 }
 
-/// \returns a short name for strategy bit \p Bit (0-based).
-const char *optStrategyName(unsigned Bit);
-
-/// \returns a "+"-joined list of the strategies in \p Flags, or "basic".
-std::string optFlagsString(unsigned Flags);
-
 /// A kernel's entry point: the row-range function it is written as, also
 /// callable on the whole matrix. \p Args are the kernel's operands after the
 /// row range. For BSR, both bounds must fall on block rows (RowEnd may also

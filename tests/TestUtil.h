@@ -75,6 +75,13 @@ inline LearningModel strictModel() {
   return Model;
 }
 
+/// A copy of \p Model that is never confident, so every tune that allows
+/// measurement races the cost model's candidates for its matrix.
+inline LearningModel neverConfident(LearningModel Model) {
+  Model.ConfidenceThreshold = 2.0;
+  return Model;
+}
+
 /// Tune options with a short measurement floor, for test latency.
 inline TuneOptions fastTune() {
   TuneOptions Opts;

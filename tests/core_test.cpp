@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
 using namespace smat;
 using namespace smat::test;
@@ -562,18 +563,16 @@ TEST(SmatRuntimeTest, ReportIsPopulated) {
   EXPECT_FALSE(Report.KernelName.empty());
 }
 
-TEST(SmatRuntimeTest, ForceMeasureFindsEmpiricalBest) {
-  const Smat<double> Tuner(sharedTrainResult().Model);
+TEST(SmatRuntimeTest, UnconfidentTuneBindsTheRaceWinner) {
+  const Smat<double> Tuner(neverConfident(sharedTrainResult().Model));
   CsrMatrix<double> A = banded(3000, 2);
   TuneOptions Opts;
-  Opts.ForceMeasure = true;
   Opts.MeasureMinSeconds = 2e-4;
   TunedSpmv<double> Op = Tuner.tune(A, Opts);
   int Tuned = 0;
   for (const MeasuredCandidate &C : Op.report().MeasuredCandidates)
     Tuned += !C.IsBaseline;
-  EXPECT_GE(Tuned, 2)
-      << "CSR and COO are always measured; DIA should also be plausible";
+  EXPECT_GE(Tuned, 2) << "a band races CSR and DIA";
   // The chosen format is the best race candidate, unless the never-slower
   // check found basic CSR faster and bound it instead.
   double BestGflops = -1;
@@ -651,13 +650,16 @@ TEST(SmatRuntimeTest, BsrExtensionEndToEnd) {
       << Error;
   EXPECT_TRUE(Parsed.BsrEnabled);
 
-  // Runtime: a block matrix forced through measurement must consider BSR,
-  // and the tuned operator must be numerically correct either way.
-  const Smat<double> Tuner(Result.Model);
+  // Runtime: a block matrix raced by a never-confident copy of the model
+  // must consider BSR, and the tuned operator must be numerically correct
+  // either way. The copy's cost model counts no matrix as DIA-bound, so
+  // this block diagonal lands in the padded-rows class, whose race holds
+  // BSR.
+  LearningModel Raced = neverConfident(Result.Model);
+  Raced.Cost.DiaFillMin = std::numeric_limits<double>::infinity();
+  const Smat<double> Tuner(Raced);
   CsrMatrix<double> A = blockFem(400, 4, 0.0, 999);
-  TuneOptions Force;
-  Force.ForceMeasure = true;
-  TunedSpmv<double> Op = Tuner.tune(A, Force);
+  TunedSpmv<double> Op = Tuner.tune(A);
   bool BsrConsidered = false;
   for (const MeasuredCandidate &C : Op.report().MeasuredCandidates)
     BsrConsidered |= C.Format == FormatKind::BSR;
@@ -671,13 +673,14 @@ TEST(SmatRuntimeTest, BsrExtensionEndToEnd) {
 
 TEST(SmatRuntimeTest, BsrNeverChosenWhenDisabled) {
   // A 4-format model must never propose or measure BSR, even on a
-  // perfectly block-structured input.
-  const Smat<double> Tuner(sharedTrainResult().Model);
+  // perfectly block-structured input raced in the padded-rows class, whose
+  // race would hold BSR (see BsrExtensionEndToEnd).
+  LearningModel Raced = neverConfident(sharedTrainResult().Model);
+  Raced.Cost.DiaFillMin = std::numeric_limits<double>::infinity();
+  const Smat<double> Tuner(Raced);
   ASSERT_FALSE(Tuner.model().BsrEnabled);
   CsrMatrix<double> A = blockFem(300, 4, 0.0, 77);
-  TuneOptions Force;
-  Force.ForceMeasure = true;
-  TunedSpmv<double> Op = Tuner.tune(A, Force);
+  TunedSpmv<double> Op = Tuner.tune(A);
   EXPECT_NE(Op.format(), FormatKind::BSR);
   for (const MeasuredCandidate &C : Op.report().MeasuredCandidates)
     EXPECT_NE(C.Format, FormatKind::BSR);

@@ -215,47 +215,41 @@ TEST(TuneValidationTest, TryTuneMatchesThrowingTuneOnValidInput) {
 
 // --- C entry points (tentpole) ----------------------------------------------
 
-TEST(CApiTest, TryEntryPointReportsErrorAndLeavesOutUntouched) {
+TEST(CApiTest, TryTuneReportsErrorAndHoldsNoValue) {
   CsrMatrix<double> A = validMatrix();
   A.ColIdx.front() = -1;
 
-  TunedSpmv<double> Out;
-  std::string Message;
-  ErrorCode Code =
-      SMAT_dCSR_SpMV_try(sharedTuner(), A, Out, &Message, fastTune());
-  EXPECT_EQ(Code, ErrorCode::InvalidMatrix);
-  expectContains(Message, "out of range");
-  EXPECT_EQ(Out.numRows(), 0) << "Out must be untouched on failure";
+  Expected<TunedSpmv<double>> Result = sharedTuner().tryTune(A, fastTune());
+  EXPECT_FALSE(Result.ok()) << "the Expected holds no value on failure";
+  EXPECT_EQ(Result.status().code(), ErrorCode::InvalidMatrix);
+  expectContains(Result.status().message(), "out of range");
 }
 
-TEST(CApiTest, TryEntryPointMatchesThrowingApiOnValidInput) {
+TEST(CApiTest, TryTuneMatchesPaperEntryPointOnValidInput) {
   CsrMatrix<double> A = banded(500, 2);
   TunedSpmv<double> Reference =
       SMAT_dCSR_SpMV(sharedTuner(), A, deterministicTune());
 
-  TunedSpmv<double> Out;
-  ErrorCode Code =
-      SMAT_dCSR_SpMV_try(sharedTuner(), A, Out, nullptr, deterministicTune());
-  ASSERT_EQ(Code, ErrorCode::Ok);
-  EXPECT_EQ(Out.format(), Reference.format());
-  EXPECT_EQ(Out.kernelName(), Reference.kernelName());
+  Expected<TunedSpmv<double>> Result =
+      sharedTuner().tryTune(A, deterministicTune());
+  ASSERT_TRUE(Result.ok()) << Result.status().message();
+  EXPECT_EQ(Result->format(), Reference.format());
+  EXPECT_EQ(Result->kernelName(), Reference.kernelName());
 }
 
-TEST(CApiTest, SinglePrecisionTryEntryPoint) {
+TEST(CApiTest, SinglePrecisionTryTune) {
   static const Smat<float> FloatTuner(sharedModel());
   CsrMatrix<float> A = convertValueType<float>(validMatrix());
 
-  TunedSpmv<float> Out;
-  ASSERT_EQ(SMAT_sCSR_SpMV_try(FloatTuner, A, Out, nullptr, fastTune()),
-            ErrorCode::Ok);
-  EXPECT_EQ(Out.numRows(), A.NumRows);
+  Expected<TunedSpmv<float>> Result = FloatTuner.tryTune(A, fastTune());
+  ASSERT_TRUE(Result.ok()) << Result.status().message();
+  EXPECT_EQ(Result->numRows(), A.NumRows);
 
   A.RowPtr[2] = A.RowPtr[3] + 1;
-  TunedSpmv<float> Broken;
-  std::string Message;
-  EXPECT_EQ(SMAT_sCSR_SpMV_try(FloatTuner, A, Broken, &Message, fastTune()),
-            ErrorCode::InvalidMatrix);
-  expectContains(Message, "RowPtr not monotone");
+  Expected<TunedSpmv<float>> Broken = FloatTuner.tryTune(A, fastTune());
+  EXPECT_FALSE(Broken.ok());
+  EXPECT_EQ(Broken.status().code(), ErrorCode::InvalidMatrix);
+  expectContains(Broken.status().message(), "RowPtr not monotone");
 }
 
 // --- PlanCache interaction (ISSUE satellite 4) ------------------------------
@@ -517,13 +511,9 @@ TEST(ForeignModelTest, OutOfRangeKernelIndicesBindBasicKernels) {
           Confident.Rules.DefaultConfidence = 1.0;
           Check(Confident, A, fastTune(), K);
         }
-        // Raced: the full execute-and-measure menu.
-        LearningModel Raced = *Source;
-        Raced.ConfidenceThreshold = 2.0;
-        TuneOptions Force = fastTune();
-        Force.ForceMeasure = true;
+        // Raced: the cost model's menu for the matrix.
         SCOPED_TRACE("raced");
-        Check(Raced, A, Force, K);
+        Check(neverConfident(*Source), A, fastTune(), K);
       }
     }
   }
@@ -729,23 +719,18 @@ TEST_P(MalformedInputFuzz, EveryBoundaryRejectsBrokenCsr) {
     if (Check.ok())
       continue; // A rare mutation may cancel out; nothing to assert.
 
-    // tryTune: diagnostic error, no crash, no partial result.
+    // tryTune: diagnostic error, no crash, the Expected holds no value.
     auto Tuned = sharedTuner().tryTune(A, fastTune());
     ASSERT_FALSE(Tuned.ok());
     EXPECT_FALSE(Tuned.status().message().empty());
     EXPECT_NE(Tuned.status().code(), ErrorCode::Ok);
 
-    // Throwing tune: std::invalid_argument with the same diagnostic class.
+    // Throwing tune and the paper's entry point: std::invalid_argument with
+    // the same diagnostic class.
     EXPECT_THROW((void)sharedTuner().tune(A, fastTune()),
                  std::invalid_argument);
-
-    // C entry point: error code out, Out untouched.
-    TunedSpmv<double> Out;
-    std::string Message;
-    EXPECT_NE(SMAT_dCSR_SpMV_try(sharedTuner(), A, Out, &Message, fastTune()),
-              ErrorCode::Ok);
-    EXPECT_FALSE(Message.empty());
-    EXPECT_EQ(Out.numRows(), 0);
+    EXPECT_THROW((void)SMAT_dCSR_SpMV(sharedTuner(), A, fastTune()),
+                 std::invalid_argument);
 
     // Converters: defensive rejection (bound-as-CSR is the recovery).
     DiaMatrix<double> Dia;
@@ -842,17 +827,15 @@ TEST_P(MalformedInputFuzz, StructuredMatrixMarketMutations) {
 
 TEST_P(MalformedInputFuzz, ValidInputsKeepIdenticalTunedResults) {
   // The hardening must be behavior-preserving on the happy path: tryTune,
-  // tune, and the C entry point agree bit-for-bit on format, kernel, and
-  // output vector.
+  // tune, and the paper's entry point agree bit-for-bit on format, kernel,
+  // and output vector.
   CsrMatrix<double> A = seededMatrix(GetParam());
   TuneOptions Opts = deterministicTune();
 
   TunedSpmv<double> Thrown = sharedTuner().tune(A, Opts);
   auto Tried = sharedTuner().tryTune(A, Opts);
   ASSERT_TRUE(Tried.ok()) << Tried.status().message();
-  TunedSpmv<double> CApi;
-  ASSERT_EQ(SMAT_dCSR_SpMV_try(sharedTuner(), A, CApi, nullptr, Opts),
-            ErrorCode::Ok);
+  TunedSpmv<double> CApi = SMAT_dCSR_SpMV(sharedTuner(), A, Opts);
 
   EXPECT_EQ(Tried->format(), Thrown.format());
   EXPECT_EQ(CApi.format(), Thrown.format());

@@ -420,14 +420,6 @@ TEST(KernelRegistryTest, KernelNamesUnique) {
     EXPECT_TRUE(Names.insert(K.Name).second) << K.Name;
 }
 
-TEST(KernelRegistryTest, FlagStrings) {
-  EXPECT_EQ(optFlagsString(OptNone), "basic");
-  EXPECT_EQ(optFlagsString(OptUnroll), "unroll");
-  EXPECT_EQ(optFlagsString(OptSimd | OptLoadBalance), "simd+loadbalance");
-  for (unsigned Bit = 0; Bit < NumOptStrategies; ++Bit)
-    EXPECT_NE(optFlagsString(1u << Bit), "basic") << Bit;
-}
-
 // --- Skewed rows (balanced row slices, sliced ELL) ---------------------------
 
 TEST(LoadBalanceTest, SkewedRowsMatchReferenceInBalancedSlices) {

@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -614,17 +615,17 @@ TEST(NeverSlowerFaultTest, RaceSurvivesCooCandidateFault) {
     GTEST_SKIP() << "fault-injection hooks not compiled in";
   CsrMatrix<double> A = powerLawGraph(2000, 1.9, 1, 400, 102);
   randomizeValues(A, 7);
-  Smat<double> Tuner(strictModel());
+  // The cost model would prune COO from this imbalance-bound race before
+  // the fault site is reached; with no row CV counting as imbalance, the
+  // matrix is irregularity-bound and its race holds COO.
+  LearningModel Model = strictModel();
+  Model.Cost.ImbalanceRowCv = std::numeric_limits<double>::infinity();
+  Smat<double> Tuner(Model);
 
   fault::FaultConfig Cfg;
   Cfg.AlwaysSites = {"measure.kernel.COO"};
   FaultScope Scope(Cfg);
-  // The cost model would prune COO from this imbalance-bound race before
-  // the fault site is reached; force the full race so the faulted path
-  // actually runs.
-  TuneOptions Opts = fastTune();
-  Opts.ForceMeasure = true;
-  TunedSpmv<double> Op = Tuner.tune(A, Opts);
+  TunedSpmv<double> Op = Tuner.tune(A, fastTune());
   EXPECT_NE(Op.format(), FormatKind::COO)
       << "a candidate whose measurement faults must not be selected";
   EXPECT_GT(Op.report().DroppedCandidates, 0);

@@ -338,17 +338,25 @@ TEST(DegradationLadderTest, NoisyTimerInjectionIsReportedNotFatal) {
   Smat<double> Tuner(strictModel());
   CsrMatrix<double> A = banded(500, 2);
   TuneOptions Opts = fastTune();
-  // Race the full format menu: each measured candidate is an independent
-  // 3-sample spread check, and the noisy verdict is the OR over all of them.
-  // The cost model would prune this banded matrix to {DIA, CSR}, leaving too
-  // few sample sets for the seeded noise to flag reliably; ForceMeasure
-  // races every plausible format.
-  Opts.ForceMeasure = true;
+  // Race the full format menu at the stage: each measured candidate is an
+  // independent 3-sample spread check, and the noisy verdict is the OR over
+  // all of them. The cost model would prune this banded matrix to {DIA,
+  // CSR}, leaving too few sample sets for the seeded noise to flag
+  // reliably; the stage with no cost decision races every plausible format.
+  TuningContext<double> Ctx{A, Tuner.model(), Opts};
+  FeatureStageResult Features = FeatureStage::run(Ctx);
+  MeasureStageResult<double> Race =
+      MeasureStage::run(Ctx, Features, FormatKind::CSR);
+  EXPECT_GE(Race.Candidates.size(), 3u);
+  EXPECT_TRUE(Race.NoisyTimings);
+
+  // The tune under the same noise completes with a usable plan, and its
+  // report's flag reaches the counter.
   auto Result = Tuner.tryTune(A, Opts);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
-  EXPECT_TRUE(Result->report().NoisyTimings);
   expectSpmvMatches(*Result, A);
-  EXPECT_EQ(Tuner.resilienceCounters().NoisyTunes, 1u);
+  EXPECT_EQ(Tuner.resilienceCounters().NoisyTunes,
+            Result->report().NoisyTimings ? 1u : 0u);
 }
 
 TEST(DegradationLadderTest, InjectedTimerStallTripsTheBudget) {
@@ -581,14 +589,15 @@ TEST(AmgResilienceTest, HierarchySetupAndSolveSurviveFaults) {
 
 TEST(AmgResilienceTest, TuneOptionsForwardToEveryOperator) {
   // No faults required: the AMG path forwards the caller's budgets and
-  // respects the Tune.Cache > Cache > owned precedence.
+  // tunes through AmgOptions::Cache, whatever Tune.Cache holds.
   Smat<double> Tuner(strictModel());
-  PlanCache Cache;
+  PlanCache Cache, Ignored;
   AmgOptions Opts;
   Opts.Backend = SpmvBackendKind::Smat;
   Opts.Tuner = &Tuner;
   Opts.Tune.MeasureMinSeconds = 1e-4;
-  Opts.Tune.Cache = &Cache;
+  Opts.Tune.Cache = &Ignored;
+  Opts.Cache = &Cache;
 
   CsrMatrix<double> A = laplace2d5pt(20, 20);
   AmgSolver Solver;
@@ -596,6 +605,7 @@ TEST(AmgResilienceTest, TuneOptionsForwardToEveryOperator) {
   EXPECT_EQ(Solver.planCache(), &Cache);
   EXPECT_GT(Cache.stats().Inserts, 0u)
       << "the forwarded cache must see the per-operator tunes";
+  EXPECT_EQ(Ignored.stats().Inserts, 0u) << "setup overwrites Tune.Cache";
   for (const LevelFormatInfo &Info : Solver.formatDecisions())
     EXPECT_EQ(Info.Degradation, DegradationLevel::None);
 }

@@ -288,7 +288,7 @@ TEST(TuningServiceTest, RvalueSubmitMovesAndFloatVariantWorks) {
   ASSERT_TRUE(Op.waitTuned(WaitSeconds)) << Op.error();
   expectAsyncSpmvMatches(Op, A, 6);
 
-  // The unified-interface spelling drives the same machinery.
+  // The float service drives the same machinery.
   TuningService<float> FloatService{Smat<float>(strictModel())};
   CsrMatrix<float> Af;
   Af.NumRows = 3;
@@ -296,7 +296,7 @@ TEST(TuningServiceTest, RvalueSubmitMovesAndFloatVariantWorks) {
   Af.RowPtr = {0, 1, 2, 3};
   Af.ColIdx = {0, 1, 2};
   Af.Values = {1.0f, 2.0f, 3.0f};
-  AsyncSpmv<float> Fop = SMAT_sCSR_SpMV_async(FloatService, Af);
+  AsyncSpmv<float> Fop = FloatService.tuneAsync(Af);
   std::vector<float> Xf = {1.0f, 1.0f, 1.0f}, Yf(3, 0.0f);
   Fop.apply(Xf.data(), Yf.data());
   EXPECT_FLOAT_EQ(Yf[0], 1.0f);
