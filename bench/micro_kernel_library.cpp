@@ -37,12 +37,12 @@ using namespace smat::bench;
 namespace {
 
 constexpr std::size_t Sweeps = 3;
-constexpr index_t SpmmWidth = 8;
 /// A kernel needed on at most this many matrices has them listed by name.
 constexpr std::size_t ListNeededUpTo = 8;
 
 /// One kernel list the scoreboard ranks: a format's SpMV kernels (Width 1)
-/// or its SpMM kernels (Width SpmmWidth; BSR has none).
+/// or its SpMM kernels (Width SpmmSearchWidth, the kernel search's; BSR has
+/// none).
 struct Family {
   FormatKind Kind;
   index_t Width;
@@ -59,13 +59,12 @@ std::vector<Family> families() {
     Result.push_back({static_cast<FormatKind>(K), 1});
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
                           FormatKind::ELL})
-    Result.push_back({Kind, SpmmWidth});
+    Result.push_back({Kind, SpmmSearchWidth});
   return Result;
 }
 
 /// One family's sweep: kernel names, and GFLOPS [matrix][sweep][kernel],
-/// 0 where the plan was not measured (a declined conversion, a kernel the
-/// bind demoted).
+/// 0 where the plan was not measured (a declined conversion).
 struct FamilyRates {
   std::vector<std::string> Names;
   std::vector<std::array<std::vector<double>, Sweeps>> Rates;
@@ -240,7 +239,7 @@ int main() {
     Set.push_back(std::move(Entry));
   std::printf("=== Kernel library swept as plans (paper Section 5.2): SpMV "
               "at k=1, SpMM at k=%d ===\n",
-              static_cast<int>(SpmmWidth));
+              static_cast<int>(SpmmSearchWidth));
   sweepAndReport<double>(Set, "double");
   sweepAndReport<float>(Set, "float");
   std::printf("\nswept in %.0f s\n", Timer.seconds());

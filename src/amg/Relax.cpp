@@ -48,23 +48,6 @@ void smat::jacobiSweepFromZero(const std::vector<double> &InvDiag,
   });
 }
 
-void smat::gaussSeidelSweep(const CsrMatrix<double> &A, const double *B,
-                            double *X) {
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    double Sum = B[Row];
-    double Diag = 1.0;
-    for (index_t I = A.RowPtr[Row]; I < A.RowPtr[Row + 1]; ++I) {
-      index_t Col = A.ColIdx[I];
-      if (Col == Row) {
-        Diag = A.Values[I];
-        continue;
-      }
-      Sum -= A.Values[I] * X[Col];
-    }
-    X[Row] = Sum / Diag;
-  }
-}
-
 void smat::residual(const SpmvFn &Spmv, const double *B, const double *X,
                     double *R, const std::vector<index_t> &Slices) {
   Spmv(X, R); // R = A*X

@@ -8,8 +8,8 @@
 /// Relaxation methods for the AMG V-cycle. Weighted Jacobi is expressed in
 /// terms of a pluggable SpMV operator (x += omega * D^-1 * (b - A x)), so
 /// the solver's dominant cost is exactly the SpMV kernel SMAT tunes — the
-/// property the paper's Table 4 experiment relies on. Gauss–Seidel and a
-/// dense LU coarse-grid solve are also provided.
+/// property the paper's Table 4 experiment relies on. A dense LU
+/// coarse-grid solve is also provided.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +46,6 @@ void jacobiSweep(const SpmvFn &Spmv, const std::vector<double> &InvDiag,
 void jacobiSweepFromZero(const std::vector<double> &InvDiag, const double *B,
                          double *X, const std::vector<index_t> &Slices,
                          double Omega);
-
-/// One forward Gauss–Seidel sweep on \p A (used for comparison smoothing;
-/// inherently sequential, no SpMV involved).
-void gaussSeidelSweep(const CsrMatrix<double> &A, const double *B, double *X);
 
 /// Residual R = B - A*X via \p Spmv, the subtraction running on the row
 /// slices \p Slices side by side.

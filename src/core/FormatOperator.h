@@ -9,7 +9,7 @@
 /// interface `TunedSpmv::apply` dispatches through; `BoundOperator` is its
 /// one implementation: a matrix in one storage format bound to the
 /// scoreboard-selected SpMV kernel and, for every format with an SpMM family,
-/// the per-width SpMM kernel. `bindFormatOperator` is the one place that
+/// its SpMM kernel. `bindFormatOperator` is the one place that
 /// turns a `FormatKind` into a conversion plus kernel picks; the
 /// execute-and-measure race times the operators it builds, and the tune
 /// binds the winner it timed. Adding a format (paper contribution 3)
@@ -226,7 +226,7 @@ csrOperator(const CsrMatrix<T> &A, const Kernel<CsrKernelFn<T>> &K,
 
 /// Converts \p A with \p Convert and binds the picks \p SpmvIdx of
 /// \p SpmvList and \p SpmmIdx of \p SpmmList (null: no SpMM family), each
-/// through pickKernel, as planRowBounds slices of the one converted matrix
+/// through kernelEntry, as planRowBounds slices of the one converted matrix
 /// cut on multiples of \p Align rows. \p Convert(M, Out) converts M into
 /// Out with the format's fill guards, which judge the whole matrix.
 /// \returns null when a guard declines.
@@ -242,10 +242,9 @@ std::unique_ptr<FormatOperator<T>> bindConverted(
   MatrixT<T> M;
   if (!Convert(A, M))
     return nullptr;
-  const auto &K = pickKernel(SpmvList, SpmvIdx, M);
-  const auto *S = SpmmList ? &pickKernel(*SpmmList, SpmmIdx, M) : nullptr;
+  const auto *S = SpmmList ? &kernelEntry(*SpmmList, SpmmIdx) : nullptr;
   return std::make_unique<BoundOperator<MatrixT, T>>(
-      std::move(M), K, S, planRowBounds(A, Align));
+      std::move(M), kernelEntry(SpmvList, SpmvIdx), S, planRowBounds(A, Align));
 }
 
 } // namespace detail
@@ -261,16 +260,15 @@ std::unique_ptr<FormatOperator<T>> basicCsrOperator(const CsrMatrix<T> &A) {
 }
 
 /// Converts \p A to \p Requested and binds the scoreboard-selected kernels
-/// from \p Sel, each passed through pickKernel. A DIA/ELL/BSR conversion can
-/// be rejected by its fill guards even when the model predicted the format
-/// confidently; the fallback is always CSR.
-/// \p CsrKernelOverride, when non-negative, replaces the
-/// scoreboard's general CSR pick — the skew-aware bind path passes
-/// Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the kernel
-/// the skewed probe picked. \p BatchWidth selects which per-width SpMM pick
-/// (KernelSelection::BestSpmmKernel) the operator binds for multiply(); an
-/// unsearched width binds the format's basic SpMM kernel, so multiply() is
-/// batched for CSR/COO/DIA/ELL regardless of tuning width.
+/// from \p Sel, each through kernelEntry: the format's SpMV pick for
+/// apply() and its SpMM pick for multiply() (an unsearched SpMM pick binds
+/// the format's basic SpMM kernel, so multiply() is batched for
+/// CSR/COO/DIA/ELL at any width). A DIA/ELL/BSR conversion can be rejected
+/// by its fill guards even when the model predicted the format confidently;
+/// the fallback is always CSR. \p CsrKernelOverride, when non-negative,
+/// replaces the scoreboard's general CSR pick — the skew-aware bind path
+/// passes Sel.csrKernelFor(rowCv) here so heavily skewed matrices get the
+/// kernel the skewed probe picked.
 ///
 /// A plan of any format is cut into row slices when \p A has at least
 /// ParallelConvertGrain nonzeros, and each of its kernels runs sliced unless
@@ -279,14 +277,13 @@ std::unique_ptr<FormatOperator<T>> basicCsrOperator(const CsrMatrix<T> &A) {
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
-                   const KernelSelection &Sel, int CsrKernelOverride = -1,
-                   index_t BatchWidth = 1) {
+                   const KernelSelection &Sel, int CsrKernelOverride = -1) {
   const KernelTable<T> &Kernels = kernelTable<T>();
   auto Spmv = [&Sel](FormatKind Kind) {
     return Sel.BestKernel[static_cast<int>(Kind)];
   };
-  auto Spmm = [&Sel, BatchWidth](FormatKind Kind) {
-    return Sel.spmmKernelFor(Kind, BatchWidth);
+  auto Spmm = [&Sel](FormatKind Kind) {
+    return Sel.BestSpmmKernel[static_cast<int>(Kind)];
   };
 
   std::unique_ptr<FormatOperator<T>> Op;
@@ -338,8 +335,8 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
   int CsrIdx =
       CsrKernelOverride >= 0 ? CsrKernelOverride : Spmv(FormatKind::CSR);
   return detail::csrOperator(
-      A, pickKernel(Kernels.Csr, CsrIdx, A),
-      pickKernel(Kernels.CsrSpmm, Spmm(FormatKind::CSR), A));
+      A, kernelEntry(Kernels.Csr, CsrIdx),
+      kernelEntry(Kernels.CsrSpmm, Spmm(FormatKind::CSR)));
 }
 
 } // namespace smat

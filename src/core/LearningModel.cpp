@@ -12,14 +12,18 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace smat;
 
 namespace {
 
+/// The model file's first line; a file with any other is rejected.
+constexpr std::string_view ModelHeader = "SMAT-MODEL v2";
+
 /// The index of the kernel named \p Name in this build's SpMV (\p Spmm
-/// false) or SpMM library of \p Kind; 0, the basic kernel, when the build
-/// has no kernel of that name or (BSR) no SpMM family. Both value types
+/// false) or SpMM library of \p Kind (not BSR, which has none); 0, the
+/// basic kernel, when the build has no kernel of that name. Both value types
 /// register the same names in the same order, so the double table answers
 /// for either.
 int kernelIndexFor(FormatKind Kind, const std::string &Name, bool Spmm) {
@@ -38,7 +42,7 @@ int kernelIndexFor(FormatKind Kind, const std::string &Name, bool Spmm) {
     return Spmm ? kernelIndexNamed(K.EllSpmm, Name)
                 : kernelIndexNamed(K.Ell, Name);
   case FormatKind::BSR:
-    return Spmm ? 0 : kernelIndexNamed(K.Bsr, Name);
+    return kernelIndexNamed(K.Bsr, Name);
   }
   return 0;
 }
@@ -54,42 +58,26 @@ void LearningModel::refreshRuleMetadata() {
 }
 
 std::string smat::serializeModel(const LearningModel &Model) {
-  std::string Out = "SMAT-MODEL v1\n";
+  const KernelSelection &Sel = Model.Kernels;
+  auto Format = [](int K) {
+    return std::string(formatName(static_cast<FormatKind>(K)));
+  };
+  std::string Out = std::string(ModelHeader) + "\n";
   Out += formatString("threshold %.17g\n", Model.ConfidenceThreshold);
   Out += formatString("bsr %d\n", Model.BsrEnabled ? 1 : 0);
   for (int K = 0; K < NumFormats; ++K)
     Out += formatString(
-        "kernel %s %d %s\n",
-        std::string(formatName(static_cast<FormatKind>(K))).c_str(),
-        Model.Kernels.BestKernel[static_cast<std::size_t>(K)],
-        Model.Kernels.BestKernelName[static_cast<std::size_t>(K)].c_str());
-  // Optional skew-pass CSR kernel (v1-compatible: old parsers that reach the
-  // ruleset reader treat an unknown leading line as ruleset text, and the
-  // line is only written when the search actually produced a skew pick).
-  if (Model.Kernels.BestSkewCsrKernel >= 0)
-    Out += formatString("kernel_skew CSR %d %s\n",
-                        Model.Kernels.BestSkewCsrKernel,
-                        Model.Kernels.BestSkewCsrKernelName.c_str());
-  // Optional per-width SpMM picks (same v1 compatibility contract as
-  // kernel_skew: only searched entries are written, and a parser that does
-  // not know the tag treats the first non-matching line as ruleset text).
+        "kernel %s %s\n", Format(K).c_str(),
+        Sel.BestKernelName[static_cast<std::size_t>(K)].c_str());
+  // The skew and SpMM picks are written only when the search made them.
+  if (Sel.BestSkewCsrKernel >= 0)
+    Out += formatString("kernel_skew CSR %s\n",
+                        Sel.BestSkewCsrKernelName.c_str());
   for (int K = 0; K < NumFormats; ++K)
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      if (Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(K)]
-                                      [static_cast<std::size_t>(W)] >= 0)
-        Out += formatString(
-            "kernel_spmm %d %s %d %s\n",
-            static_cast<int>(SpmmSearchWidths[static_cast<std::size_t>(W)]),
-            std::string(formatName(static_cast<FormatKind>(K))).c_str(),
-            Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(K)]
-                                        [static_cast<std::size_t>(W)],
-            Model.Kernels.BestSpmmKernelName[static_cast<std::size_t>(K)]
-                                            [static_cast<std::size_t>(W)]
-                .c_str());
-  // Optional analytic-classifier thresholds (same v1 compatibility contract
-  // as kernel_skew: a parser that predates the tag treats the first
-  // non-matching line as ruleset text, and a file without the lines parses
-  // with the CostModelThresholds defaults).
+    if (Sel.BestSpmmKernel[static_cast<std::size_t>(K)] >= 0)
+      Out += formatString(
+          "kernel_spmm %s %s\n", Format(K).c_str(),
+          Sel.BestSpmmKernelName[static_cast<std::size_t>(K)].c_str());
   Out += formatString("costmodel imbalance_rowcv %.17g\n",
                       Model.Cost.ImbalanceRowCv);
   Out += formatString("costmodel dia_fill %.17g\n", Model.Cost.DiaFillMin);
@@ -104,8 +92,13 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
   std::istringstream In(Text);
   std::string Line;
 
-  if (!std::getline(In, Line) || trim(Line) != "SMAT-MODEL v1") {
-    Error = "missing SMAT-MODEL v1 header";
+  if (!std::getline(In, Line)) {
+    Error = "missing " + std::string(ModelHeader) + " header";
+    return false;
+  }
+  if (trim(Line) != ModelHeader) {
+    Error = "unsupported model header '" + std::string(trim(Line)) +
+            "' (expected " + std::string(ModelHeader) + ")";
     return false;
   }
   if (!std::getline(In, Line)) {
@@ -130,6 +123,9 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
   }
   Model.BsrEnabled = BsrParts[1] == "1";
 
+  // Picks bind by name: another build's table may order (or lack) kernels
+  // differently.
+  KernelSelection &Sel = Model.Kernels;
   for (int K = 0; K < NumFormats; ++K) {
     if (!std::getline(In, Line)) {
       Error = "missing kernel line";
@@ -137,53 +133,41 @@ bool smat::parseModel(const std::string &Text, LearningModel &Model,
     }
     auto KernelParts = splitWhitespace(Line);
     FormatKind Kind;
-    if (KernelParts.size() != 4 || KernelParts[0] != "kernel" ||
+    if (KernelParts.size() != 3 || KernelParts[0] != "kernel" ||
         !parseFormatName(KernelParts[1], Kind)) {
       Error = "malformed kernel line: '" + Line + "'";
       return false;
     }
-    // Picks bind by name: the index a model was written with is only
-    // informative, since another build's table may order (or lack) kernels
-    // differently.
-    int Idx = static_cast<int>(Kind);
-    Model.Kernels.BestKernel[static_cast<std::size_t>(Idx)] =
-        kernelIndexFor(Kind, KernelParts[3], false);
-    Model.Kernels.BestKernelName[static_cast<std::size_t>(Idx)] =
-        KernelParts[3];
+    const auto F = static_cast<std::size_t>(Kind);
+    Sel.BestKernel[F] = kernelIndexFor(Kind, KernelParts[2], false);
+    Sel.BestKernelName[F] = KernelParts[2];
   }
 
-  // Optional lines (absent in models trained before the features existed):
-  // kernel_skew (skew-pass CSR kernel; BestSkewCsrKernel stays -1 without
-  // it) and kernel_spmm (per-width batched picks; the affected width bucket
-  // stays unsearched without them). Lookahead loop: the first consumed line
-  // matching neither tag belongs to the ruleset.
+  // Optional lines: kernel_skew (BestSkewCsrKernel stays -1 without it),
+  // kernel_spmm (a family without one binds its basic SpMM kernel) and
+  // costmodel (CostModelThresholds defaults without them). Lookahead loop:
+  // the first consumed line matching no tag belongs to the ruleset.
   std::string RulesetPrefix;
   while (std::getline(In, Line)) {
     auto Parts = splitWhitespace(Line);
-    if (Parts.size() == 4 && Parts[0] == "kernel_skew") {
+    if (Parts.size() == 3 && Parts[0] == "kernel_skew") {
       if (Parts[1] != "CSR") {
         Error = "malformed kernel_skew line: '" + Line + "'";
         return false;
       }
-      Model.Kernels.BestSkewCsrKernel =
-          kernelIndexFor(FormatKind::CSR, Parts[3], false);
-      Model.Kernels.BestSkewCsrKernelName = Parts[3];
+      Sel.BestSkewCsrKernel = kernelIndexFor(FormatKind::CSR, Parts[2], false);
+      Sel.BestSkewCsrKernelName = Parts[2];
       continue;
     }
-    if (Parts.size() == 5 && Parts[0] == "kernel_spmm") {
+    if (Parts.size() == 3 && Parts[0] == "kernel_spmm") {
       FormatKind Kind;
-      index_t Width =
-          static_cast<index_t>(std::strtol(Parts[1].c_str(), nullptr, 10));
-      if (!parseFormatName(Parts[2], Kind) || Width < 2 ||
-          Width != SpmmSearchWidths[static_cast<std::size_t>(
-                       spmmWidthIndex(Width))]) {
+      if (!parseFormatName(Parts[1], Kind) || Kind == FormatKind::BSR) {
         Error = "malformed kernel_spmm line: '" + Line + "'";
         return false;
       }
-      std::size_t F = static_cast<std::size_t>(Kind);
-      std::size_t W = static_cast<std::size_t>(spmmWidthIndex(Width));
-      Model.Kernels.BestSpmmKernel[F][W] = kernelIndexFor(Kind, Parts[4], true);
-      Model.Kernels.BestSpmmKernelName[F][W] = Parts[4];
+      const auto F = static_cast<std::size_t>(Kind);
+      Sel.BestSpmmKernel[F] = kernelIndexFor(Kind, Parts[2], true);
+      Sel.BestSpmmKernelName[F] = Parts[2];
       continue;
     }
     if (Parts.size() == 3 && Parts[0] == "costmodel") {

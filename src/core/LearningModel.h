@@ -37,8 +37,7 @@ struct LearningModel {
   bool BsrEnabled = false;
   /// Routing thresholds of the analytic bottleneck classifier (CostModel.h)
   /// that pre-filters the execute-and-measure candidate menu. Serialized as
-  /// optional `costmodel` lines; legacy model files without them parse and
-  /// keep the defaults.
+  /// `costmodel` lines; a model file without them parses with the defaults.
   CostModelThresholds Cost;
 
   /// Per-group flags: whether any rule of the group tests the power-law R

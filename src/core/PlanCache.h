@@ -56,11 +56,11 @@ struct PlanFingerprint {
   std::int16_t DiaFillBucket = 0;   ///< ER_DIA in eighth steps.
   std::int16_t EllFillBucket = 0;   ///< ER_ELL in eighth steps.
   std::int16_t BsrFillBucket = 0;   ///< ER_BSR in eighth steps.
-  /// Batch-width bucket (0 for single-vector SpMV; SpMM tunes key on the
-  /// register-tile bucket serving the requested width). Width is a tuning
-  /// input, not a matrix feature: the same structure tuned at k=1 and k=8
-  /// can legitimately bind different formats and kernels, so the buckets
-  /// must not collide.
+  /// Batch-width bucket, min(bit_width(k - 1), 4): 0 for single-vector
+  /// SpMV, then k = 2, 3-4, 5-8 and 9 or more. Width is a tuning input, not
+  /// a matrix feature: the same structure tuned at k=1 and k=8 can
+  /// legitimately race to different formats, so the buckets must not
+  /// collide.
   std::int16_t WidthBucket = 0;
   /// Analytic bottleneck class the cost model assigned (1 + BottleneckClass).
   /// Part of the key because the class decides which candidates race, so a

@@ -8,6 +8,8 @@
 
 #include "support/Timer.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -19,6 +21,13 @@ namespace {
 /// Rungs are ordered; a tune reports the deepest one it touched.
 DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
   return static_cast<int>(A) >= static_cast<int>(B) ? A : B;
+}
+
+/// The plan cache's bucket for batch width \p K: 0 for k = 1, then 1 for
+/// k = 2, 2 for 3-4, 3 for 5-8 and 4 from 9 up.
+std::int16_t widthBucket(index_t K) {
+  const int Bits = std::bit_width(static_cast<unsigned>(K - 1));
+  return static_cast<std::int16_t>(std::min(Bits, 4));
 }
 
 } // namespace
@@ -165,7 +174,6 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
   if (HaveFeatures) {
     CostDecision = classifyBottleneck(Features.Features, Model.Cost);
     Report.Bottleneck = CostDecision.Class;
-    Report.CostModelApplied = true;
   }
 
   // Plan-cache probe. The fingerprint needs only step-1 features, so a hit
@@ -186,10 +194,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A,
     // a warm tune at a new width must miss only the width bucket. The
     // bottleneck class is stamped because it decides which candidates race,
     // so a plan raced under one class is never reused under another.
-    Fp.WidthBucket =
-        Opts.BatchWidth > 1
-            ? static_cast<std::int16_t>(1 + spmmWidthIndex(Opts.BatchWidth))
-            : std::int16_t(0);
+    Fp.WidthBucket = widthBucket(Opts.BatchWidth);
     Fp.ClassBucket =
         static_cast<std::int16_t>(1 + static_cast<int>(CostDecision.Class));
     CachedPlan Hit;

@@ -69,11 +69,10 @@ struct TuningReport {
   /// than the bound plan by more than GuardrailNoiseFloor, so the untuned
   /// basic CSR plan the check timed was bound instead.
   bool GuardrailEngaged = false;
-  /// Analytic bottleneck classification (CostModel.h) of this matrix; only
-  /// meaningful when CostModelApplied is set (features survived and the
-  /// classifier ran).
+  /// Analytic bottleneck classification (CostModel.h) of this matrix;
+  /// meaningful when feature extraction succeeded. A failed extraction
+  /// counts a dropped candidate (DroppedCandidates) and leaves the default.
   BottleneckClass Bottleneck = BottleneckClass::IrregularityBound;
-  bool CostModelApplied = false;
   /// Final decision.
   FormatKind ChosenFormat = FormatKind::CSR;
   std::string KernelName;
@@ -168,7 +167,7 @@ public:
   /// rows of K. Dispatches to the bound register-tiled SpMM kernel (K = 1
   /// falls back to apply()). Any K >= 1 is supported regardless of the
   /// TuneOptions::BatchWidth the tune optimized for — the width only
-  /// steers which kernel was considered optimal.
+  /// steers which format was considered optimal.
   void multiply(const T *X, T *Y, index_t K) const {
     assert(Op && "multiply() on a default or moved-from TunedSpmv");
     assert(K >= 1 && "batch width must be at least 1");
@@ -333,7 +332,7 @@ TunedSpmv<float> SMAT_sCSR_SpMV(const Smat<float> &, CsrMatrix<float> &&,
 
 /// Batched (multi-RHS) variants: tune for \p BatchWidth right-hand sides
 /// and return an operator whose multiply(X, Y, K) runs the register-tiled
-/// SpMM kernel the scoreboard picked for that width bucket. \p BatchWidth
+/// SpMM kernel the scoreboard picked for the chosen format. \p BatchWidth
 /// overrides Opts.BatchWidth; everything else in \p Opts applies as usual.
 inline TunedSpmv<double> SMAT_dCSR_SpMM(const Smat<double> &Tuner,
                                         const CsrMatrix<double> &A,

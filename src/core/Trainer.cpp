@@ -58,19 +58,14 @@ smat::measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind,
   RobustMeasureOptions Opts;
   Opts.MinSeconds = MinSeconds;
   const auto Format = static_cast<std::size_t>(Kind);
-  const auto Slot = static_cast<std::size_t>(spmmWidthIndex(Width));
   for (std::size_t I = 0; I != Table.size(); ++I) {
     KernelSelection Sel;
-    if (Spmm)
-      Sel.BestSpmmKernel[Format][Slot] = static_cast<int>(I);
-    else
-      Sel.BestKernel[Format] = static_cast<int>(I);
+    (Spmm ? Sel.BestSpmmKernel : Sel.BestKernel)[Format] = static_cast<int>(I);
     try {
       std::unique_ptr<FormatOperator<T>> Op =
-          bindFormatOperator(Probe, Kind, Sel, -1, Width);
-      if (Op->kind() != Kind ||
-          Table[I].Name != (Spmm ? Op->spmmKernelName() : Op->kernelName()))
-        continue;
+          bindFormatOperator(Probe, Kind, Sel);
+      if (Op->kind() != Kind)
+        continue; // A conversion guard declined the probe.
       double Seconds =
           timePlan(*Op, Width, "scoreboard.kernel", Opts).SecondsPerCall;
       Table[I].Gflops = spmvGflops(static_cast<std::uint64_t>(Probe.nnz()) *
@@ -119,17 +114,15 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds) {
        FormatKind::CSR, 1, Selection.BestSkewCsrKernel,
        Selection.BestSkewCsrKernelName);
 
-  // SpMM pass: one scoreboard per (format, searched width), each family on
-  // its own format's probe. Register-tile payoff is width-dependent (wider
-  // tiles raise arithmetic intensity but also register pressure), so each
-  // width gets its own pick.
-  for (std::size_t W = 0; W != SpmmSearchWidths.size(); ++W)
-    for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
-                            FormatKind::ELL}) {
-      const auto K = static_cast<std::size_t>(Kind);
-      Pick(Probes[K], Kind, SpmmSearchWidths[W],
-           Selection.BestSpmmKernel[K][W], Selection.BestSpmmKernelName[K][W]);
-    }
+  // SpMM pass: one scoreboard per family at SpmmSearchWidth, each on its
+  // own format's probe. The pick serves multiply() at every width; the
+  // kernels dispatch their own register tiles by width.
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
+                          FormatKind::ELL}) {
+    const auto K = static_cast<std::size_t>(Kind);
+    Pick(Probes[K], Kind, SpmmSearchWidth, Selection.BestSpmmKernel[K],
+         Selection.BestSpmmKernelName[K]);
+  }
   return Selection;
 }
 

@@ -35,13 +35,16 @@ struct TrainingOptions {
   bool EnableBsr = false;
 };
 
+/// The batch width the kernel search times each SpMM family at: the width
+/// of the batched perfbench tunes and of the kernel sweep's SpMM table.
+inline constexpr index_t SpmmSearchWidth = 8;
+
 /// Times every kernel of \p Kind's SpMV list (its SpMM list at \p Width > 1;
 /// BSR has none) as a plan: bound to \p Probe by bindFormatOperator, so it
 /// runs as row slices above the grain, and timed with timePlan at the fault
 /// site "scoreboard.kernel". \returns the scoreboard's performance table,
-/// index-aligned with the kernel list; a kernel whose plan throws, whose
-/// conversion is declined, or whose bind demotes it to another kernel (a
-/// violated precondition) is recorded at zero GFLOPS.
+/// index-aligned with the kernel list; a kernel whose plan throws, or whose
+/// conversion is declined, is recorded at zero GFLOPS.
 template <typename T>
 std::vector<KernelMeasurement>
 measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind, index_t Width,
@@ -50,8 +53,9 @@ measureKernelPlans(const CsrMatrix<T> &Probe, FormatKind Kind, index_t Width,
 /// The kernel search (paper Section 5.2): on one format-friendly probe per
 /// format, measureKernelPlans and runScoreboard pick each format's SpMV
 /// kernel; a second CSR pass on a power-law probe picks the skew kernel,
-/// and one pass per SpmmSearchWidths width picks each SpMM family's kernel
-/// on its own format's probe. \p MinSeconds is the plan timer's window.
+/// and one pass at SpmmSearchWidth picks each SpMM family's kernel on its
+/// own format's probe: ten scoreboards in all. \p MinSeconds is the plan
+/// timer's window.
 template <typename T>
 KernelSelection searchOptimalKernels(double MinSeconds = 2e-3);
 

@@ -209,7 +209,7 @@ MeasureStageResult<T> MeasureStage::run(const TuningContext<T> &Ctx,
     try {
       std::unique_ptr<FormatOperator<T>> Op =
           bindFormatOperator(A, Kind, Model.Kernels,
-                             Model.Kernels.csrKernelFor(F.rowCv()), Width);
+                             Model.Kernels.csrKernelFor(F.rowCv()));
       if (Op->kind() != Kind)
         continue; // A conversion guard rejected the format.
       double Remaining = TuneRemaining();
@@ -269,7 +269,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
     try {
       fault::injectKernelFault("bind.operator");
       Result.Op = bindFormatOperator(Ctx.A, Requested, Ctx.Model.Kernels,
-                                     CsrOverride, Ctx.Opts.BatchWidth);
+                                     CsrOverride);
     } catch (...) {
       Result.Op = nullptr;
     }

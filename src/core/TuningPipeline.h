@@ -90,11 +90,11 @@ struct TuneOptions {
   double TuneBudgetSeconds = 0.0;
   /// Number of right-hand sides the tune optimizes for (>= 1). Widths above
   /// 1 make MeasureStage time the batched (SpMM) kernels — so the format
-  /// choice reflects batched performance — key the plan cache on the
-  /// register-tile width bucket, and bind the scoreboard's per-width SpMM
-  /// pick. 1 is the classic single-vector SpMV tune. Every bound operator
-  /// supports multiply() at any width regardless of this value; the width
-  /// only steers which plan is considered optimal.
+  /// choice reflects batched performance — and key the plan cache on the
+  /// width bucket. 1 is the classic single-vector SpMV tune. Every bound
+  /// operator binds its format's one SpMM pick and supports multiply() at
+  /// any width regardless of this value; the width only steers which format
+  /// is considered optimal.
   index_t BatchWidth = 1;
 };
 

@@ -85,7 +85,7 @@ TuningService<T>::makeJob(CsrMatrix<T> &&A) const {
   auto Job = std::make_shared<detail::AsyncJob<T>>();
   Job->Matrix = std::move(A);
   // The bootstrap plan: the basic (strategy-free) CSR kernels borrowed
-  // against the job's own matrix copy. Precondition-free, O(1) to bind —
+  // against the job's own matrix copy. No conversion, O(1) to bind —
   // this is what makes the handle servable before the worker ever runs.
   auto Boot = std::make_shared<detail::AsyncPlan<T>>();
   Boot->Op = basicCsrOperator(Job->Matrix);
@@ -98,14 +98,21 @@ TuningService<T>::makeJob(CsrMatrix<T> &&A) const {
 }
 
 template <typename T>
-Expected<AsyncSpmv<T>> TuningService<T>::submit(CsrMatrix<T> &&A) {
+AsyncSpmv<T> TuningService<T>::tuneAsync(const CsrMatrix<T> &A) {
+  return tuneAsync(CsrMatrix<T>(A));
+}
+
+template <typename T>
+AsyncSpmv<T> TuningService<T>::tuneAsync(CsrMatrix<T> &&A) {
   // Validation is synchronous: a malformed matrix or option set must fail
   // at the call site with the same diagnostics the blocking API produces,
   // not in a worker log after the caller already holds a handle.
-  if (Status S = validateCsr(A); !S.ok())
-    return S;
-  if (Status S = Smat<T>::validateTuneOptions(Opts.Tune); !S.ok())
-    return S;
+  Status S = validateCsr(A);
+  if (S.ok())
+    S = Smat<T>::validateTuneOptions(Opts.Tune);
+  if (!S.ok())
+    throw std::invalid_argument("SMAT async tune rejected input: " +
+                                S.message());
 
   auto Job = makeJob(std::move(A));
   NumSubmitted.fetch_add(1, std::memory_order_relaxed);
@@ -134,24 +141,6 @@ Expected<AsyncSpmv<T>> TuningService<T>::submit(CsrMatrix<T> &&A) {
     QueueCv.notify_one();
   }
   return AsyncSpmv<T>(std::move(Job));
-}
-
-template <typename T>
-AsyncSpmv<T> TuningService<T>::tuneAsync(const CsrMatrix<T> &A) {
-  return tuneAsync(CsrMatrix<T>(A));
-}
-
-template <typename T> AsyncSpmv<T> TuningService<T>::tuneAsync(CsrMatrix<T> &&A) {
-  Expected<AsyncSpmv<T>> Result = submit(std::move(A));
-  if (!Result.ok())
-    throw std::invalid_argument("SMAT async tune rejected input: " +
-                                Result.status().message());
-  return std::move(Result.value());
-}
-
-template <typename T>
-Expected<AsyncSpmv<T>> TuningService<T>::tryTuneAsync(const CsrMatrix<T> &A) {
-  return submit(CsrMatrix<T>(A));
 }
 
 template <typename T> void TuningService<T>::workerLoop() {

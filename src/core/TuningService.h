@@ -82,7 +82,7 @@ enum class AsyncTuneState : int {
 
 /// Monotonic counters describing a service instance's history.
 struct TuningServiceStats {
-  std::uint64_t Submitted = 0;   ///< tuneAsync/tryTuneAsync accepted jobs.
+  std::uint64_t Submitted = 0;   ///< tuneAsync accepted jobs.
   std::uint64_t Tuned = 0;       ///< Jobs whose tuned plan was published.
   std::uint64_t Failed = 0;      ///< Jobs parked on the bootstrap plan.
 };
@@ -239,9 +239,6 @@ public:
   /// Rvalue overload: moves the matrix into the service instead of copying.
   AsyncSpmv<T> tuneAsync(CsrMatrix<T> &&A);
 
-  /// Non-throwing variant: the same validation, returned as a Status.
-  Expected<AsyncSpmv<T>> tryTuneAsync(const CsrMatrix<T> &A);
-
   /// The shared plan cache (stats; warm-hit-rate reporting).
   const PlanCache &planCache() const { return Cache; }
 
@@ -255,7 +252,6 @@ public:
 
 private:
   std::shared_ptr<detail::AsyncJob<T>> makeJob(CsrMatrix<T> &&A) const;
-  Expected<AsyncSpmv<T>> submit(CsrMatrix<T> &&A);
   void workerLoop();
   void runJob(detail::AsyncJob<T> &Job);
   static void finishJob(detail::AsyncJob<T> &Job, AsyncTuneState Final,

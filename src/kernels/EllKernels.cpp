@@ -70,9 +70,9 @@ void ellColumnMajor(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
 constexpr index_t EllSliceRows = 64;
 
 /// Sliced (SELL-style) sweep of rows [Begin, End), which lie in one chunk:
-/// the sweep stops at the chunk's longest row (from the RowLen sidecar,
-/// PrecondRowLengths) instead of the global padded Width, so a few long
-/// rows no longer drag every chunk through their padding columns. The
+/// the sweep stops at the chunk's longest row (from RowLen) instead of the
+/// global padded Width, so a few long rows no longer drag every chunk
+/// through their padding columns. The
 /// chunk's width is taken over all its rows, so a row sweeps as many
 /// columns in any row range.
 template <typename T>
@@ -208,9 +208,8 @@ void ellSpmmTiled(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
                   [&](index_t) { return A.Width; });
 }
 
-/// Sliced batched ELL: each row sweeps only its own length from the RowLen
-/// sidecar (PrecondRowLengths), so skewed rows do not drag the whole block
-/// through padding columns.
+/// Sliced batched ELL: each row sweeps only its own length from RowLen, so
+/// skewed rows do not drag the whole block through padding columns.
 template <typename T>
 void ellSpmmSliced(const EllMatrix<T> &A, index_t RowBegin, index_t RowEnd,
                    const T *X, T *Y, index_t K) {
@@ -228,7 +227,7 @@ std::vector<smat::Kernel<smat::EllKernelFn<T>>> smat::makeEllKernels() {
       {"ell_basic", OptNone, &ellColumnMajor<T, 1, false>},
       {"ell_simd", OptSimd, &ellColumnMajor<T, 1, true>},
       {"ell_unroll2", OptUnroll, &ellColumnMajor<T, 2, false>},
-      {"ell_sliced", OptLoadBalance, &ellSliced<T>, PrecondRowLengths},
+      {"ell_sliced", OptLoadBalance, &ellSliced<T>},
   };
 }
 
@@ -242,8 +241,7 @@ std::vector<smat::Kernel<smat::EllSpmmFn<T>>> smat::makeEllSpmmKernels() {
   return {
       {"ell_spmm_basic", OptNone, &ellSpmmBasic<T>},
       {"ell_spmm_tiled", OptUnroll | OptInterchange, &ellSpmmTiled<T>},
-      {"ell_spmm_sliced", OptUnroll | OptLoadBalance, &ellSpmmSliced<T>,
-       PrecondRowLengths},
+      {"ell_spmm_sliced", OptUnroll | OptLoadBalance, &ellSpmmSliced<T>},
   };
 }
 

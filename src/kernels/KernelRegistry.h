@@ -57,32 +57,6 @@ enum OptStrategy : unsigned {
 /// Number of distinct strategy bits above.
 inline constexpr unsigned NumOptStrategies = 5;
 
-/// Structural preconditions a kernel demands of its input beyond the
-/// format's base invariants. Declared at registration so the binding layer
-/// can check them instead of trusting an assert.
-enum KernelPrecond : unsigned {
-  PrecondNone = 0,
-  /// ELL storage must carry the optional per-row length sidecar
-  /// (EllMatrix::RowLen); the sliced kernels use it to compute per-slice
-  /// effective widths instead of sweeping the global padded width.
-  PrecondRowLengths = 1u << 0,
-};
-
-/// Whether \p A satisfies the precondition set \p Preconds. The generic
-/// overload accepts everything; formats with declared preconditions
-/// specialize.
-template <typename MatrixT>
-inline bool kernelPrecondsHold(unsigned Preconds, const MatrixT &) {
-  return Preconds == PrecondNone;
-}
-
-template <typename T>
-inline bool kernelPrecondsHold(unsigned Preconds, const EllMatrix<T> &A) {
-  if (Preconds & PrecondRowLengths)
-    return A.hasRowLengths();
-  return true;
-}
-
 /// A kernel's entry point: the row-range function it is written as, also
 /// callable on the whole matrix. \p Args are the kernel's operands after the
 /// row range. For BSR, both bounds must fall on block rows (RowEnd may also
@@ -125,13 +99,13 @@ template <typename T> using CooSpmmFn = RowRangeSpmm<CooMatrix<T>, T>;
 template <typename T> using DiaSpmmFn = RowRangeSpmm<DiaMatrix<T>, T>;
 template <typename T> using EllSpmmFn = RowRangeSpmm<EllMatrix<T>, T>;
 
-/// One kernel-library entry: an implementation plus its strategy tag set
-/// and any structural preconditions it demands of the input.
+/// One kernel-library entry: an implementation plus its strategy tag set.
+/// A kernel needs nothing of its input beyond the format's invariants
+/// (isValid()).
 template <typename FnT> struct Kernel {
   const char *Name;
   unsigned Flags;
   FnT Fn;
-  unsigned Preconds = PrecondNone;
 };
 
 /// Builders defined by the per-format kernel translation units. Index 0 is
@@ -176,22 +150,20 @@ template <typename T> struct KernelTable {
 template <typename T> const KernelTable<T> &kernelTable();
 
 /// \returns the basic (strategy-free) CSR kernel, index 0 of the CSR list.
-/// This is the degradation ladder's BasicKernel rung: it has no structural
-/// preconditions and works on any validated CSR matrix.
+/// This is the degradation ladder's BasicKernel rung.
 template <typename T> const Kernel<CsrKernelFn<T>> &basicCsrKernel() {
   return kernelTable<T>().Csr.front();
 }
 
 /// \returns the basic (strategy-free) CSR SpMM kernel, index 0 of the CSR
-/// SpMM list. Precondition-free, so it is always bindable.
+/// SpMM list.
 template <typename T> const Kernel<CsrSpmmFn<T>> &basicCsrSpmmKernel() {
   return kernelTable<T>().CsrSpmm.front();
 }
 
 /// \returns the kernel-library entry \p Idx of \p List, or the basic entry
-/// (index 0) when \p Idx is out of range — a model file trained on a build
-/// with a larger library, e.g. the AVX2/AVX-512 CSR variants, loaded into a
-/// portable build.
+/// (index 0) when \p Idx is out of range: -1, an unsearched pick, or an
+/// index past this build's table.
 template <typename FnT>
 const Kernel<FnT> &kernelEntry(const std::vector<Kernel<FnT>> &List,
                                int Idx) {
@@ -209,15 +181,6 @@ int kernelIndexNamed(const std::vector<Kernel<FnT>> &List,
     if (Name == List[I].Name)
       return static_cast<int>(I);
   return 0;
-}
-
-/// \returns kernelEntry(List, Idx), or the basic entry (precondition-free)
-/// when \p M violates that entry's declared structural preconditions.
-template <typename FnT, typename MatrixT>
-const Kernel<FnT> &pickKernel(const std::vector<Kernel<FnT>> &List, int Idx,
-                              const MatrixT &M) {
-  const Kernel<FnT> &K = kernelEntry(List, Idx);
-  return kernelPrecondsHold(K.Preconds, M) ? K : List.front();
 }
 
 extern template const KernelTable<float> &kernelTable<float>();

@@ -61,21 +61,6 @@ ScoreboardResult runScoreboard(const std::vector<KernelMeasurement> &Table,
 /// kernel (KernelSelection::BestSkewCsrKernel) instead of the general one.
 inline constexpr double SkewRowCvThreshold = 1.0;
 
-/// The register-tile widths the SpMM scoreboard searches. Other batch
-/// widths route to a bucket via spmmWidthIndex.
-inline constexpr std::array<index_t, 4> SpmmSearchWidths = {2, 4, 8, 16};
-inline constexpr int NumSpmmWidths =
-    static_cast<int>(SpmmSearchWidths.size());
-
-/// Index into SpmmSearchWidths of the bucket serving batch width \p K:
-/// the smallest searched width >= K, saturating at the widest tile.
-inline int spmmWidthIndex(index_t K) {
-  for (int W = 0; W < NumSpmmWidths; ++W)
-    if (K <= SpmmSearchWidths[static_cast<std::size_t>(W)])
-      return W;
-  return NumSpmmWidths - 1;
-}
-
 /// The per-format kernels selected by the scoreboard on this machine.
 struct KernelSelection {
   std::array<int, NumFormats> BestKernel{}; ///< Indexed by FormatKind.
@@ -87,18 +72,12 @@ struct KernelSelection {
   int BestSkewCsrKernel = -1;
   std::string BestSkewCsrKernelName;
 
-  /// Per-width SpMM kernel picks, indexed [FormatKind][SpmmSearchWidths
-  /// slot]. -1 = that width was not searched; the runtime then binds the
-  /// basic SpMM kernel of the format. BSR has no SpMM family, so its row
-  /// stays unsearched.
-  std::array<std::array<int, NumSpmmWidths>, NumFormats> BestSpmmKernel = {
-      {{{-1, -1, -1, -1}},
-       {{-1, -1, -1, -1}},
-       {{-1, -1, -1, -1}},
-       {{-1, -1, -1, -1}},
-       {{-1, -1, -1, -1}}}};
-  std::array<std::array<std::string, NumSpmmWidths>, NumFormats>
-      BestSpmmKernelName{};
+  /// SpMM kernel picks (index into the format's SpMM list), indexed by
+  /// FormatKind and searched at batch width 8. -1 = not searched; the
+  /// runtime then binds the format's basic SpMM kernel. BSR has no SpMM
+  /// family, so its pick stays -1.
+  std::array<int, NumFormats> BestSpmmKernel = {-1, -1, -1, -1, -1};
+  std::array<std::string, NumFormats> BestSpmmKernelName{};
 
   /// The CSR kernel index to bind for a matrix with row-length coefficient
   /// of variation \p RowCv.
@@ -107,13 +86,6 @@ struct KernelSelection {
     return (BestSkewCsrKernel >= 0 && RowCv > SkewRowCvThreshold)
                ? BestSkewCsrKernel
                : Base;
-  }
-
-  /// The SpMM kernel index (into the format's SpMM list) to bind for batch
-  /// width \p K, or -1 when that width bucket was never searched.
-  int spmmKernelFor(FormatKind Kind, index_t K) const {
-    return BestSpmmKernel[static_cast<std::size_t>(Kind)]
-                         [static_cast<std::size_t>(spmmWidthIndex(K))];
   }
 };
 

@@ -36,18 +36,12 @@ template <typename T> struct EllMatrix {
   std::int64_t TrueNnz = 0;       ///< Nonzeros before zero-fill.
   AlignedVector<index_t> Indices; ///< Size Width * NumRows, column-major.
   AlignedVector<T> Data;          ///< Size Width * NumRows, column-major.
-  /// Optional per-row packed lengths (size NumRows, or empty). csrToEll
-  /// fills it; hand-built ELL may leave it empty, in which case the sliced
-  /// load-balanced kernels (PrecondRowLengths) are not eligible.
+  /// Per-row packed lengths, size NumRows, each within Width. The sliced
+  /// load-balanced kernels sweep a row only this far.
   AlignedVector<index_t> RowLen;
 
   /// \returns the number of *structural* nonzeros (excluding padding).
   std::int64_t nnz() const { return TrueNnz; }
-
-  /// Whether the per-row length sidecar is present (PrecondRowLengths).
-  bool hasRowLengths() const {
-    return RowLen.size() == static_cast<std::size_t>(NumRows);
-  }
 
   /// \returns total stored elements, padding included.
   std::int64_t storedElements() const {
@@ -60,20 +54,15 @@ template <typename T> struct EllMatrix {
       return false;
     std::size_t Expected =
         static_cast<std::size_t>(Width) * static_cast<std::size_t>(NumRows);
-    if (Indices.size() != Expected || Data.size() != Expected)
+    if (Indices.size() != Expected || Data.size() != Expected ||
+        RowLen.size() != static_cast<std::size_t>(NumRows))
       return false;
     for (index_t Col : Indices)
       if (Col < 0 || Col >= NumCols)
         return false;
-    // RowLen is optional, but when present it must cover every row and stay
-    // within the packed width.
-    if (!RowLen.empty()) {
-      if (RowLen.size() != static_cast<std::size_t>(NumRows))
+    for (index_t Len : RowLen)
+      if (Len < 0 || Len > Width)
         return false;
-      for (index_t Len : RowLen)
-        if (Len < 0 || Len > Width)
-          return false;
-    }
     return true;
   }
 };

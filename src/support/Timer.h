@@ -81,19 +81,20 @@ double measureSecondsPerCall(Callable &&Fn, double MinSeconds = 2e-3,
   return Elapsed / static_cast<double>(Reps);
 }
 
-/// Controls for robustMeasureSecondsPerCall.
+/// Samples robustMeasureSecondsPerCall takes per attempt; the reported time
+/// is their minimum.
+inline constexpr int RobustMeasureSamples = 3;
+
+/// A sample set whose relativeSpread() exceeds this is noisy and retried.
+inline constexpr double RobustMeasureMaxSpread = 0.25;
+
+/// Controls for robustMeasureSecondsPerCall. Each sample is capped at
+/// DefaultMaxMeasureReps repetitions.
 struct RobustMeasureOptions {
   /// Per-sample measurement floor (passed through to measureSecondsPerCall).
   double MinSeconds = 2e-3;
   /// Per-sample repetition floor.
   std::uint64_t MinReps = 3;
-  /// Per-sample repetition cap.
-  std::uint64_t MaxReps = DefaultMaxMeasureReps;
-  /// Samples taken per attempt; the reported time is their minimum.
-  int Samples = 3;
-  /// A sample set whose relativeSpread() exceeds this is considered noisy
-  /// and retried.
-  double MaxRelativeSpread = 0.25;
   /// Noisy-sample retries. Each retry doubles MinSeconds (capped exponential
   /// backoff): longer windows average out scheduling jitter.
   int MaxRetries = 2;
@@ -106,7 +107,7 @@ struct RobustMeasureOptions {
 struct RobustMeasureResult {
   /// Minimum per-call seconds across the accepted sample set.
   double SecondsPerCall = 0.0;
-  /// The final sample set still exceeded MaxRelativeSpread.
+  /// The final sample set still exceeded RobustMeasureMaxSpread.
   bool Noisy = false;
   /// Sampling stopped early because BudgetSeconds ran out.
   bool BudgetHit = false;
@@ -130,12 +131,11 @@ robustMeasureSecondsPerCall(Callable &&Fn,
   RobustMeasureResult Result;
   WallTimer Budget;
   double MinSeconds = Opts.MinSeconds;
-  int Samples = std::max(Opts.Samples, 1);
   std::vector<double> Set;
-  Set.reserve(static_cast<std::size_t>(Samples));
+  Set.reserve(static_cast<std::size_t>(RobustMeasureSamples));
   for (int Attempt = 0;; ++Attempt) {
     Set.clear();
-    for (int I = 0; I != Samples; ++I) {
+    for (int I = 0; I != RobustMeasureSamples; ++I) {
       // The first sample is unconditional so there is always a result; after
       // that, stop sampling once the budget is spent.
       if (I > 0 && Opts.BudgetSeconds > 0.0 &&
@@ -143,14 +143,13 @@ robustMeasureSecondsPerCall(Callable &&Fn,
         Result.BudgetHit = true;
         break;
       }
-      double Sample =
-          measureSecondsPerCall(Fn, MinSeconds, Opts.MinReps, Opts.MaxReps);
+      double Sample = measureSecondsPerCall(Fn, MinSeconds, Opts.MinReps);
       Sample = fault::injectTimerSample("measure.timer", Sample);
       Set.push_back(Sample);
       ++Result.SamplesTaken;
     }
     Result.SecondsPerCall = std::max(minValue(Set), 1e-12);
-    Result.Noisy = relativeSpread(Set) > Opts.MaxRelativeSpread;
+    Result.Noisy = relativeSpread(Set) > RobustMeasureMaxSpread;
     if (!Result.Noisy || Result.BudgetHit || Attempt >= Opts.MaxRetries)
       return Result;
     if (Opts.BudgetSeconds > 0.0 && Budget.seconds() >= Opts.BudgetSeconds) {

@@ -513,28 +513,6 @@ TEST(RelaxTest, SweepFromZeroMatchesJacobiFromZeroedX) {
   }
 }
 
-TEST(RelaxTest, GaussSeidelReducesResidual) {
-  CsrMatrix<double> A = laplace2d5pt(10, 10);
-  std::size_t N = static_cast<std::size_t>(A.NumRows);
-  std::vector<double> B(N, 1.0), X(N, 0.0), R(N);
-  SpmvFn Apply = [&A](const double *Xv, double *Yv) {
-    kernelTable<double>().Csr.front().Fn(A, Xv, Yv);
-  };
-  const std::vector<index_t> Slices = {0, A.NumRows};
-  residual(Apply, B.data(), X.data(), R.data(), Slices);
-  double R0 = 0;
-  for (double V : R)
-    R0 += V * V;
-  for (int Sweep = 0; Sweep < 10; ++Sweep)
-    gaussSeidelSweep(A, B.data(), X.data());
-  residual(Apply, B.data(), X.data(), R.data(), Slices);
-  double R1 = 0;
-  for (double V : R)
-    R1 += V * V;
-  EXPECT_LT(R1, 0.5 * R0)
-      << "ten GS sweeps should cut the residual energy substantially";
-}
-
 TEST(RelaxTest, DenseLuSolvesExactly) {
   // Random pattern plus a dominant diagonal so the system is comfortably
   // non-singular.

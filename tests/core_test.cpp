@@ -111,12 +111,15 @@ TEST(KernelSearchTest, KernelPlansRecordFiniteRatesAtTheirIndices) {
       EXPECT_LT(Table[I].Gflops, 1000.0) << Table[I].Name;
     }
   };
-  // One slice below the grain, row slices above it.
+  // One slice below the grain, row slices above it. ELL's sliced kernels
+  // run on every ELL plan: RowLen is part of the format's invariant.
   for (const CsrMatrix<double> &A :
        {randomCsr(200, 200, 0.05, 8), banded(20000, 2)}) {
     SCOPED_TRACE("nnz " + std::to_string(A.nnz()));
     Check(measureKernelPlans(A, FormatKind::CSR, 1, 1e-4), T.Csr);
     Check(measureKernelPlans(A, FormatKind::CSR, 8, 1e-4), T.CsrSpmm);
+    Check(measureKernelPlans(A, FormatKind::ELL, 1, 1e-4), T.Ell);
+    Check(measureKernelPlans(A, FormatKind::ELL, 8, 1e-4), T.EllSpmm);
   }
 }
 
@@ -154,16 +157,17 @@ TEST(KernelSearchTest, SearchOptimalKernelsReturnsValidIndices) {
   // above it the skew pick.
   EXPECT_EQ(S.csrKernelFor(0.0), S.BestKernel[static_cast<int>(FormatKind::CSR)]);
   EXPECT_EQ(S.csrKernelFor(SkewRowCvThreshold + 1.0), S.BestSkewCsrKernel);
-  // Every SpMM family is searched at every width; BSR has none.
-  for (int K = 0; K < NumFormats; ++K)
-    for (int W = 0; W < NumSpmmWidths; ++W) {
-      const int Pick = S.BestSpmmKernel[static_cast<std::size_t>(K)]
-                                       [static_cast<std::size_t>(W)];
-      if (static_cast<FormatKind>(K) == FormatKind::BSR)
-        EXPECT_EQ(Pick, -1);
-      else
-        EXPECT_GE(Pick, 0) << formatName(static_cast<FormatKind>(K));
+  // Every SpMM family is searched once; BSR has none.
+  for (int K = 0; K < NumFormats; ++K) {
+    const auto F = static_cast<std::size_t>(K);
+    if (static_cast<FormatKind>(K) == FormatKind::BSR) {
+      EXPECT_EQ(S.BestSpmmKernel[F], -1);
+      EXPECT_TRUE(S.BestSpmmKernelName[F].empty());
+      continue;
     }
+    EXPECT_GE(S.BestSpmmKernel[F], 0) << formatName(static_cast<FormatKind>(K));
+    EXPECT_FALSE(S.BestSpmmKernelName[F].empty());
+  }
 }
 
 // --- Trainer ---------------------------------------------------------------------
@@ -266,9 +270,8 @@ TEST(LearningModelTest, SkewKernelLineRoundTripsAndStaysOptional) {
   EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernelName, "csr_simd");
   EXPECT_EQ(Parsed.Rules.size(), Model.Rules.size());
 
-  // A pre-skew model text (no kernel_skew line) must parse with the field
-  // at its -1 default and the full ruleset intact — backward compatibility
-  // with committed bench_cache models.
+  // A model text without a kernel_skew line parses with the field at its
+  // -1 default and the full ruleset intact.
   Model.Kernels.BestSkewCsrKernel = -1;
   Model.Kernels.BestSkewCsrKernelName.clear();
   std::string Legacy = serializeModel(Model);
@@ -280,67 +283,49 @@ TEST(LearningModelTest, SkewKernelLineRoundTripsAndStaysOptional) {
 }
 
 TEST(LearningModelTest, SpmmKernelLinesRoundTripAndStayOptional) {
-  // A partial SpMM search (only some width buckets recorded) round-trips:
-  // written buckets come back exactly, unwritten ones stay at the -1
+  // A partial SpMM search (only some families recorded) round-trips:
+  // written picks come back exactly, unwritten ones stay at the -1
   // "unsearched" default.
+  const auto Csr = static_cast<std::size_t>(FormatKind::CSR);
+  const auto Ell = static_cast<std::size_t>(FormatKind::ELL);
   LearningModel Model = sharedTrainResult().Model;
-  Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::CSR)][2] =
-      1; // width 8
-  Model.Kernels
-      .BestSpmmKernelName[static_cast<std::size_t>(FormatKind::CSR)][2] =
-      "csr_spmm_tiled";
-  Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::ELL)][0] =
-      1; // width 2
-  Model.Kernels
-      .BestSpmmKernelName[static_cast<std::size_t>(FormatKind::ELL)][0] =
-      "ell_spmm_tiled";
+  Model.Kernels.BestSpmmKernel.fill(-1);
+  for (std::string &Name : Model.Kernels.BestSpmmKernelName)
+    Name.clear();
+  Model.Kernels.BestSpmmKernel[Csr] = 1;
+  Model.Kernels.BestSpmmKernelName[Csr] = "csr_spmm_tiled";
+  Model.Kernels.BestSpmmKernel[Ell] = 1;
+  Model.Kernels.BestSpmmKernelName[Ell] = "ell_spmm_tiled";
   LearningModel Parsed;
   std::string Error;
   ASSERT_TRUE(parseModel(serializeModel(Model), Parsed, Error)) << Error;
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W) {
-      SCOPED_TRACE("format " + std::to_string(F) + " width bucket " +
-                   std::to_string(W));
-      EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                             [static_cast<std::size_t>(W)],
-                Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                            [static_cast<std::size_t>(W)]);
-      EXPECT_EQ(Parsed.Kernels.BestSpmmKernelName[static_cast<std::size_t>(F)]
-                                                 [static_cast<std::size_t>(W)],
-                Model.Kernels.BestSpmmKernelName[static_cast<std::size_t>(F)]
-                                                [static_cast<std::size_t>(W)]);
-    }
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel, Model.Kernels.BestSpmmKernel);
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernelName,
+            Model.Kernels.BestSpmmKernelName);
   EXPECT_EQ(Parsed.Rules.size(), Model.Rules.size());
 
-  // A pre-SpMM model text has no kernel_spmm lines and parses with every
-  // bucket unsearched — backward compatibility with committed models.
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W) {
-      Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                  [static_cast<std::size_t>(W)] = -1;
-      Model.Kernels.BestSpmmKernelName[static_cast<std::size_t>(F)]
-                                      [static_cast<std::size_t>(W)]
-          .clear();
-    }
-  std::string Legacy = serializeModel(Model);
-  EXPECT_EQ(Legacy.find("kernel_spmm"), std::string::npos);
+  // A model text with no kernel_spmm lines parses with every family
+  // unsearched.
+  Model.Kernels.BestSpmmKernel.fill(-1);
+  std::string Bare = serializeModel(Model);
+  EXPECT_EQ(Bare.find("kernel_spmm"), std::string::npos);
   LearningModel Reparsed;
-  ASSERT_TRUE(parseModel(Legacy, Reparsed, Error)) << Error;
-  EXPECT_EQ(
-      Reparsed.Kernels.BestSpmmKernel[static_cast<std::size_t>(
-          FormatKind::CSR)][2],
-      -1);
+  ASSERT_TRUE(parseModel(Bare, Reparsed, Error)) << Error;
+  EXPECT_EQ(Reparsed.Kernels.BestSpmmKernel[Csr], -1);
   EXPECT_EQ(Reparsed.Rules.size(), Model.Rules.size());
+}
 
-  // A kernel_spmm line whose width is not a searched bucket value is
-  // malformed, not silently rebucketed. Inserted right before the ruleset,
-  // where the optional-line lookahead reads it.
-  std::string Bad = serializeModel(Model);
-  std::size_t RulesetPos = Bad.find(serializeRuleSet(Model.Rules));
-  ASSERT_NE(RulesetPos, std::string::npos);
-  Bad.insert(RulesetPos, "kernel_spmm 6 CSR 1 csr_spmm_tiled\n");
-  LearningModel Rejected;
-  EXPECT_FALSE(parseModel(Bad, Rejected, Error));
+TEST(LearningModelTest, V1HeaderIsRejectedByName) {
+  // Model files carry name-only kernel lines under the SMAT-MODEL v2
+  // header; a file with another header is refused, and the message names
+  // the header it found.
+  std::string Text = serializeModel(sharedTrainResult().Model);
+  ASSERT_EQ(Text.rfind("SMAT-MODEL v2\n", 0), 0u);
+  Text.replace(0, std::string("SMAT-MODEL v2").size(), "SMAT-MODEL v1");
+  LearningModel Parsed;
+  std::string Error;
+  EXPECT_FALSE(parseModel(Text, Parsed, Error));
+  EXPECT_NE(Error.find("SMAT-MODEL v1"), std::string::npos) << Error;
 }
 
 TEST(LearningModelTest, CostModelLinesRoundTripAndStayOptional) {
@@ -355,9 +340,8 @@ TEST(LearningModelTest, CostModelLinesRoundTripAndStayOptional) {
   EXPECT_EQ(Parsed.Cost, Model.Cost);
   EXPECT_EQ(Parsed.Rules.size(), Model.Rules.size());
 
-  // A pre-classifier model text has no costmodel lines and parses with the
-  // CostModelThresholds defaults — backward compatibility with committed
-  // bench_cache models.
+  // A model text without costmodel lines parses with the
+  // CostModelThresholds defaults.
   std::string Legacy = serializeModel(Model);
   for (std::size_t Pos;
        (Pos = Legacy.find("costmodel ")) != std::string::npos;)
@@ -378,10 +362,10 @@ TEST(LearningModelTest, CostModelLinesRoundTripAndStayOptional) {
 }
 
 TEST(LearningModelTest, KernelPicksBindByName) {
-  // The index on a model's kernel lines is informative only: the load
-  // resolves each pick by name against this build's table, so a reordered
-  // table cannot bind another kernel, and a name this build lacks binds the
-  // format's basic kernel.
+  // A model's kernel lines carry names only: the load resolves each pick by
+  // name against this build's table, so a reordered table cannot bind
+  // another kernel, and a name this build lacks binds the format's basic
+  // kernel.
   const KernelTable<double> &K = kernelTable<double>();
   auto Index = [](const auto &List, const std::string &Name) {
     for (std::size_t I = 0; I != List.size(); ++I)
@@ -400,10 +384,10 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   Model.Kernels.BestKernelName[Dia] = "dia_of_another_build";
   Model.Kernels.BestSkewCsrKernel = 0;
   Model.Kernels.BestSkewCsrKernelName = "csr_simd";
-  Model.Kernels.BestSpmmKernel[Csr][2] = 0;
-  Model.Kernels.BestSpmmKernelName[Csr][2] = "csr_spmm_tiled";
-  Model.Kernels.BestSpmmKernel[Ell][0] = 1;
-  Model.Kernels.BestSpmmKernelName[Ell][0] = "ell_spmm_of_another_build";
+  Model.Kernels.BestSpmmKernel[Csr] = 0;
+  Model.Kernels.BestSpmmKernelName[Csr] = "csr_spmm_tiled";
+  Model.Kernels.BestSpmmKernel[Ell] = 1;
+  Model.Kernels.BestSpmmKernelName[Ell] = "ell_spmm_of_another_build";
   LearningModel Parsed;
   std::string Error;
   ASSERT_TRUE(parseModel(serializeModel(Model), Parsed, Error)) << Error;
@@ -411,9 +395,9 @@ TEST(LearningModelTest, KernelPicksBindByName) {
   EXPECT_EQ(Parsed.Kernels.BestKernel[Dia], 0);
   EXPECT_EQ(Parsed.Kernels.BestKernelName[Dia], "dia_of_another_build");
   EXPECT_EQ(Parsed.Kernels.BestSkewCsrKernel, Index(K.Csr, "csr_simd"));
-  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Csr][2],
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Csr],
             Index(K.CsrSpmm, "csr_spmm_tiled"));
-  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Ell][0], 0);
+  EXPECT_EQ(Parsed.Kernels.BestSpmmKernel[Ell], 0);
 
   // The double table answers for both value types: they register the same
   // names in the same order.
@@ -434,12 +418,22 @@ TEST(LearningModelTest, KernelPicksBindByName) {
               SameNames(K.EllSpmm, F.EllSpmm));
 }
 
-TEST(LearningModelTest, CommittedModelsBindTheKernelsTheirIndicesBound) {
-  // Every pick of the committed bench_cache models names a kernel this
-  // build registers, at the index the line carries; only the AVX kernels,
-  // which a portable build lacks, may be missing, and those bind the basic
-  // kernel. A pick of a kernel the library no longer has would silently
-  // bind the basic kernel instead.
+TEST(LearningModelTest, CommittedModelsNameRegisteredKernels) {
+  // Every kernel line of the committed bench_cache models names a kernel
+  // this build registers, and the load binds it; only an AVX kernel may be
+  // missing, on a build without its instruction set, and that pick binds
+  // the basic kernel. A pick of a kernel the library no longer has would
+  // silently bind the basic kernel instead.
+#if defined(__AVX2__)
+  constexpr bool HasAvx2 = true;
+#else
+  constexpr bool HasAvx2 = false;
+#endif
+#if defined(__AVX512F__)
+  constexpr bool HasAvx512 = true;
+#else
+  constexpr bool HasAvx512 = false;
+#endif
   const KernelTable<double> &K = kernelTable<double>();
   auto IndexNamed = [&K](FormatKind Kind, bool Spmm,
                          const std::string &Name) -> int {
@@ -470,41 +464,41 @@ TEST(LearningModelTest, CommittedModelsBindTheKernelsTheirIndicesBound) {
     LearningModel Model;
     std::string Error;
     ASSERT_TRUE(loadModelFile(Path, Model, Error)) << Error;
+    const KernelSelection &Sel = Model.Kernels;
     std::ifstream In(Path);
     int Lines = 0;
     for (std::string Line; std::getline(In, Line);) {
       std::vector<std::string> Parts = splitWhitespace(Line);
       FormatKind Kind;
-      int Written = 0, Bound = 0;
+      if (Parts.size() != 3 || !parseFormatName(Parts[1], Kind))
+        continue;
+      const auto F = static_cast<std::size_t>(Kind);
+      int Bound = 0;
       bool Spmm = false;
-      if (Parts.size() == 4 && Parts[0] == "kernel" &&
-          parseFormatName(Parts[1], Kind)) {
-        Written = std::stoi(Parts[2]);
-        Bound = Model.Kernels.BestKernel[static_cast<std::size_t>(Kind)];
-      } else if (Parts.size() == 4 && Parts[0] == "kernel_skew") {
-        Kind = FormatKind::CSR;
-        Written = std::stoi(Parts[2]);
-        Bound = Model.Kernels.BestSkewCsrKernel;
-      } else if (Parts.size() == 5 && Parts[0] == "kernel_spmm" &&
-                 parseFormatName(Parts[2], Kind)) {
+      if (Parts[0] == "kernel") {
+        Bound = Sel.BestKernel[F];
+      } else if (Parts[0] == "kernel_skew" && Kind == FormatKind::CSR) {
+        Bound = Sel.BestSkewCsrKernel;
+      } else if (Parts[0] == "kernel_spmm") {
         Spmm = true;
-        Written = std::stoi(Parts[3]);
-        Bound = Model.Kernels.spmmKernelFor(Kind, std::stoi(Parts[1]));
+        Bound = Sel.BestSpmmKernel[F];
       } else {
         continue;
       }
       ++Lines;
-      const std::string &Name = Parts.back();
+      const std::string &Name = Parts[2];
       const int Registered = IndexNamed(Kind, Spmm, Name);
       if (Registered < 0) {
-        EXPECT_TRUE(Name == "csr_avx2" || Name == "csr_avx512") << Line;
+        EXPECT_TRUE((Name == "csr_avx2" && !HasAvx2) ||
+                    (Name == "csr_avx512" && !HasAvx512))
+            << Line;
         EXPECT_EQ(Bound, 0) << Line;
         continue;
       }
       EXPECT_EQ(Bound, Registered) << Line;
-      EXPECT_EQ(Written, Registered) << Line;
     }
-    EXPECT_GT(Lines, NumFormats);
+    // Five SpMV picks, the skew pick and four SpMM picks.
+    EXPECT_EQ(Lines, NumFormats + 1 + 4);
   }
 }
 

@@ -325,10 +325,11 @@ TEST(ConversionGuardTest, TryCooToCsrReportsBadCoordinates) {
 // --- Kernel preconditions ----------------------------------------------------
 
 TEST(KernelPrecondTest, CooKernelsDeclareNoPrecondAndSliceCsrToCooOutput) {
-  // No COO kernel declares a precondition: on the whole matrix each takes
-  // the entries in any order. A row range finds its entries by binary
-  // search, which csrToCoo's monotone rows (the only COO a plan binds)
-  // make exact: every kernel, called slice by slice, matches the whole call.
+  // A COO kernel needs nothing beyond the format's invariants: on the whole
+  // matrix each takes the entries in any order. A row range finds its
+  // entries by binary search, which csrToCoo's monotone rows (the only COO
+  // a plan binds) make exact: every kernel, called slice by slice, matches
+  // the whole call.
   CsrMatrix<double> A = randomCsr(300, 280, 0.05, 7);
   CooMatrix<double> Coo = csrToCoo(A);
   ASSERT_TRUE(std::is_sorted(Coo.Rows.begin(), Coo.Rows.end()));
@@ -338,14 +339,11 @@ TEST(KernelPrecondTest, CooKernelsDeclareNoPrecondAndSliceCsrToCooOutput) {
   refCsrSpmv(A, X.data(), Expected.data());
   for (const auto &K : kernelTable<double>().Coo) {
     SCOPED_TRACE(K.Name);
-    EXPECT_EQ(K.Preconds, PrecondNone);
     std::vector<double> Y(Expected.size(), -1.0);
     for (std::size_t S = 0; S + 1 < Bounds.size(); ++S)
       K.Fn(Coo, Bounds[S], Bounds[S + 1], X.data(), Y.data());
     expectVectorsNear(Expected, Y, 1e-12);
   }
-  for (const auto &K : kernelTable<double>().CooSpmm)
-    EXPECT_EQ(K.Preconds, PrecondNone) << K.Name;
 
   // Out of row order, the whole-matrix call still holds.
   std::swap(Coo.Rows.front(), Coo.Rows.back());
@@ -357,50 +355,6 @@ TEST(KernelPrecondTest, CooKernelsDeclareNoPrecondAndSliceCsrToCooOutput) {
     K.Fn(Coo, X.data(), Y.data());
     expectVectorsNear(Expected, Y, 1e-12);
   }
-}
-
-TEST(KernelPrecondTest, PrecondsHoldChecksRowLengths) {
-  EllMatrix<double> Ell;
-  ASSERT_TRUE(csrToEll(validMatrix(), Ell, /*MaxFillRatio=*/0.0));
-  EXPECT_TRUE(kernelPrecondsHold(PrecondRowLengths, Ell))
-      << "csrToEll output carries the RowLen sidecar";
-  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Ell));
-  Ell.RowLen.clear();
-  EXPECT_FALSE(kernelPrecondsHold(PrecondRowLengths, Ell));
-  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Ell));
-  // Formats without declared preconditions accept only the empty set.
-  CooMatrix<double> Coo = csrToCoo(validMatrix());
-  EXPECT_TRUE(kernelPrecondsHold(PrecondNone, Coo));
-  EXPECT_FALSE(kernelPrecondsHold(PrecondRowLengths, Coo));
-}
-
-TEST(KernelPrecondTest, ScoreboardNeverRunsKernelOnViolatedPrecond) {
-  // The kernel search times only plans bindFormatOperator builds. Their ELL
-  // conversion carries the RowLen sidecar, so the sliced kernel's
-  // precondition holds and it is measured at its own index; on an ELL
-  // matrix without the sidecar, the bind's pickKernel demotes it to the
-  // basic kernel, so no plan runs it there.
-  CsrMatrix<double> A = randomCsr(30, 30, 0.2, 7);
-  const auto &Kernels = kernelTable<double>().Ell;
-  auto Table = measureKernelPlans(A, FormatKind::ELL, 1, 1e-5);
-  ASSERT_EQ(Table.size(), Kernels.size());
-  EllMatrix<double> Bare;
-  ASSERT_TRUE(csrToEll(A, Bare));
-  Bare.RowLen.clear();
-  ASSERT_FALSE(Bare.hasRowLengths());
-  int Gated = 0;
-  for (std::size_t I = 0; I != Kernels.size(); ++I) {
-    EXPECT_EQ(Table[I].Name, Kernels[I].Name);
-    EXPECT_GT(Table[I].Gflops, 0.0) << Kernels[I].Name;
-    if (Kernels[I].Preconds & PrecondRowLengths) {
-      ++Gated;
-      EXPECT_EQ(&pickKernel(Kernels, static_cast<int>(I), Bare),
-                &Kernels.front())
-          << Kernels[I].Name << " would run on input violating its "
-          << "precondition";
-    }
-  }
-  EXPECT_GE(Gated, 1) << "ell_sliced declares PrecondRowLengths";
 }
 
 TEST(KernelPrecondTest, TuneOfSkewedGraphComputesTheRightAnswer) {
@@ -436,10 +390,8 @@ TEST(ForeignModelTest, OutOfRangeKernelIndicesBindBasicKernels) {
     const auto F = static_cast<std::size_t>(Kind);
     Sel.BestKernel[F] = PastTable;
     Sel.BestKernelName[F] = Name;
-    for (std::size_t W = 0; W < NumSpmmWidths; ++W) {
-      Sel.BestSpmmKernel[F][W] = PastTable;
-      Sel.BestSpmmKernelName[F][W] = Name;
-    }
+    Sel.BestSpmmKernel[F] = PastTable;
+    Sel.BestSpmmKernelName[F] = Name;
   }
   Sel.BestKernelName[static_cast<std::size_t>(FormatKind::BSR)] = "bsr_basic";
   Sel.BestSkewCsrKernel = PastTable;

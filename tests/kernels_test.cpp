@@ -258,8 +258,6 @@ void checkSpmmFamily(const std::string &Name, const CsrMatrix<T> &A,
         Seed + static_cast<std::uint64_t>(K));
     auto Expected = denseSpmmBlock(A, X, K);
     for (const auto &Kernel : Family) {
-      if (!kernelPrecondsHold(Kernel.Preconds, M))
-        continue; // Sliced kernels need the RowLen sidecar.
       std::vector<T> Y(Expected.size(), T(-7));
       Kernel.Fn(M, X.data(), Y.data(), K);
       SCOPED_TRACE(std::string(Kernel.Name) + " k=" + std::to_string(K) +
@@ -473,45 +471,6 @@ TEST(LoadBalanceTest, SkewedRowsMatchReferenceInBalancedSlices) {
   }
 }
 
-TEST(LoadBalanceTest, SlicedEllKernelsDeclareRowLengthPrecond) {
-  // csrToEll output carries the RowLen sidecar, so the precondition holds;
-  // a hand-built ELL without it must be gated out rather than read past
-  // RowLen.data().
-  CsrMatrix<double> A = spikedRows(200, 2, 50, 0.05, 24);
-  EllMatrix<double> Converted;
-  ASSERT_TRUE(csrToEll(A, Converted, /*MaxFillRatio=*/0.0));
-  EXPECT_TRUE(Converted.hasRowLengths());
-
-  EllMatrix<double> Bare = Converted;
-  Bare.RowLen.clear();
-  int SlicedSeen = 0;
-  auto CheckSliced = [&](const auto &List) {
-    for (const auto &K : List) {
-      if (!(K.Flags & OptLoadBalance))
-        continue;
-      ++SlicedSeen;
-      EXPECT_EQ(K.Preconds & PrecondRowLengths, PrecondRowLengths) << K.Name;
-      EXPECT_TRUE(kernelPrecondsHold(K.Preconds, Converted)) << K.Name;
-      EXPECT_FALSE(kernelPrecondsHold(K.Preconds, Bare)) << K.Name;
-    }
-  };
-  CheckSliced(kernelTable<double>().Ell);
-  CheckSliced(kernelTable<double>().EllSpmm);
-  EXPECT_GE(SlicedSeen, 2);
-
-  // pickKernel, which every plan binds through, applies the same gate: a
-  // precondition violator is demoted to the basic kernel, so no plan (and
-  // no kernel search, which times plans) ever runs it on such a matrix.
-  const auto &Ell = kernelTable<double>().Ell;
-  for (std::size_t I = 0; I != Ell.size(); ++I) {
-    const auto &Picked = pickKernel(Ell, static_cast<int>(I), Bare);
-    if (Ell[I].Preconds & PrecondRowLengths)
-      EXPECT_EQ(&Picked, &Ell.front()) << Ell[I].Name;
-    else
-      EXPECT_EQ(&Picked, &Ell[I]) << Ell[I].Name;
-  }
-}
-
 // --- Scoreboard (paper Section 5.2) --------------------------------------------
 
 TEST(ScoreboardTest, SingleStrategyVotes) {
@@ -589,8 +548,8 @@ TEST(ScoreboardTest, EmptyTable) {
 }
 
 TEST(ScoreboardTest, UnmeasuredKernelCannotWinOnStrategyScores) {
-  // Regression: an entry recorded at 0 GFLOPS (unmeasured — precondition
-  // violation, fault, or expired budget) used to be able to win the
+  // Regression: an entry recorded at 0 GFLOPS (unmeasured — declined
+  // conversion, fault, or expired budget) used to be able to win the
   // tie-break. Here "abc" inherits +1 votes from both measured strategies
   // (its 2-bit reduced partners don't exist, so it contributes no negative
   // votes of its own) and scores 2 — higher than any measured entry — while

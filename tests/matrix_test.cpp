@@ -172,6 +172,25 @@ TEST(EllTest, WidthIsMaxRowDegree) {
   EXPECT_EQ(B.storedElements(), 12);
 }
 
+TEST(EllTest, RowLengthsArePartOfValidity) {
+  // RowLen is part of ELL's invariant: NumRows entries, each within Width.
+  // csrToEll fills it, and the sliced kernels read it unchecked.
+  EllMatrix<double> B;
+  ASSERT_TRUE(csrToEll(paperExample(), B));
+  ASSERT_TRUE(B.isValid());
+  EXPECT_EQ(B.RowLen.size(), static_cast<std::size_t>(B.NumRows));
+
+  EllMatrix<double> Empty = B;
+  Empty.RowLen.clear();
+  EXPECT_FALSE(Empty.isValid());
+  EllMatrix<double> Short = B;
+  Short.RowLen.pop_back();
+  EXPECT_FALSE(Short.isValid());
+  EllMatrix<double> Wide = B;
+  Wide.RowLen.front() = B.Width + 1;
+  EXPECT_FALSE(Wide.isValid());
+}
+
 TEST(EllTest, ColumnMajorLayout) {
   EllMatrix<double> B;
   ASSERT_TRUE(csrToEll(paperExample(), B));

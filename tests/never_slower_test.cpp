@@ -400,19 +400,16 @@ TEST(GuardrailReportTest, ColdRaceRecordsBaselineAndCandidates) {
       EXPECT_EQ(R.ChosenFormat, FormatKind::CSR) << Case.Name;
       EXPECT_EQ(R.KernelName, kernelTable<double>().Csr[0].Name) << Case.Name;
     }
-    EXPECT_TRUE(R.CostModelApplied) << Case.Name;
   }
 }
 
 TEST(GuardrailReportTest, BatchedCsrPlanWithTunedSpmmIsChecked) {
-  // A CSR plan whose SpMV kernel is basic but whose width-8 SpMM kernel is
-  // not is not the untuned plan at k=8: the check must run.
+  // A CSR plan whose SpMV kernel is basic but whose SpMM kernel is not is
+  // not the untuned plan at k=8: the check must run.
   const KernelTable<double> &Kernels = kernelTable<double>();
   ASSERT_GT(Kernels.CsrSpmm.size(), 1u);
   LearningModel Model = strictModel();
-  for (int &Pick :
-       Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::CSR)])
-    Pick = 1;
+  Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(FormatKind::CSR)] = 1;
   Smat<double> Tuner(Model);
   // Skewed rows classify imbalance-bound: the race is CSR alone.
   CsrMatrix<double> A = powerLawGraph(3000, 2.0, 1, 300, 5);
@@ -662,7 +659,7 @@ TEST(NeverSlowerFaultTest, WhollyFaultedScoreboardKeepsBasicSelected) {
   // Regression for the scoreboard tie-break bug: with every plan the kernel
   // search times faulted, every table is all zero GFLOPS, and score
   // inflation from reduced pairs that never ran must not promote an
-  // unmeasured kernel over basic, for any format, pass or width.
+  // unmeasured kernel over basic, for any format or pass.
   fault::FaultConfig Cfg;
   Cfg.AlwaysSites = {"scoreboard.kernel"};
   FaultScope Scope(Cfg);
@@ -675,10 +672,8 @@ TEST(NeverSlowerFaultTest, WhollyFaultedScoreboardKeepsBasicSelected) {
         << ": an unmeasured table must keep the basic kernel selected";
     if (static_cast<FormatKind>(K) == FormatKind::BSR)
       continue;
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      EXPECT_EQ(S.BestSpmmKernel[F][static_cast<std::size_t>(W)], 0)
-          << formatName(static_cast<FormatKind>(K)) << " SpMM at width "
-          << SpmmSearchWidths[static_cast<std::size_t>(W)];
+    EXPECT_EQ(S.BestSpmmKernel[F], 0)
+        << formatName(static_cast<FormatKind>(K)) << " SpMM";
   }
   EXPECT_EQ(S.BestSkewCsrKernel, 0);
 }

@@ -221,18 +221,14 @@ TEST(BindStageTest, SkewedFeaturesBindTheSkewCsrPick) {
 
 TEST(MeasureStageTest, RaceMeasuresTheKernelTheBindBinds) {
   // Every pick points past the basic entry (the bind falls back to basic
-  // when a family has no such member or a precondition fails) and BSR is
-  // enabled, so a race that timed a different kernel than the bind binds —
-  // a different pick, or BSR without the column-at-a-time path — shows here.
-  // The stage races with no cost decision, so every plausible format runs.
+  // when a family has no such member) and BSR is enabled, so a race that
+  // timed a different kernel than the bind binds — a different pick, or BSR
+  // without the column-at-a-time path — shows here. The stage races with no
+  // cost decision, so every plausible format runs.
   LearningModel Model;
   Model.BsrEnabled = true;
-  for (int F = 0; F < NumFormats; ++F) {
-    Model.Kernels.BestKernel[static_cast<std::size_t>(F)] = 1;
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                  [static_cast<std::size_t>(W)] = 1;
-  }
+  Model.Kernels.BestKernel.fill(1);
+  Model.Kernels.BestSpmmKernel.fill(1);
   Model.Kernels.BestSkewCsrKernel = 2;
 
   std::vector<std::pair<std::string, CsrMatrix<double>>> Mats;
@@ -252,7 +248,7 @@ TEST(MeasureStageTest, RaceMeasuresTheKernelTheBindBinds) {
       MeasureStageResult<double> M = MeasureStage::run(Ctx, F, FormatKind::CSR);
       for (const MeasuredCandidate &C : M.Candidates) {
         auto Bound = bindFormatOperator(A, C.Format, Model.Kernels,
-                                        Model.Kernels.csrKernelFor(RowCv), K);
+                                        Model.Kernels.csrKernelFor(RowCv));
         ASSERT_EQ(Bound->kind(), C.Format);
         EXPECT_EQ(C.Kernel,
                   K > 1 ? Bound->spmmKernelName() : Bound->kernelName())
@@ -343,9 +339,8 @@ int kernelIndex(const std::vector<Kernel<FnT>> &List, const char *Name) {
   return 0;
 }
 
-/// SpMV picks past the basic entry for DIA, ELL and BSR; the DIA SpMM picks
-/// are basic at width 2 and tiled at width 8, so a sliced multiply runs both
-/// kernels.
+/// SpMV picks past the basic entry for DIA, ELL and BSR, and tiled SpMM
+/// picks for DIA and ELL.
 KernelSelection serialPicks() {
   const KernelTable<double> &K = kernelTable<double>();
   KernelSelection Sel;
@@ -355,13 +350,9 @@ KernelSelection serialPicks() {
       kernelIndex(K.Ell, "ell_simd");
   Sel.BestKernel[static_cast<int>(FormatKind::BSR)] =
       kernelIndex(K.Bsr, "bsr_unrolled");
-  auto &DiaSpmm = Sel.BestSpmmKernel[static_cast<int>(FormatKind::DIA)];
-  DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(2))] =
-      kernelIndex(K.DiaSpmm, "dia_spmm_basic");
-  DiaSpmm[static_cast<std::size_t>(spmmWidthIndex(8))] =
+  Sel.BestSpmmKernel[static_cast<int>(FormatKind::DIA)] =
       kernelIndex(K.DiaSpmm, "dia_spmm_tiled");
-  Sel.BestSpmmKernel[static_cast<int>(FormatKind::ELL)]
-                    [static_cast<std::size_t>(spmmWidthIndex(8))] =
+  Sel.BestSpmmKernel[static_cast<int>(FormatKind::ELL)] =
       kernelIndex(K.EllSpmm, "ell_spmm_tiled");
   return Sel;
 }
@@ -440,11 +431,11 @@ TEST(SlicedPlanTest, LargeSerialPicksRunAsRowSlices) {
     SCOPED_TRACE(std::string(formatName(Kind)));
     ASSERT_GE(A.nnz(), ParallelConvertGrain);
     for (index_t K : {index_t(1), index_t(2), index_t(5), index_t(8)}) {
-      auto Op = bindFormatOperator(A, Kind, Sel, -1, K);
+      auto Op = bindFormatOperator(A, Kind, Sel);
       std::unique_ptr<FormatOperator<double>> One;
       {
         OmpThreadsScope Serial(1);
-        One = bindFormatOperator(A, Kind, Sel, -1, K);
+        One = bindFormatOperator(A, Kind, Sel);
       }
       ASSERT_EQ(Op->kind(), Kind);
       EXPECT_EQ(Op->numSlices(), planSliceCount());
@@ -504,22 +495,16 @@ TEST(SlicedPlanTest, CsrSlicesInPlaceAndBasicCsrStaysUnsliced) {
   KernelSelection Sel = serialPicks();
   Sel.BestKernel[static_cast<int>(FormatKind::CSR)] =
       kernelIndex(Kernels.Csr, "csr_unroll4");
-  Sel.BestSpmmKernel[static_cast<int>(FormatKind::CSR)]
-                    [static_cast<std::size_t>(spmmWidthIndex(8))] =
+  Sel.BestSpmmKernel[static_cast<int>(FormatKind::CSR)] =
       kernelIndex(Kernels.CsrSpmm, "csr_spmm_tiled");
 
   auto Borrowed = bindFormatOperator(A, FormatKind::CSR, Sel);
   EXPECT_STREQ(Borrowed->kernelName(), "csr_unroll4");
+  EXPECT_STREQ(Borrowed->spmmKernelName(), "csr_spmm_tiled");
   EXPECT_EQ(Borrowed->numSlices(), planSliceCount());
   EXPECT_FALSE(Borrowed->ownsStorage());
   expectMatchesRefSpmv(*Borrowed, A, 1);
-
-  auto Batched = bindFormatOperator(A, FormatKind::CSR, Sel, -1, 8);
-  EXPECT_STREQ(Batched->spmmKernelName(), "csr_spmm_tiled");
-  EXPECT_EQ(Batched->numSlices(), planSliceCount());
-  EXPECT_FALSE(Batched->ownsStorage());
-  expectMatchesRefSpmv(*Batched, A, 1);
-  expectMatchesRefSpmv(*Batched, A, 8);
+  expectMatchesRefSpmv(*Borrowed, A, 8);
 
   KernelSelection Basic = Sel;
   Basic.BestKernel[static_cast<int>(FormatKind::CSR)] = 0;
@@ -540,6 +525,52 @@ TEST(SlicedPlanTest, CsrSlicesInPlaceAndBasicCsrStaysUnsliced) {
   auto BasicOp = basicCsrOperator(A);
   EXPECT_EQ(BasicOp->numSlices(), 1);
   EXPECT_FALSE(BasicOp->ownsStorage());
+}
+
+TEST(SlicedPlanTest, EachFamilyBindsItsOneSpmmPickAtEveryWidth) {
+  // A selection holds one SpMM pick per family, searched at one width; the
+  // bind takes no width, so the one plan multiplies at any k with its
+  // family's pick, sliced above the grain, and matches the reference column
+  // by column.
+  CsrMatrix<double> A = laplace3d7pt(40, 40, 40);
+  ASSERT_GE(A.nnz(), ParallelConvertGrain);
+  const KernelTable<double> &K = kernelTable<double>();
+  // Indexed by FormatKind; BSR has no SpMM family.
+  const char *const Names[] = {"csr_spmm_tiled", "coo_spmm_tiled",
+                               "dia_spmm_tiled", "ell_spmm_sliced"};
+  KernelSelection Sel;
+  Sel.BestKernel.fill(1); // Past basic CSR too, so every plan slices.
+  Sel.BestSpmmKernel[0] = kernelIndex(K.CsrSpmm, Names[0]);
+  Sel.BestSpmmKernel[1] = kernelIndex(K.CooSpmm, Names[1]);
+  Sel.BestSpmmKernel[2] = kernelIndex(K.DiaSpmm, Names[2]);
+  Sel.BestSpmmKernel[3] = kernelIndex(K.EllSpmm, Names[3]);
+  const auto Rows = static_cast<std::size_t>(A.NumRows);
+  const auto Cols = static_cast<std::size_t>(A.NumCols);
+  for (int F = 0; F != 4; ++F) {
+    const auto Kind = static_cast<FormatKind>(F);
+    SCOPED_TRACE(std::string(formatName(Kind)));
+    EXPECT_GT(Sel.BestSpmmKernel[static_cast<std::size_t>(F)], 0);
+    auto Op = bindFormatOperator(A, Kind, Sel);
+    ASSERT_EQ(Op->kind(), Kind);
+    EXPECT_STREQ(Op->spmmKernelName(), Names[F]);
+    EXPECT_EQ(Op->numSlices(), planSliceCount());
+    for (index_t Width : {1, 2, 3, 5, 8, 16, 17}) {
+      SCOPED_TRACE("k=" + std::to_string(Width));
+      const auto W = static_cast<std::size_t>(Width);
+      auto X = randomVector<double>(Cols * W, 500 + W);
+      std::vector<double> Y(Rows * W, -1.0);
+      Op->multiply(X.data(), Y.data(), Width);
+      std::vector<double> Xc(Cols), Expected(Rows), Got(Rows);
+      for (std::size_t J = 0; J != W; ++J) {
+        for (std::size_t I = 0; I != Cols; ++I)
+          Xc[I] = X[I * W + J];
+        refCsrSpmv(A, Xc.data(), Expected.data());
+        for (std::size_t I = 0; I != Rows; ++I)
+          Got[I] = Y[I * W + J];
+        expectVectorsNear(Expected, Got, 1e-12);
+      }
+    }
+  }
 }
 
 TEST(SlicedPlanTest, WholeMatrixDiaGuardDecidesTheFormat) {
@@ -600,7 +631,7 @@ TEST(SlicedPlanTest, OneGrainWhetherOrNotAServiceLives) {
 namespace {
 
 /// \p M bound to the picks \p SpmvIdx of \p Spmv and \p SpmmIdx of
-/// \p Spmm (null: no SpMM kernel), each through pickKernel, as the slices
+/// \p Spmm (null: no SpMM kernel), each through kernelEntry, as the slices
 /// \p Bounds.
 template <template <typename> class MatrixT>
 std::unique_ptr<FormatOperator<double>> bindBounds(
@@ -611,10 +642,9 @@ std::unique_ptr<FormatOperator<double>> bindBounds(
     const std::type_identity_t<
         std::vector<Kernel<RowRangeSpmm<MatrixT<double>, double>>>> *Spmm,
     int SpmmIdx, std::vector<index_t> Bounds) {
-  const auto &V = pickKernel(Spmv, SpmvIdx, M);
-  const auto *S = Spmm ? &pickKernel(*Spmm, SpmmIdx, M) : nullptr;
-  return std::make_unique<BoundOperator<MatrixT, double>>(std::move(M), V, S,
-                                                          std::move(Bounds));
+  const auto *S = Spmm ? &kernelEntry(*Spmm, SpmmIdx) : nullptr;
+  return std::make_unique<BoundOperator<MatrixT, double>>(
+      std::move(M), kernelEntry(Spmv, SpmvIdx), S, std::move(Bounds));
 }
 
 /// \p A converted to \p Kind and bound to the picks \p SpmvIdx and

@@ -158,16 +158,12 @@ TEST_P(MatrixProperties, BatchedMultiplyMatchesRepeatedApply) {
   CsrMatrix<double> A = seededMatrix(GetParam());
   // Point every SpMM pick past the basic entry so the register-tiled
   // variants are what multiply() dispatches to (the bind clamps and falls
-  // back to basic when a family has no such member or a precondition fails).
+  // back to basic when a family has no such member).
   KernelSelection Sel;
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      Sel.BestSpmmKernel[static_cast<std::size_t>(F)]
-                        [static_cast<std::size_t>(W)] = 1;
+  Sel.BestSpmmKernel.fill(1);
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
                           FormatKind::ELL, FormatKind::BSR}) {
-    auto Op = bindFormatOperator(A, Kind, Sel, /*CsrKernelOverride=*/-1,
-                                 /*BatchWidth=*/8);
+    auto Op = bindFormatOperator(A, Kind, Sel);
     ASSERT_TRUE(Op);
     SCOPED_TRACE(std::string("requested format ") +
                  std::string(formatName(Kind)) + ", bound " +
@@ -183,12 +179,9 @@ TEST(BatchedTuneTest, TunedMultiplyMatchesIndependentSpmv) {
   LearningModel Model;
   Model.ConfidenceThreshold = 2.0; // Never confident: measurement decides.
   Model.refreshRuleMetadata();
-  // Give the width buckets register-tiled picks, as the kernel search
+  // Give the SpMM families register-tiled picks, as the kernel search
   // would (searchOptimalKernels is too slow for a unit test).
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                  [static_cast<std::size_t>(W)] = 1;
+  Model.Kernels.BestSpmmKernel.fill(1);
   const Smat<double> Tuner(Model);
 
   std::vector<std::pair<std::string, CsrMatrix<double>>> Mats;

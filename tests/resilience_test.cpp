@@ -100,17 +100,15 @@ TEST(RobustTimingTest, RepCapBoundsTheLoop) {
 TEST(RobustTimingTest, RobustMeasureReturnsMinOfSamples) {
   RobustMeasureOptions Opts;
   Opts.MinSeconds = 1e-5;
-  Opts.Samples = 3;
   RobustMeasureResult R = robustMeasureSecondsPerCall([] {}, Opts);
   EXPECT_GT(R.SecondsPerCall, 0.0);
-  EXPECT_GE(R.SamplesTaken, 3);
+  EXPECT_GE(R.SamplesTaken, RobustMeasureSamples);
   EXPECT_FALSE(R.BudgetHit);
 }
 
 TEST(RobustTimingTest, BudgetStopsSamplingAfterFirstSample) {
   RobustMeasureOptions Opts;
   Opts.MinSeconds = 5e-3;
-  Opts.Samples = 5;
   Opts.BudgetSeconds = 1e-4; // Spent inside the (unconditional) first sample.
   RobustMeasureResult R = robustMeasureSecondsPerCall([] {}, Opts);
   EXPECT_EQ(R.SamplesTaken, 1)

@@ -315,10 +315,16 @@ TEST(TuningServiceTest, InvalidInputFailsSynchronously) {
   Bad.ColIdx = {0, 1};
   Bad.Values = {1.0, 1.0};
 
-  Expected<AsyncSpmv<double>> Result = Service.tryTuneAsync(Bad);
-  ASSERT_FALSE(Result.ok());
-  EXPECT_EQ(Result.status().code(), ErrorCode::InvalidMatrix);
-  EXPECT_THROW((void)Service.tuneAsync(Bad), std::invalid_argument);
+  // The throw carries the validator's diagnostic.
+  const std::string Diagnostic = validateCsr(Bad).message();
+  ASSERT_FALSE(Diagnostic.empty());
+  try {
+    (void)Service.tuneAsync(Bad);
+    ADD_FAILURE() << "tuneAsync accepted an invalid matrix";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find(Diagnostic), std::string::npos)
+        << E.what();
+  }
   // Rejected submissions never reach the worker or the stats.
   EXPECT_EQ(Service.stats().Submitted, 0u);
 }

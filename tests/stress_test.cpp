@@ -218,8 +218,6 @@ void expectSlicesOnThreadsMatch(const CsrMatrix<double> &A, const MatrixT &M,
       Expected[I * W + J] = Yc[I];
   }
   for (const Kernel<FnT> &K : Kernels) {
-    if (!kernelPrecondsHold(K.Preconds, M))
-      continue;
     SCOPED_TRACE(std::string(K.Name) + " k=" + std::to_string(Width));
     std::vector<double> Y(Rows * W, -1.0);
     std::vector<std::thread> Threads;
